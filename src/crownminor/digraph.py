@@ -1,7 +1,5 @@
 """Core directed-graph type, neighborhoods and structural predicates."""
 
-from collections import deque
-
 
 class GraphError(ValueError):
     """Raised for malformed graphs or invalid vertex ids."""
@@ -74,7 +72,6 @@ class Digraph:
     def check_vertex(self, v):
         if not (0 <= v < self.n):
             raise GraphError("invalid vertex id %s (n=%d)" % (v, self.n))
-
     def reversed(self):
         """The digraph with every edge direction flipped."""
         return Digraph(self.n, [(v, u) for (u, v) in self.edges])
@@ -141,26 +138,40 @@ class UndirectedGraph:
         return len(self.edges)
 
 
-def bfs_dist(graph, src, max_depth=None, direction="out", avoid=None):
+def bfs_dist(graph, src, max_depth=None, direction="out", avoid=None,
+             within=None, parents=False):
     """Distances from src following out- (or in-) edges, truncated at
-    max_depth. Vertices in `avoid` are impassable and unreported; src in
-    `avoid` yields {}."""
+    max_depth. Only vertices in `within` (when given) and outside `avoid`
+    are passable; a src outside `within` or inside `avoid` yields {}.
+
+    With parents=True the map sends each reached vertex to the vertex
+    that first discovered it (src to None) instead. The sweep goes level
+    by level over the sorted adjacency lists, so discovery order, and
+    with it every parent, is that of a FIFO breadth-first search.
+    """
+    if within is not None and src not in within:
+        return {}
     graph.check_vertex(src)
     if avoid and src in avoid:
         return {}
     adj = graph.out_adj if direction == "out" else graph.in_adj
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        d = dist[v]
-        if max_depth is not None and d >= max_depth:
-            continue
-        for w in adj[v]:
-            if w not in dist and not (avoid and w in avoid):
-                dist[w] = d + 1
-                queue.append(w)
-    return dist
+    seen = {src: None if parents else 0}
+    limit = graph.n if max_depth is None else max_depth
+    frontier = [src]
+    level = 0
+    while frontier and level < limit:
+        level += 1
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w in seen or (within is not None and w not in within) or (
+                    avoid and w in avoid
+                ):
+                    continue
+                seen[w] = v if parents else level
+                nxt.append(w)
+        frontier = nxt
+    return seen
 
 
 def out_neighborhood(G, v, d, avoid=None):

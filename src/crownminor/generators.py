@@ -9,7 +9,7 @@ probability.
 import math
 from fractions import Fraction
 
-from .digraph import Digraph, GraphError, count_alternations, topological_order
+from .digraph import Digraph, GraphError, count_alternations
 from .rng import SplitMix64
 
 
@@ -246,28 +246,3 @@ def crown_pattern_probability(n, d, q):
     exact = per_pair ** pairs
     bound = Fraction(2 * d, n) ** (q * (q - 1))
     return exact, bound
-
-
-def grid_contains_path(G, path):
-    """Sanity helper: every consecutive pair of `path` is adjacent in the
-    underlying graph of G."""
-    return all(G.has_edge(a, b) or G.has_edge(b, a) for a, b in zip(path, path[1:]))
-
-
-def is_crown_graph(G, principals):
-    """Check that G is exactly the crown whose principal sinks are
-    `principals` (in order), with sources in lexicographic pair order."""
-    q = len(principals)
-    H, _ = crown(q)
-    if G.n != H.n or G.num_edges() != H.num_edges():
-        return False
-    others = [v for v in G.vertices() if v not in set(principals)]
-    mapping = dict(zip(list(principals) + others, range(H.n)))
-    return all((mapping[u], mapping[v]) in H.edges for (u, v) in G.edges)
-
-
-def topological_order_or_raise(G):
-    order = topological_order(G)
-    if order is None:
-        raise GraphError("graph has a directed cycle")
-    return order

@@ -51,21 +51,6 @@ class DirectedModel:
         return frozenset(self.branch[v])
 
 
-def _dist_within(G, allowed, src):
-    allowed = set(allowed)
-    if src not in allowed:
-        return {}
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for w in G.successors(v):
-            if w in allowed and w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
 def _within(dist_map, target, limit):
     """Reachable, and within the length limit when one is set."""
     d = dist_map.get(target)
@@ -126,7 +111,7 @@ def verify_model(model):
                 starts.update(img)
         out_set = sorted(bset & starts)
 
-        dists = {a: _dist_within(G, bset, a) for a in bset}
+        dists = {a: bfs_dist(G, a, within=bset) for a in bset}
         for a in in_set:
             for b in out_set:
                 if not _within(dists[a], b, limit):
@@ -252,7 +237,7 @@ def dag_disjoint_paths(G, pairs, partition, max_len=None):
         dist = {v: bfs_dist(G, v) for v in G.vertices()}
         reach = None
 
-    def remaining_ok(pos, w, i, steps):
+    def remaining_ok(w, i, steps):
         t = pairs[i][1]
         if max_len is None:
             return t in reach[w]
@@ -260,7 +245,7 @@ def dag_disjoint_paths(G, pairs, partition, max_len=None):
 
     # quick infeasibility
     for i, (s, t) in enumerate(pairs):
-        if not remaining_ok(None, s, i, 0):
+        if not remaining_ok(s, i, 0):
             return None
 
     groups = partition.groups()
@@ -305,9 +290,9 @@ def dag_disjoint_paths(G, pairs, partition, max_len=None):
                         continue
                     if max_len is not None:
                         steps = lens[i] + 1
-                        if steps > max_len or not remaining_ok(pos, w, i, steps):
+                        if steps > max_len or not remaining_ok(w, i, steps):
                             continue
-                    elif not remaining_ok(pos, w, i, 0):
+                    elif not remaining_ok(w, i, 0):
                         continue
                     elig.append(i)
                 if not elig:
@@ -354,38 +339,6 @@ def dag_disjoint_paths_bounded(G, pairs, partition, r):
 # guess enumeration shared by the minor checkers
 
 
-def digraph_automorphisms(G):
-    """All automorphisms of G as mapping tuples (brute force; patterns
-    are tiny)."""
-    n = G.n
-    profile = [(G.in_degree(v), G.out_degree(v)) for v in range(n)]
-    out = []
-
-    def extend(mapping):
-        i = len(mapping)
-        if i == n:
-            out.append(tuple(mapping))
-            return
-        for cand in range(n):
-            if cand in mapping or profile[cand] != profile[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if G.has_edge(i, j) != G.has_edge(cand, mapping[j]):
-                    ok = False
-                    break
-                if G.has_edge(j, i) != G.has_edge(mapping[j], cand):
-                    ok = False
-                    break
-            if ok:
-                mapping.append(cand)
-                extend(mapping)
-                mapping.pop()
-
-    extend([])
-    return out
-
-
 def _bounded_reach(G, depth):
     if depth is None:
         order = topological_order(G)
@@ -406,7 +359,8 @@ def _enumerate_guesses(H, G, depth=None):
     edge_order = sorted(H.edges)
     host_edges = sorted(G.edges)
     reach = _bounded_reach(G, depth)
-    autos = [a for a in digraph_automorphisms(H) if a != tuple(range(H.n))]
+    autos = {tuple(m[v] for v in H.vertices()) for m in _injective_maps(H, H, True)}
+    autos.discard(tuple(H.vertices()))
 
     in_edges = {v: sorted(e for e in H.edges if e[1] == v) for v in H.vertices()}
     out_edges = {v: sorted(e for e in H.edges if e[0] == v) for v in H.vertices()}
@@ -714,7 +668,7 @@ def _complete_model_on_branches(H, G, blocks, depth):
     limit = depth
     dists = {}
     for v, bset in blocks.items():
-        dists[v] = {a: _dist_within(G, bset, a) for a in bset}
+        dists[v] = {a: bfs_dist(G, a, within=bset) for a in bset}
 
     edge_order = sorted(H.edges)
     cands = []
@@ -848,41 +802,50 @@ def _edge_between(G, A, B):
     return any(G.has_edge(x, y) for x in A for y in B)
 
 
-def subgraph_check(H, G):
-    """Injective map of V(H) into V(G) preserving edges (not induced), or
-    None. Exhaustive backtracking with degree pruning."""
-    hvs = sorted(H.vertices(), key=lambda v: (-(H.in_degree(v) + H.out_degree(v)), v))
+def _injective_maps(H, G, induced):
+    """Yield every injective map of V(H) into V(G), as a dict, that sends
+    edges of H to edges of G; with induced=True it must also send
+    non-edges to non-edges. Pattern vertices are placed by decreasing
+    degree, host candidates tried in increasing id and pruned by in- and
+    out-degree (equal when induced, at least the pattern's otherwise)."""
+    order = sorted(H.vertices(), key=lambda v: (-(H.in_degree(v) + H.out_degree(v)), v))
     mapping = {}
     used = set()
 
     def rec(idx):
-        if idx == len(hvs):
-            return dict(mapping)
-        v = hvs[idx]
+        if idx == len(order):
+            yield dict(mapping)
+            return
+        v = order[idx]
+        hi, ho = H.in_degree(v), H.out_degree(v)
         for cand in G.vertices():
             if cand in used:
                 continue
-            if G.out_degree(cand) < H.out_degree(v) or G.in_degree(cand) < H.in_degree(v):
+            gi, go = G.in_degree(cand), G.out_degree(cand)
+            if (gi != hi or go != ho) if induced else (gi < hi or go < ho):
                 continue
-            ok = True
-            for u in hvs[:idx]:
-                if H.has_edge(u, v) and not G.has_edge(mapping[u], cand):
-                    ok = False
+            for u in order[:idx]:
+                x = mapping[u]
+                fwd = H.has_edge(u, v)
+                if (induced or fwd) and G.has_edge(x, cand) != fwd:
                     break
-                if H.has_edge(v, u) and not G.has_edge(cand, mapping[u]):
-                    ok = False
+                bwd = H.has_edge(v, u)
+                if (induced or bwd) and G.has_edge(cand, x) != bwd:
                     break
-            if ok:
+            else:
                 mapping[v] = cand
                 used.add(cand)
-                got = rec(idx + 1)
-                if got is not None:
-                    return got
+                yield from rec(idx + 1)
                 del mapping[v]
                 used.discard(cand)
-        return None
 
     return rec(0)
+
+
+def subgraph_check(H, G):
+    """Injective map of V(H) into V(G) preserving edges (not induced), or
+    None. Exhaustive backtracking with degree pruning."""
+    return next(_injective_maps(H, G, False), None)
 
 
 # ---------------------------------------------------------------------------
@@ -925,39 +888,11 @@ def digraph_isomorphic(A, B):
     """Exact isomorphism test by backtracking with degree-profile pruning."""
     if A.n != B.n or A.num_edges() != B.num_edges():
         return False
-    prof_a = [(A.in_degree(v), A.out_degree(v)) for v in A.vertices()]
-    prof_b = [(B.in_degree(v), B.out_degree(v)) for v in B.vertices()]
-    if sorted(prof_a) != sorted(prof_b):
+    prof_a = sorted((A.in_degree(v), A.out_degree(v)) for v in A.vertices())
+    prof_b = sorted((B.in_degree(v), B.out_degree(v)) for v in B.vertices())
+    if prof_a != prof_b:
         return False
-    order = sorted(A.vertices(), key=lambda v: (prof_a[v], v))
-    mapping = {}
-    used = set()
-
-    def rec(idx):
-        if idx == A.n:
-            return True
-        v = order[idx]
-        for cand in B.vertices():
-            if cand in used or prof_b[cand] != prof_a[v]:
-                continue
-            ok = True
-            for u in order[:idx]:
-                if A.has_edge(u, v) != B.has_edge(mapping[u], cand):
-                    ok = False
-                    break
-                if A.has_edge(v, u) != B.has_edge(cand, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = cand
-                used.add(cand)
-                if rec(idx + 1):
-                    return True
-                del mapping[v]
-                used.discard(cand)
-        return False
-
-    return rec(0)
+    return next(_injective_maps(A, B, True), None) is not None
 
 
 def _iso_invariant(G):
@@ -1037,35 +972,29 @@ def normalize_bipartite_model(model):
     H, G = model.pattern, model.host
     new_branch = {}
     for v in H.vertices():
-        bset = set(model.branch[v])
         outs = {model.edge_image[e][0] for e in H.edges if e[0] == v}
         ins = {model.edge_image[e][1] for e in H.edges if e[1] == v}
         if outs:
-            root = model.source[v]
-            dist = _dist_within(G, bset, root)
-            keep = set()
-            anchors = set(outs) | {root}
-            # ancestors along BFS parents toward each anchor
-            parent = _bfs_parents(G, bset, root)
-            for a in anchors:
-                x = a
-                while x is not None:
-                    keep.add(x)
-                    x = parent.get(x)
-            new_branch[v] = frozenset(keep)
+            root, anchors, direction = model.source[v], outs, "out"
         elif ins:
-            root = model.sink[v]
-            parent = _bfs_parents(G.reversed(), bset, root)
-            keep = set()
-            anchors = set(ins) | {root}
-            for a in anchors:
-                x = a
-                while x is not None:
-                    keep.add(x)
-                    x = parent.get(x)
-            new_branch[v] = frozenset(keep)
+            root, anchors, direction = model.sink[v], ins, "in"
         else:
             new_branch[v] = frozenset([model.source[v]])
+            continue
+        # the root stays passable even when a malformed model leaves it
+        # outside its own branch
+        parent = bfs_dist(
+            G, root, direction=direction, within=set(model.branch[v]) | {root},
+            parents=True,
+        )
+        # ancestors along BFS parents toward each anchor
+        keep = set()
+        for a in anchors | {root}:
+            x = a
+            while x is not None:
+                keep.add(x)
+                x = parent.get(x)
+        new_branch[v] = frozenset(keep)
     slim = DirectedModel(
         host=G,
         pattern=H,
@@ -1081,19 +1010,6 @@ def normalize_bipartite_model(model):
     return slim
 
 
-def _bfs_parents(G, allowed, root):
-    allowed = set(allowed)
-    parent = {root: None}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in G.successors(v):
-            if w in allowed and w not in parent:
-                parent[w] = v
-                queue.append(w)
-    return parent
-
-
 def is_branching_model(model):
     """True iff every branch with out-edges is spanned by an out-tree
     from its source, and every branch with in-edges by an in-tree into
@@ -1104,11 +1020,10 @@ def is_branching_model(model):
         has_out = any(e[0] == v for e in H.edges)
         has_in = any(e[1] == v for e in H.edges)
         if has_out:
-            if set(_dist_within(G, bset, model.source[v])) != bset:
+            if set(bfs_dist(G, model.source[v], within=bset)) != bset:
                 return False
         elif has_in:
-            rev = G.reversed()
-            if set(_dist_within(rev, bset, model.sink[v])) != bset:
+            if set(bfs_dist(G, model.sink[v], direction="in", within=bset)) != bset:
                 return False
     return True
 
@@ -1233,7 +1148,7 @@ def grad(G, r):
         nonlocal best
         if v == n:
             if blocks:
-                got = _max_edges_over_blocks(G, blocks, r, best)
+                got = _max_edges_over_blocks(G, blocks, r)
                 if got is not None:
                     best = max(best, got)
             return
@@ -1251,11 +1166,11 @@ def grad(G, r):
     return best
 
 
-def _max_edges_over_blocks(G, blocks, r, floor):
+def _max_edges_over_blocks(G, blocks, r):
     """Largest pattern edge count realizable on the given branch family
     at depth r; None when not even the edgeless pattern fits."""
     p = len(blocks)
-    dists = [{a: _dist_within(G, b, a) for a in b} for b in blocks]
+    dists = [{a: bfs_dist(G, a, within=b) for a in b} for b in blocks]
     pair_cands = []
     for i in range(p):
         for j in range(p):

@@ -33,13 +33,16 @@ class BudgetExhausted(RuntimeError):
 
 def is_scattered(G, U, d, deleted=()):
     """True iff no vertex of G - deleted has two distinct members of U in
-    its d-out-neighborhood (computed in G - deleted)."""
+    its d-out-neighborhood (computed in G - deleted). Raises GraphError
+    for a member or deleted id outside G."""
     if d < 0:
         raise GraphError("radius must be nonnegative")
     U = list(U)
     if len(set(U)) != len(U):
         raise GraphError("scattered candidates must be distinct")
     dead = frozenset(deleted)
+    for v in itertools.chain(U, dead):
+        G.check_vertex(v)
     members = set(U)
     if members & dead:
         return False
@@ -162,28 +165,6 @@ def wideness_threshold(r, m, exclusion_order):
 def deletion_budget(r, exclusion_order):
     """Total deletions s(r) across the iterated dichotomy."""
     return sum(math.comb(exclusion_order(i), 2) for i in range(r))
-
-
-_BOUNDS = {
-    "ramsey": ramsey_upper,
-    "clique": clique_threshold,
-    "uniform-level": uniform_level_threshold,
-    "trichotomy": trichotomy_threshold,
-    "dichotomy-steps": dichotomy_threshold_steps,
-    "dichotomy": dichotomy_threshold,
-    "wideness": wideness_threshold,
-    "deletions": deletion_budget,
-}
-
-
-def bounds_eval(which, *args):
-    """Evaluate one of the named bound functions by key. The values are
-    exact integers and explode quickly; keep the arguments tiny."""
-    try:
-        fn = _BOUNDS[which]
-    except KeyError:
-        raise ValueError("unknown bound %r (have %s)" % (which, sorted(_BOUNDS))) from None
-    return fn(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +769,7 @@ def build_controlled_bipartite(G, I, r):
         if len(reach) < 2:
             continue
         a_nodes.append(v)
-        parents = _min_parent_bfs(G, v, r + 1)
+        parents = bfs_dist(G, v, max_depth=r + 1, parents=True)
         for u in reach:
             path = [u]
             while path[-1] != v:
@@ -806,25 +787,6 @@ def build_controlled_bipartite(G, I, r):
         base[w] = b
         level[w] = dist[w][b] if b is not None else r + 1
     return ControlledBipartite(a_nodes, I, edges, base, level, eta, r, ground=G)
-
-
-def _min_parent_bfs(G, src, max_depth):
-    """BFS parents with the smallest-id parent at the first discovery."""
-    from collections import deque
-
-    parent = {src: None}
-    depth = {src: 0}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        if depth[v] >= max_depth:
-            continue
-        for w in G.successors(v):
-            if w not in parent:
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                queue.append(w)
-    return parent
 
 
 def crown_to_model(G, cb, cc, r):
@@ -988,38 +950,26 @@ def find_scatter_contradiction(G, r, q, model, witness):
         ok = True
         for prin in (i, j):
             img = model.edge_image[(pid, prin)]
-            seg1 = _path_inside(G, cbranch, root, img[0])
-            seg2 = _path_inside(G, set(model.branch[prin]), img[1], principal_hits[prin])
-            if seg1 is None or seg2 is None:
-                ok = False
-                break
-            full = seg1 + seg2
-            if len(full) - 1 > 2 * r + 1 or set(full) & S:
+            # root -> img[0] inside the connector branch, then img[1] -> the
+            # scattered member inside the principal branch, along BFS parents
+            full = []
+            for allowed, src, dst in (
+                (cbranch, root, img[0]),
+                (model.branch[prin], img[1], principal_hits[prin]),
+            ):
+                parent = bfs_dist(G, src, within=allowed, parents=True)
+                if dst not in parent:
+                    ok = False
+                    break
+                seg = []
+                while dst is not None:
+                    seg.append(dst)
+                    dst = parent[dst]
+                full += reversed(seg)
+            if not ok or len(full) - 1 > 2 * r + 1 or set(full) & S:
                 ok = False
                 break
             paths.append(full)
         if ok:
             return root, paths[0], paths[1]
-    return None
-
-
-def _path_inside(G, allowed, src, dst):
-    from collections import deque
-
-    if src not in allowed or dst not in allowed:
-        return None
-    parent = {src: None}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        if v == dst:
-            path = []
-            while v is not None:
-                path.append(v)
-                v = parent[v]
-            return path[::-1]
-        for w in G.successors(v):
-            if w in allowed and w not in parent:
-                parent[w] = v
-                queue.append(w)
     return None

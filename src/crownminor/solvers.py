@@ -7,7 +7,6 @@ carries a witness that passes the matching verifier.
 """
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 from .digraph import Digraph, GraphError, bfs_dist
@@ -56,8 +55,17 @@ def verify_dominating(G, D, d=1, W=None, deleted=()):
 
 
 def verify_independent(G, D):
-    """No edge in either direction inside D."""
+    """No edge in either direction inside D. Raises GraphError for an id
+    outside G."""
     D = list(D)
+    for v in D:
+        G.check_vertex(v)
+    return _independent(G, D)
+
+
+def _independent(G, D):
+    """verify_independent without the range check, for the exhaustive
+    loops, whose candidate sets are drawn from G's own vertices."""
     for a, b in itertools.combinations(D, 2):
         if G.has_edge(a, b) or G.has_edge(b, a):
             return False
@@ -66,8 +74,11 @@ def verify_independent(G, D):
 
 def verify_outbranching(G, vertices, parent):
     """parent maps each vertex to its tree parent (None at the root);
-    checks one root, edges present, and every vertex walking up to it."""
+    checks one root, edges present, and every vertex walking up to it.
+    Raises GraphError for an id outside G."""
     vs = set(vertices)
+    for v in vs:
+        G.check_vertex(v)
     if set(parent) != vs or not vs:
         return False
     roots = [v for v in vs if parent[v] is None]
@@ -97,17 +108,10 @@ def spanning_outtree(G, D, deleted=()):
     """Parent map of an out-tree spanning D inside G - deleted, rooted at
     the smallest workable root, or None."""
     D = sorted(set(D))
-    dead = frozenset(deleted)
+    live = set(D).difference(deleted)
     for root in D:
-        parent = {root: None}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for w in G.successors(v):
-                if w in dead or w not in set(D) or w in parent:
-                    continue
-                parent[w] = v
-                queue.append(w)
+        # each root starts the search even when it is itself deleted
+        parent = bfs_dist(G, root, within=live | {root}, parents=True)
         if len(parent) == len(D):
             return parent
     return None
@@ -133,7 +137,7 @@ def brute_force_solve(instance, variant):
         if k == 0:
             return SolveOutcome(True, (), exhausted=True)
         for combo in itertools.combinations(cand, k):
-            if verify_independent(G, combo):
+            if _independent(G, combo):
                 return SolveOutcome(True, tuple(combo), exhausted=True)
         return SolveOutcome(False, exhausted=True)
     for size in range(0, k + 1):
@@ -142,7 +146,7 @@ def brute_force_solve(instance, variant):
                 if verify_dominating(G, combo, d, W):
                     return SolveOutcome(True, tuple(combo), exhausted=True)
             elif variant == "ids":
-                if verify_dominating(G, combo, d, W) and verify_independent(G, combo):
+                if verify_dominating(G, combo, d, W) and _independent(G, combo):
                     return SolveOutcome(True, tuple(combo), exhausted=True)
             elif variant == "dob":
                 if not verify_dominating(G, combo, 1, W):
@@ -174,7 +178,7 @@ def independent_dominating_set(G, k, scatter_budget=3, base_cap=10, probe_cap=12
         cand = sorted(alive - Y)
         for size in range(0, k + 1):
             for combo in itertools.combinations(cand, size):
-                if verify_independent(G, combo) and verify_dominating(
+                if _independent(G, combo) and verify_dominating(
                     G, combo, 1, alive, deleted=set(G.vertices()) - alive
                 ):
                     return list(combo)
@@ -213,11 +217,11 @@ def independent_dominating_set(G, k, scatter_budget=3, base_cap=10, probe_cap=12
 # d-dominating set with target reduction
 
 
-def find_irrelevant_vertex(G, W, k, d):
+def find_irrelevant_vertex(G, W, d):
     """A vertex w of W whose domination is implied by the rest: some
     other target's d-in-ball is contained in w's, so any set hitting the
     smaller ball hits w's too. Returns the smallest such w or None; the
-    rule is sound for every budget k."""
+    rule holds whatever the size budget, so it takes none."""
     W = sorted(set(W))
     balls = {w: frozenset(bfs_dist(G, w, max_depth=d, direction="in")) for w in W}
     for w in W:
@@ -235,7 +239,7 @@ def d_dominating_set(G, k, d=1):
         raise GraphError("need k >= 0 and d >= 1")
     W = set(G.vertices())
     while len(W) > 1:
-        w = find_irrelevant_vertex(G, sorted(W), k, d)
+        w = find_irrelevant_vertex(G, sorted(W), d)
         if w is None:
             break
         W.remove(w)
@@ -288,7 +292,6 @@ def directed_steiner_outtree(G, terminals, size_budget=None, required_root=None)
     tidx = {t: i for i, t in enumerate(terms)}
     full = (1 << len(terms)) - 1
     dist = {v: bfs_dist(G, v) for v in G.vertices()}
-    parents_of = {v: _bfs_parent_map(G, v) for v in G.vertices()}
 
     INF = float("inf")
     cost = [[INF] * G.n for _ in range(full + 1)]
@@ -348,11 +351,11 @@ def directed_steiner_outtree(G, terminals, size_budget=None, required_root=None)
             return
         tag = kind[0]
         if tag == "leaf":
-            t = kind[1]
-            x = t
+            parent = bfs_dist(G, v, parents=True)
+            x = kind[1]
             while x != v:
                 verts.add(x)
-                x = parents_of[v][x]
+                x = parent[x]
         elif tag == "split":
             collect(kind[1], v)
             collect(mask ^ kind[1], v)
@@ -365,35 +368,10 @@ def directed_steiner_outtree(G, terminals, size_budget=None, required_root=None)
         raise RuntimeError("internal: Steiner reconstruction failed")
     root = [v for v, p in parent.items() if p is None][0]
     if required_root is not None and root != required_root:
-        parent = _retree(G, verts, required_root)
-        if parent is None:
+        parent = bfs_dist(G, required_root, within=verts, parents=True)
+        if len(parent) != len(verts):
             raise RuntimeError("internal: Steiner root lost in reconstruction")
     return tuple(sorted(verts)), parent
-
-
-def _bfs_parent_map(G, src):
-    parent = {src: None}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        for w in G.successors(v):
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
-    return parent
-
-
-def _retree(G, verts, root):
-    verts = set(verts)
-    parent = {root: None}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in G.successors(v):
-            if w in verts and w not in parent:
-                parent[w] = v
-                queue.append(w)
-    return parent if len(parent) == len(verts) else None
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ def parse_witness(text, host=None, pattern=None):
     """Parse and re-verify a witness document. Model kinds need the host
     (and, for kind `model`, the pattern) graph; a crown document rebuilds
     its pattern from its order parameter. Raises WitnessFormatError when
-    the payload does not verify."""
+    a line is malformed, an id lies outside the graph, or the payload
+    does not verify."""
     lines = _fields(text)
     if not lines or not lines[0].startswith("kind "):
         raise WitnessFormatError("missing kind header")
@@ -104,13 +105,20 @@ def parse_witness(text, host=None, pattern=None):
     if kind not in KINDS:
         raise WitnessFormatError("unknown kind %r" % kind)
     body = lines[1:]
-    if kind in ("model", "crown"):
-        return _parse_model(body, kind, host, pattern)
-    if kind == "scattered":
-        return _parse_scattered(body, host)
-    if kind == "outbranching":
-        return _parse_outbranching(body, host)
-    return _parse_vertex_set(body, kind, host)
+    try:
+        if kind in ("model", "crown"):
+            return _parse_model(body, kind, host, pattern)
+        if kind == "scattered":
+            return _parse_scattered(body, host)
+        if kind == "outbranching":
+            return _parse_outbranching(body, host)
+        return _parse_vertex_set(body, kind, host)
+    except WitnessFormatError:
+        raise
+    except ValueError as err:
+        # int() of a non-integer field, a line with too many or too few
+        # fields, or a GraphError for an id outside the graph
+        raise WitnessFormatError("invalid document: %s" % err) from err
 
 
 def _split_ids(payload):

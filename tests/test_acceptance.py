@@ -524,7 +524,7 @@ def test_c10_solver_exactness():
             continue
         k = rng.randint(1, 3)
         d = rng.randint(1, 3)
-        w = find_irrelevant_vertex(G, W, k, d)
+        w = find_irrelevant_vertex(G, W, d)
         if w is None:
             continue
         rest = [x for x in W if x != w]

@@ -2,7 +2,7 @@ import pytest
 
 from crownminor.cli import main
 from crownminor.digraph import Digraph
-from crownminor.generators import crown, reversed_crown
+from crownminor.generators import crown, oriented_grid, reversed_crown
 from crownminor.graphio import GraphFormatError, emit_graph, parse_graph
 from crownminor.minors import DirectedModel
 from crownminor.quasiwide import ScatteredWitness, dichotomy_step
@@ -73,6 +73,46 @@ def test_model_document_roundtrip_and_tamper():
     broken = doc.replace("branch 0: 0", "branch 0: 0 3")
     with pytest.raises(WitnessFormatError):
         parse_witness(broken, host=S3)
+
+
+PATH3 = Digraph(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "kind scattered\nd 1\nS: \nU: 7 8 9\nend\n",
+        "kind scattered\nd 1\nS: 5\nU: 0\nend\n",
+        "kind independent\nD: 100 200\nend\n",
+        "kind outbranching\nD: 99\nparent 99 none\nend\n",
+    ],
+    ids=["scattered-members", "scattered-deleted", "independent", "outbranching"],
+)
+def test_witness_ids_outside_the_graph_fail_to_load(doc):
+    with pytest.raises(WitnessFormatError, match="invalid vertex id"):
+        parse_witness(doc, host=PATH3)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "kind independent\nD: x\nend\n",
+        "kind outbranching\nD: 0 1\nparent 0 none\nparent 1\nend\n",
+    ],
+    ids=["non-integer-id", "parent-without-parent-field"],
+)
+def test_malformed_witness_lines_fail_to_load(doc):
+    with pytest.raises(WitnessFormatError):
+        parse_witness(doc, host=PATH3)
+
+
+def test_model_edge_line_with_three_ids_fails_to_load():
+    S3, principals = crown(3)
+    model = dichotomy_step(S3, principals, 0, p=2, q=3)
+    doc = emit_model(model, kind="crown", params=[("order", 3)])
+    line = next(x for x in doc.splitlines() if x.startswith("edge "))
+    with pytest.raises(WitnessFormatError):
+        parse_witness(doc.replace(line, line + " 2"), host=S3)
 
 
 # --- CLI ---------------------------------------------------------------------------
@@ -210,6 +250,17 @@ def test_dichotomy_requires_start_set_for_positive_radius(capsys, tmp_path):
                            "--i-set", "0 1 2 3")
     assert code == 0
     assert "kind scattered" in out
+
+
+def test_dichotomy_start_set_outside_the_graph_is_input_error(capsys, tmp_path):
+    from crownminor.graphio import save_graph
+
+    g = tmp_path / "g.graph"
+    save_graph(str(g), oriented_grid(3, 3, seed=1))
+    code, _, err = run_cli(capsys, "--format", "structured", "dichotomy", str(g),
+                           "--r", "1", "--q", "2", "--p", "2", "--i-set", "0 99")
+    assert code == 4
+    assert "invalid vertex id 99" in err
 
 
 def test_solve_commands(capsys, tmp_path):

@@ -138,23 +138,23 @@ def test_twin_targets_are_irrelevant():
     # mutually adjacent targets with the same external in-ball: either
     # one's domination forces the other's
     G = Digraph(4, [(0, 2), (0, 3), (2, 3), (3, 2)])
-    w = find_irrelevant_vertex(G, (2, 3), k=2, d=1)
+    w = find_irrelevant_vertex(G, (2, 3), d=1)
     assert w == 2
 
 
 def test_separate_sinks_are_not_irrelevant():
     # each sink dominates only itself, so neither is implied by the other
     G = Digraph(4, [(0, 2), (1, 2), (0, 3), (1, 3)])
-    assert find_irrelevant_vertex(G, (2, 3), k=2, d=1) is None
+    assert find_irrelevant_vertex(G, (2, 3), d=1) is None
 
 
 def test_nested_in_balls():
     G = Digraph(4, [(0, 2), (0, 3), (1, 3)])
     # ball(2) = {0, 2} is not nested in ball(3) = {0, 1, 3}; no containment
-    assert find_irrelevant_vertex(G, (2, 3), 2, 1) is None
+    assert find_irrelevant_vertex(G, (2, 3), 1) is None
     G2 = Digraph(4, [(0, 2), (0, 3), (2, 3)])
     # ball(3) = {0, 2, 3} contains ball(2) = {0, 2}: 3 is irrelevant
-    assert find_irrelevant_vertex(G2, (2, 3), 2, 1) == 3
+    assert find_irrelevant_vertex(G2, (2, 3), 1) == 3
 
 
 def test_irrelevant_vertex_contract_by_bruteforce():
@@ -166,7 +166,7 @@ def test_irrelevant_vertex_contract_by_bruteforce():
         W = sorted(v for v in G.vertices() if rng.random() < 0.7)
         if not W:
             continue
-        w = find_irrelevant_vertex(G, W, k, d)
+        w = find_irrelevant_vertex(G, W, d)
         if w is None:
             continue
         Wrest = [x for x in W if x != w]
@@ -177,7 +177,7 @@ def test_irrelevant_vertex_contract_by_bruteforce():
 
 def test_reversed_crown_principals_have_no_irrelevant_vertex():
     S4r, principals = reversed_crown(4)
-    assert find_irrelevant_vertex(S4r, principals, 2, 1) is None
+    assert find_irrelevant_vertex(S4r, principals, 1) is None
 
 
 # --- d-dominating set ------------------------------------------------------------
