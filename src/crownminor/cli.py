@@ -8,7 +8,6 @@ randomized command.
 """
 
 import argparse
-import os
 import sys
 
 from .digraph import GraphError, is_dag
@@ -55,8 +54,6 @@ EXIT_NOT_FOUND = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
 EXIT_INPUT = 4
-
-DEFAULT_SCATTER_BUDGET = int(os.environ.get("CROWNMINOR_SCATTER_BUDGET", "3"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,7 +111,7 @@ def build_parser():
     solve.add_argument("graph")
     solve.add_argument("--k", type=int, required=True)
     solve.add_argument("--d", type=int, default=1)
-    solve.add_argument("--scatter-budget", type=int, default=DEFAULT_SCATTER_BUDGET)
+    solve.add_argument("--scatter-budget", type=int, default=3)
     solve.add_argument("--oracle", action="store_true", help="force the exhaustive solver")
     solve.add_argument("--witness")
 
@@ -235,7 +232,10 @@ def cmd_scatter(args):
 def cmd_dichotomy(args):
     G = load_graph(args.graph)
     if args.i_set is not None:
-        I = sorted(int(x) for x in args.i_set.split())
+        try:
+            I = sorted(int(x) for x in args.i_set.split())
+        except ValueError:
+            raise UsageError("--i-set takes vertex ids, got %r" % args.i_set)
     elif args.r == 0:
         I = sorted(G.vertices())
     else:

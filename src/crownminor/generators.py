@@ -82,6 +82,24 @@ def random_tournament(n, seed):
     return Digraph(n, edges)
 
 
+def random_digraph(rng, n, p):
+    """Each of the n(n-1) ordered pairs becomes an edge with probability
+    p, drawn from `rng` (a random.Random) in lexicographic pair order."""
+    return Digraph(
+        n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+    )
+
+
+def random_dag(rng, n, p):
+    """Each pair u < v becomes an edge u -> v with probability p, drawn
+    from `rng` in lexicographic order; then a shuffle of the ids, drawn
+    after the edges, hides the topological order."""
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Digraph(n, [(perm[u], perm[v]) for (u, v) in edges])
+
+
 def embed_acyclic_tournament(T, n):
     """Image of the transitive tournament of order n inside tournament T,
     |T| >= 2^n, found by the max-outdegree recursion: map the first

@@ -9,7 +9,7 @@ undirected brute-force oracles used for cross-validation.
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .digraph import (
@@ -51,10 +51,44 @@ class DirectedModel:
         return frozenset(self.branch[v])
 
 
-def _within(dist_map, target, limit):
-    """Reachable, and within the length limit when one is set."""
-    d = dist_map.get(target)
-    return d is not None and (limit is None or d <= limit)
+def _branch_reach(G, bset, depth):
+    """The reach table of one branch set: each member, in increasing
+    order, mapped to the members it reaches inside the branch by a path
+    of at most `depth` edges (of any length when depth is None)."""
+    return {a: bfs_dist(G, a, max_depth=depth, within=bset) for a in sorted(bset)}
+
+
+def _unlinked(reach, ins, outs):
+    """The (in, out) pairs of a branch whose out-vertex lies outside its
+    in-vertex's reach; none means every in-vertex reaches every out."""
+    return ((a, b) for a in ins for b in outs if b not in reach[a])
+
+
+def _first_source(reach, outs):
+    """Smallest branch member reaching every out-vertex, or None."""
+    return next((c for c in reach if all(b in reach[c] for b in outs)), None)
+
+
+def _first_sink(reach, ins):
+    """Smallest branch member reached from every in-vertex, or None."""
+    return next((c for c in reach if all(c in reach[a] for a in ins)), None)
+
+
+def _in_out(H, image, v):
+    """The sorted host heads of the images of v's in-edges, and the
+    sorted host tails of the images of its out-edges."""
+    ins = sorted({image[e][1] for e in H.edges if e[1] == v})
+    outs = sorted({image[e][0] for e in H.edges if e[0] == v})
+    return ins, outs
+
+
+def verified(model, what):
+    """The model itself once verify_model accepts it; otherwise an
+    internal error naming the step that built it."""
+    ok, bad = verify_model(model)
+    if not ok:
+        raise RuntimeError("internal: %s: %s" % (what, bad))
+    return model
 
 
 def verify_model(model):
@@ -98,48 +132,28 @@ def verify_model(model):
 
     for v in sorted(H.vertices()):
         bset = branches[v]
-        ends = set()
-        for e in H.edges:
-            img = model.edge_image[e]
-            if e[1] == v:
-                ends.update(img)
-        in_set = sorted(bset & ends)
-        starts = set()
-        for e in H.edges:
-            img = model.edge_image[e]
-            if e[0] == v:
-                starts.update(img)
-        out_set = sorted(bset & starts)
-
-        dists = {a: bfs_dist(G, a, within=bset) for a in bset}
-        for a in in_set:
-            for b in out_set:
-                if not _within(dists[a], b, limit):
-                    bad.append("branch %d: no path %s -> %s within depth" % (v, a, b))
+        in_set, out_set = _in_out(H, model.edge_image, v)
+        reach = _branch_reach(G, bset, limit)
+        for a, b in _unlinked(reach, in_set, out_set):
+            bad.append("branch %d: no path %s -> %s within depth" % (v, a, b))
 
         s = model.source.get(v)
         if s is not None:
             if s not in bset:
                 bad.append("source of %d outside branch" % v)
-            elif not all(_within(dists[s], b, limit) for b in out_set):
+            elif any(_unlinked(reach, [s], out_set)):
                 bad.append("source of %d misses part of out set" % v)
-        else:
-            if not any(
-                all(_within(dists[c], b, limit) for b in out_set) for c in bset
-            ):
-                bad.append("branch %d has no valid source" % v)
+        elif _first_source(reach, out_set) is None:
+            bad.append("branch %d has no valid source" % v)
 
         t = model.sink.get(v)
         if t is not None:
             if t not in bset:
                 bad.append("sink of %d outside branch" % v)
-            elif not all(_within(dists[a], t, limit) for a in in_set):
+            elif any(_unlinked(reach, in_set, [t])):
                 bad.append("sink of %d not reached from part of in set" % v)
-        else:
-            if not any(
-                all(_within(dists[a], c, limit) for a in in_set) for c in bset
-            ):
-                bad.append("branch %d has no valid sink" % v)
+        elif _first_sink(reach, in_set) is None:
+            bad.append("branch %d has no valid sink" % v)
 
     return not bad, bad
 
@@ -506,8 +520,7 @@ def _branch_requests(H, image, source, sink):
     whose paths, found inside the branch, complete the model."""
     reqs = []
     for v in sorted(H.vertices()):
-        ins = sorted({image[e][1] for e in H.edges if e[1] == v})
-        outs = sorted({image[e][0] for e in H.edges if e[0] == v})
+        ins, outs = _in_out(H, image, v)
         if ins and outs:
             reqs.extend((v, a, b) for a in ins for b in outs)
             t = sink[v]
@@ -541,10 +554,7 @@ def _assemble(H, G, image, source, sink, request_paths, depth):
         sink=dict(sink),
         depth=depth,
     )
-    ok, bad = verify_model(model)
-    if not ok:
-        raise RuntimeError("internal: assembled model failed verification: %s" % bad)
-    return model
+    return verified(model, "assembled model failed verification")
 
 
 def dag_minor_check(H, G):
@@ -605,39 +615,46 @@ def shallow_minor_check(H, G, r):
     return None
 
 
+def _simple_paths(G, a, b, usable, max_len=None):
+    """Every simple directed a->b path, as a vertex list in depth-first
+    order over sorted successors, whose vertices strictly between a and b
+    lie in the set `usable`; with max_len set, only paths of at most
+    max_len edges."""
+    found = []
+    path = [a]
+
+    def dfs(cur, left):
+        if cur == b:
+            found.append(list(path))
+            return
+        if left == 0:
+            return
+        for w in G.successors(cur):
+            if w in path or (w != b and w not in usable):
+                continue
+            path.append(w)
+            dfs(w, left - 1)
+            path.pop()
+
+    # with no bound the count of edges left starts at -1 and only falls,
+    # so it never hits 0
+    dfs(a, -1 if max_len is None else max_len)
+    return found
+
+
 def _assign_request_paths(G, reqs, owner, r):
     """Backtracking completion for general hosts: pick a directed path of
     length <= r per request, vertices free or already of the same branch."""
     out = []
 
-    def paths_from(a, b, v):
-        """Simple a->b paths, length <= r, usable by branch v."""
-        found = []
-
-        def dfs(cur, path):
-            if cur == b:
-                found.append(list(path))
-                # a path may continue through b only as its endpoint
-            if len(path) - 1 == r:
-                return
-            for w in G.successors(cur):
-                if w in path:
-                    continue
-                if owner.get(w, v) != v:
-                    continue
-                path.append(w)
-                dfs(w, path)
-                path.pop()
-
-        if owner.get(a, v) == v and owner.get(b, v) == v:
-            dfs(a, [a])
-        return found
-
     def rec(idx):
         if idx == len(reqs):
             return True
         v, a, b = reqs[idx]
-        for path in paths_from(a, b, v):
+        if owner.get(a, v) != v or owner.get(b, v) != v:
+            return False
+        usable = {w for w in G.vertices() if owner.get(w, v) == v}
+        for path in _simple_paths(G, a, b, usable, max_len=r):
             claimed = []
             for x in path:
                 if x not in owner:
@@ -660,15 +677,12 @@ def _assign_request_paths(G, reqs, owner, r):
 # exhaustive checking on arbitrary hosts
 
 
-def _complete_model_on_branches(H, G, blocks, depth):
+def _complete_model_on_branches(H, G, blocks):
     """Given fixed disjoint branch sets (pattern vertex -> vertex set),
     search the edge-image choices completing a valid model. Returns a
     model or None. Exact: in/out sets only grow along the assignment, and
     every condition is monotone against that growth."""
-    limit = depth
-    dists = {}
-    for v, bset in blocks.items():
-        dists[v] = {a: bfs_dist(G, a, within=bset) for a in bset}
+    reach = {v: _branch_reach(G, bset, None) for v, bset in blocks.items()}
 
     edge_order = sorted(H.edges)
     cands = []
@@ -686,33 +700,13 @@ def _complete_model_on_branches(H, G, blocks, depth):
     outs = {v: set() for v in H.vertices()}
     image = {}
 
-    def branch_ok(v):
-        return all(
-            _within(dists[v][a], b, limit) for a in ins[v] for b in outs[v]
-        )
-
     def ends_ok():
         source, sink = {}, {}
         for v in sorted(H.vertices()):
-            bset = sorted(blocks[v])
-            s = None
-            if ins[v]:
-                s = min(ins[v])
-            else:
-                for c in bset:
-                    if all(_within(dists[v][c], b, limit) for b in outs[v]):
-                        s = c
-                        break
+            s = min(ins[v]) if ins[v] else _first_source(reach[v], outs[v])
             if s is None:
                 return None
-            t = None
-            if outs[v]:
-                t = min(outs[v])
-            else:
-                for c in bset:
-                    if all(_within(dists[v][a], c, limit) for a in ins[v]):
-                        t = c
-                        break
+            t = min(outs[v]) if outs[v] else _first_sink(reach[v], ins[v])
             if t is None:
                 return None
             source[v], sink[v] = s, t
@@ -731,12 +725,8 @@ def _complete_model_on_branches(H, G, blocks, depth):
                 edge_image=dict(image),
                 source=source,
                 sink=sink,
-                depth=depth,
             )
-            ok, bad = verify_model(model)
-            if not ok:
-                raise RuntimeError("internal: completion failed verification: %s" % bad)
-            return model
+            return verified(model, "completion failed verification")
         u, v = edge_order[idx]
         for (x, y) in cands[idx]:
             added_out = x not in outs[u]
@@ -744,7 +734,9 @@ def _complete_model_on_branches(H, G, blocks, depth):
             image[(u, v)] = (x, y)
             outs[u].add(x)
             ins[v].add(y)
-            if branch_ok(u) and branch_ok(v):
+            if not any(_unlinked(reach[u], ins[u], outs[u])) and not any(
+                _unlinked(reach[v], ins[v], outs[v])
+            ):
                 got = rec(idx + 1)
                 if got is not None:
                     return got
@@ -758,13 +750,13 @@ def _complete_model_on_branches(H, G, blocks, depth):
     return rec(0)
 
 
-def general_minor_check(H, G, depth=None):
+def general_minor_check(H, G):
     """Sound-and-complete directed-minor test by exhaustive backtracking
     over branch-set assignments; intended for hosts of a dozen vertices
     or fewer. Every positive answer is a verified model."""
     hvs = sorted(H.vertices(), key=lambda v: (-(H.in_degree(v) + H.out_degree(v)), v))
     if H.n == 0:
-        return DirectedModel(G, H, {}, {}, {}, {}, depth)
+        return DirectedModel(G, H, {}, {}, {}, {})
     if H.n > G.n:
         return None
 
@@ -772,7 +764,7 @@ def general_minor_check(H, G, depth=None):
 
     def rec(idx, free):
         if idx == len(hvs):
-            return _complete_model_on_branches(H, G, blocks, depth)
+            return _complete_model_on_branches(H, G, blocks)
         v = hvs[idx]
         budget = len(free) - (len(hvs) - idx - 1)
         for size in range(1, budget + 1):
@@ -972,8 +964,7 @@ def normalize_bipartite_model(model):
     H, G = model.pattern, model.host
     new_branch = {}
     for v in H.vertices():
-        outs = {model.edge_image[e][0] for e in H.edges if e[0] == v}
-        ins = {model.edge_image[e][1] for e in H.edges if e[1] == v}
+        ins, outs = _in_out(H, model.edge_image, v)
         if outs:
             root, anchors, direction = model.source[v], outs, "out"
         elif ins:
@@ -989,25 +980,13 @@ def normalize_bipartite_model(model):
         )
         # ancestors along BFS parents toward each anchor
         keep = set()
-        for a in anchors | {root}:
+        for a in anchors + [root]:
             x = a
             while x is not None:
                 keep.add(x)
                 x = parent.get(x)
         new_branch[v] = frozenset(keep)
-    slim = DirectedModel(
-        host=G,
-        pattern=H,
-        branch=new_branch,
-        edge_image=dict(model.edge_image),
-        source=dict(model.source),
-        sink=dict(model.sink),
-        depth=model.depth,
-    )
-    ok, bad = verify_model(slim)
-    if not ok:
-        raise RuntimeError("internal: branching normalization broke the model: %s" % bad)
-    return slim
+    return verified(replace(model, branch=new_branch), "branching normalization broke the model")
 
 
 def is_branching_model(model):
@@ -1047,29 +1026,12 @@ def topological_minor_check(H, G):
     hvs = sorted(H.vertices(), key=lambda v: (-(H.in_degree(v) + H.out_degree(v)), v))
     edge_order = sorted(H.edges)
 
-    def paths_between(a, b, blocked):
-        found = []
-
-        def dfs(cur, path):
-            if cur == b:
-                found.append(list(path))
-                return
-            for w in G.successors(cur):
-                if w in path or (w in blocked and w != b):
-                    continue
-                path.append(w)
-                dfs(w, path)
-                path.pop()
-
-        dfs(a, [a])
-        return found
-
     placement = {}
     used = set()
 
     def place(idx):
         if idx == len(hvs):
-            return route(0, set(placement.values()), {})
+            return route(0, set(G.vertices()) - used, {})
         v = hvs[idx]
         for cand in G.vertices():
             if cand in used:
@@ -1085,17 +1047,14 @@ def topological_minor_check(H, G):
             used.discard(cand)
         return None
 
-    def route(idx, blocked, chosen):
+    def route(idx, free, chosen):
         if idx == len(edge_order):
             return SubdivisionWitness(G, H, dict(placement), dict(chosen))
         u, v = edge_order[idx]
         a, b = placement[u], placement[v]
-        for path in paths_between(a, b, blocked):
-            inner = path[1:-1]
-            if any(x in blocked for x in inner):
-                continue
+        for path in _simple_paths(G, a, b, free):
             chosen[(u, v)] = path
-            got = route(idx + 1, blocked | set(inner), chosen)
+            got = route(idx + 1, free.difference(path[1:-1]), chosen)
             if got is not None:
                 return got
             del chosen[(u, v)]
@@ -1124,10 +1083,7 @@ def subdivision_to_model(w):
         sink={v: w.placement[v] for v in H.vertices()},
         depth=None,
     )
-    ok, bad = verify_model(model)
-    if not ok:
-        raise RuntimeError("internal: subdivision conversion failed: %s" % bad)
-    return model
+    return verified(model, "subdivision conversion failed")
 
 
 # ---------------------------------------------------------------------------
@@ -1170,7 +1126,7 @@ def _max_edges_over_blocks(G, blocks, r):
     """Largest pattern edge count realizable on the given branch family
     at depth r; None when not even the edgeless pattern fits."""
     p = len(blocks)
-    dists = [{a: bfs_dist(G, a, within=b) for a in b} for b in blocks]
+    reach = [_branch_reach(G, b, r) for b in blocks]
     pair_cands = []
     for i in range(p):
         for j in range(p):
@@ -1188,24 +1144,12 @@ def _max_edges_over_blocks(G, blocks, r):
     outs = [set() for _ in range(p)]
     best_cnt = -1
 
-    def block_ok(i):
-        return all(dists[i][a].get(b, float("inf")) <= r for a in ins[i] for b in outs[i])
-
     def ends_exist():
-        for i in range(p):
-            if not ins[i]:
-                if not any(
-                    all(dists[i][c].get(b, float("inf")) <= r for b in outs[i])
-                    for c in blocks[i]
-                ):
-                    return False
-            if not outs[i]:
-                if not any(
-                    all(dists[i][a].get(c, float("inf")) <= r for a in ins[i])
-                    for c in blocks[i]
-                ):
-                    return False
-        return True
+        return all(
+            (ins[i] or _first_source(reach[i], outs[i]) is not None)
+            and (outs[i] or _first_sink(reach[i], ins[i]) is not None)
+            for i in range(p)
+        )
 
     def rec(idx, cnt):
         nonlocal best_cnt
@@ -1221,7 +1165,9 @@ def _max_edges_over_blocks(G, blocks, r):
             added_in = y not in ins[j]
             outs[i].add(x)
             ins[j].add(y)
-            if block_ok(i) and block_ok(j):
+            if not any(_unlinked(reach[i], ins[i], outs[i])) and not any(
+                _unlinked(reach[j], ins[j], outs[j])
+            ):
                 rec(idx + 1, cnt + 1)
             if added_out:
                 outs[i].discard(x)

@@ -16,11 +16,11 @@ witness is ever returned.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .digraph import Digraph, GraphError, bfs_dist
 from .generators import crown
-from .minors import DirectedModel, verify_model
+from .minors import DirectedModel, verified, verify_model
 
 
 class BudgetExhausted(RuntimeError):
@@ -891,19 +891,7 @@ def iterate_dichotomy(G, W, target_r, m, q_schedule, budget=None, slack=2):
                 if p_try == m:
                     raise
         if isinstance(res, DirectedModel):
-            lifted = DirectedModel(
-                host=G,
-                pattern=res.pattern,
-                branch=res.branch,
-                edge_image=res.edge_image,
-                source=res.source,
-                sink=res.sink,
-                depth=res.depth,
-            )
-            ok, bad = verify_model(lifted)
-            if not ok:
-                raise RuntimeError("internal: crown did not lift to the full graph: %s" % bad)
-            return lifted
+            return verified(replace(res, host=G), "crown did not lift to the full graph")
         deleted.update(res.deleted)
         members = list(res.members)
         if budget is not None and len(deleted) > budget:

@@ -16,6 +16,8 @@ from .generators import (
     extract_grid_alternating_path,
     oriented_grid,
     random_bipartite_outregular,
+    random_dag,
+    random_digraph,
     random_tournament,
     reversed_crown,
 )
@@ -54,26 +56,6 @@ from .solvers import (
 from .witnessdoc import WitnessFormatError, emit_model, parse_witness
 
 
-def _random_digraph(rng, n, p):
-    return Digraph(
-        n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
-    )
-
-
-def _random_dag(rng, n, p):
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return Digraph(
-        n,
-        [
-            (perm[u], perm[v])
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < p
-        ],
-    )
-
-
 def run_selftest(scale="small"):
     """Run every check; returns a list of (name, ok, detail)."""
     reps = 6 if scale == "small" else 30
@@ -89,7 +71,7 @@ def run_selftest(scale="small"):
     def graph_roundtrip():
         rng = random.Random(10)
         for _ in range(reps):
-            G = _random_digraph(rng, rng.randint(1, 9), 0.3)
+            G = random_digraph(rng, rng.randint(1, 9), 0.3)
             if parse_graph(emit_graph(G)) != G:
                 raise AssertionError("round-trip changed the graph")
         return "%d graphs" % reps
@@ -130,7 +112,7 @@ def run_selftest(scale="small"):
     def disjoint_path_shapes():
         rng = random.Random(5)
         for _ in range(reps):
-            G = _random_dag(rng, rng.randint(4, 8), 0.35)
+            G = random_dag(rng, rng.randint(4, 8), 0.35)
             k = rng.randint(1, 3)
             pairs = [(rng.randrange(G.n), rng.randrange(G.n)) for _ in range(k)]
             part = IntervalPartition.from_sizes([1] * k)
@@ -150,8 +132,8 @@ def run_selftest(scale="small"):
     def minor_checkers_agree():
         rng = random.Random(21)
         for _ in range(reps):
-            G = _random_dag(rng, rng.randint(3, 6), 0.4)
-            H = _random_digraph(rng, rng.randint(1, 3), 0.4)
+            G = random_dag(rng, rng.randint(3, 6), 0.4)
+            H = random_digraph(rng, rng.randint(1, 3), 0.4)
             a = dag_minor_check(H, G)
             b = general_minor_check(H, G)
             assert (a is None) == (b is None)
@@ -164,7 +146,7 @@ def run_selftest(scale="small"):
     def butterfly_implies_minor():
         rng = random.Random(33)
         for _ in range(reps):
-            G = _random_digraph(rng, rng.randint(3, 6), 0.4)
+            G = random_digraph(rng, rng.randint(3, 6), 0.4)
             H = G
             for _ in range(2):
                 ops = legal_butterfly_contractions(H)
@@ -190,7 +172,7 @@ def run_selftest(scale="small"):
         rng = random.Random(55)
         produced = 0
         for _ in range(reps):
-            G = _random_digraph(rng, rng.randint(6, 12), 0.15)
+            G = random_digraph(rng, rng.randint(6, 12), 0.15)
             I = []
             for v in range(G.n):
                 if is_scattered(G, I + [v], 1):
@@ -213,7 +195,7 @@ def run_selftest(scale="small"):
     def solver_agreement():
         rng = random.Random(99)
         for _ in range(reps):
-            G = _random_digraph(rng, rng.randint(2, 9), 0.3)
+            G = random_digraph(rng, rng.randint(2, 9), 0.3)
             k = rng.randint(0, 3)
             inst = DominationInstance(G, k)
             assert (

@@ -104,15 +104,13 @@ def verify_outbranching(G, vertices, parent):
     return True
 
 
-def spanning_outtree(G, D, deleted=()):
-    """Parent map of an out-tree spanning D inside G - deleted, rooted at
-    the smallest workable root, or None."""
-    D = sorted(set(D))
-    live = set(D).difference(deleted)
-    for root in D:
-        # each root starts the search even when it is itself deleted
-        parent = bfs_dist(G, root, within=live | {root}, parents=True)
-        if len(parent) == len(D):
+def spanning_outtree(G, D):
+    """Parent map of an out-tree spanning D inside G[D], rooted at the
+    smallest workable root, or None."""
+    live = set(D)
+    for root in sorted(live):
+        parent = bfs_dist(G, root, within=live, parents=True)
+        if len(parent) == len(live):
             return parent
     return None
 

@@ -1,36 +1,16 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here is written from the definitions, separately from the
+Every verdict here is written from the definitions, separately from the
 library's own search code, so that agreements are meaningful: simple
 path enumeration, assignment-function minor search, exhaustive solvers.
+Random test instances, which decide no verdict, come from the library's
+`random_digraph` and `random_dag` and are re-exported under those names.
 """
 
 import itertools
 from collections import deque
 
-from crownminor.digraph import Digraph
-
-
-def random_digraph(rng, n, p):
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and rng.random() < p
-    ]
-    return Digraph(n, edges)
-
-
-def random_dag(rng, n, p):
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < p
-    ]
-    perm = list(range(n))
-    rng.shuffle(perm)
-    return Digraph(n, [(perm[u], perm[v]) for (u, v) in edges])
+from crownminor.generators import random_dag, random_digraph  # noqa: F401
 
 
 def enum_paths(G, src, max_len=None, reverse=False):

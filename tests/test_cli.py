@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import crownminor
 from crownminor.cli import main
 from crownminor.digraph import Digraph
 from crownminor.generators import crown, oriented_grid, reversed_crown
@@ -263,6 +268,17 @@ def test_dichotomy_start_set_outside_the_graph_is_input_error(capsys, tmp_path):
     assert "invalid vertex id 99" in err
 
 
+def test_dichotomy_non_integer_start_set_is_usage_error(capsys, tmp_path):
+    from crownminor.graphio import save_graph
+
+    g = tmp_path / "g.graph"
+    save_graph(str(g), crown(3)[0])
+    code, _, err = run_cli(capsys, "dichotomy", str(g), "--r", "0", "--q", "2",
+                           "--p", "2", "--i-set", "a b")
+    assert code == 3
+    assert "--i-set" in err
+
+
 def test_solve_commands(capsys, tmp_path):
     from crownminor.graphio import save_graph
 
@@ -319,3 +335,24 @@ def test_bad_graph_file_is_input_error(capsys, tmp_path):
 def test_usage_error_exit_code(capsys):
     code, _, _ = run_cli(capsys, "generate", "crown")
     assert code == 3
+
+
+def test_scatter_budget_environment_variable_is_ignored(tmp_path):
+    from crownminor.graphio import save_graph
+
+    g = tmp_path / "g.graph"
+    save_graph(str(g), crown(3)[0])
+    src = os.path.dirname(os.path.dirname(crownminor.__file__))
+
+    def run(extra_env, *argv):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("CROWNMINOR_SCATTER_BUDGET", None)
+        env.update(extra_env)
+        done = subprocess.run([sys.executable, "-m", "crownminor.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        return done.returncode, done.stdout
+
+    for argv in (("grad", str(g), "--r", "0"), ("solve", "ids", str(g), "--k", "3")):
+        plain = run({}, *argv)
+        assert plain[0] == 0
+        assert run({"CROWNMINOR_SCATTER_BUDGET": "x"}, *argv) == plain

@@ -1,5 +1,7 @@
-"""Property tests: the BFS kernel against path enumeration, and the
-backtracking matcher against networkx's DiGraphMatcher."""
+"""Property tests: the BFS kernel against path enumeration, the
+backtracking matcher against networkx's DiGraphMatcher, and the model
+verifier and the exhaustive minor checker against the brute-force
+oracles."""
 
 import networkx as nx
 from hypothesis import given, settings
@@ -7,9 +9,16 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from crownminor.digraph import Digraph, bfs_dist
-from crownminor.minors import _injective_maps, digraph_isomorphic, subgraph_check
+from crownminor.minors import (
+    DirectedModel,
+    _injective_maps,
+    digraph_isomorphic,
+    general_minor_check,
+    subgraph_check,
+    verify_model,
+)
 
-from oracles import enum_paths, reach_by_paths
+from oracles import _model_conditions_hold, brute_directed_minor, enum_paths, reach_by_paths
 
 SMALL = settings(max_examples=60, deadline=None)
 
@@ -94,3 +103,52 @@ def test_automorphism_count_matches_networkx(G):
     expected = sum(1 for _ in DiGraphMatcher(to_nx(G), to_nx(G)).isomorphisms_iter())
     assert len(autos) == expected
     assert tuple(G.vertices()) in autos
+
+
+@settings(max_examples=200, deadline=None)
+@given(digraphs(min_n=1, max_n=3), st.data())
+def test_verify_model_matches_oracle_conditions(H, data):
+    n = data.draw(st.integers(H.n, 7))
+    # the first H.n vertices of a random order seed the branches, so
+    # none is empty; every other vertex joins one or none (label 0)
+    order = data.draw(st.permutations(range(n)))
+    rest = data.draw(st.lists(st.integers(0, H.n), min_size=n, max_size=n))
+    blocks = [[] for _ in range(H.n)]
+    for i, x in enumerate(order):
+        label = i + 1 if i < H.n else rest[i]
+        if label:
+            blocks[label - 1].append(x)
+    # a sparse host: a path or a cycle through each branch in that order,
+    # the edge images, and a few more edges, so that the depth bound matters
+    edges = sorted(H.edges)
+    images = [(data.draw(st.sampled_from(blocks[u])), data.draw(st.sampled_from(blocks[v])))
+              for u, v in edges]
+    closed = data.draw(st.booleans())
+    chains = [(b[i], b[(i + 1) % len(b)]) for b in blocks
+              for i in range(len(b) if closed and len(b) > 1 else len(b) - 1)]
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    extra = data.draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    G = Digraph(n, chains + images + extra)
+    depth = data.draw(st.sampled_from([None, 0, 1, 2]))
+    blocks = [set(b) for b in blocks]
+    model = DirectedModel(
+        G, H, {v: frozenset(b) for v, b in enumerate(blocks)}, dict(zip(edges, images)),
+        {}, {}, depth,
+    )
+    assert verify_model(model)[0] == _model_conditions_hold(H, G, blocks, images, depth)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), digraphs(min_n=1, max_n=3), st.data())
+def test_general_minor_check_matches_oracle_on_cyclic_hosts(n, H, data):
+    # a cycle through some of the host's vertices, plus a few other edges
+    order = data.draw(st.permutations(range(n)))
+    cycle = order[:data.draw(st.integers(2, n))]
+    ring = [(a, cycle[(i + 1) % len(cycle)]) for i, a in enumerate(cycle)]
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    extra = data.draw(st.lists(st.sampled_from(pairs), max_size=4))
+    G = Digraph(n, ring + extra)
+    model = general_minor_check(H, G)
+    assert (model is not None) == brute_directed_minor(H, G)
+    if model is not None:
+        assert verify_model(model)[0]
