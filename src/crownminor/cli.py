@@ -2,7 +2,9 @@
 
 Commands: generate, minor, scatter, dichotomy, solve, grad, selftest.
 Exit codes: 0 found/feasible, 1 not found/infeasible, 2 budget
-exhausted, 3 usage error, 4 input/format error. Structured output mode
+exhausted, 3 usage error, 4 input/format error, 5 internal error (a
+bug: a failed self-check or any other unexpected exception, reported
+in one line on stderr). Structured output mode
 emits only the witness document and demands an explicit seed from every
 randomized command.
 """
@@ -54,6 +56,7 @@ EXIT_NOT_FOUND = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
 EXIT_INPUT = 4
+EXIT_INTERNAL = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -324,6 +327,11 @@ def main(argv=None):
     except (GraphFormatError, GraphError, OSError) as err:
         print("input error: %s" % err, file=sys.stderr)
         return EXIT_INPUT
+    except Exception as err:
+        # anything else is a bug, such as an "internal: ..." self-check
+        # that failed; it must not pass for "not found" (exit 1)
+        print("internal error: %s: %s" % (type(err).__name__, err), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -174,6 +174,15 @@ def bfs_dist(graph, src, max_depth=None, direction="out", avoid=None,
     return seen
 
 
+def ball_mask(G, v, d, direction="out"):
+    """bfs_dist(G, v, max_depth=d, direction=direction) as an int
+    bitmask: bit w is set iff w is reached."""
+    mask = 0
+    for w in bfs_dist(G, v, max_depth=d, direction=direction):
+        mask |= 1 << w
+    return mask
+
+
 def out_neighborhood(G, v, d, avoid=None):
     """All vertices reachable from v by a directed path of length <= d,
     including v itself (d-outneighborhood)."""

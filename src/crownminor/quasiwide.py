@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-from .digraph import Digraph, GraphError, bfs_dist
+from .digraph import Digraph, GraphError, ball_mask, bfs_dist
 from .generators import crown
 from .minors import DirectedModel, verified, verify_model
 
@@ -78,8 +78,12 @@ def compute_scattered(G, W, d, m, s_budget, probe_cap=14):
     candidate U' the set C of vertices that d-in-dominate two members is
     deleted, which scatters the survivors.
 
-    Subsets are tried by increasing size then lexicographically, over the
-    first probe_cap elements of W. Returns a verified witness or None.
+    Subsets of the first probe_cap elements of W are tried by increasing
+    size then lexicographically, the order of itertools.combinations.
+    Each size is walked as a prefix search over the in-ball bitmasks,
+    carrying C; since C only grows as U grows, a prefix whose C already
+    exceeds s_budget is cut with all its extensions. Returns a verified
+    witness or None.
     """
     W = sorted(set(W))
     if m > len(W):
@@ -87,18 +91,35 @@ def compute_scattered(G, W, d, m, s_budget, probe_cap=14):
     if m <= 0:
         raise GraphError("target size must be positive")
     probe = W[:probe_cap]
-    balls = {u: frozenset(bfs_dist(G, u, max_depth=d, direction="in")) for u in probe}
+    balls = [ball_mask(G, u, d, direction="in") for u in probe]
+    chosen = []
+
+    def extend(start, size, reached, C):
+        # reached: union of the chosen members' balls; C: the vertices
+        # in the balls of two chosen members
+        if len(chosen) == size:
+            rest = [u for u in chosen if not C >> u & 1]
+            return (C, rest) if len(rest) >= m else None
+        for i in range(start, len(probe) - size + len(chosen) + 1):
+            grown = C | (reached & balls[i])
+            if grown.bit_count() > s_budget:
+                continue
+            chosen.append(probe[i])
+            got = extend(i + 1, size, reached | balls[i], grown)
+            if got is not None:
+                return got
+            chosen.pop()
+        return None
+
     for size in range(m, len(probe) + 1):
-        for U in itertools.combinations(probe, size):
-            C = set()
-            for u, u2 in itertools.combinations(U, 2):
-                C |= balls[u] & balls[u2]
-            rest = [u for u in U if u not in C]
-            if len(rest) >= m and len(C) <= s_budget:
-                w = ScatteredWitness(G, tuple(sorted(C)), tuple(rest[:m]), d)
-                if not w.verify():
-                    raise RuntimeError("internal: common-ancestor deletion failed to scatter")
-                return w
+        got = extend(0, size, 0, 0)
+        if got is not None:
+            C, rest = got
+            deleted = tuple(v for v in G.vertices() if C >> v & 1)
+            w = ScatteredWitness(G, deleted, tuple(rest[:m]), d)
+            if not w.verify():
+                raise RuntimeError("internal: common-ancestor deletion failed to scatter")
+            return w
     return None
 
 

@@ -9,7 +9,7 @@ carries a witness that passes the matching verifier.
 import itertools
 from dataclasses import dataclass
 
-from .digraph import Digraph, GraphError, bfs_dist
+from .digraph import Digraph, GraphError, ball_mask, bfs_dist
 from .quasiwide import compute_scattered, without_vertices
 
 
@@ -38,19 +38,67 @@ class SolveOutcome:
     exhausted: bool = False
 
 
+# probes handed to compute_scattered by the branching solvers, and the
+# target-set size below which dominating_outbranching takes the
+# partition + Steiner route
+PROBE_CAP = 12
+W_CAP = 8
+
+
+def _need_k(k):
+    if k < 0:
+        raise GraphError("need k >= 0, got %d" % k)
+
+
+def _mask(vertices):
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _first_subset(cand, size, clash, accept):
+    """The first non-None accept(members) over the size-subsets of the
+    vertex bitmask cand that hold no two vertices u, w with w in
+    clash[u], tried in the order of itertools.combinations over cand's
+    sorted members; None if there is none. accept gets a list it must
+    copy to keep.
+
+    Include/exclude search on the smallest candidate: including v drops
+    clash[v] from the candidates, and a branch ends as soon as fewer
+    candidates than open places are left. Clashes are symmetric, so the
+    branches cut hold only clashing subsets and the order is kept."""
+    chosen = []
+
+    def rec(cand, need):
+        if need == 0:
+            return accept(chosen)
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            chosen.append(v)
+            got = rec((cand ^ low) & ~clash[v], need - 1)
+            if got is not None:
+                return got
+            chosen.pop()
+            cand ^= low
+        return None
+
+    return rec(cand, size)
+
+
 # ---------------------------------------------------------------------------
 # verifiers
 
 
-def verify_dominating(G, D, d=1, W=None, deleted=()):
-    """W (default: all vertices outside `deleted`) lies inside the
-    d-out-neighborhood of D."""
-    dead = frozenset(deleted)
+def verify_dominating(G, D, d=1, W=None):
+    """W (default: all vertices) lies inside the d-out-neighborhood of
+    D."""
     covered = set()
     for v in D:
-        covered.update(bfs_dist(G, v, max_depth=d, avoid=dead))
+        covered.update(bfs_dist(G, v, max_depth=d))
     if W is None:
-        W = [v for v in G.vertices() if v not in dead]
+        W = G.vertices()
     return set(W) <= covered
 
 
@@ -64,8 +112,8 @@ def verify_independent(G, D):
 
 
 def _independent(G, D):
-    """verify_independent without the range check, for the exhaustive
-    loops, whose candidate sets are drawn from G's own vertices."""
+    """verify_independent without the range check, for brute_force_solve,
+    whose candidate sets are drawn from G's own vertices."""
     for a, b in itertools.combinations(D, 2):
         if G.has_edge(a, b) or G.has_edge(b, a):
             return False
@@ -127,6 +175,7 @@ def brute_force_solve(instance, variant):
     size exactly k)."""
     G = instance.graph
     k = instance.k
+    _need_k(k)
     d = instance.d
     W = instance.target_set()
     Y = set(instance.forbidden)
@@ -161,25 +210,39 @@ def brute_force_solve(instance, variant):
 # independent dominating set
 
 
-def independent_dominating_set(G, k, scatter_budget=3, base_cap=10, probe_cap=12):
+def independent_dominating_set(G, k, scatter_budget=3, base_cap=10):
     """Branching solver: a verified 1-scattered set of size k+1 forces
     every dominating set to meet its deletion set, so branch on those
     vertices, removing the chosen vertex's out-neighborhood and
     forbidding its in-neighborhood. Small or scatter-less residuals are
     searched exhaustively. Exact at all sizes."""
+    _need_k(k)
     used_fallback = [False]
+    # computed once per call: closed 1-out-balls and edge neighborhoods
+    closed = [ball_mask(G, v, 1) for v in G.vertices()]
+    clash = [closed[v] | ball_mask(G, v, 1, direction="in") for v in G.vertices()]
 
     def masked(alive):
         return without_vertices(G, set(G.vertices()) - alive)
 
     def exhaustive(alive, Y, k):
-        cand = sorted(alive - Y)
+        """The first independent set of alive - Y dominating alive, by
+        size 0..k, then in itertools.combinations order: _first_subset
+        over the edge-neighborhood masks, with domination tested by
+        OR-ing the closed out-neighborhood masks."""
+        want = _mask(alive)
+        cand = want & ~_mask(Y)
+
+        def dominating(D):
+            covered = 0
+            for v in D:
+                covered |= closed[v]
+            return list(D) if not want & ~covered else None
+
         for size in range(0, k + 1):
-            for combo in itertools.combinations(cand, size):
-                if _independent(G, combo) and verify_dominating(
-                    G, combo, 1, alive, deleted=set(G.vertices()) - alive
-                ):
-                    return list(combo)
+            got = _first_subset(cand, size, clash, dominating)
+            if got is not None:
+                return got
         return None
 
     def rec(alive, Y, k):
@@ -190,7 +253,7 @@ def independent_dominating_set(G, k, scatter_budget=3, base_cap=10, probe_cap=12
         Gm = masked(alive)
         w = compute_scattered(
             Gm, sorted(alive), d=1, m=k + 1, s_budget=scatter_budget,
-            probe_cap=probe_cap,
+            probe_cap=PROBE_CAP,
         )
         if w is None:
             used_fallback[0] = True
@@ -496,37 +559,61 @@ def dominating_outbranching_bounded(G, us, W, j, partition_cap=12):
     return assign(0)
 
 
-def dominating_outbranching(G, k, scatter_budget=3, w_cap=8):
+def dominating_outbranching(G, k, scatter_budget=3):
     """Does some set of at most k vertices span an out-tree and dominate
     every vertex? Branches on the deletion set of a scattered witness
     (any solution must meet it), shrinking the target set by the chosen
     vertex's closed out-neighborhood; small target sets go through the
     partition + Steiner route. Exact at all sizes via exhaustive
     fallback."""
+    _need_k(k)
     used_fallback = [False]
+    closed = [ball_mask(G, v, 1) for v in G.vertices()]
+    no_clash = [0] * G.n
+
+    def rooted(D):
+        """Some member of D reaches all of D inside G[D]."""
+        inside = _mask(D)
+        for root in D:
+            reach, grown = 0, 1 << root
+            while grown != reach:
+                reach = grown
+                for v in D:
+                    if reach >> v & 1:
+                        grown |= closed[v] & inside
+            if reach == inside:
+                return True
+        return False
 
     def exhaustive(W, us, j):
-        cand = [v for v in G.vertices() if v not in us]
+        """us plus the first 0..j further vertices, by size, then in
+        itertools.combinations order, that dominate W and span an
+        out-tree. Domination is an OR of the closed out-neighborhood
+        masks and rooted() screens the rest, so spanning_outtree runs
+        only on the set it will accept."""
+        want = _mask(W)
+
+        def spanned(combo):
+            D = tuple(sorted(set(us) | set(combo)))
+            covered = 0
+            for v in combo:
+                covered |= closed[v]
+            if want & ~covered or not rooted(D):
+                return None
+            return D, spanning_outtree(G, D)
+
+        cand = ((1 << G.n) - 1) & ~_mask(us)
         for size in range(0, j + 1):
-            for combo in itertools.combinations(cand, size):
-                D = tuple(sorted(set(us) | set(combo)))
-                if not D:
-                    continue
-                covered = set()
-                for v in combo:
-                    covered.update(bfs_dist(G, v, max_depth=1))
-                if not set(W) <= covered:
-                    continue
-                parent = spanning_outtree(G, D)
-                if parent is not None:
-                    return D, parent
+            got = _first_subset(cand, size, no_clash, spanned)
+            if got is not None:
+                return got
         return None
 
     def rec(W, us, j):
         t = len(us)
-        if len(W) <= max(w_cap, t + j):
+        if len(W) <= max(W_CAP, t + j):
             return dominating_outbranching_bounded(
-                G, us, W, j, partition_cap=max(w_cap, t + j)
+                G, us, W, j, partition_cap=max(W_CAP, t + j)
             )
         if j == 0:
             return None
@@ -560,31 +647,34 @@ def dominating_outbranching(G, k, scatter_budget=3, w_cap=8):
 # independent set
 
 
-def independent_set(G, k, d=1, scatter_budget=3, probe_cap=12):
+def independent_set(G, k, d=1, scatter_budget=3):
     """Independent set of size exactly k (distance-d version: no member
     within distance d of another). A d-scattered set with its deletion
     set disjoint from it is independent once re-checked in the full
-    graph; otherwise exhaustive search."""
+    graph; otherwise exhaustive search.
+
+    Both steps read each vertex's two-way d-ball as a bitmask, computed
+    once per call. The exhaustive step is _first_subset over those
+    balls: it returns the first independent k-subset in the order of
+    itertools.combinations over the sorted vertices, or proves that
+    there is none without visiting the subsets it cuts."""
+    _need_k(k)
     if k == 0:
         return SolveOutcome(True, ())
     if k > G.n:
         return SolveOutcome(False)
+    clash = [ball_mask(G, v, d) | ball_mask(G, v, d, direction="in") for v in G.vertices()]
 
-    def pairwise_ok(D):
-        for u in D:
-            ball = bfs_dist(G, u, max_depth=d)
-            if any(w != u and w in ball for w in D):
-                return False
-        return True
-
-    if k <= min(G.n, probe_cap):
+    if k <= min(G.n, PROBE_CAP):
         w = compute_scattered(
             G, sorted(G.vertices()), d=d, m=k, s_budget=scatter_budget,
-            probe_cap=probe_cap,
+            probe_cap=PROBE_CAP,
         )
-        if w is not None and pairwise_ok(w.members):
-            return SolveOutcome(True, tuple(w.members))
-    for combo in itertools.combinations(sorted(G.vertices()), k):
-        if pairwise_ok(combo):
-            return SolveOutcome(True, tuple(combo), exhausted=True)
+        if w is not None:
+            members = _mask(w.members)
+            if all(clash[u] & members == 1 << u for u in w.members):
+                return SolveOutcome(True, tuple(w.members))
+    got = _first_subset((1 << G.n) - 1, k, clash, tuple)
+    if got is not None:
+        return SolveOutcome(True, got, exhausted=True)
     return SolveOutcome(False, exhausted=True)

@@ -189,6 +189,30 @@ def brute_subgraph(H, G):
     return False
 
 
+# --- scattered sets ------------------------------------------------------------
+
+
+def common_ancestor_scatter(G, W, d, m, s_budget, probe_cap=14):
+    """Set-based reference for compute_scattered's common-ancestor
+    search, with in-balls from path enumeration: subsets U of
+    the first probe_cap members of sorted W, by increasing size then
+    lexicographically; C is the union of the pairwise intersections of
+    the members' d-in-balls. The first U with |C| <= s_budget and at
+    least m members outside C gives (sorted C, the first m of those);
+    None if no subset does. Assumes 1 <= m <= |W|."""
+    probe = sorted(set(W))[:probe_cap]
+    balls = {u: set(reach_by_paths(G, u, d, reverse=True)) for u in probe}
+    for size in range(m, len(probe) + 1):
+        for U in itertools.combinations(probe, size):
+            C = set()
+            for u, u2 in itertools.combinations(U, 2):
+                C |= balls[u] & balls[u2]
+            rest = [u for u in U if u not in C]
+            if len(rest) >= m and len(C) <= s_budget:
+                return tuple(sorted(C)), tuple(rest[:m])
+    return None
+
+
 # --- solver-side predicates, written from the definitions -----------------
 
 

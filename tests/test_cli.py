@@ -311,6 +311,37 @@ def test_solve_oracle_flag_agrees(capsys, tmp_path):
         assert code == oracle_code == want
 
 
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("variant", ["ds", "ids", "dds", "dob", "is"])
+def test_solve_negative_k_is_input_error(capsys, tmp_path, variant, oracle):
+    from crownminor.graphio import save_graph
+
+    g = tmp_path / "g.graph"
+    save_graph(str(g), crown(3)[0])
+    code, _, err = run_cli(capsys, "solve", variant, str(g), "--k", "-1",
+                           *(["--oracle"] if oracle else []))
+    assert code == 4
+    assert "need k >= 0" in err
+
+
+def test_internal_error_has_its_own_exit_code(capsys, tmp_path, monkeypatch):
+    from crownminor import cli
+    from crownminor.graphio import save_graph
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("internal: branching produced an invalid witness")
+
+    monkeypatch.setattr(cli, "independent_set", broken)
+    g = tmp_path / "g.graph"
+    save_graph(str(g), crown(3)[0])
+    code, out, err = run_cli(capsys, "solve", "is", str(g), "--k", "1")
+    assert code == cli.EXIT_INTERNAL == 5
+    assert out == ""
+    assert err.splitlines() == [
+        "internal error: RuntimeError: internal: branching produced an invalid witness"
+    ]
+
+
 def test_grad_command(capsys, tmp_path):
     from crownminor.graphio import save_graph
 

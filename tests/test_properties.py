@@ -1,7 +1,8 @@
 """Property tests: the BFS kernel against path enumeration, the
-backtracking matcher against networkx's DiGraphMatcher, and the model
+backtracking matcher against networkx's DiGraphMatcher, the model
 verifier and the exhaustive minor checker against the brute-force
-oracles."""
+oracles, and the bitmask searches of compute_scattered and the solvers
+against the set-based searches they replaced."""
 
 import networkx as nx
 from hypothesis import given, settings
@@ -9,6 +10,14 @@ from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from crownminor.digraph import Digraph, bfs_dist
+from crownminor.quasiwide import compute_scattered
+from crownminor.solvers import (
+    DominationInstance,
+    brute_force_solve,
+    dominating_outbranching,
+    independent_dominating_set,
+    independent_set,
+)
 from crownminor.minors import (
     DirectedModel,
     _injective_maps,
@@ -18,7 +27,13 @@ from crownminor.minors import (
     verify_model,
 )
 
-from oracles import _model_conditions_hold, brute_directed_minor, enum_paths, reach_by_paths
+from oracles import (
+    _model_conditions_hold,
+    brute_directed_minor,
+    common_ancestor_scatter,
+    enum_paths,
+    reach_by_paths,
+)
 
 SMALL = settings(max_examples=60, deadline=None)
 
@@ -152,3 +167,44 @@ def test_general_minor_check_matches_oracle_on_cyclic_hosts(n, H, data):
     assert (model is not None) == brute_directed_minor(H, G)
     if model is not None:
         assert verify_model(model)[0]
+
+
+@SMALL
+@given(digraphs(min_n=1, max_n=9), st.data())
+def test_compute_scattered_matches_set_based_search(G, data):
+    W = data.draw(st.lists(st.integers(0, G.n - 1), min_size=1, unique=True))
+    d = data.draw(st.integers(0, 2))
+    m = data.draw(st.integers(1, len(W)))
+    s_budget = data.draw(st.integers(0, 4))
+    probe_cap = data.draw(st.sampled_from([3, 6, 14]))
+    w = compute_scattered(G, W, d, m, s_budget, probe_cap=probe_cap)
+    got = None if w is None else (w.deleted, w.members)
+    assert got == common_ancestor_scatter(G, W, d, m, s_budget, probe_cap)
+
+
+def _power(G, d):
+    """u -> w whenever w is within out-distance d of u: distance-d
+    independence in G is plain independence here."""
+    return Digraph(G.n, [(u, w) for u in G.vertices()
+                         for w in reach_by_paths(G, u, d) if w != u])
+
+
+@SMALL
+@given(digraphs(max_n=9), st.integers(1, 2), st.data())
+def test_independent_set_matches_brute_force(G, d, data):
+    k = data.draw(st.integers(0, G.n + 1))
+    got = independent_set(G, k, d=d)
+    want = brute_force_solve(DominationInstance(_power(G, d), k), "is")
+    assert got.feasible == want.feasible
+    if got.exhausted and got.feasible:
+        # the exhaustive step keeps itertools.combinations order
+        assert got.witness == want.witness
+
+
+@SMALL
+@given(digraphs(max_n=9), st.integers(0, 4), st.sampled_from([3, 10]))
+def test_domination_solvers_match_brute_force_feasibility(G, k, base_cap):
+    inst = DominationInstance(G, k)
+    got = independent_dominating_set(G, k, base_cap=base_cap)
+    assert got.feasible == brute_force_solve(inst, "ids").feasible
+    assert dominating_outbranching(G, k).feasible == brute_force_solve(inst, "dob").feasible

@@ -385,3 +385,33 @@ def test_scattered_branching_is_sound():
             for D in itertools.combinations(sorted(G.vertices()), size):
                 if dominates(G, D, 1, G.vertices()):
                     assert set(D) & S, (G, w, D)
+
+
+def test_exhaustive_searches_do_not_run_a_bfs_per_subset(monkeypatch):
+    # the balls are computed once per call as bitmasks; a search that
+    # went back to one BFS per member per subset would make tens of
+    # thousands of calls on these instances
+    import crownminor.digraph
+    import crownminor.quasiwide
+    import crownminor.solvers
+
+    calls = [0]
+    bfs = crownminor.digraph.bfs_dist
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return bfs(*args, **kwargs)
+
+    for mod in (crownminor.digraph, crownminor.solvers, crownminor.quasiwide):
+        monkeypatch.setattr(mod, "bfs_dist", counted)
+
+    G = random_digraph(random.Random(0), 18, 0.2)
+    got = independent_set(G, 8)
+    assert not got.feasible and got.exhausted
+    assert calls[0] <= 4 * G.n
+
+    calls[0] = 0
+    G = random_digraph(random.Random(5), 18, 0.2)
+    got = dominating_outbranching(G, 6)
+    assert not got.feasible and got.exhausted
+    assert calls[0] <= 4 * G.n
