@@ -346,15 +346,3 @@ def count_alternations(G, path):
             for d2 in choices
         }
     return max(best.values())
-
-
-def is_alternating_path_model(G, path):
-    """True iff `path` realizes a k-alternating pattern for k = len-2 >= 1:
-    some orientation choice flips direction at every interior vertex."""
-    if len(path) < 3:
-        return False
-    try:
-        alts = count_alternations(G, path)
-    except GraphError:
-        return False
-    return alts == len(path) - 2

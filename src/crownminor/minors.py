@@ -1,14 +1,14 @@
 """Directed-minor models, their verification, and minor search.
 
-Covers: model verification, disjoint paths in DAGs via the lazy product
-construction, minor checking on DAG hosts, shallow depth-r checking,
-exhaustive checking on arbitrary small hosts, butterfly minors,
-topological minors, greatest reduced average density (grad), and the
-undirected brute-force oracles used for cross-validation.
+Covers: model verification; minor checking on DAG hosts and shallow
+depth-r checking on any host, both by guessing edge images and routing
+the connecting paths with one backtracking path router, which also
+finds disjoint paths in DAGs; exhaustive checking on arbitrary small
+hosts; butterfly minors; topological minors; and the greatest reduced
+average density (grad).
 """
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -20,8 +20,6 @@ from .digraph import (
     is_directed_bipartite,
     topological_order,
 )
-
-SUPER = -1  # virtual super-source used by the product construction
 
 
 # ---------------------------------------------------------------------------
@@ -46,9 +44,6 @@ class DirectedModel:
     source: dict
     sink: dict
     depth: object = None
-
-    def branch_of(self, v):
-        return frozenset(self.branch[v])
 
 
 def _branch_reach(G, bset, depth):
@@ -158,19 +153,6 @@ def verify_model(model):
     return not bad, bad
 
 
-def identity_model(G, depth=None):
-    """The model of G inside itself via singleton branches."""
-    return DirectedModel(
-        host=G,
-        pattern=G,
-        branch={v: frozenset([v]) for v in G.vertices()},
-        edge_image={e: e for e in G.edges},
-        source={v: v for v in G.vertices()},
-        sink={v: v for v in G.vertices()},
-        depth=depth,
-    )
-
-
 # ---------------------------------------------------------------------------
 # disjoint paths in DAGs
 
@@ -224,122 +206,18 @@ def dag_disjoint_paths(G, pairs, partition, max_len=None):
     interval may share freely). With max_len set, every path must have at
     most max_len edges. Returns a list of vertex lists, or None.
 
-    Search runs over the implicit product graph whose nodes are k-tuples
-    of positions: a step introduces one new host vertex, later in the
-    topological order than every current position, and advances any
-    subset of the coordinates of a single interval onto it. A virtual
-    super-source with an edge to every s_i serves as the common start.
+    Each interval is one owner for the path router `_route`.
     """
-    order = topological_order(G)
-    if order is None:
+    if topological_order(G) is None:
         raise GraphError("host must be acyclic")
-    k = len(pairs)
-    if partition.k != k:
-        raise GraphError("partition covers %d requests, got %d" % (partition.k, k))
-    if k == 0:
-        return []
+    if partition.k != len(pairs):
+        raise GraphError("partition covers %d requests, got %d" % (partition.k, len(pairs)))
     for s, t in pairs:
         G.check_vertex(s)
         G.check_vertex(t)
-
-    f = {v: i for i, v in enumerate(order)}
-    f[SUPER] = -1
-    if max_len is None:
-        reach = _reach_sets(G, order)
-        dist = None
-    else:
-        dist = {v: bfs_dist(G, v) for v in G.vertices()}
-        reach = None
-
-    def remaining_ok(w, i, steps):
-        t = pairs[i][1]
-        if max_len is None:
-            return t in reach[w]
-        return dist[w].get(t, float("inf")) <= max_len - steps
-
-    # quick infeasibility
-    for i, (s, t) in enumerate(pairs):
-        if not remaining_ok(s, i, 0):
-            return None
-
-    groups = partition.groups()
-    targets = tuple(t for _, t in pairs)
-    start_pos = (SUPER,) * k
-    # lengths join the state only when a bound is active; otherwise they
-    # would split equivalent positions and bloat the search
-    start_len = (-1,) * k if max_len is not None else ()
-    start = (start_pos, start_len)
-    goal_pos = targets
-
-    parent = {start: None}
-    queue = deque([start])
-    found = None
-    while queue:
-        state = queue.popleft()
-        pos, lens = state
-        if pos == goal_pos:
-            found = state
-            break
-        frontier = max(f[p] for p in pos)
-        # candidate new vertices: successors of current positions
-        cands = set()
-        for i, p in enumerate(pos):
-            if p == targets[i] and p != SUPER:
-                continue
-            nxt = (pairs[i][0],) if p == SUPER else G.successors(p)
-            for w in nxt:
-                if f[w] > frontier:
-                    cands.add(w)
-        for w in sorted(cands):
-            for group in groups:
-                elig = []
-                for i in group:
-                    p = pos[i]
-                    if p == targets[i] and p != SUPER:
-                        continue
-                    if p == SUPER:
-                        if w != pairs[i][0]:
-                            continue
-                    elif not G.has_edge(p, w):
-                        continue
-                    if max_len is not None:
-                        steps = lens[i] + 1
-                        if steps > max_len or not remaining_ok(w, i, steps):
-                            continue
-                    elif not remaining_ok(w, i, 0):
-                        continue
-                    elig.append(i)
-                if not elig:
-                    continue
-                for mask in range(1, 1 << len(elig)):
-                    moved = [elig[j] for j in range(len(elig)) if mask >> j & 1]
-                    npos = list(pos)
-                    for i in moved:
-                        npos[i] = w
-                    if max_len is not None:
-                        nlen = list(lens)
-                        for i in moved:
-                            nlen[i] += 1
-                        nstate = (tuple(npos), tuple(nlen))
-                    else:
-                        nstate = (tuple(npos), ())
-                    if nstate in parent:
-                        continue
-                    parent[nstate] = (state, w, tuple(moved))
-                    queue.append(nstate)
-    if found is None:
-        return None
-
-    paths = [[] for _ in range(k)]
-    state = found
-    while parent[state] is not None:
-        prev, w, moved = parent[state]
-        for i in moved:
-            paths[i].append(w)
-        state = prev
-    for p in paths:
-        p.reverse()
-    return paths
+    reqs = [(g, *pairs[i]) for g, group in enumerate(partition.groups()) for i in group]
+    routed = _route(G, reqs, {}, max_len)
+    return None if routed is None else [path for _, path in routed]
 
 
 def dag_disjoint_paths_bounded(G, pairs, partition, r):
@@ -363,7 +241,8 @@ def _bounded_reach(G, depth):
 
 
 def _enumerate_guesses(H, G, depth=None):
-    """Yield (edge_image, source, sink, known) quadruples.
+    """Yield (edge_image, source, sink, owner) quadruples, where owner
+    maps every host vertex the guess uses to its pattern vertex.
 
     Enumerates host edges for every pattern edge in lexicographic order
     with symmetry pruning over the pattern's automorphisms, then the
@@ -428,11 +307,11 @@ def _enumerate_guesses(H, G, depth=None):
             return False
         return all(co_sink(y1, y2) for y1 in ins for y2 in ins if y1 < y2)
 
-    def assign(idx, owner, known):
+    def assign(idx, owner):
         if idx == len(edge_order):
             if not canonical(image):
                 return
-            yield from guess_ends(owner, known)
+            yield from guess_ends(owner)
             return
         e = edge_order[idx]
         u, v = e
@@ -445,16 +324,14 @@ def _enumerate_guesses(H, G, depth=None):
             for host_v, pat_v in ((x, u), (y, v)):
                 if host_v not in owner:
                     owner[host_v] = pat_v
-                    known[pat_v].add(host_v)
-                    touched.append((host_v, pat_v))
+                    touched.append(host_v)
             if feasible_partial(u) and feasible_partial(v):
-                yield from assign(idx + 1, owner, known)
+                yield from assign(idx + 1, owner)
             del image[e]
-            for host_v, pat_v in touched:
+            for host_v in touched:
                 del owner[host_v]
-                known[pat_v].discard(host_v)
 
-    def guess_ends(owner, known):
+    def guess_ends(owner):
         need = []
         fixed_source = {}
         fixed_sink = {}
@@ -488,8 +365,7 @@ def _enumerate_guesses(H, G, depth=None):
                 for v in H.vertices():
                     source.setdefault(v, sink.get(v))
                     sink.setdefault(v, source.get(v))
-                kn = {v: frozenset(known[v]) | {source[v], sink[v]} for v in H.vertices()}
-                yield dict(image), source, sink, kn
+                yield dict(image), source, sink, dict(owner)
                 return
             kind, v, anchors = need[j]
             for cand in range(G.n):
@@ -512,7 +388,7 @@ def _enumerate_guesses(H, G, depth=None):
 
         yield from fill(0, [])
 
-    yield from assign(0, {}, {v: set() for v in H.vertices()})
+    yield from assign(0, {})
 
 
 def _branch_requests(H, image, source, sink):
@@ -559,59 +435,32 @@ def _assemble(H, G, image, source, sink, request_paths, depth):
 
 def dag_minor_check(H, G):
     """Directed-minor test on an acyclic host: guess edge images and the
-    needed source/sink vertices, then complete the branch sets with the
-    disjoint-paths search using one interval per pattern vertex. Returns
-    a verified model or None."""
+    needed source/sink vertices, then route the connecting paths of every
+    branch set. Returns a verified model or None."""
     if topological_order(G) is None:
         raise GraphError("host must be acyclic")
     if find_cycle(H) is not None:
         return None  # a minor of a DAG is itself acyclic
-    return _dag_guess_loop(H, G, depth=None)
-
-
-def _dag_guess_loop(H, G, depth):
-    for image, source, sink, _known in _enumerate_guesses(H, G, depth):
-        reqs = _branch_requests(H, image, source, sink)
-        sizes = []
-        for v in sorted(H.vertices()):
-            cnt = sum(1 for r in reqs if r[0] == v)
-            if cnt:
-                sizes.append(cnt)
-        part = IntervalPartition.from_sizes(sizes)
-        pairs = [(a, b) for (_, a, b) in reqs]
-        paths = dag_disjoint_paths(G, pairs, part, max_len=depth)
-        if paths is None:
-            continue
-        return _assemble(H, G, image, source, sink, list(zip(reqs, paths)), depth)
-    return None
+    return _guess_and_route(H, G, None)
 
 
 def shallow_minor_check(H, G, r):
-    """Depth-r minor test: edge-image guessing plus a search for the
-    length-bounded connecting paths; on acyclic hosts the bounded
-    disjoint-paths routine does the completion."""
+    """Depth-r minor test on any host: the same guessing and routing as
+    dag_minor_check, with every connecting path at most r edges long."""
     if r < 0:
         raise GraphError("depth must be nonnegative")
-    if topological_order(G) is not None:
-        if find_cycle(H) is not None:
-            return None
-        return _dag_guess_loop(H, G, depth=r)
-    for image, source, sink, known in _enumerate_guesses(H, G, r):
-        owner = {}
-        conflict = False
-        for v, vs in known.items():
-            for x in vs:
-                if owner.setdefault(x, v) != v:
-                    conflict = True
-            if conflict:
-                break
-        if conflict:
-            continue
+    return _guess_and_route(H, G, r)
+
+
+def _guess_and_route(H, G, depth):
+    """The first guess whose branch requests all route (paths of at most
+    `depth` edges, any length when None), as a verified model; None when
+    no guess routes."""
+    for image, source, sink, owner in _enumerate_guesses(H, G, depth):
         reqs = _branch_requests(H, image, source, sink)
-        assigned = _assign_request_paths(G, reqs, owner, r)
-        if assigned is None:
-            continue
-        return _assemble(H, G, image, source, sink, assigned, r)
+        routed = _route(G, reqs, owner, depth)
+        if routed is not None:
+            return _assemble(H, G, image, source, sink, routed, depth)
     return None
 
 
@@ -619,32 +468,37 @@ def _simple_paths(G, a, b, usable, max_len=None):
     """Every simple directed a->b path, as a vertex list in depth-first
     order over sorted successors, whose vertices strictly between a and b
     lie in the set `usable`; with max_len set, only paths of at most
-    max_len edges."""
-    found = []
+    max_len edges. Paths are yielded one at a time, since there can be
+    exponentially many."""
+    if a == b:
+        yield [a]
+        return
+    # path[-1] lies len(path) - 1 edges from a, so it may take another
+    # step while len(path) <= limit; n bounds nothing, since a simple
+    # path has fewer than n edges
+    limit = G.n if max_len is None else max_len
     path = [a]
-
-    def dfs(cur, left):
-        if cur == b:
-            found.append(list(path))
-            return
-        if left == 0:
-            return
-        for w in G.successors(cur):
-            if w in path or (w != b and w not in usable):
-                continue
-            path.append(w)
-            dfs(w, left - 1)
+    stack = [iter(G.successors(a))] if limit > 0 else []
+    while stack:
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
             path.pop()
+        elif w == b:
+            yield path + [b]
+        elif w in usable and w not in path and len(path) < limit:
+            path.append(w)
+            stack.append(iter(G.successors(w)))
 
-    # with no bound the count of edges left starts at -1 and only falls,
-    # so it never hits 0
-    dfs(a, -1 if max_len is None else max_len)
-    return found
 
-
-def _assign_request_paths(G, reqs, owner, r):
-    """Backtracking completion for general hosts: pick a directed path of
-    length <= r per request, vertices free or already of the same branch."""
+def _route(G, reqs, owner, max_len):
+    """The one path-completion engine: a simple path of at most max_len
+    edges (any length when None) for each (owner, from, to) request, in
+    order, backtracking over the paths of earlier requests. A path may
+    use free vertices and those of its own owner, and its vertices join
+    that owner. `owner` maps host vertices to owners; it holds the
+    vertices claimed up front and is extended in place. Returns a list
+    of (request, path) pairs, or None."""
     out = []
 
     def rec(idx):
@@ -654,7 +508,7 @@ def _assign_request_paths(G, reqs, owner, r):
         if owner.get(a, v) != v or owner.get(b, v) != v:
             return False
         usable = {w for w in G.vertices() if owner.get(w, v) == v}
-        for path in _simple_paths(G, a, b, usable, max_len=r):
+        for path in _simple_paths(G, a, b, usable, max_len=max_len):
             claimed = []
             for x in path:
                 if x not in owner:
@@ -989,24 +843,6 @@ def normalize_bipartite_model(model):
     return verified(replace(model, branch=new_branch), "branching normalization broke the model")
 
 
-def is_branching_model(model):
-    """True iff every branch with out-edges is spanned by an out-tree
-    from its source, and every branch with in-edges by an in-tree into
-    its sink."""
-    H, G = model.pattern, model.host
-    for v in H.vertices():
-        bset = set(model.branch[v])
-        has_out = any(e[0] == v for e in H.edges)
-        has_in = any(e[1] == v for e in H.edges)
-        if has_out:
-            if set(bfs_dist(G, model.source[v], within=bset)) != bset:
-                return False
-        elif has_in:
-            if set(bfs_dist(G, model.sink[v], direction="in", within=bset)) != bset:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # topological minors
 
@@ -1179,62 +1015,3 @@ def _max_edges_over_blocks(G, blocks, r):
     if best_cnt < 0:
         return None
     return Fraction(best_cnt, p)
-
-
-# ---------------------------------------------------------------------------
-# undirected oracles
-
-
-def undirected_minor_check(H, G):
-    """Brute-force undirected minor test: assign each pattern vertex a
-    connected branch of host vertices, disjoint across the pattern, with
-    every pattern edge realized between its branches."""
-    h, n = H.n, G.n
-    if h == 0:
-        return True
-    if h > n:
-        return False
-
-    def connected(block):
-        block = set(block)
-        start = min(block)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in G.neighbors(v):
-                if w in block and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen == block
-
-    order = sorted(
-        H.vertices(), key=lambda v: (-len(H.neighbors(v)), v)
-    )
-    blocks = {}
-
-    def rec(idx, free):
-        if idx == h:
-            return True
-        v = order[idx]
-        budget = len(free) - (h - idx - 1)
-        for size in range(1, budget + 1):
-            for sub in itertools.combinations(free, size):
-                if not connected(sub):
-                    continue
-                ok = True
-                for u in order[:idx]:
-                    if H.has_edge(u, v) and not any(
-                        G.has_edge(x, y) for x in blocks[u] for y in sub
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                blocks[v] = sub
-                if rec(idx + 1, [x for x in free if x not in set(sub)]):
-                    return True
-                del blocks[v]
-        return False
-
-    return rec(0, sorted(G.vertices()))

@@ -352,18 +352,16 @@ def directed_steiner_outtree(G, terminals, size_budget=None, required_root=None)
         raise GraphError("need at least one terminal")
     tidx = {t: i for i, t in enumerate(terms)}
     full = (1 << len(terms)) - 1
-    dist = {v: bfs_dist(G, v) for v in G.vertices()}
 
     INF = float("inf")
     cost = [[INF] * G.n for _ in range(full + 1)]
     choice = [[None] * G.n for _ in range(full + 1)]
     for t in terms:
         m = 1 << tidx[t]
-        for v in G.vertices():
-            dd = dist[v].get(t)
-            if dd is not None:
-                cost[m][v] = dd + 1
-                choice[m][v] = ("leaf", t)
+        # distances into t, one BFS against the edges
+        for v, dd in bfs_dist(G, t, direction="in").items():
+            cost[m][v] = dd + 1
+            choice[m][v] = ("leaf", t)
 
     for mask in range(1, full + 1):
         if mask & (mask - 1) == 0:

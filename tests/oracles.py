@@ -313,3 +313,58 @@ def oracle_steiner(G, terminals, required_root=None):
                 if seen == T:
                     return size
     return None
+
+
+def undirected_minor_check(H, G):
+    """Brute-force undirected minor test: assign each pattern vertex a
+    connected branch of host vertices, disjoint across the pattern, with
+    every pattern edge realized between its branches."""
+    h, n = H.n, G.n
+    if h == 0:
+        return True
+    if h > n:
+        return False
+
+    def connected(block):
+        block = set(block)
+        start = min(block)
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in G.neighbors(v):
+                if w in block and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        return seen == block
+
+    order = sorted(
+        H.vertices(), key=lambda v: (-len(H.neighbors(v)), v)
+    )
+    blocks = {}
+
+    def rec(idx, free):
+        if idx == h:
+            return True
+        v = order[idx]
+        budget = len(free) - (h - idx - 1)
+        for size in range(1, budget + 1):
+            for sub in itertools.combinations(free, size):
+                if not connected(sub):
+                    continue
+                ok = True
+                for u in order[:idx]:
+                    if H.has_edge(u, v) and not any(
+                        G.has_edge(x, y) for x in blocks[u] for y in sub
+                    ):
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                blocks[v] = sub
+                if rec(idx + 1, [x for x in free if x not in set(sub)]):
+                    return True
+                del blocks[v]
+        return False
+
+    return rec(0, sorted(G.vertices()))

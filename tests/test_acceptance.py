@@ -41,7 +41,6 @@ from crownminor.minors import (
     legal_butterfly_contractions,
     shallow_minor_check,
     subgraph_check,
-    undirected_minor_check,
     verify_model,
 )
 from crownminor.quasiwide import (
@@ -85,6 +84,7 @@ from oracles import (
     oracle_steiner,
     random_dag,
     random_digraph,
+    undirected_minor_check,
 )
 
 

@@ -191,6 +191,32 @@ def test_minor_shallow_witness_file(capsys, tmp_path):
     assert model.depth == 1
 
 
+def test_minor_command_verifies_its_model_twice(capsys, tmp_path, monkeypatch):
+    """Once in the checker and once when the document is emitted; the
+    command itself adds no third verification."""
+    from crownminor import minors
+    from crownminor.graphio import save_graph
+
+    calls = []
+    original = minors.verify_model
+
+    def counted(model):
+        calls.append(model)
+        return original(model)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("crownminor") and getattr(module, "verify_model", None) is original:
+            monkeypatch.setattr(module, "verify_model", counted)
+    pat = tmp_path / "pat.graph"
+    host = tmp_path / "host.graph"
+    save_graph(str(pat), crown(2)[0])
+    save_graph(str(host), crown(3)[0])
+    code, out, _ = run_cli(capsys, "minor", str(pat), str(host))
+    assert code == 0
+    assert "verified=True" in out
+    assert len(calls) == 2
+
+
 def test_minor_butterfly_exit_codes(capsys, tmp_path):
     from crownminor.graphio import save_graph
 
@@ -309,6 +335,25 @@ def test_solve_oracle_flag_agrees(capsys, tmp_path):
         oracle_code, _, _ = run_cli(capsys, "solve", variant, str(g), "--k", str(k),
                                     "--oracle")
         assert code == oracle_code == want
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("variant", ["ds", "ids", "dob"])
+def test_solve_distance_other_than_one_is_usage_error(capsys, tmp_path, variant, oracle):
+    """ds, ids and dob solve d = 1 only; a different --d must not be
+    answered for d = 1 nor written into a `d 2` document."""
+    from crownminor.graphio import save_graph
+
+    g = tmp_path / "g.graph"
+    save_graph(str(g), Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
+    for d in ("2", "0"):
+        code, out, err = run_cli(capsys, "solve", variant, str(g), "--k", "2", "--d", d,
+                                 *(["--oracle"] if oracle else []))
+        assert code == 3
+        assert out == "" and err.startswith("usage error:")
+    code, _, _ = run_cli(capsys, "solve", variant, str(g), "--k", "2", "--d", "1",
+                         *(["--oracle"] if oracle else []))
+    assert code in (0, 1)
 
 
 @pytest.mark.parametrize("oracle", [False, True])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from crownminor.digraph import Digraph, GraphError, bidirect, underlying_undirected
+from crownminor.digraph import Digraph, GraphError, bfs_dist, bidirect, underlying_undirected
 from crownminor.generators import acyclic_tournament, crown, reversed_crown
 from crownminor.minors import (
     DirectedModel,
@@ -17,15 +17,12 @@ from crownminor.minors import (
     digraph_isomorphic,
     general_minor_check,
     grad,
-    identity_model,
-    is_branching_model,
     is_butterfly_minor,
     legal_butterfly_contractions,
     shallow_minor_check,
     subdivision_to_model,
     subgraph_check,
     topological_minor_check,
-    undirected_minor_check,
     verify_model,
 )
 
@@ -35,7 +32,39 @@ from oracles import (
     brute_subgraph,
     random_dag,
     random_digraph,
+    undirected_minor_check,
 )
+
+
+def identity_model(G, depth=None):
+    """The model of G inside itself via singleton branches."""
+    return DirectedModel(
+        host=G,
+        pattern=G,
+        branch={v: frozenset([v]) for v in G.vertices()},
+        edge_image={e: e for e in G.edges},
+        source={v: v for v in G.vertices()},
+        sink={v: v for v in G.vertices()},
+        depth=depth,
+    )
+
+
+def is_branching_model(model):
+    """True iff every branch with out-edges is spanned by an out-tree
+    from its source, and every branch with in-edges by an in-tree into
+    its sink."""
+    H, G = model.pattern, model.host
+    for v in H.vertices():
+        bset = set(model.branch[v])
+        has_out = any(e[0] == v for e in H.edges)
+        has_in = any(e[1] == v for e in H.edges)
+        if has_out:
+            if set(bfs_dist(G, model.source[v], within=bset)) != bset:
+                return False
+        elif has_in:
+            if set(bfs_dist(G, model.sink[v], direction="in", within=bset)) != bset:
+                return False
+    return True
 
 
 def subdivided_crown3():
@@ -285,6 +314,22 @@ def test_shallow_agrees_with_bruteforce_on_cyclic_hosts():
         if got is not None:
             ok, bad = verify_model(got)
             assert ok, bad
+
+
+@pytest.mark.parametrize("n", [16, 30])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_crown3_in_random_dag_baselines(n, seed):
+    # unbounded and depth-n checks walk the same guesses in the same order,
+    # so the first guess that routes, and with it the ends, must agree
+    G = random_dag(random.Random(seed), n, 0.2)
+    H, _ = crown(3)
+    a = dag_minor_check(H, G)
+    b = shallow_minor_check(H, G, n)
+    for m in (a, b):
+        assert m is not None
+        ok, bad = verify_model(m)
+        assert ok, bad
+    assert (a.edge_image, a.source, a.sink) == (b.edge_image, b.source, b.sink)
 
 
 # --- general host check ----------------------------------------------------

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from crownminor.digraph import Digraph, GraphError
+from crownminor.digraph import Digraph, GraphError, bfs_dist
 from crownminor.generators import crown, oriented_grid, reversed_crown
 from crownminor.minors import DirectedModel, verify_model
 from crownminor.quasiwide import (
@@ -21,7 +21,6 @@ from crownminor.quasiwide import (
     deletion_budget,
     dichotomy_step,
     dichotomy_threshold_steps,
-    find_scatter_contradiction,
     is_scattered,
     iterate_dichotomy,
     label_avoiding_clique,
@@ -495,6 +494,67 @@ def test_without_vertices_keeps_ids():
 
 
 # --- the cross-validation checker -------------------------------------------------
+
+
+def find_scatter_contradiction(G, r, q, model, witness):
+    """Cross-validation: a verified depth-r crown model whose principal
+    roots include two members of a claimed (2r+1)-scattered set, with
+    branches avoiding the deleted set, yields a vertex reaching both
+    members within 2r+1 steps. Returns (vertex, path1, path2) or None."""
+    if witness.radius != 2 * r + 1:
+        raise GraphError("witness radius must be 2r+1")
+    S = set(witness.deleted)
+    U = set(witness.members)
+    q_pat = q
+    principal_hits = {}
+    for v in range(q_pat):
+        bset = set(model.branch[v])
+        if bset & S:
+            continue
+        hits = sorted(bset & U)
+        if hits:
+            principal_hits[v] = hits[0]
+    if len(principal_hits) < 2:
+        return None
+    for k in range(math.comb(q_pat, 2)):
+        pid = q_pat + k
+        cbranch = set(model.branch[pid])
+        if cbranch & S:
+            continue
+        cc = ControlledCrown(q_pat, tuple(range(q_pat)), tuple(range(math.comb(q_pat, 2))))
+        i, j = cc.pair_of(k)
+        if i not in principal_hits or j not in principal_hits:
+            continue
+        root = model.source.get(pid)
+        if root is None:
+            root = min(cbranch)
+        paths = []
+        ok = True
+        for prin in (i, j):
+            img = model.edge_image[(pid, prin)]
+            # root -> img[0] inside the connector branch, then img[1] -> the
+            # scattered member inside the principal branch, along BFS parents
+            full = []
+            for allowed, src, dst in (
+                (cbranch, root, img[0]),
+                (model.branch[prin], img[1], principal_hits[prin]),
+            ):
+                parent = bfs_dist(G, src, within=allowed, parents=True)
+                if dst not in parent:
+                    ok = False
+                    break
+                seg = []
+                while dst is not None:
+                    seg.append(dst)
+                    dst = parent[dst]
+                full += reversed(seg)
+            if not ok or len(full) - 1 > 2 * r + 1 or set(full) & S:
+                ok = False
+                break
+            paths.append(full)
+        if ok:
+            return root, paths[0], paths[1]
+    return None
 
 
 def test_contradiction_found_on_fabricated_witness():

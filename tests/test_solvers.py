@@ -387,10 +387,9 @@ def test_scattered_branching_is_sound():
                     assert set(D) & S, (G, w, D)
 
 
-def test_exhaustive_searches_do_not_run_a_bfs_per_subset(monkeypatch):
-    # the balls are computed once per call as bitmasks; a search that
-    # went back to one BFS per member per subset would make tens of
-    # thousands of calls on these instances
+def count_bfs_calls(monkeypatch):
+    """A one-element list that counts every bfs_dist call made through
+    the digraph, solvers and quasiwide modules from now on."""
     import crownminor.digraph
     import crownminor.quasiwide
     import crownminor.solvers
@@ -404,6 +403,14 @@ def test_exhaustive_searches_do_not_run_a_bfs_per_subset(monkeypatch):
 
     for mod in (crownminor.digraph, crownminor.solvers, crownminor.quasiwide):
         monkeypatch.setattr(mod, "bfs_dist", counted)
+    return calls
+
+
+def test_exhaustive_searches_do_not_run_a_bfs_per_subset(monkeypatch):
+    # the balls are computed once per call as bitmasks; a search that
+    # went back to one BFS per member per subset would make tens of
+    # thousands of calls on these instances
+    calls = count_bfs_calls(monkeypatch)
 
     G = random_digraph(random.Random(0), 18, 0.2)
     got = independent_set(G, 8)
@@ -415,3 +422,27 @@ def test_exhaustive_searches_do_not_run_a_bfs_per_subset(monkeypatch):
     got = dominating_outbranching(G, 6)
     assert not got.feasible and got.exhausted
     assert calls[0] <= 4 * G.n
+
+
+def test_steiner_table_runs_one_bfs_per_terminal(monkeypatch):
+    # the Steiner table reads distances into terminals only, so one
+    # in-direction BFS per terminal fills it; a BFS from every vertex of
+    # the augmented graph would make more than n calls per Steiner call
+    import crownminor.solvers
+
+    calls = count_bfs_calls(monkeypatch)
+    steiner = crownminor.solvers.directed_steiner_outtree
+    per_call = []
+
+    def traced(G, terminals, *args, **kwargs):
+        before = calls[0]
+        got = steiner(G, terminals, *args, **kwargs)
+        per_call.append((calls[0] - before, len(set(terminals)), got))
+        return got
+
+    monkeypatch.setattr(crownminor.solvers, "directed_steiner_outtree", traced)
+    G = random_digraph(random.Random(3), 18, 0.15)
+    dominating_outbranching(G, 6)
+    assert per_call
+    assert all(made <= terms for made, terms, got in per_call if got is None)
+    assert calls[0] <= 24 * G.n
