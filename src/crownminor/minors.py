@@ -5,12 +5,11 @@ depth-r checking on any host, both by guessing edge images and routing
 the connecting paths with one backtracking path router, which also
 finds disjoint paths in DAGs; exhaustive checking on arbitrary small
 hosts; butterfly minors; topological minors; and the greatest reduced
-average density (grad).
+average density (grad), whose searches live in `density`.
 """
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .digraph import (
     Digraph,
@@ -927,91 +926,42 @@ def subdivision_to_model(w):
 
 
 def grad(G, r):
-    """Greatest density |E(H)|/|V(H)| over depth-r minors H of G, by
-    exhaustive search over branch-set families. Exponential; intended for
-    hosts of about ten vertices or fewer."""
+    """Greatest density |E(H)|/|V(H)| over depth-r minors H of G, as an
+    exact Fraction (0 when G has no edges).
+
+    A depth-r minor sits on a family of disjoint nonempty branch sets.
+    Each of its edges joins an ordered pair of branch sets through a host
+    edge, and every branch set meets the conditions `verify_model` checks
+    at depth r.
+
+    r = 0: in->out paths have length 0, so a depth-0 minor is a subgraph
+    and grad(G, 0) is the largest |E(G[S])|/|S| over nonempty S (an
+    antiparallel pair counts as two edges). `density.densest_subgraph`
+    computes it in polynomial time.
+
+    r >= 1: a branch-and-bound search that starts from grad(G, 0) (grad
+    is monotone in r) and visits only partitions of one weak component
+    of G into weakly connected blocks. No densest minor is lost:
+
+    - A branch set can shrink to the union of its in->out paths, or of
+      its source->out paths when it has no in-vertex, or of its in->sink
+      paths when it has no out-vertex, and still meet every condition;
+      with neither kind of vertex it can shrink to one vertex. Such a
+      union is weakly connected.
+    - A branch set can also grow: its paths stay inside it. So a vertex
+      outside every branch set but next to one may join it, which keeps
+      blocks connected. Repeating this covers every weak component the
+      family touches.
+    - Pattern edges only join branch sets inside one component, so a
+      family is no denser than its densest part inside one component.
+
+    `density.densest_partition` describes the search and its bounds.
+    """
     if r < 0:
         raise GraphError("depth must be nonnegative")
-    best = Fraction(0)
-    n = G.n
-    blocks = []
+    # imported on first use: with bytecode caching off, every import of
+    # the package would otherwise compile the search
+    from .density import densest_partition, densest_subgraph
 
-    def assign(v):
-        nonlocal best
-        if v == n:
-            if blocks:
-                got = _max_edges_over_blocks(G, blocks, r)
-                if got is not None:
-                    best = max(best, got)
-            return
-        # leave v out of every branch
-        assign(v + 1)
-        for b in blocks:
-            b.add(v)
-            assign(v + 1)
-            b.discard(v)
-        blocks.append({v})
-        assign(v + 1)
-        blocks.pop()
-
-    assign(0)
-    return best
-
-
-def _max_edges_over_blocks(G, blocks, r):
-    """Largest pattern edge count realizable on the given branch family
-    at depth r; None when not even the edgeless pattern fits."""
-    p = len(blocks)
-    reach = [_branch_reach(G, b, r) for b in blocks]
-    pair_cands = []
-    for i in range(p):
-        for j in range(p):
-            if i == j:
-                continue
-            cs = [
-                (x, y)
-                for x in sorted(blocks[i])
-                for y in sorted(blocks[j])
-                if G.has_edge(x, y)
-            ]
-            if cs:
-                pair_cands.append((i, j, cs))
-    ins = [set() for _ in range(p)]
-    outs = [set() for _ in range(p)]
-    best_cnt = -1
-
-    def ends_exist():
-        return all(
-            (ins[i] or _first_source(reach[i], outs[i]) is not None)
-            and (outs[i] or _first_sink(reach[i], ins[i]) is not None)
-            for i in range(p)
-        )
-
-    def rec(idx, cnt):
-        nonlocal best_cnt
-        if cnt + (len(pair_cands) - idx) <= best_cnt:
-            return
-        if idx == len(pair_cands):
-            if ends_exist():
-                best_cnt = max(best_cnt, cnt)
-            return
-        i, j, cs = pair_cands[idx]
-        for (x, y) in cs:
-            added_out = x not in outs[i]
-            added_in = y not in ins[j]
-            outs[i].add(x)
-            ins[j].add(y)
-            if not any(_unlinked(reach[i], ins[i], outs[i])) and not any(
-                _unlinked(reach[j], ins[j], outs[j])
-            ):
-                rec(idx + 1, cnt + 1)
-            if added_out:
-                outs[i].discard(x)
-            if added_in:
-                ins[j].discard(y)
-        rec(idx + 1, cnt)
-
-    rec(0, 0)
-    if best_cnt < 0:
-        return None
-    return Fraction(best_cnt, p)
+    best = densest_subgraph(G)
+    return best if r == 0 else densest_partition(G, r, best)

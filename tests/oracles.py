@@ -2,14 +2,17 @@
 
 Every verdict here is written from the definitions, separately from the
 library's own search code, so that agreements are meaningful: simple
-path enumeration, assignment-function minor search, exhaustive solvers.
+path enumeration, assignment-function minor search, exhaustive solvers,
+and an exhaustive family sweep for `grad`.
 Random test instances, which decide no verdict, come from the library's
 `random_digraph` and `random_dag` and are re-exported under those names.
 """
 
 import itertools
 from collections import deque
+from fractions import Fraction
 
+from crownminor.digraph import GraphError
 from crownminor.generators import random_dag, random_digraph  # noqa: F401
 
 
@@ -368,3 +371,119 @@ def undirected_minor_check(H, G):
         return False
 
     return rec(0, sorted(G.vertices()))
+
+
+def _branch_reach_by_bfs(G, block, depth):
+    """Each member of `block` mapped to the members it reaches inside the
+    block by a path of at most `depth` edges (any length when None)."""
+    return {
+        a: {b for b, d in _block_reach(G, block, a).items() if depth is None or d <= depth}
+        for a in sorted(block)
+    }
+
+
+def exhaustive_grad(G, r):
+    """Greatest density |E(H)|/|V(H)| over depth-r minors H of G by the
+    exhaustive sweep: every family of disjoint nonempty blocks (each
+    vertex in one block or in none), and on each family the largest
+    number of pattern edges whose images meet every branch-set
+    condition. Exponential (about Bell(n+1) families)."""
+    if r < 0:
+        raise GraphError("depth must be nonnegative")
+    best = Fraction(0)
+    n = G.n
+    blocks = []
+
+    def assign(v):
+        nonlocal best
+        if v == n:
+            if blocks:
+                got = _best_density_on_family(G, blocks, r)
+                if got is not None:
+                    best = max(best, got)
+            return
+        # leave v out of every branch
+        assign(v + 1)
+        for b in blocks:
+            b.add(v)
+            assign(v + 1)
+            b.discard(v)
+        blocks.append({v})
+        assign(v + 1)
+        blocks.pop()
+
+    assign(0)
+    return best
+
+
+def _best_density_on_family(G, blocks, r):
+    """Largest pattern edge count realizable on the given branch family
+    at depth r, divided by the number of blocks; None when not even the
+    edgeless pattern fits."""
+    p = len(blocks)
+    reach = [_branch_reach_by_bfs(G, b, r) for b in blocks]
+    pair_cands = []
+    for i in range(p):
+        for j in range(p):
+            if i == j:
+                continue
+            cs = [
+                (x, y)
+                for x in sorted(blocks[i])
+                for y in sorted(blocks[j])
+                if G.has_edge(x, y)
+            ]
+            if cs:
+                pair_cands.append((i, j, cs))
+    ins = [set() for _ in range(p)]
+    outs = [set() for _ in range(p)]
+    best_cnt = -1
+
+    def unlinked(i):
+        return any(b not in reach[i][a] for a in ins[i] for b in outs[i])
+
+    def ends_exist():
+        return all(
+            (ins[i] or any(outs[i] <= reach[i][c] for c in reach[i]))
+            and (outs[i] or any(all(c in reach[i][a] for a in ins[i]) for c in reach[i]))
+            for i in range(p)
+        )
+
+    def rec(idx, cnt):
+        nonlocal best_cnt
+        if cnt + (len(pair_cands) - idx) <= best_cnt:
+            return
+        if idx == len(pair_cands):
+            if ends_exist():
+                best_cnt = max(best_cnt, cnt)
+            return
+        i, j, cs = pair_cands[idx]
+        for (x, y) in cs:
+            added_out = x not in outs[i]
+            added_in = y not in ins[j]
+            outs[i].add(x)
+            ins[j].add(y)
+            if not unlinked(i) and not unlinked(j):
+                rec(idx + 1, cnt + 1)
+            if added_out:
+                outs[i].discard(x)
+            if added_in:
+                ins[j].discard(y)
+        rec(idx + 1, cnt)
+
+    rec(0, 0)
+    if best_cnt < 0:
+        return None
+    return Fraction(best_cnt, p)
+
+
+def densest_subgraph_by_subsets(G):
+    """The largest |E(G[S])|/|S| over every nonempty vertex set S (0 on
+    the empty graph), by trying all 2^n - 1 of them."""
+    best = Fraction(0)
+    for size in range(1, G.n + 1):
+        for S in itertools.combinations(range(G.n), size):
+            inside = set(S)
+            e = sum(1 for u, v in G.edges if u in inside and v in inside)
+            best = max(best, Fraction(e, size))
+    return best

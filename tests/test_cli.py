@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -394,6 +395,26 @@ def test_grad_command(capsys, tmp_path):
     save_graph(str(g), Digraph(2, [(0, 1)]))
     code, out, _ = run_cli(capsys, "grad", str(g), "--r", "1")
     assert code == 0 and out.strip() == "1/2"
+
+
+def test_grad_finds_a_planted_clique_in_a_large_sparse_host(capsys, tmp_path):
+    from crownminor.graphio import load_graph, save_graph
+    from crownminor.minors import grad
+
+    # a 200-vertex host of density 2 (i -> i+1 and i -> i+5 around a
+    # ring) with a bidirected K6, of density 5, planted on six of its
+    # vertices. Every vertex off the clique has total degree 4, while each
+    # vertex of a smallest densest set has more edges inside it than the
+    # set's density, at least 5: so that set lies in the clique.
+    n = 200
+    ring = [(i, (i + d) % n) for i in range(n) for d in (1, 5)]
+    clique = [0, 33, 66, 99, 132, 165]
+    G = Digraph(n, ring + [(u, v) for u in clique for v in clique if u != v])
+    g = tmp_path / "planted.graph"
+    save_graph(str(g), G)
+    assert grad(load_graph(str(g)), 0) == Fraction(5)
+    code, out, _ = run_cli(capsys, "grad", str(g), "--r", "0")
+    assert code == 0 and out == "5\n"
 
 
 def test_missing_file_is_input_error(capsys):

@@ -500,6 +500,27 @@ def test_grad_monotone_in_depth():
         assert vals == sorted(vals)
 
 
+def test_grad_search_builds_few_reach_tables(monkeypatch):
+    # grad builds the reach table of each block it examines once, with
+    # one bfs_dist call per member, and only for families its bounds let
+    # through; the exhaustive family sweep made 136,056 calls on each of
+    # these hosts
+    import crownminor.minors
+
+    calls = [0]
+    bfs = crownminor.minors.bfs_dist
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return bfs(*args, **kwargs)
+
+    monkeypatch.setattr(crownminor.minors, "bfs_dist", counted)
+    for seed in (1, 2, 3):
+        calls[0] = 0
+        grad(random_digraph(random.Random(seed), 8, 0.3), 1)
+        assert calls[0] < 5000
+
+
 def test_grad_matches_pattern_sweep():
     # independent oracle: try every labeled pattern up to the host size
     # against the brute-force minor check and take the densest hit

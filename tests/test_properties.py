@@ -1,11 +1,12 @@
 """Property tests: the BFS kernel against path enumeration, the
 backtracking matcher against networkx's DiGraphMatcher, the model
 verifier and the exhaustive minor checker against the brute-force
-oracles, and the bitmask searches of compute_scattered and the solvers
-against the set-based searches they replaced."""
+oracles, the bitmask searches of compute_scattered and the solvers
+against the set-based searches they replaced, and grad against the
+exhaustive family sweep and subset enumeration."""
 
 import networkx as nx
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
@@ -23,6 +24,7 @@ from crownminor.minors import (
     _injective_maps,
     digraph_isomorphic,
     general_minor_check,
+    grad,
     subgraph_check,
     verify_model,
 )
@@ -31,7 +33,9 @@ from oracles import (
     _model_conditions_hold,
     brute_directed_minor,
     common_ancestor_scatter,
+    densest_subgraph_by_subsets,
     enum_paths,
+    exhaustive_grad,
     reach_by_paths,
 )
 
@@ -208,3 +212,28 @@ def test_domination_solvers_match_brute_force_feasibility(G, k, base_cap):
     got = independent_dominating_set(G, k, base_cap=base_cap)
     assert got.feasible == brute_force_solve(inst, "ids").feasible
     assert dominating_outbranching(G, k).feasible == brute_force_solve(inst, "dob").feasible
+
+
+@settings(max_examples=80, deadline=None)
+@given(digraphs(max_n=6), st.integers(0, 2))
+@example(Digraph(0), 1)
+@example(Digraph(5), 2)
+@example(Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1)]), 1)
+@example(Digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3), (4, 5), (5, 3)]), 2)
+# the densest partition into connected blocks has the block {0, 2, 5},
+# entered at 0 and at 5 and left at 5: an out side {5} that is the
+# intersection of two members' reach sets but no member's own reach set
+@example(Digraph(6, [(0, 5), (1, 5), (3, 0), (3, 1), (4, 0), (4, 3), (5, 1), (5, 2)]), 1)
+def test_grad_matches_exhaustive_sweep(G, r):
+    assert grad(G, r) == exhaustive_grad(G, r)
+
+
+@SMALL
+@given(digraphs(max_n=10))
+@example(Digraph(0))
+@example(Digraph(3))
+# the first min-cut step finds a set of density 11/7; a second finds 8/5
+@example(Digraph(9, [(0, 3), (0, 4), (0, 7), (1, 4), (2, 1), (4, 8), (5, 0), (6, 4),
+                     (7, 0), (8, 2), (8, 4), (8, 6), (8, 7)]))
+def test_grad_at_depth_zero_is_the_densest_subgraph(G):
+    assert grad(G, 0) == densest_subgraph_by_subsets(G)
