@@ -80,10 +80,14 @@ def compute_scattered(G, W, d, m, s_budget, probe_cap=14):
 
     Subsets of the first probe_cap elements of W are tried by increasing
     size then lexicographically, the order of itertools.combinations.
-    Each size is walked as a prefix search over the in-ball bitmasks,
-    carrying C; since C only grows as U grows, a prefix whose C already
-    exceeds s_budget is cut with all its extensions. Returns a verified
-    witness or None.
+    C only grows as U grows, so any m survivors of a larger answer are an
+    answer of size m by themselves: the first answer, if there is one,
+    has size m, and only size m is walked. It is walked as a prefix
+    search over the in-ball bitmasks, carrying C and the chosen members,
+    and a prefix is cut with all its extensions as soon as its C exceeds
+    s_budget or holds a chosen member, which would then fall short of m
+    survivors. A cut branch holds no answer, so the first answer is the
+    one the full walk finds. Returns a verified witness or None.
     """
     W = sorted(set(W))
     if m > len(W):
@@ -94,33 +98,31 @@ def compute_scattered(G, W, d, m, s_budget, probe_cap=14):
     balls = [ball_mask(G, u, d, direction="in") for u in probe]
     chosen = []
 
-    def extend(start, size, reached, C):
+    def extend(start, reached, C, held):
         # reached: union of the chosen members' balls; C: the vertices
-        # in the balls of two chosen members
-        if len(chosen) == size:
-            rest = [u for u in chosen if not C >> u & 1]
-            return (C, rest) if len(rest) >= m else None
-        for i in range(start, len(probe) - size + len(chosen) + 1):
+        # in the balls of two chosen members; held: the chosen members
+        if len(chosen) == m:
+            return C
+        for i in range(start, len(probe) - m + len(chosen) + 1):
             grown = C | (reached & balls[i])
-            if grown.bit_count() > s_budget:
+            now = held | 1 << probe[i]
+            if grown.bit_count() > s_budget or grown & now:
                 continue
             chosen.append(probe[i])
-            got = extend(i + 1, size, reached | balls[i], grown)
+            got = extend(i + 1, reached | balls[i], grown, now)
             if got is not None:
                 return got
             chosen.pop()
         return None
 
-    for size in range(m, len(probe) + 1):
-        got = extend(0, size, 0, 0)
-        if got is not None:
-            C, rest = got
-            deleted = tuple(v for v in G.vertices() if C >> v & 1)
-            w = ScatteredWitness(G, deleted, tuple(rest[:m]), d)
-            if not w.verify():
-                raise RuntimeError("internal: common-ancestor deletion failed to scatter")
-            return w
-    return None
+    C = extend(0, 0, 0, 0)
+    if C is None:
+        return None
+    deleted = tuple(v for v in G.vertices() if C >> v & 1)
+    w = ScatteredWitness(G, deleted, tuple(chosen), d)
+    if not w.verify():
+        raise RuntimeError("internal: common-ancestor deletion failed to scatter")
+    return w
 
 
 # ---------------------------------------------------------------------------

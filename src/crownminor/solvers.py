@@ -57,34 +57,55 @@ def _mask(vertices):
     return mask
 
 
-def _first_subset(cand, size, clash, accept):
+def _first_subset(cand, size, clash, cover, want, accept):
     """The first non-None accept(members) over the size-subsets of the
     vertex bitmask cand that hold no two vertices u, w with w in
-    clash[u], tried in the order of itertools.combinations over cand's
-    sorted members; None if there is none. accept gets a list it must
-    copy to keep.
+    clash[u] and whose masks cover[u] together hold the bitmask want,
+    tried in the order of itertools.combinations over cand's sorted
+    members; None if there is none. accept gets a list it must copy to
+    keep.
 
-    Include/exclude search on the smallest candidate: including v drops
-    clash[v] from the candidates, and a branch ends as soon as fewer
-    candidates than open places are left. Clashes are symmetric, so the
-    branches cut hold only clashing subsets and the order is kept."""
+    Include/exclude search on the smallest candidate v: including v
+    drops clash[v] from the candidates and adds cover[v] to the covered
+    mask. A branch ends as soon as fewer candidates than open places are
+    left, or when the candidates from v on cannot cover the rest of
+    want: the union of their masks misses a vertex of it, or each open
+    place covers at most most[v] of its vertices and that is too few.
+    Clashes are symmetric, so every cut branch holds only subsets that
+    clash or miss want, and the order is kept. want = 0 turns the cover
+    cuts off."""
+    top = cand.bit_length()
+    # over the candidates >= v: the union of their masks inside want,
+    # and the most vertices of want one of them covers
+    suffix = [0] * (top + 1)
+    most = [0] * (top + 1)
+    for v in range(top - 1, -1, -1):
+        suffix[v], most[v] = suffix[v + 1], most[v + 1]
+        if cand >> v & 1:
+            mine = cover[v] & want
+            suffix[v] |= mine
+            most[v] = max(most[v], mine.bit_count())
     chosen = []
 
-    def rec(cand, need):
+    def rec(cand, need, covered):
+        left = want & ~covered
         if need == 0:
-            return accept(chosen)
+            return None if left else accept(chosen)
+        missing = left.bit_count()
         while cand.bit_count() >= need:
             low = cand & -cand
             v = low.bit_length() - 1
+            if left & ~suffix[v] or need * most[v] < missing:
+                return None
             chosen.append(v)
-            got = rec((cand ^ low) & ~clash[v], need - 1)
+            got = rec((cand ^ low) & ~clash[v], need - 1, covered | cover[v])
             if got is not None:
                 return got
             chosen.pop()
             cand ^= low
         return None
 
-    return rec(cand, size)
+    return rec(cand, size, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +249,12 @@ def independent_dominating_set(G, k, scatter_budget=3, base_cap=10):
     def exhaustive(alive, Y, k):
         """The first independent set of alive - Y dominating alive, by
         size 0..k, then in itertools.combinations order: _first_subset
-        over the edge-neighborhood masks, with domination tested by
-        OR-ing the closed out-neighborhood masks."""
+        over the edge-neighborhood masks, covering alive with the
+        closed out-neighborhood masks."""
         want = _mask(alive)
         cand = want & ~_mask(Y)
-
-        def dominating(D):
-            covered = 0
-            for v in D:
-                covered |= closed[v]
-            return list(D) if not want & ~covered else None
-
         for size in range(0, k + 1):
-            got = _first_subset(cand, size, clash, dominating)
+            got = _first_subset(cand, size, clash, closed, want, list)
             if got is not None:
                 return got
         return None
@@ -284,26 +298,35 @@ def find_irrelevant_vertex(G, W, d):
     smaller ball hits w's too. Returns the smallest such w or None; the
     rule holds whatever the size budget, so it takes none."""
     W = sorted(set(W))
-    balls = {w: frozenset(bfs_dist(G, w, max_depth=d, direction="in")) for w in W}
+    balls = {w: ball_mask(G, w, d, direction="in") for w in W}
     for w in W:
-        for w2 in W:
-            if w2 != w and balls[w2] <= balls[w]:
-                return w
+        if _implied(w, W, balls):
+            return w
     return None
+
+
+def _implied(w, W, balls):
+    """Some target of W other than w has its in-ball mask inside w's."""
+    ball = balls[w]
+    return any(w2 != w and not balls[w2] & ~ball for w2 in W)
 
 
 def d_dominating_set(G, k, d=1):
     """Shrink the target set by irrelevant-vertex reductions, then cover
     the residual targets exactly by grouping potential dominators by
-    their trace on the targets."""
+    their trace on the targets.
+
+    The reductions are one sweep over the sorted targets with the in-ball
+    masks computed once. It drops what repeated find_irrelevant_vertex
+    calls would: dropping a target makes no other target irrelevant, so
+    each next one found lies later in the order."""
     if k < 0 or d < 1:
         raise GraphError("need k >= 0 and d >= 1")
+    balls = [ball_mask(G, v, d, direction="in") for v in G.vertices()]
     W = set(G.vertices())
-    while len(W) > 1:
-        w = find_irrelevant_vertex(G, sorted(W), d)
-        if w is None:
-            break
-        W.remove(w)
+    for w in G.vertices():
+        if _implied(w, W, balls):
+            W.remove(w)
 
     traces = {}
     for v in sorted(G.vertices()):
@@ -312,16 +335,15 @@ def d_dominating_set(G, k, d=1):
             traces[tr] = v
 
     trace_list = sorted(traces.items(), key=lambda it: traces[it[0]])
+    # the pivot is the uncovered target in the fewest traces
+    hits = {w: sum(1 for tr, _ in trace_list if w in tr) for w in W}
 
     def cover(uncovered, budget, chosen):
         if not uncovered:
             return list(chosen)
         if budget == 0:
             return None
-        pivot = min(
-            uncovered,
-            key=lambda w: sum(1 for tr, _ in trace_list if w in tr),
-        )
+        pivot = min(uncovered, key=hits.__getitem__)
         for tr, v in trace_list:
             if pivot in tr:
                 got = cover(uncovered - tr, budget - 1, chosen + [v])
@@ -586,23 +608,20 @@ def dominating_outbranching(G, k, scatter_budget=3):
     def exhaustive(W, us, j):
         """us plus the first 0..j further vertices, by size, then in
         itertools.combinations order, that dominate W and span an
-        out-tree. Domination is an OR of the closed out-neighborhood
+        out-tree. _first_subset covers W with the closed out-neighborhood
         masks and rooted() screens the rest, so spanning_outtree runs
         only on the set it will accept."""
         want = _mask(W)
 
         def spanned(combo):
             D = tuple(sorted(set(us) | set(combo)))
-            covered = 0
-            for v in combo:
-                covered |= closed[v]
-            if want & ~covered or not rooted(D):
+            if not rooted(D):
                 return None
             return D, spanning_outtree(G, D)
 
         cand = ((1 << G.n) - 1) & ~_mask(us)
         for size in range(0, j + 1):
-            got = _first_subset(cand, size, no_clash, spanned)
+            got = _first_subset(cand, size, no_clash, closed, want, spanned)
             if got is not None:
                 return got
         return None
@@ -672,7 +691,7 @@ def independent_set(G, k, d=1, scatter_budget=3):
             members = _mask(w.members)
             if all(clash[u] & members == 1 << u for u in w.members):
                 return SolveOutcome(True, tuple(w.members))
-    got = _first_subset((1 << G.n) - 1, k, clash, tuple)
+    got = _first_subset((1 << G.n) - 1, k, clash, clash, 0, tuple)
     if got is not None:
         return SolveOutcome(True, got, exhausted=True)
     return SolveOutcome(False, exhausted=True)

@@ -71,7 +71,7 @@ def emit_vertex_set(kind, G, vertices, d=None):
 
 
 def emit_outbranching(G, vertices, parent):
-    ok = verify_outbranching(G, vertices, parent)
+    ok = verify_outbranching(G, vertices, parent) and verify_dominating(G, vertices, 1)
     lines = ["kind outbranching", "D: %s" % _ids(sorted(vertices))]
     for v in sorted(parent):
         p = parent[v]
@@ -96,8 +96,9 @@ def parse_witness(text, host=None, pattern=None):
     """Parse and re-verify a witness document. Model kinds need the host
     (and, for kind `model`, the pattern) graph; a crown document rebuilds
     its pattern from its order parameter. Raises WitnessFormatError when
-    a line is malformed, an id lies outside the graph, or the payload
-    does not verify."""
+    a line is malformed, an id lies outside the graph, a vertex list
+    names a vertex twice, or the payload does not verify (an
+    out-branching must also dominate the graph)."""
     lines = _fields(text)
     if not lines or not lines[0].startswith("kind "):
         raise WitnessFormatError("missing kind header")
@@ -126,6 +127,14 @@ def _split_ids(payload):
     return tuple(int(x) for x in payload.split()) if payload else ()
 
 
+def _distinct_ids(payload):
+    """_split_ids for a vertex list, which names each vertex once."""
+    ids = _split_ids(payload)
+    if len(set(ids)) != len(ids):
+        raise WitnessFormatError("repeated vertex id in %r" % payload.strip())
+    return ids
+
+
 def _parse_model(body, kind, host, pattern):
     if host is None:
         raise WitnessFormatError("model documents need a host graph")
@@ -142,7 +151,7 @@ def _parse_model(body, kind, host, pattern):
         elif line.startswith("branch "):
             head, payload = line.split(":", 1)
             v = int(head.split()[1])
-            branch[v] = frozenset(_split_ids(payload))
+            branch[v] = frozenset(_distinct_ids(payload))
         elif line.startswith("edge "):
             head, payload = line.split(":", 1)
             _, u, v = head.split()
@@ -181,9 +190,9 @@ def _parse_scattered(body, host):
         if line.startswith("d "):
             d = int(line.split()[1])
         elif line.startswith("S:"):
-            S = _split_ids(line[2:])
+            S = _distinct_ids(line[2:])
         elif line.startswith("U:"):
-            U = _split_ids(line[2:])
+            U = _distinct_ids(line[2:])
         elif line.startswith("verified"):
             pass
         else:
@@ -205,7 +214,7 @@ def _parse_vertex_set(body, kind, host):
         if line.startswith("d "):
             d = int(line.split()[1])
         elif line.startswith("D:"):
-            D = _split_ids(line[2:])
+            D = _distinct_ids(line[2:])
         elif line.startswith("verified"):
             pass
         else:
@@ -228,7 +237,7 @@ def _parse_outbranching(body, host):
     parent = {}
     for line in body:
         if line.startswith("D:"):
-            D = _split_ids(line[2:])
+            D = _distinct_ids(line[2:])
         elif line.startswith("parent "):
             _, v, p = line.split()
             parent[int(v)] = None if p == "none" else int(p)
@@ -240,4 +249,6 @@ def _parse_outbranching(body, host):
         raise WitnessFormatError("incomplete document")
     if not verify_outbranching(host, D, parent):
         raise WitnessFormatError("outbranching witness does not verify")
+    if not verify_dominating(host, D, 1):
+        raise WitnessFormatError("outbranching witness does not dominate")
     return D, parent

@@ -15,6 +15,7 @@ from crownminor.quasiwide import ScatteredWitness, dichotomy_step
 from crownminor.witnessdoc import (
     WitnessFormatError,
     emit_model,
+    emit_outbranching,
     emit_scattered,
     parse_witness,
 )
@@ -97,6 +98,47 @@ PATH3 = Digraph(3, [(0, 1), (1, 2)])
 def test_witness_ids_outside_the_graph_fail_to_load(doc):
     with pytest.raises(WitnessFormatError, match="invalid vertex id"):
         parse_witness(doc, host=PATH3)
+
+
+@pytest.mark.parametrize(
+    "doc,fixed",
+    [
+        ("kind dominating\nD: 0 2 0\nend\n", "kind dominating\nD: 0 2\nend\n"),
+        ("kind independent\nD: 0 2 2\nend\n", "kind independent\nD: 0 2\nend\n"),
+        ("kind outbranching\nD: 0 1 1\nparent 0 none\nparent 1 0\nend\n",
+         "kind outbranching\nD: 0 1\nparent 0 none\nparent 1 0\nend\n"),
+        ("kind scattered\nd 1\nS: 1 1\nU: 0 2\nend\n",
+         "kind scattered\nd 1\nS: 1\nU: 0 2\nend\n"),
+        ("kind scattered\nd 1\nS: 1\nU: 0 2 0\nend\n",
+         "kind scattered\nd 1\nS: 1\nU: 0 2\nend\n"),
+    ],
+    ids=["dominating", "independent", "outbranching", "scattered-deleted",
+         "scattered-members"],
+)
+def test_witness_ids_repeated_in_a_list_fail_to_load(doc, fixed):
+    parse_witness(fixed, host=PATH3)
+    with pytest.raises(WitnessFormatError, match="repeated vertex id"):
+        parse_witness(doc, host=PATH3)
+
+
+def test_model_branch_with_a_repeated_id_fails_to_load():
+    S3, principals = crown(3)
+    model = dichotomy_step(S3, principals, 0, p=2, q=3)
+    doc = emit_model(model, kind="crown", params=[("order", 3)])
+    line = next(x for x in doc.splitlines() if x.startswith("branch "))
+    first = line.split(":")[1].split()[0]
+    with pytest.raises(WitnessFormatError, match="repeated vertex id"):
+        parse_witness(doc.replace(line, line + " " + first), host=S3)
+
+
+def test_outbranching_that_does_not_dominate_fails_to_load():
+    G = Digraph(3, [(0, 1)])
+    parent = {0: None, 1: 0}
+    assert "verified false" in emit_outbranching(G, (0, 1), parent)
+    doc = "kind outbranching\nD: 0 1\nparent 0 none\nparent 1 0\nend\n"
+    with pytest.raises(WitnessFormatError, match="does not dominate"):
+        parse_witness(doc, host=G)
+    assert parse_witness(doc, host=Digraph(3, [(0, 1), (1, 2)])) == ((0, 1), parent)
 
 
 @pytest.mark.parametrize(

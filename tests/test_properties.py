@@ -5,6 +5,8 @@ oracles, the bitmask searches of compute_scattered and the solvers
 against the set-based searches they replaced, and grad against the
 exhaustive family sweep and subset enumeration."""
 
+import itertools
+
 import networkx as nx
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from crownminor.digraph import Digraph, bfs_dist
 from crownminor.quasiwide import compute_scattered
 from crownminor.solvers import (
     DominationInstance,
+    _first_subset,
     brute_force_solve,
     dominating_outbranching,
     independent_dominating_set,
@@ -173,14 +176,26 @@ def test_general_minor_check_matches_oracle_on_cyclic_hosts(n, H, data):
         assert verify_model(model)[0]
 
 
+@st.composite
+def scatter_queries(draw):
+    G = draw(digraphs(min_n=1, max_n=9))
+    W = draw(st.lists(st.integers(0, G.n - 1), min_size=1, unique=True))
+    d = draw(st.integers(0, 2))
+    m = draw(st.integers(1, len(W)))
+    s_budget = draw(st.integers(0, 4))
+    probe_cap = draw(st.sampled_from([3, 6, 14]))
+    return G, W, d, m, s_budget, probe_cap
+
+
 @SMALL
-@given(digraphs(min_n=1, max_n=9), st.data())
-def test_compute_scattered_matches_set_based_search(G, data):
-    W = data.draw(st.lists(st.integers(0, G.n - 1), min_size=1, unique=True))
-    d = data.draw(st.integers(0, 2))
-    m = data.draw(st.integers(1, len(W)))
-    s_budget = data.draw(st.integers(0, 4))
-    probe_cap = data.draw(st.sampled_from([3, 6, 14]))
+@given(scatter_queries())
+# the survivor cut: U = {0, 1} keeps C = {1} within budget but loses 1
+@example((Digraph(3, [(1, 0)]), [0, 1, 2], 2, 2, 4, 14))
+# no answer of size m, while {0, 1, 2} keeps C within budget: the walk
+# stops at size m where the set-based search goes on to size 3
+@example((Digraph(3, [(0, 2), (1, 0)]), [0, 1, 2], 2, 2, 4, 6))
+def test_compute_scattered_matches_set_based_search(query):
+    G, W, d, m, s_budget, probe_cap = query
     w = compute_scattered(G, W, d, m, s_budget, probe_cap=probe_cap)
     got = None if w is None else (w.deleted, w.members)
     assert got == common_ancestor_scatter(G, W, d, m, s_budget, probe_cap)
@@ -203,6 +218,40 @@ def test_independent_set_matches_brute_force(G, d, data):
     if got.exhausted and got.feasible:
         # the exhaustive step keeps itertools.combinations order
         assert got.witness == want.witness
+
+
+@SMALL
+@given(st.data())
+def test_first_subset_is_the_first_accepted_cover_in_combinations_order(data):
+    n = data.draw(st.integers(0, 10))
+    cand = data.draw(st.integers(0, (1 << n) - 1))
+    size = data.draw(st.integers(0, n))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+                      if n else st.just([]))
+    clash = [0] * n
+    for u, w in pairs:
+        if u != w:
+            clash[u] |= 1 << w
+            clash[w] |= 1 << u
+    mask = st.integers(0, (1 << n) - 1)
+    cover = [data.draw(mask) for _ in range(n)]
+    want = data.draw(mask)
+    mod, rejected = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3))
+
+    def accept(members):
+        return None if sum(members) % mod == rejected else tuple(members)
+
+    expected = None
+    for combo in itertools.combinations([v for v in range(n) if cand >> v & 1], size):
+        covered = 0
+        for v in combo:
+            covered |= cover[v]
+        if (not want & ~covered
+                and not any(clash[u] >> w & 1 for u, w in itertools.combinations(combo, 2))
+                and accept(combo) is not None):
+            expected = combo
+            break
+    assert _first_subset(cand, size, clash, cover, want, accept) == expected
 
 
 @SMALL

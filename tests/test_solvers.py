@@ -1,6 +1,7 @@
 import itertools
 import random
 
+from crownminor import solvers
 from crownminor.digraph import Digraph, bidirect, underlying_undirected
 from crownminor.generators import acyclic_tournament, crown, reversed_crown
 from crownminor.solvers import (
@@ -311,6 +312,26 @@ def test_dob_agrees_with_oracle():
             assert len(D) <= k
             assert verify_outbranching(G, D, parent)
             assert dominates(G, D, 1, G.vertices())
+
+
+def test_dob_fallback_skips_sets_that_cannot_dominate(monkeypatch):
+    """Work guard: the exhaustive fallback hands accept only the subsets
+    that can still dominate. Without the cover cuts this instance makes
+    31,180 accept calls."""
+    calls = [0]
+    first_subset = solvers._first_subset
+
+    def counting(cand, size, clash, cover, want, accept):
+        def counted(members):
+            calls[0] += 1
+            return accept(members)
+
+        return first_subset(cand, size, clash, cover, want, counted)
+
+    monkeypatch.setattr(solvers, "_first_subset", counting)
+    got = dominating_outbranching(random_digraph(random.Random(5), 18, 0.2), 6)
+    assert not got.feasible and got.exhausted
+    assert 0 < calls[0] < 10_000
 
 
 # --- independent set --------------------------------------------------------------
