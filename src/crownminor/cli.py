@@ -12,7 +12,7 @@ randomized command.
 import argparse
 import sys
 
-from .digraph import GraphError, is_dag
+from .digraph import GraphError
 from .generators import (
     acyclic_tournament,
     alternating_path,
@@ -24,7 +24,6 @@ from .generators import (
 )
 from .graphio import GraphFormatError, emit_graph, load_graph
 from .minors import (
-    dag_minor_check,
     general_minor_check,
     grad,
     is_butterfly_minor,
@@ -202,7 +201,7 @@ def cmd_minor(args):
         depth = args.depth if args.depth is not None else 0
         model = shallow_minor_check(H, G, depth)
     elif mode == "directed":
-        model = dag_minor_check(H, G) if is_dag(G) else general_minor_check(H, G)
+        model = general_minor_check(H, G)
     elif mode == "topological":
         w = topological_minor_check(H, G)
         model = subdivision_to_model(w) if w is not None else None

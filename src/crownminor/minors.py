@@ -1,11 +1,11 @@
 """Directed-minor models, their verification, and minor search.
 
-Covers: model verification; minor checking on DAG hosts and shallow
-depth-r checking on any host, both by guessing edge images and routing
-the connecting paths with one backtracking path router, which also
-finds disjoint paths in DAGs; exhaustive checking on arbitrary small
-hosts; butterfly minors; topological minors; and the greatest reduced
-average density (grad), whose searches live in `density`.
+Covers: model verification; directed-minor checking on any host,
+acyclic or not, and shallow depth-r checking, all by one loop that
+guesses edge images and routes the connecting paths with one
+backtracking path router, which also finds disjoint paths in DAGs;
+butterfly minors; topological minors; and the greatest reduced average
+density (grad), whose searches live in `density`.
 """
 
 import itertools
@@ -191,14 +191,6 @@ class IntervalPartition:
         ]
 
 
-def _reach_sets(G, order):
-    reach = {v: {v} for v in G.vertices()}
-    for v in reversed(order):
-        for w in G.successors(v):
-            reach[v] |= reach[w]
-    return reach
-
-
 def dag_disjoint_paths(G, pairs, partition, max_len=None):
     """Paths P_i from s_i to t_i such that requests in different intervals
     of `partition` get fully vertex-disjoint paths (requests within one
@@ -230,15 +222,6 @@ def dag_disjoint_paths_bounded(G, pairs, partition, r):
 # guess enumeration shared by the minor checkers
 
 
-def _bounded_reach(G, depth):
-    if depth is None:
-        order = topological_order(G)
-        if order is not None:
-            return _reach_sets(G, order)
-        return {v: set(bfs_dist(G, v)) for v in G.vertices()}
-    return {v: set(bfs_dist(G, v, max_depth=depth)) for v in G.vertices()}
-
-
 def _enumerate_guesses(H, G, depth=None):
     """Yield (edge_image, source, sink, owner) quadruples, where owner
     maps every host vertex the guess uses to its pattern vertex.
@@ -250,7 +233,7 @@ def _enumerate_guesses(H, G, depth=None):
     """
     edge_order = sorted(H.edges)
     host_edges = sorted(G.edges)
-    reach = _bounded_reach(G, depth)
+    reach = {v: set(bfs_dist(G, v, max_depth=depth)) for v in G.vertices()}
     autos = {tuple(m[v] for v in H.vertices()) for m in _injective_maps(H, H, True)}
     autos.discard(tuple(H.vertices()))
 
@@ -290,7 +273,7 @@ def _enumerate_guesses(H, G, depth=None):
 
     image = {}
 
-    def feasible_partial(v):
+    def feasible_partial(v, owner):
         ins, outs = set(), set()
         for e in in_edges[v]:
             img = image.get(e)
@@ -300,11 +283,16 @@ def _enumerate_guesses(H, G, depth=None):
             img = image.get(e)
             if img:
                 outs.add(img[0])
-        if not all(b in reach[a] for a in ins for b in outs):
-            return False
         if not all(co_source(x1, x2) for x1 in outs for x2 in outs if x1 < x2):
             return False
-        return all(co_sink(y1, y2) for y1 in ins for y2 in ins if y1 < y2)
+        if not all(co_sink(y1, y2) for y1 in ins for y2 in ins if y1 < y2):
+            return False
+        if not (ins and outs):
+            return True
+        # each in->out path of the branch runs through free vertices and
+        # v's own, and the rest of the guess only takes vertices away
+        usable = {w for w in G.vertices() if owner.get(w, v) == v}
+        return all(outs <= bfs_dist(G, a, max_depth=depth, within=usable).keys() for a in ins)
 
     def assign(idx, owner):
         if idx == len(edge_order):
@@ -324,7 +312,7 @@ def _enumerate_guesses(H, G, depth=None):
                 if host_v not in owner:
                     owner[host_v] = pat_v
                     touched.append(host_v)
-            if feasible_partial(u) and feasible_partial(v):
+            if feasible_partial(u, owner) and feasible_partial(v, owner):
                 yield from assign(idx + 1, owner)
             del image[e]
             for host_v in touched:
@@ -432,20 +420,32 @@ def _assemble(H, G, image, source, sink, request_paths, depth):
     return verified(model, "assembled model failed verification")
 
 
+def general_minor_check(H, G):
+    """Sound-and-complete directed-minor test on any host: guess edge
+    images and the needed source/sink vertices, then route the
+    connecting paths of every branch set, of any length. Every positive
+    answer is a verified model; None means no model exists."""
+    if H.n == 0:
+        return DirectedModel(G, H, {}, {}, {}, {})
+    if H.n > G.n:
+        return None
+    return _guess_and_route(H, G, None)
+
+
 def dag_minor_check(H, G):
-    """Directed-minor test on an acyclic host: guess edge images and the
-    needed source/sink vertices, then route the connecting paths of every
-    branch set. Returns a verified model or None."""
+    """general_minor_check for an acyclic host (anything else is an
+    error); a pattern with a cycle gets None without a search."""
     if topological_order(G) is None:
         raise GraphError("host must be acyclic")
     if find_cycle(H) is not None:
         return None  # a minor of a DAG is itself acyclic
-    return _guess_and_route(H, G, None)
+    return general_minor_check(H, G)
 
 
 def shallow_minor_check(H, G, r):
     """Depth-r minor test on any host: the same guessing and routing as
-    dag_minor_check, with every connecting path at most r edges long."""
+    general_minor_check, with every connecting path at most r edges
+    long."""
     if r < 0:
         raise GraphError("depth must be nonnegative")
     return _guess_and_route(H, G, r)
@@ -524,127 +524,6 @@ def _route(G, reqs, owner, max_len):
     if rec(0):
         return out
     return None
-
-
-# ---------------------------------------------------------------------------
-# exhaustive checking on arbitrary hosts
-
-
-def _complete_model_on_branches(H, G, blocks):
-    """Given fixed disjoint branch sets (pattern vertex -> vertex set),
-    search the edge-image choices completing a valid model. Returns a
-    model or None. Exact: in/out sets only grow along the assignment, and
-    every condition is monotone against that growth."""
-    reach = {v: _branch_reach(G, bset, None) for v, bset in blocks.items()}
-
-    edge_order = sorted(H.edges)
-    cands = []
-    for (u, v) in edge_order:
-        cs = [
-            (x, y)
-            for (x, y) in sorted(G.edges)
-            if x in blocks[u] and y in blocks[v]
-        ]
-        if not cs:
-            return None
-        cands.append(cs)
-
-    ins = {v: set() for v in H.vertices()}
-    outs = {v: set() for v in H.vertices()}
-    image = {}
-
-    def ends_ok():
-        source, sink = {}, {}
-        for v in sorted(H.vertices()):
-            s = min(ins[v]) if ins[v] else _first_source(reach[v], outs[v])
-            if s is None:
-                return None
-            t = min(outs[v]) if outs[v] else _first_sink(reach[v], ins[v])
-            if t is None:
-                return None
-            source[v], sink[v] = s, t
-        return source, sink
-
-    def rec(idx):
-        if idx == len(edge_order):
-            ends = ends_ok()
-            if ends is None:
-                return None
-            source, sink = ends
-            model = DirectedModel(
-                host=G,
-                pattern=H,
-                branch={v: frozenset(b) for v, b in blocks.items()},
-                edge_image=dict(image),
-                source=source,
-                sink=sink,
-            )
-            return verified(model, "completion failed verification")
-        u, v = edge_order[idx]
-        for (x, y) in cands[idx]:
-            added_out = x not in outs[u]
-            added_in = y not in ins[v]
-            image[(u, v)] = (x, y)
-            outs[u].add(x)
-            ins[v].add(y)
-            if not any(_unlinked(reach[u], ins[u], outs[u])) and not any(
-                _unlinked(reach[v], ins[v], outs[v])
-            ):
-                got = rec(idx + 1)
-                if got is not None:
-                    return got
-            del image[(u, v)]
-            if added_out:
-                outs[u].discard(x)
-            if added_in:
-                ins[v].discard(y)
-        return None
-
-    return rec(0)
-
-
-def general_minor_check(H, G):
-    """Sound-and-complete directed-minor test by exhaustive backtracking
-    over branch-set assignments; intended for hosts of a dozen vertices
-    or fewer. Every positive answer is a verified model."""
-    hvs = sorted(H.vertices(), key=lambda v: (-(H.in_degree(v) + H.out_degree(v)), v))
-    if H.n == 0:
-        return DirectedModel(G, H, {}, {}, {}, {})
-    if H.n > G.n:
-        return None
-
-    blocks = {}
-
-    def rec(idx, free):
-        if idx == len(hvs):
-            return _complete_model_on_branches(H, G, blocks)
-        v = hvs[idx]
-        budget = len(free) - (len(hvs) - idx - 1)
-        for size in range(1, budget + 1):
-            for sub in itertools.combinations(free, size):
-                sset = set(sub)
-                ok = True
-                for u in hvs[:idx]:
-                    if H.has_edge(u, v) and not _edge_between(G, blocks[u], sset):
-                        ok = False
-                        break
-                    if H.has_edge(v, u) and not _edge_between(G, sset, blocks[u]):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                blocks[v] = sset
-                got = rec(idx + 1, [x for x in free if x not in sset])
-                if got is not None:
-                    return got
-                del blocks[v]
-        return None
-
-    return rec(0, sorted(G.vertices()))
-
-
-def _edge_between(G, A, B):
-    return any(G.has_edge(x, y) for x in A for y in B)
 
 
 def _injective_maps(H, G, induced):

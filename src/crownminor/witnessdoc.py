@@ -97,8 +97,9 @@ def parse_witness(text, host=None, pattern=None):
     (and, for kind `model`, the pattern) graph; a crown document rebuilds
     its pattern from its order parameter. Raises WitnessFormatError when
     a line is malformed, an id lies outside the graph, a vertex list
-    names a vertex twice, or the payload does not verify (an
-    out-branching must also dominate the graph)."""
+    names a vertex twice, two lines set one field (a second `d` line,
+    or two `branch` lines for one vertex), or the payload does not
+    verify (an out-branching must also dominate the graph)."""
     lines = _fields(text)
     if not lines or not lines[0].startswith("kind "):
         raise WitnessFormatError("missing kind header")
@@ -135,34 +136,41 @@ def _distinct_ids(payload):
     return ids
 
 
+def _once(table, key, val, line):
+    """table[key] = val for a line that may set its field only once."""
+    if key in table:
+        raise WitnessFormatError("repeated field in line %r" % line)
+    table[key] = val
+
+
 def _parse_model(body, kind, host, pattern):
     if host is None:
         raise WitnessFormatError("model documents need a host graph")
-    depth = None
+    fields = {}
     params = {}
     branch, image, source, sink = {}, {}, {}, {}
     for line in body:
         if line.startswith("param "):
             _, key, val = line.split(None, 2)
-            params[key] = val
+            _once(params, key, val, line)
         elif line.startswith("depth "):
             val = line.split()[1]
-            depth = None if val == "none" else int(val)
+            _once(fields, "depth", None if val == "none" else int(val), line)
         elif line.startswith("branch "):
             head, payload = line.split(":", 1)
             v = int(head.split()[1])
-            branch[v] = frozenset(_distinct_ids(payload))
+            _once(branch, v, frozenset(_distinct_ids(payload)), line)
         elif line.startswith("edge "):
             head, payload = line.split(":", 1)
             _, u, v = head.split()
             x, y = _split_ids(payload)
-            image[(int(u), int(v))] = (x, y)
+            _once(image, (int(u), int(v)), (x, y), line)
         elif line.startswith("source "):
             _, v, s = line.split()
-            source[int(v)] = int(s)
+            _once(source, int(v), int(s), line)
         elif line.startswith("sink "):
             _, v, t = line.split()
-            sink[int(v)] = int(t)
+            _once(sink, int(v), int(t), line)
         elif line.startswith("verified"):
             pass
         else:
@@ -174,7 +182,7 @@ def _parse_model(body, kind, host, pattern):
         pattern, _ = crown(order)
     if pattern is None:
         raise WitnessFormatError("model documents need a pattern graph")
-    model = DirectedModel(host, pattern, branch, image, source, sink, depth)
+    model = DirectedModel(host, pattern, branch, image, source, sink, fields.get("depth"))
     ok, bad = verify_model(model)
     if not ok:
         raise WitnessFormatError("model does not verify: %s" % "; ".join(bad))
@@ -184,22 +192,21 @@ def _parse_model(body, kind, host, pattern):
 def _parse_scattered(body, host):
     if host is None:
         raise WitnessFormatError("scattered documents need the graph")
-    d = None
-    S = U = None
+    fields = {}
     for line in body:
         if line.startswith("d "):
-            d = int(line.split()[1])
+            _once(fields, "d", int(line.split()[1]), line)
         elif line.startswith("S:"):
-            S = _distinct_ids(line[2:])
+            _once(fields, "S", _distinct_ids(line[2:]), line)
         elif line.startswith("U:"):
-            U = _distinct_ids(line[2:])
+            _once(fields, "U", _distinct_ids(line[2:]), line)
         elif line.startswith("verified"):
             pass
         else:
             raise WitnessFormatError("unexpected line %r" % line)
-    if d is None or S is None or U is None:
+    if fields.keys() != {"d", "S", "U"}:
         raise WitnessFormatError("incomplete scattered document")
-    w = ScatteredWitness(host, S, U, d)
+    w = ScatteredWitness(host, fields["S"], fields["U"], fields["d"])
     if not w.verify():
         raise WitnessFormatError("scattered witness does not verify")
     return w
@@ -208,19 +215,19 @@ def _parse_scattered(body, host):
 def _parse_vertex_set(body, kind, host):
     if host is None:
         raise WitnessFormatError("vertex-set documents need the graph")
-    d = None
-    D = None
+    fields = {}
     for line in body:
         if line.startswith("d "):
-            d = int(line.split()[1])
+            _once(fields, "d", int(line.split()[1]), line)
         elif line.startswith("D:"):
-            D = _distinct_ids(line[2:])
+            _once(fields, "D", _distinct_ids(line[2:]), line)
         elif line.startswith("verified"):
             pass
         else:
             raise WitnessFormatError("unexpected line %r" % line)
-    if D is None:
+    if "D" not in fields:
         raise WitnessFormatError("incomplete document")
+    D, d = fields["D"], fields.get("d")
     if kind == "dominating":
         if not verify_dominating(host, D, d if d else 1):
             raise WitnessFormatError("dominating witness does not verify")
@@ -233,20 +240,21 @@ def _parse_vertex_set(body, kind, host):
 def _parse_outbranching(body, host):
     if host is None:
         raise WitnessFormatError("outbranching documents need the graph")
-    D = None
+    fields = {}
     parent = {}
     for line in body:
         if line.startswith("D:"):
-            D = _distinct_ids(line[2:])
+            _once(fields, "D", _distinct_ids(line[2:]), line)
         elif line.startswith("parent "):
             _, v, p = line.split()
-            parent[int(v)] = None if p == "none" else int(p)
+            _once(parent, int(v), None if p == "none" else int(p), line)
         elif line.startswith("verified"):
             pass
         else:
             raise WitnessFormatError("unexpected line %r" % line)
-    if D is None:
+    if "D" not in fields:
         raise WitnessFormatError("incomplete document")
+    D = fields["D"]
     if not verify_outbranching(host, D, parent):
         raise WitnessFormatError("outbranching witness does not verify")
     if not verify_dominating(host, D, 1):

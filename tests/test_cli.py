@@ -121,6 +121,39 @@ def test_witness_ids_repeated_in_a_list_fail_to_load(doc, fixed):
         parse_witness(doc, host=PATH3)
 
 
+EDGE = Digraph(2, [(0, 1)])
+EDGE_IN_PATH3 = ("kind model\nparam mode directed\ndepth none\nbranch 0: 0\nbranch 1: 1 2\n"
+                 "edge 0 1: 0 1\nsource 0 0\nsource 1 1\nsink 0 0\nsink 1 1\nend\n")
+
+
+@pytest.mark.parametrize(
+    "fixed,repeat",
+    [
+        ("kind outbranching\nD: 0 1\nparent 0 none\nparent 1 0\nend\n", "parent 1 2"),
+        ("kind outbranching\nD: 0 1\nparent 0 none\nparent 1 0\nend\n", "D: 0 1"),
+        ("kind dominating\nd 2\nD: 0\nend\n", "d 1"),
+        ("kind dominating\nd 2\nD: 0\nend\n", "D: 0 1"),
+        ("kind independent\nD: 0 2\nend\n", "D: 0"),
+        ("kind scattered\nd 1\nS: 1\nU: 0 2\nend\n", "d 0"),
+        ("kind scattered\nd 1\nS: 1\nU: 0 2\nend\n", "S: 1"),
+        ("kind scattered\nd 1\nS: 1\nU: 0 2\nend\n", "U: 0"),
+        (EDGE_IN_PATH3, "param mode shallow"),
+        (EDGE_IN_PATH3, "depth 1"),
+        (EDGE_IN_PATH3, "branch 1: 1"),
+        (EDGE_IN_PATH3, "edge 0 1: 0 1"),
+        (EDGE_IN_PATH3, "source 1 1"),
+        (EDGE_IN_PATH3, "sink 0 0"),
+    ],
+    ids=["parent", "outbranching-D", "d", "dominating-D", "independent-D", "scattered-d",
+         "scattered-S", "scattered-U", "param", "depth", "branch", "edge", "source", "sink"],
+)
+def test_witness_lines_repeating_a_field_fail_to_load(fixed, repeat):
+    parse_witness(fixed, host=PATH3, pattern=EDGE)
+    doc = fixed.replace("\n", "\n%s\n" % repeat, 1)
+    with pytest.raises(WitnessFormatError, match="repeated field"):
+        parse_witness(doc, host=PATH3, pattern=EDGE)
+
+
 def test_model_branch_with_a_repeated_id_fails_to_load():
     S3, principals = crown(3)
     model = dichotomy_step(S3, principals, 0, p=2, q=3)

@@ -1,6 +1,6 @@
 """Property tests: the BFS kernel against path enumeration, the
 backtracking matcher against networkx's DiGraphMatcher, the model
-verifier and the exhaustive minor checker against the brute-force
+verifier and the general minor checker against the brute-force
 oracles, the bitmask searches of compute_scattered and the solvers
 against the set-based searches they replaced, and grad against the
 exhaustive family sweep and subset enumeration."""
@@ -170,6 +170,20 @@ def test_general_minor_check_matches_oracle_on_cyclic_hosts(n, H, data):
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     extra = data.draw(st.lists(st.sampled_from(pairs), max_size=4))
     G = Digraph(n, ring + extra)
+    model = general_minor_check(H, G)
+    assert (model is not None) == brute_directed_minor(H, G)
+    if model is not None:
+        assert verify_model(model)[0]
+
+
+@SMALL
+@given(digraphs(min_n=1, max_n=4), digraphs(min_n=2, max_n=6))
+# a dense pattern whose branches must route around each other's vertices
+@example(Digraph(4, [(0, 2), (1, 0), (1, 3), (2, 0), (2, 1), (2, 3), (3, 0), (3, 2)]),
+         Digraph(7, [(0, 2), (0, 4), (0, 6), (1, 0), (1, 2), (1, 3), (1, 5), (1, 6), (2, 0),
+                     (2, 3), (2, 6), (3, 2), (3, 6), (4, 0), (4, 1), (4, 2), (5, 2), (5, 3),
+                     (5, 4), (6, 1), (6, 3)]))
+def test_general_minor_check_matches_oracle(H, G):
     model = general_minor_check(H, G)
     assert (model is not None) == brute_directed_minor(H, G)
     if model is not None:
