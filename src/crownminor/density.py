@@ -8,6 +8,7 @@ masks.
 from fractions import Fraction
 from math import gcd
 
+from .digraph import adjacency_masks, mask_bits
 from .minors import _branch_reach
 
 
@@ -106,14 +107,6 @@ def _min_cut_side(size, arcs, s, t):
                 u = head[path.pop() ^ 1]
 
 
-def _bits(mask):
-    """The vertex ids in an int mask, in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def densest_partition(G, r, best):
     """grad(G, r) for r >= 1 given best = grad(G, 0): the largest
     (pattern edge count) / p over partitions of a weak component of G
@@ -141,10 +134,7 @@ def densest_partition(G, r, best):
     incumbent is kept as num/den and compared by cross-multiplying.
     """
     n = G.n
-    out_m, in_m = [0] * n, [0] * n
-    for u, v in G.edges:
-        out_m[u] |= 1 << v
-        in_m[v] |= 1 << u
+    out_m, in_m = adjacency_masks(G, "out"), adjacency_masks(G, "in")
     nb = [o | i for o, i in zip(out_m, in_m)]
     num, den = best.numerator, best.denominator
     roles = {}
@@ -212,13 +202,13 @@ def densest_partition(G, r, best):
         comp = front = left & -left
         while front:
             reached = 0
-            for u in _bits(front):
+            for u in mask_bits(front):
                 reached |= nb[u]
             front = reached & ~comp
             comp |= front
         left &= ~comp
         if comp & (comp - 1):
-            place(comp, 0, sum((out_m[u] & comp).bit_count() for u in _bits(comp)))
+            place(comp, 0, sum((out_m[u] & comp).bit_count() for u in mask_bits(comp)))
     return Fraction(num, den)
 
 
@@ -255,7 +245,7 @@ def _block_roles(G, block, r, out_m):
     one of O a sink), and every choice that meets them lies inside one.
     Pairs contained in another are dropped."""
     reach = {}
-    for a, dist in _branch_reach(G, set(_bits(block)), r).items():
+    for a, dist in _branch_reach(G, set(mask_bits(block)), r).items():
         mask = 0
         for b in dist:
             mask |= 1 << b

@@ -183,6 +183,40 @@ def ball_mask(G, v, d, direction="out"):
     return mask
 
 
+def adjacency_masks(G, direction="out"):
+    """Each vertex's out- (or in-) neighbours as an int bitmask."""
+    adj = G.out_adj if direction == "out" else G.in_adj
+    return [sum(1 << w for w in nbrs) for nbrs in adj]
+
+
+def mask_bits(mask):
+    """The vertex ids in an int mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def reach_mask(adj, v, within, max_depth=None):
+    """bfs_dist(G, v, max_depth, direction, within=...) as an int
+    bitmask, for adj = adjacency_masks(G, direction) and a vertex mask
+    `within`. The minor checkers' owner-aware tests ask this many times
+    per query; answered by bfs_dist on sets, the checkers ran about a
+    third slower."""
+    seen = frontier = within & 1 << v
+    limit = len(adj) if max_depth is None else max_depth
+    while frontier and limit > 0:
+        limit -= 1
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
 def out_neighborhood(G, v, d, avoid=None):
     """All vertices reachable from v by a directed path of length <= d,
     including v itself (d-outneighborhood)."""

@@ -14,9 +14,12 @@ from dataclasses import dataclass, replace
 from .digraph import (
     Digraph,
     GraphError,
+    adjacency_masks,
     bfs_dist,
     find_cycle,
     is_directed_bipartite,
+    mask_bits,
+    reach_mask,
     topological_order,
 )
 
@@ -226,105 +229,101 @@ def _enumerate_guesses(H, G, depth=None):
     """Yield (edge_image, source, sink, owner) quadruples, where owner
     maps every host vertex the guess uses to its pattern vertex.
 
-    Enumerates host edges for every pattern edge in lexicographic order
-    with symmetry pruning over the pattern's automorphisms, then the
-    extra source/sink vertices required by branches whose in or out set
-    does not already determine them.
+    Host edges are tried for each pattern edge in lexicographic order,
+    then the extra source/sink vertices of branches whose in or out set
+    does not determine them. A prefix is cut once a pattern automorphism
+    maps it lower, so only lexicographically least images survive.
+
+    A branch's paths run within depth through free vertices and its own,
+    and later steps only take vertices away. So a step is cut when a
+    touched branch has an in-head that cannot reach an out-tail that way,
+    or has only in-heads (out-tails) and no common sink (source) for
+    them; candidate sources and sinks pass the same test. Every cut is
+    necessary for routing, so the first guess that routes is the one the
+    unpruned stream reaches first.
+
+    Host vertex sets are int masks per pattern vertex v: `own[v]` (their
+    union is `claimed`), `heads[v]` and `tails[v]`, the in-heads and
+    out-tails so far. Reach masks are memoised per call.
     """
     edge_order = sorted(H.edges)
-    host_edges = sorted(G.edges)
-    reach = {v: set(bfs_dist(G, v, max_depth=depth)) for v in G.vertices()}
+    index = {e: i for i, e in enumerate(edge_order)}
     autos = {tuple(m[v] for v in H.vertices()) for m in _injective_maps(H, H, True)}
-    autos.discard(tuple(H.vertices()))
+    # each automorphism as the permutation of edge positions it induces
+    perms = {tuple(index[(a[u], a[v])] for u, v in edge_order) for a in autos}
+    perms.discard(tuple(range(len(edge_order))))
+    adj = (adjacency_masks(G, "out"), adjacency_masks(G, "in"))  # by `back`
+    full = (1 << G.n) - 1
+    image = [None] * len(edge_order)
+    own = [0] * H.n
+    heads = [0] * H.n
+    tails = [0] * H.n
+    memo = {}
 
-    in_edges = {v: sorted(e for e in H.edges if e[1] == v) for v in H.vertices()}
-    out_edges = {v: sorted(e for e in H.edges if e[0] == v) for v in H.vertices()}
-
-    co_source_cache = {}
-    co_sink_cache = {}
-
-    def co_source(x1, x2):
-        """Some host vertex reaches both within depth: necessary for two
-        out-tails of one branch (the branch source must cover both)."""
-        key = (x1, x2) if x1 <= x2 else (x2, x1)
-        got = co_source_cache.get(key)
+    def reach(x, usable, back):
+        key = (x, usable, back)
+        got = memo.get(key)
         if got is None:
-            got = any(x1 in reach[s] and x2 in reach[s] for s in range(G.n))
-            co_source_cache[key] = got
+            got = memo[key] = reach_mask(adj[back], x, usable, depth)
         return got
 
-    def co_sink(y1, y2):
-        """Both heads reach a common vertex within depth: necessary for
-        two in-heads of one branch (the branch sink)."""
-        key = (y1, y2) if y1 <= y2 else (y2, y1)
-        got = co_sink_cache.get(key)
-        if got is None:
-            got = bool(reach[y1] & reach[y2])
-            co_sink_cache[key] = got
+    def common_end(anchors, usable, back):
+        """The usable vertices every anchor reaches (back: that reach
+        every anchor) within depth through usable vertices."""
+        got = usable
+        for a in anchors:
+            got &= reach(a, usable, back)
         return got
 
-    def canonical(image):
-        mine = tuple(image[e] for e in edge_order)
-        for a in autos:
-            other = tuple(image[(a[e[0]], a[e[1]])] for e in edge_order)
-            if other < mine:
-                return False
+    def least(k):
+        """No automorphism maps the first k edge images lower."""
+        for p in perms:
+            for i in range(k):
+                j = p[i]
+                if j >= k or image[j] != image[i]:
+                    if j < k and image[j] < image[i]:
+                        return False
+                    break
         return True
 
-    image = {}
+    def feasible(v, claimed):
+        usable = full & ~claimed | own[v]
+        ins, outs = heads[v], tails[v]
+        if ins and outs:
+            return all(reach(a, usable, False) & outs == outs for a in mask_bits(ins))
+        if ins & ins - 1:
+            return common_end(mask_bits(ins), usable, False) != 0
+        return not outs & outs - 1 or common_end(mask_bits(outs), usable, True) != 0
 
-    def feasible_partial(v, owner):
-        ins, outs = set(), set()
-        for e in in_edges[v]:
-            img = image.get(e)
-            if img:
-                ins.add(img[1])
-        for e in out_edges[v]:
-            img = image.get(e)
-            if img:
-                outs.add(img[0])
-        if not all(co_source(x1, x2) for x1 in outs for x2 in outs if x1 < x2):
-            return False
-        if not all(co_sink(y1, y2) for y1 in ins for y2 in ins if y1 < y2):
-            return False
-        if not (ins and outs):
-            return True
-        # each in->out path of the branch runs through free vertices and
-        # v's own, and the rest of the guess only takes vertices away
-        usable = {w for w in G.vertices() if owner.get(w, v) == v}
-        return all(outs <= bfs_dist(G, a, max_depth=depth, within=usable).keys() for a in ins)
-
-    def assign(idx, owner):
-        if idx == len(edge_order):
-            if not canonical(image):
-                return
-            yield from guess_ends(owner)
+    def assign(k, claimed):
+        if k == len(edge_order):
+            yield from guess_ends(claimed)
             return
-        e = edge_order[idx]
-        u, v = e
-        for he in host_edges:
-            x, y = he
-            if owner.get(x, u) != u or owner.get(y, v) != v:
-                continue
-            image[e] = he
-            touched = []
-            for host_v, pat_v in ((x, u), (y, v)):
-                if host_v not in owner:
-                    owner[host_v] = pat_v
-                    touched.append(host_v)
-            if feasible_partial(u, owner) and feasible_partial(v, owner):
-                yield from assign(idx + 1, owner)
-            del image[e]
-            for host_v in touched:
-                del owner[host_v]
+        u, v = edge_order[k]
+        own_u, own_v, tails_u, heads_v = own[u], own[v], tails[u], heads[v]
+        free = full & ~claimed
+        # host edges in lexicographic order, tail usable by u, head by v
+        for x in mask_bits(free | own_u):
+            bx = 1 << x
+            for y in mask_bits(adj[0][x] & (free | own_v)):
+                by = 1 << y
+                image[k] = (x, y)
+                if not least(k + 1):
+                    continue
+                own[u], own[v] = own_u | bx, own_v | by
+                tails[u], heads[v] = tails_u | bx, heads_v | by
+                now = claimed | bx | by
+                if feasible(u, now) and feasible(v, now):
+                    yield from assign(k + 1, now)
+        own[u], own[v], tails[u], heads[v] = own_u, own_v, tails_u, heads_v
 
-    def guess_ends(owner):
+    def guess_ends(claimed):
         need = []
         fixed_source = {}
         fixed_sink = {}
         for v in sorted(H.vertices()):
-            ins = sorted({image[e][1] for e in in_edges[v]})
-            outs = sorted({image[e][0] for e in out_edges[v]})
+            ins = list(mask_bits(heads[v]))
+            outs = list(mask_bits(tails[v]))
             if ins:
                 fixed_source[v] = ins[0]
             elif len(outs) == 1:
@@ -332,7 +331,7 @@ def _enumerate_guesses(H, G, depth=None):
             elif outs:
                 need.append(("source", v, outs))
             else:
-                need.append(("free", v, None))
+                need.append(("free", v, ()))
             if outs:
                 fixed_sink[v] = outs[0]
             elif len(ins) == 1:
@@ -340,7 +339,7 @@ def _enumerate_guesses(H, G, depth=None):
             elif ins:
                 need.append(("sink", v, ins))
 
-        def fill(j, extra):
+        def fill(j, claimed, extra):
             if j == len(need):
                 source = dict(fixed_source)
                 sink = dict(fixed_sink)
@@ -349,33 +348,23 @@ def _enumerate_guesses(H, G, depth=None):
                         source[v] = host_v
                     if kind in ("sink", "free"):
                         sink[v] = host_v
-                for v in H.vertices():
-                    source.setdefault(v, sink.get(v))
-                    sink.setdefault(v, source.get(v))
-                yield dict(image), source, sink, dict(owner)
+                owner = {x: v for v in H.vertices() for x in mask_bits(own[v])}
+                yield dict(zip(edge_order, image)), source, sink, owner
                 return
             kind, v, anchors = need[j]
-            for cand in range(G.n):
-                if owner.get(cand, v) != v:
-                    continue
-                if cand in extra:
-                    continue
-                if kind == "source" and not all(b in reach[cand] for b in anchors):
-                    continue
-                if kind == "sink" and not all(cand in reach[a] for a in anchors):
-                    continue
-                claimed = cand not in owner
-                if claimed:
-                    owner[cand] = v
+            own_v = own[v]
+            usable = full & ~claimed | own_v
+            for cand in mask_bits(common_end(anchors, usable, kind == "source")):
+                bit = 1 << cand
+                own[v] = own_v | bit
                 extra.append(cand)
-                yield from fill(j + 1, extra)
+                yield from fill(j + 1, claimed | bit, extra)
                 extra.pop()
-                if claimed:
-                    del owner[cand]
+            own[v] = own_v
 
-        yield from fill(0, [])
+        yield from fill(0, claimed, [])
 
-    yield from assign(0, {})
+    yield from assign(0, 0)
 
 
 def _branch_requests(H, image, source, sink):
@@ -497,15 +486,20 @@ def _route(G, reqs, owner, max_len):
     use free vertices and those of its own owner, and its vertices join
     that owner. `owner` maps host vertices to owners; it holds the
     vertices claimed up front and is extended in place. Returns a list
-    of (request, path) pairs, or None."""
+    of (request, path) pairs, or None.
+
+    Every request's ends join its owner before the search, since each
+    path holds its own ends: two owners sharing an end fail at once,
+    and no path tries a vertex a later request must end on."""
+    for v, a, b in reqs:
+        if owner.setdefault(a, v) != v or owner.setdefault(b, v) != v:
+            return None
     out = []
 
     def rec(idx):
         if idx == len(reqs):
             return True
         v, a, b = reqs[idx]
-        if owner.get(a, v) != v or owner.get(b, v) != v:
-            return False
         usable = {w for w in G.vertices() if owner.get(w, v) == v}
         for path in _simple_paths(G, a, b, usable, max_len=max_len):
             claimed = []

@@ -3,17 +3,21 @@
 Every verdict here is written from the definitions, separately from the
 library's own search code, so that agreements are meaningful: simple
 path enumeration, assignment-function minor search, exhaustive solvers,
-and an exhaustive family sweep for `grad`.
+and an exhaustive family sweep for `grad`. The one exception is
+`reference_guesses`, the minor checkers' guess stream before its
+owner-aware pruning, which the pruned stream must reproduce.
 Random test instances, which decide no verdict, come from the library's
-`random_digraph` and `random_dag` and are re-exported under those names.
+`random_digraph` and `random_dag` and are re-exported under those names;
+`ladder` builds the path router's exponential case.
 """
 
 import itertools
 from collections import deque
 from fractions import Fraction
 
-from crownminor.digraph import GraphError
+from crownminor.digraph import Digraph, GraphError, bfs_dist
 from crownminor.generators import random_dag, random_digraph  # noqa: F401
+from crownminor.minors import _injective_maps
 
 
 def enum_paths(G, src, max_len=None, reverse=False):
@@ -75,6 +79,17 @@ def brute_disjoint_paths(G, pairs, groups, max_len=None):
         return False
 
     return rec(0)
+
+
+def ladder(rungs):
+    """A DAG of two-vertex rungs {2i, 2i + 1}, each vertex pointing at
+    both vertices of the next rung and the last rung at t = 2 * rungs,
+    as (G, t): 2^(rungs - 1) paths lead from either vertex of the first
+    rung to t."""
+    t = 2 * rungs
+    es = [(2 * i + a, 2 * i + 2 + b) for i in range(rungs - 1) for a in (0, 1) for b in (0, 1)]
+    es += [(t - 2, t), (t - 1, t)]
+    return Digraph(t + 1, es), t
 
 
 def _block_reach(G, block, src):
@@ -180,6 +195,118 @@ def _partial_ok(H, G, blocks, edges, picked, depth):
                 if not _near(dist[a], b, depth):
                     return False
     return True
+
+
+def reference_guesses(H, G, depth=None):
+    """The minor checkers' guess stream before owner-aware pruning, kept
+    as the reference the pruned `minors._enumerate_guesses` must agree
+    with: the same (edge_image, source, sink, owner) quadruples in the
+    same order, minus guesses that cannot route. Edge images are tried
+    in lexicographic order and cut only by whole-host reach within
+    depth, an owner-aware in->out test on each touched branch, and, at
+    full images, lexicographic least-ness under the pattern's
+    automorphisms; source and sink candidates only by whole-host reach.
+    """
+    edge_order = sorted(H.edges)
+    host_edges = sorted(G.edges)
+    reach = {v: set(bfs_dist(G, v, max_depth=depth)) for v in G.vertices()}
+    autos = {tuple(m[v] for v in H.vertices()) for m in _injective_maps(H, H, True)}
+    autos.discard(tuple(H.vertices()))
+    in_edges = {v: sorted(e for e in H.edges if e[1] == v) for v in H.vertices()}
+    out_edges = {v: sorted(e for e in H.edges if e[0] == v) for v in H.vertices()}
+    image = {}
+
+    def canonical():
+        mine = tuple(image[e] for e in edge_order)
+        return all(
+            tuple(image[(a[e[0]], a[e[1]])] for e in edge_order) >= mine for a in autos
+        )
+
+    def feasible_partial(v, owner):
+        ins = {image[e][1] for e in in_edges[v] if e in image}
+        outs = {image[e][0] for e in out_edges[v] if e in image}
+        if not all(any(x1 in reach[s] and x2 in reach[s] for s in G.vertices())
+                   for x1 in outs for x2 in outs if x1 < x2):
+            return False
+        if not all(reach[y1] & reach[y2] for y1 in ins for y2 in ins if y1 < y2):
+            return False
+        if not (ins and outs):
+            return True
+        usable = {w for w in G.vertices() if owner.get(w, v) == v}
+        return all(outs <= bfs_dist(G, a, max_depth=depth, within=usable).keys() for a in ins)
+
+    def assign(idx, owner):
+        if idx == len(edge_order):
+            if canonical():
+                yield from guess_ends(owner)
+            return
+        e = edge_order[idx]
+        u, v = e
+        for x, y in host_edges:
+            if owner.get(x, u) != u or owner.get(y, v) != v:
+                continue
+            image[e] = (x, y)
+            touched = [w for w in (x, y) if w not in owner]
+            owner.setdefault(x, u)
+            owner.setdefault(y, v)
+            if feasible_partial(u, owner) and feasible_partial(v, owner):
+                yield from assign(idx + 1, owner)
+            del image[e]
+            for w in touched:
+                del owner[w]
+
+    def guess_ends(owner):
+        need, fixed_source, fixed_sink = [], {}, {}
+        for v in sorted(H.vertices()):
+            ins = sorted({image[e][1] for e in in_edges[v]})
+            outs = sorted({image[e][0] for e in out_edges[v]})
+            if ins:
+                fixed_source[v] = ins[0]
+            elif len(outs) == 1:
+                fixed_source[v] = outs[0]
+            elif outs:
+                need.append(("source", v, outs))
+            else:
+                need.append(("free", v, None))
+            if outs:
+                fixed_sink[v] = outs[0]
+            elif len(ins) == 1:
+                fixed_sink[v] = ins[0]
+            elif ins:
+                need.append(("sink", v, ins))
+
+        def fill(j, extra):
+            if j == len(need):
+                source, sink = dict(fixed_source), dict(fixed_sink)
+                for (kind, v, _), host_v in zip(need, extra):
+                    if kind in ("source", "free"):
+                        source[v] = host_v
+                    if kind in ("sink", "free"):
+                        sink[v] = host_v
+                for v in H.vertices():
+                    source.setdefault(v, sink.get(v))
+                    sink.setdefault(v, source.get(v))
+                yield dict(image), source, sink, dict(owner)
+                return
+            kind, v, anchors = need[j]
+            for cand in G.vertices():
+                if owner.get(cand, v) != v or cand in extra:
+                    continue
+                if kind == "source" and not all(b in reach[cand] for b in anchors):
+                    continue
+                if kind == "sink" and not all(cand in reach[a] for a in anchors):
+                    continue
+                claimed = cand not in owner
+                owner.setdefault(cand, v)
+                extra.append(cand)
+                yield from fill(j + 1, extra)
+                extra.pop()
+                if claimed:
+                    del owner[cand]
+
+        yield from fill(0, [])
+
+    yield from assign(0, {})
 
 
 def brute_subgraph(H, G):

@@ -30,8 +30,10 @@ from oracles import (
     brute_directed_minor,
     brute_disjoint_paths,
     brute_subgraph,
+    ladder,
     random_dag,
     random_digraph,
+    reference_guesses,
     undirected_minor_check,
 )
 
@@ -382,6 +384,87 @@ def test_dense_pattern_prunes_guesses_whose_branch_cannot_connect(monkeypatch):
     model = shallow_minor_check(DENSE_PATTERN, DENSE_HOST, 7)
     assert model is not None and verify_model(model)[0]
     assert 0 < calls[0] <= 10
+
+
+def _reference_model(H, G, depth):
+    """The first guess of the unpruned reference stream that routes,
+    assembled, with the number of guesses it took."""
+    import crownminor.minors as minors
+
+    for count, (image, source, sink, owner) in enumerate(reference_guesses(H, G, depth), 1):
+        reqs = minors._branch_requests(H, image, source, sink)
+        routed = minors._route(G, reqs, owner, depth)
+        if routed is not None:
+            return minors._assemble(H, G, image, source, sink, routed, depth), count
+    return None, None
+
+
+def test_pruned_guesses_keep_the_first_routing_guess():
+    """Owner-aware pruning drops only guesses that cannot route, so every
+    checker returns exactly the model the unpruned stream reaches first."""
+    rng = random.Random(4242)
+    found = 0
+    for i in range(300):
+        if i % 3 == 0:
+            G = random_dag(rng, rng.randint(4, 12), rng.choice([0.3, 0.45]))
+            H = random_dag(rng, rng.randint(2, 5), 0.6)
+            depth, got = None, dag_minor_check(H, G)
+        else:
+            G = random_digraph(rng, rng.randint(3, 8), rng.choice([0.3, 0.45]))
+            H = random_digraph(rng, rng.randint(2, min(4, G.n)), 0.5)
+            if i % 3 == 1:
+                depth = rng.randint(0, 3)
+                got = shallow_minor_check(H, G, depth)
+            else:
+                depth, got = None, general_minor_check(H, G)
+        assert got == _reference_model(H, G, depth)[0]
+        found += got is not None and H.num_edges() > 1
+    assert found >= 100
+
+
+def test_crown_in_dag_prunes_guesses_whose_branch_cannot_meet(monkeypatch):
+    """Work guard: on this host the unpruned stream tries 6,077 guesses
+    before one routes; the pruned one needs at most a handful and finds
+    the same model."""
+    import crownminor.minors as minors
+
+    G = random_dag(random.Random(1), 20, 0.2)
+    H, _ = crown(3)
+    want, tried = _reference_model(H, G, None)
+    assert tried >= 1000
+    calls = [0]
+    enumerate_guesses = minors._enumerate_guesses
+
+    def counting(H, G, depth=None):
+        for guess in enumerate_guesses(H, G, depth):
+            calls[0] += 1
+            yield guess
+
+    monkeypatch.setattr(minors, "_enumerate_guesses", counting)
+    assert dag_minor_check(H, G) == want
+    assert 0 < calls[0] <= 10
+
+
+def test_router_fails_at_once_when_two_owners_need_one_end(monkeypatch):
+    """Two requests of different owners end on the ladder's last vertex.
+    Claiming ends before the search fails the query before any path is
+    walked; without it the first request's 2^21 paths each fail the
+    second."""
+    import crownminor.minors as minors
+
+    G, t = ladder(22)
+    assert G.n == 45
+    calls = [0]
+    simple_paths = minors._simple_paths
+
+    def counting(*args, **kwargs):
+        for path in simple_paths(*args, **kwargs):
+            calls[0] += 1
+            yield path
+
+    monkeypatch.setattr(minors, "_simple_paths", counting)
+    assert dag_disjoint_paths(G, [(0, t), (1, t)], IntervalPartition.from_sizes([1, 1])) is None
+    assert calls[0] <= 5
 
 
 # --- butterfly minors ------------------------------------------------------

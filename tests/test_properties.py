@@ -1,9 +1,10 @@
-"""Property tests: the BFS kernel against path enumeration, the
-backtracking matcher against networkx's DiGraphMatcher, the model
-verifier and the general minor checker against the brute-force
-oracles, the bitmask searches of compute_scattered and the solvers
-against the set-based searches they replaced, and grad against the
-exhaustive family sweep and subset enumeration."""
+"""Property tests: the BFS kernel against path enumeration, the mask
+reach sweep against the BFS kernel, the backtracking matcher against
+networkx's DiGraphMatcher, the model verifier, the general minor checker
+and the disjoint-path router against the brute-force oracles, the
+bitmask searches of compute_scattered and the solvers against the
+set-based searches they replaced, and grad against the exhaustive family
+sweep and subset enumeration."""
 
 import itertools
 
@@ -12,7 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
-from crownminor.digraph import Digraph, bfs_dist
+from crownminor.digraph import (
+    Digraph,
+    adjacency_masks,
+    bfs_dist,
+    is_directed_path,
+    mask_bits,
+    reach_mask,
+)
 from crownminor.quasiwide import compute_scattered
 from crownminor.solvers import (
     DominationInstance,
@@ -24,7 +32,10 @@ from crownminor.solvers import (
 )
 from crownminor.minors import (
     DirectedModel,
+    IntervalPartition,
     _injective_maps,
+    dag_disjoint_paths,
+    dag_disjoint_paths_bounded,
     digraph_isomorphic,
     general_minor_check,
     grad,
@@ -35,10 +46,12 @@ from crownminor.minors import (
 from oracles import (
     _model_conditions_hold,
     brute_directed_minor,
+    brute_disjoint_paths,
     common_ancestor_scatter,
     densest_subgraph_by_subsets,
     enum_paths,
     exhaustive_grad,
+    ladder,
     reach_by_paths,
 )
 
@@ -96,6 +109,56 @@ def test_bfs_dist_matches_path_enumeration(G, data):
             assert G.has_edge(x, p) if reverse else G.has_edge(p, x)
             steps, x = steps + 1, p
         assert x == src and steps == dist[v]
+
+
+@SMALL
+@given(digraphs(min_n=1), st.data())
+def test_reach_mask_matches_bfs_dist(G, data):
+    src = data.draw(st.integers(0, G.n - 1))
+    within = data.draw(st.frozensets(st.integers(0, G.n - 1)))
+    depth = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+    mask = sum(1 << v for v in within)
+    for direction in ("out", "in"):
+        got = reach_mask(adjacency_masks(G, direction), src, mask, depth)
+        want = bfs_dist(G, src, depth, direction, within=within)
+        assert list(mask_bits(got)) == sorted(want)
+
+
+@st.composite
+def disjoint_path_queries(draw):
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    G = Digraph(n, [e for e, k in zip(pairs, keep) if k])
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    reqs = draw(st.lists(ends, min_size=1, max_size=4))
+    sizes, left = [], len(reqs)
+    while left:
+        sizes.append(draw(st.integers(1, left)))
+        left -= sizes[-1]
+    return G, reqs, sizes, draw(st.none() | st.integers(0, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(disjoint_path_queries())
+# two owners whose requests share their last vertex, behind 2^4 paths
+@example((ladder(5)[0], [(0, 10), (1, 10)], [1, 1], None))
+def test_dag_disjoint_paths_match_brute_force(query):
+    G, reqs, sizes, max_len = query
+    part = IntervalPartition.from_sizes(sizes)
+    if max_len is None:
+        paths = dag_disjoint_paths(G, reqs, part)
+    else:
+        paths = dag_disjoint_paths_bounded(G, reqs, part, max_len)
+    assert (paths is not None) == brute_disjoint_paths(G, reqs, part.groups(), max_len)
+    if paths is None:
+        return
+    group = {i: g for g, members in enumerate(part.groups()) for i in members}
+    for i, ((s, t), path) in enumerate(zip(reqs, paths)):
+        assert (path[0], path[-1]) == (s, t) and is_directed_path(G, path)
+        assert max_len is None or len(path) - 1 <= max_len
+        for j in range(i):
+            assert group[i] == group[j] or not set(path) & set(paths[j])
 
 
 @SMALL
