@@ -8,7 +8,7 @@ masks.
 from fractions import Fraction
 from math import gcd
 
-from .digraph import adjacency_masks, mask_bits
+from .digraph import adjacency_masks, mask_bits, reach_mask
 from .minors import _branch_reach
 
 
@@ -143,7 +143,7 @@ def densest_partition(G, r, best):
     def roles_of(block):
         got = roles.get(block)
         if got is None:
-            got = roles[block] = _block_roles(G, block, r, out_m)
+            got = roles[block] = _block_roles(block, r, out_m)
         return got
 
     def place(R, pairs, edges):
@@ -199,13 +199,7 @@ def densest_partition(G, r, best):
 
     left = (1 << n) - 1
     while left:
-        comp = front = left & -left
-        while front:
-            reached = 0
-            for u in mask_bits(front):
-                reached |= nb[u]
-            front = reached & ~comp
-            comp |= front
+        comp = reach_mask(nb, (left & -left).bit_length() - 1, left)
         left &= ~comp
         if comp & (comp - 1):
             place(comp, 0, sum((out_m[u] & comp).bit_count() for u in mask_bits(comp)))
@@ -232,7 +226,7 @@ def _can_beat(num, den, joined, k, caps, size, edges):
     return False
 
 
-def _block_roles(G, block, r, out_m):
+def _block_roles(block, r, out_m):
     """The ways one branch set (an int mask) takes pattern edges at depth
     r: (in mask, out mask) pairs, where a pattern edge may enter at any
     vertex of the in mask and leave along any host edge into the out mask
@@ -244,12 +238,7 @@ def _block_roles(G, block, r, out_m):
     pair meet `verify_model`'s conditions (a vertex of I is a source and
     one of O a sink), and every choice that meets them lies inside one.
     Pairs contained in another are dropped."""
-    reach = {}
-    for a, dist in _branch_reach(G, set(mask_bits(block)), r).items():
-        mask = 0
-        for b in dist:
-            mask |= 1 << b
-        reach[a] = mask
+    reach = _branch_reach(out_m, block, r)
     closed = set()
     for mask in reach.values():
         closed |= {c & mask for c in closed if c & mask}

@@ -48,27 +48,28 @@ class DirectedModel:
     depth: object = None
 
 
-def _branch_reach(G, bset, depth):
-    """The reach table of one branch set: each member, in increasing
-    order, mapped to the members it reaches inside the branch by a path
-    of at most `depth` edges (of any length when depth is None)."""
-    return {a: bfs_dist(G, a, max_depth=depth, within=bset) for a in sorted(bset)}
+def _branch_reach(adj, bmask, depth):
+    """The reach table of one branch set, an int mask, for adj =
+    adjacency_masks(G): each member, in increasing order, mapped to the
+    mask of members it reaches inside the branch by a path of at most
+    `depth` edges (of any length when depth is None)."""
+    return {a: reach_mask(adj, a, bmask, depth) for a in mask_bits(bmask)}
 
 
 def _unlinked(reach, ins, outs):
     """The (in, out) pairs of a branch whose out-vertex lies outside its
     in-vertex's reach; none means every in-vertex reaches every out."""
-    return ((a, b) for a in ins for b in outs if b not in reach[a])
+    return ((a, b) for a in ins for b in outs if not reach[a] >> b & 1)
 
 
 def _first_source(reach, outs):
     """Smallest branch member reaching every out-vertex, or None."""
-    return next((c for c in reach if all(b in reach[c] for b in outs)), None)
+    return next((c for c in reach if all(reach[c] >> b & 1 for b in outs)), None)
 
 
 def _first_sink(reach, ins):
     """Smallest branch member reached from every in-vertex, or None."""
-    return next((c for c in reach if all(c in reach[a] for a in ins)), None)
+    return next((c for c in reach if all(reach[a] >> c & 1 for a in ins)), None)
 
 
 def _in_out(H, image, v):
@@ -127,10 +128,11 @@ def verify_model(model):
     if bad:
         return False, bad
 
+    adj = adjacency_masks(G)
     for v in sorted(H.vertices()):
         bset = branches[v]
         in_set, out_set = _in_out(H, model.edge_image, v)
-        reach = _branch_reach(G, bset, limit)
+        reach = _branch_reach(adj, sum(1 << x for x in bset), limit)
         for a, b in _unlinked(reach, in_set, out_set):
             bad.append("branch %d: no path %s -> %s within depth" % (v, a, b))
 

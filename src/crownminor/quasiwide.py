@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-from .digraph import Digraph, GraphError, ball_mask, bfs_dist
+from .digraph import Digraph, GraphError, adjacency_masks, bfs_dist, reach_mask
 from .generators import crown
 from .minors import DirectedModel, verified, verify_model
 
@@ -33,8 +33,9 @@ class BudgetExhausted(RuntimeError):
 
 def is_scattered(G, U, d, deleted=()):
     """True iff no vertex of G - deleted has two distinct members of U in
-    its d-out-neighborhood (computed in G - deleted). Raises GraphError
-    for a member or deleted id outside G."""
+    its d-out-neighborhood (computed in G - deleted), that is, iff the
+    members' d-in-balls in G - deleted are pairwise disjoint. Raises
+    GraphError for a member or deleted id outside G."""
     if d < 0:
         raise GraphError("radius must be nonnegative")
     U = list(U)
@@ -46,16 +47,14 @@ def is_scattered(G, U, d, deleted=()):
     members = set(U)
     if members & dead:
         return False
-    for v in G.vertices():
-        if v in dead:
-            continue
-        ball = bfs_dist(G, v, max_depth=d, avoid=dead)
-        hits = 0
-        for u in ball:
-            if u in members:
-                hits += 1
-                if hits >= 2:
-                    return False
+    adj = adjacency_masks(G, "in")
+    alive = ((1 << G.n) - 1) & ~sum(1 << v for v in dead)
+    covered = 0
+    for u in U:
+        ball = reach_mask(adj, u, alive, d)
+        if ball & covered:
+            return False
+        covered |= ball
     return True
 
 
@@ -95,7 +94,10 @@ def compute_scattered(G, W, d, m, s_budget, probe_cap=14):
     if m <= 0:
         raise GraphError("target size must be positive")
     probe = W[:probe_cap]
-    balls = [ball_mask(G, u, d, direction="in") for u in probe]
+    for u in probe:
+        G.check_vertex(u)
+    adj, full = adjacency_masks(G, "in"), (1 << G.n) - 1
+    balls = [reach_mask(adj, u, full, d) for u in probe]
     chosen = []
 
     def extend(start, reached, C, held):
@@ -774,21 +776,24 @@ def build_controlled_bipartite(G, I, r):
     if not is_scattered(G, I, r):
         raise GraphError("input set is not r-scattered")
     I = sorted(set(I))
-    iset = set(I)
-    dist = {v: bfs_dist(G, v, max_depth=r + 1) for v in G.vertices()}
-
-    def base_of(w):
-        hits = [u for u in I if dist[w].get(u, r + 2) <= r]
-        if len(hits) > 1:
-            raise RuntimeError("internal: in-balls of the scattered set overlap")
-        return hits[0] if hits else None
+    # into[u][w]: the distance from w to member u, up to r + 1
+    into = {u: bfs_dist(G, u, max_depth=r + 1, direction="in") for u in I}
+    reached = {}  # each vertex to the members it reaches, in order
+    near = {}  # each vertex within r of a member to that member
+    for u in I:
+        for w, dd in into[u].items():
+            reached.setdefault(w, []).append(u)
+            if dd <= r:
+                if w in near:
+                    raise RuntimeError("internal: in-balls of the scattered set overlap")
+                near[w] = u
 
     a_nodes = []
     edges = set()
     eta = {}
     seen = set()
-    for v in sorted(G.vertices()):
-        reach = [u for u in I if u in dist[v]]
+    for v in sorted(reached):
+        reach = reached[v]
         if len(reach) < 2:
             continue
         a_nodes.append(v)
@@ -806,9 +811,9 @@ def build_controlled_bipartite(G, I, r):
     base = {}
     level = {}
     for w in seen:
-        b = base_of(w)
+        b = near.get(w)
         base[w] = b
-        level[w] = dist[w][b] if b is not None else r + 1
+        level[w] = into[b][w] if b is not None else r + 1
     return ControlledBipartite(a_nodes, I, edges, base, level, eta, r, ground=G)
 
 

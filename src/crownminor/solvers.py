@@ -9,7 +9,7 @@ carries a witness that passes the matching verifier.
 import itertools
 from dataclasses import dataclass
 
-from .digraph import Digraph, GraphError, ball_mask, bfs_dist
+from .digraph import Digraph, GraphError, ball_masks, bfs_dist, mask_bits, reach_mask
 from .quasiwide import compute_scattered, without_vertices
 
 
@@ -240,8 +240,8 @@ def independent_dominating_set(G, k, scatter_budget=3, base_cap=10):
     _need_k(k)
     used_fallback = [False]
     # computed once per call: closed 1-out-balls and edge neighborhoods
-    closed = [ball_mask(G, v, 1) for v in G.vertices()]
-    clash = [closed[v] | ball_mask(G, v, 1, direction="in") for v in G.vertices()]
+    closed = ball_masks(G, 1)
+    clash = [c | i for c, i in zip(closed, ball_masks(G, 1, "in"))]
 
     def masked(alive):
         return without_vertices(G, set(G.vertices()) - alive)
@@ -273,7 +273,9 @@ def independent_dominating_set(G, k, scatter_budget=3, base_cap=10):
             used_fallback[0] = True
             return exhaustive(alive, Y, k)
         for s in sorted(set(w.deleted) - Y):
-            gone = set(bfs_dist(Gm, s, max_depth=1))
+            # closed[s] is s's ball in G; s is alive, so it takes from
+            # alive what s's ball in Gm would
+            gone = set(mask_bits(closed[s]))
             sub = rec(alive - gone, Y | set(Gm.in_adj[s]), k - 1)
             if sub is not None:
                 return [s] + sub
@@ -298,7 +300,9 @@ def find_irrelevant_vertex(G, W, d):
     smaller ball hits w's too. Returns the smallest such w or None; the
     rule holds whatever the size budget, so it takes none."""
     W = sorted(set(W))
-    balls = {w: ball_mask(G, w, d, direction="in") for w in W}
+    for w in W:
+        G.check_vertex(w)
+    balls = ball_masks(G, d, "in")
     for w in W:
         if _implied(w, W, balls):
             return w
@@ -322,7 +326,7 @@ def d_dominating_set(G, k, d=1):
     each next one found lies later in the order."""
     if k < 0 or d < 1:
         raise GraphError("need k >= 0 and d >= 1")
-    balls = [ball_mask(G, v, d, direction="in") for v in G.vertices()]
+    balls = ball_masks(G, d, "in")
     W = set(G.vertices())
     for w in G.vertices():
         if _implied(w, W, balls):
@@ -588,22 +592,14 @@ def dominating_outbranching(G, k, scatter_budget=3):
     fallback."""
     _need_k(k)
     used_fallback = [False]
-    closed = [ball_mask(G, v, 1) for v in G.vertices()]
+    closed = ball_masks(G, 1)
     no_clash = [0] * G.n
 
     def rooted(D):
-        """Some member of D reaches all of D inside G[D]."""
+        """Some member of D reaches all of D inside G[D]; the closed
+        balls serve as adjacency masks."""
         inside = _mask(D)
-        for root in D:
-            reach, grown = 0, 1 << root
-            while grown != reach:
-                reach = grown
-                for v in D:
-                    if reach >> v & 1:
-                        grown |= closed[v] & inside
-            if reach == inside:
-                return True
-        return False
+        return any(reach_mask(closed, root, inside) == inside for root in D)
 
     def exhaustive(W, us, j):
         """us plus the first 0..j further vertices, by size, then in
@@ -639,7 +635,7 @@ def dominating_outbranching(G, k, scatter_budget=3):
             used_fallback[0] = True
             return exhaustive(W, us, j)
         for nxt in sorted(set(scat.deleted) - set(us)):
-            rest = set(W) - set(bfs_dist(G, nxt, max_depth=1))
+            rest = W - set(mask_bits(closed[nxt]))
             got = rec(rest, us + (nxt,), j - 1)
             if got is not None:
                 return got
@@ -680,7 +676,7 @@ def independent_set(G, k, d=1, scatter_budget=3):
         return SolveOutcome(True, ())
     if k > G.n:
         return SolveOutcome(False)
-    clash = [ball_mask(G, v, d) | ball_mask(G, v, d, direction="in") for v in G.vertices()]
+    clash = [o | i for o, i in zip(ball_masks(G, d), ball_masks(G, d, "in"))]
 
     if k <= min(G.n, PROBE_CAP):
         w = compute_scattered(

@@ -3,9 +3,11 @@
 Every verdict here is written from the definitions, separately from the
 library's own search code, so that agreements are meaningful: simple
 path enumeration, assignment-function minor search, exhaustive solvers,
-and an exhaustive family sweep for `grad`. The one exception is
-`reference_guesses`, the minor checkers' guess stream before its
-owner-aware pruning, which the pruned stream must reproduce.
+and an exhaustive family sweep for `grad`. The exceptions are former
+library code that the current code must reproduce: `reference_guesses`,
+the minor checkers' guess stream before its owner-aware pruning, and
+`scattered_by_sweep` and `controlled_bipartite_by_table`, which ran one
+BFS per host vertex where the library now runs one per member.
 Random test instances, which decide no verdict, come from the library's
 `random_digraph` and `random_dag` and are re-exported under those names;
 `ladder` builds the path router's exponential case.
@@ -18,6 +20,7 @@ from fractions import Fraction
 from crownminor.digraph import Digraph, GraphError, bfs_dist
 from crownminor.generators import random_dag, random_digraph  # noqa: F401
 from crownminor.minors import _injective_maps
+from crownminor.quasiwide import ControlledBipartite
 
 
 def enum_paths(G, src, max_len=None, reverse=False):
@@ -341,6 +344,56 @@ def common_ancestor_scatter(G, W, d, m, s_budget, probe_cap=14):
             if len(rest) >= m and len(C) <= s_budget:
                 return tuple(sorted(C)), tuple(rest[:m])
     return None
+
+
+def scattered_by_sweep(G, U, d, deleted=()):
+    """is_scattered's former per-vertex sweep: no vertex of G - deleted
+    has two members of U in its d-out-ball in G - deleted. Takes valid,
+    distinct ids."""
+    alive = set(G.vertices()) - set(deleted)
+    if not set(U) <= alive:
+        return False
+    for v in alive:
+        if len(set(U) & bfs_dist(G, v, max_depth=d, within=alive).keys()) >= 2:
+            return False
+    return True
+
+
+def controlled_bipartite_by_table(G, I, r):
+    """build_controlled_bipartite's former body, on a table of every
+    vertex's out-distances up to r + 1 and two scans of I per vertex.
+    Takes an r-scattered I."""
+    I = sorted(set(I))
+    dist = {v: bfs_dist(G, v, max_depth=r + 1) for v in G.vertices()}
+
+    def base_of(w):
+        hits = [u for u in I if dist[w].get(u, r + 2) <= r]
+        assert len(hits) <= 1
+        return hits[0] if hits else None
+
+    a_nodes, edges, eta, seen = [], set(), {}, set()
+    for v in sorted(G.vertices()):
+        reach = [u for u in I if u in dist[v]]
+        if len(reach) < 2:
+            continue
+        a_nodes.append(v)
+        parents = bfs_dist(G, v, max_depth=r + 1, parents=True)
+        for u in reach:
+            path = [u]
+            while path[-1] != v:
+                path.append(parents[path[-1]])
+            path.reverse()  # v ... u
+            edges.add((v, u))
+            eta[(v, u)] = tuple(path[1:])
+            seen.update(path[1:])
+    seen.update(a_nodes)
+    seen.update(I)
+    base, level = {}, {}
+    for w in seen:
+        b = base_of(w)
+        base[w] = b
+        level[w] = dist[w][b] if b is not None else r + 1
+    return ControlledBipartite(a_nodes, I, edges, base, level, eta, r, ground=G)
 
 
 # --- solver-side predicates, written from the definitions -----------------

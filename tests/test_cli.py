@@ -528,3 +528,16 @@ def test_scatter_budget_environment_variable_is_ignored(tmp_path):
         plain = run({}, *argv)
         assert plain[0] == 0
         assert run({"CROWNMINOR_SCATTER_BUDGET": "x"}, *argv) == plain
+
+
+def test_cli_import_does_not_load_density():
+    # density is imported on grad's first use; with bytecode caching off
+    # every process compiles each module it loads, so loading density at
+    # import would slow every cli command that never asks for grad
+    src = os.path.dirname(os.path.dirname(crownminor.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    code = ("import sys, crownminor, crownminor.cli; "
+            "print('crownminor.cli' in sys.modules, 'crownminor.density' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.split() == ["True", "False"]

@@ -109,6 +109,16 @@ def test_set_neighborhood():
         assert list(set_neighborhood(G, X, 2)) == want
 
 
+def test_negative_radius_is_rejected():
+    G = Digraph(2, [(0, 1)])
+    with pytest.raises(GraphError):
+        out_neighborhood(G, 0, -1)
+    with pytest.raises(GraphError):
+        in_neighborhood(G, 0, -1)
+    with pytest.raises(GraphError):
+        set_neighborhood(G, [0], -1)
+
+
 def test_underlying_undirected_collapses_bidirected_pairs():
     G = Digraph(2, [(0, 1), (1, 0)])
     und = underlying_undirected(G)

@@ -614,19 +614,19 @@ def test_grad_monotone_in_depth():
 
 def test_grad_search_builds_few_reach_tables(monkeypatch):
     # grad builds the reach table of each block it examines once, with
-    # one bfs_dist call per member, and only for families its bounds let
-    # through; the exhaustive family sweep made 136,056 calls on each of
-    # these hosts
+    # one reach_mask call per member, and only for families its bounds
+    # let through; the exhaustive family sweep made 136,056 BFS calls on
+    # each of these hosts
     import crownminor.minors
 
     calls = [0]
-    bfs = crownminor.minors.bfs_dist
+    reach = crownminor.minors.reach_mask
 
     def counted(*args, **kwargs):
         calls[0] += 1
-        return bfs(*args, **kwargs)
+        return reach(*args, **kwargs)
 
-    monkeypatch.setattr(crownminor.minors, "bfs_dist", counted)
+    monkeypatch.setattr(crownminor.minors, "reach_mask", counted)
     for seed in (1, 2, 3):
         calls[0] = 0
         grad(random_digraph(random.Random(seed), 8, 0.3), 1)

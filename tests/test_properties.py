@@ -1,5 +1,7 @@
-"""Property tests: the BFS kernel against path enumeration, the mask
-reach sweep against the BFS kernel, the backtracking matcher against
+"""Property tests: the BFS kernel and the neighborhoods against path
+enumeration, the mask reach sweep against the BFS kernel, the per-member
+sweeps of is_scattered and build_controlled_bipartite against the
+per-vertex ones they replaced, the backtracking matcher against
 networkx's DiGraphMatcher, the model verifier, the general minor checker
 and the disjoint-path router against the brute-force oracles, the
 bitmask searches of compute_scattered and the solvers against the
@@ -17,11 +19,14 @@ from crownminor.digraph import (
     Digraph,
     adjacency_masks,
     bfs_dist,
+    in_neighborhood,
     is_directed_path,
     mask_bits,
+    out_neighborhood,
     reach_mask,
+    set_neighborhood,
 )
-from crownminor.quasiwide import compute_scattered
+from crownminor.quasiwide import build_controlled_bipartite, compute_scattered, is_scattered
 from crownminor.solvers import (
     DominationInstance,
     _first_subset,
@@ -48,11 +53,13 @@ from oracles import (
     brute_directed_minor,
     brute_disjoint_paths,
     common_ancestor_scatter,
+    controlled_bipartite_by_table,
     densest_subgraph_by_subsets,
     enum_paths,
     exhaustive_grad,
     ladder,
     reach_by_paths,
+    scattered_by_sweep,
 )
 
 SMALL = settings(max_examples=60, deadline=None)
@@ -81,16 +88,15 @@ def test_bfs_dist_matches_path_enumeration(G, data):
     depth = data.draw(st.none() | st.integers(0, 4))
     direction = data.draw(st.sampled_from(["out", "in"]))
     within = data.draw(st.none() | vertex_sets)
-    avoid = data.draw(vertex_sets)
     reverse = direction == "in"
 
     assert sorted(bfs_dist(G, src, depth, direction)) == reach_by_paths(G, src, depth, reverse)
 
-    dist = bfs_dist(G, src, depth, direction, avoid=avoid, within=within)
-    parent = bfs_dist(G, src, depth, direction, avoid=avoid, within=within, parents=True)
+    dist = bfs_dist(G, src, depth, direction, within=within)
+    parent = bfs_dist(G, src, depth, direction, within=within, parents=True)
     assert dist == bfs_dist(G.reversed(), src, depth, "out" if reverse else "in",
-                            avoid=avoid, within=within)
-    passable = (set(G.vertices()) if within is None else set(within)) - avoid
+                            within=within)
+    passable = set(G.vertices()) if within is None else set(within)
     if src not in passable:
         assert dist == {} and parent == {}
         return
@@ -109,6 +115,23 @@ def test_bfs_dist_matches_path_enumeration(G, data):
             assert G.has_edge(x, p) if reverse else G.has_edge(p, x)
             steps, x = steps + 1, p
         assert x == src and steps == dist[v]
+
+
+@SMALL
+@given(digraphs(min_n=1), st.data())
+def test_neighborhoods_avoid_matches_path_enumeration(G, data):
+    vertex_sets = st.frozensets(st.integers(0, G.n - 1))
+    X = sorted(data.draw(vertex_sets))
+    avoid = data.draw(vertex_sets)
+    d = data.draw(st.integers(0, 4))
+    # the oracle walks the graph without the avoided vertices
+    sub = Digraph(G.n, [(u, v) for u, v in G.edges if u not in avoid and v not in avoid])
+    for reverse, one in ((False, out_neighborhood), (True, in_neighborhood)):
+        balls = {x: [] if x in avoid else reach_by_paths(sub, x, d, reverse) for x in X}
+        for x in X:
+            assert list(one(G, x, d, avoid)) == balls[x]
+        want = sorted(set().union(*balls.values()))
+        assert list(set_neighborhood(G, X, d, "in" if reverse else "out", avoid)) == want
 
 
 @SMALL
@@ -276,6 +299,38 @@ def test_compute_scattered_matches_set_based_search(query):
     w = compute_scattered(G, W, d, m, s_budget, probe_cap=probe_cap)
     got = None if w is None else (w.deleted, w.members)
     assert got == common_ancestor_scatter(G, W, d, m, s_budget, probe_cap)
+
+
+@st.composite
+def scatter_checks(draw):
+    G = draw(digraphs(min_n=1, max_n=9))
+    ids = st.integers(0, G.n - 1)
+    return G, draw(st.lists(ids, unique=True)), draw(st.integers(0, 3)), draw(st.frozensets(ids))
+
+
+@SMALL
+@given(scatter_checks())
+# the only path from 0 to 2 runs through the deleted vertex 1
+@example((Digraph(3, [(0, 1), (1, 2)]), [0, 2], 2, frozenset([1])))
+def test_is_scattered_matches_per_vertex_sweep(query):
+    G, U, d, deleted = query
+    assert is_scattered(G, U, d, deleted) == scattered_by_sweep(G, U, d, deleted)
+
+
+@SMALL
+@given(digraphs(min_n=1, max_n=9), st.data())
+def test_controlled_bipartite_matches_distance_table(G, data):
+    r = data.draw(st.integers(0, 2))
+    I = []
+    for v in data.draw(st.permutations(range(G.n))):
+        if scattered_by_sweep(G, I + [v], r):
+            I.append(v)
+    I = I[:data.draw(st.integers(1, len(I)))]
+    got = build_controlled_bipartite(G, I, r)
+    want = controlled_bipartite_by_table(G, I, r)
+    assert vars(got) == vars(want)
+    for field in ("base", "level", "eta"):
+        assert list(getattr(got, field).items()) == list(getattr(want, field).items())
 
 
 def _power(G, d):
