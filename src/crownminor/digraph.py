@@ -11,15 +11,16 @@ class Digraph:
     Edges are ordered pairs (u, v). Self-loops are rejected; parallel
     edges cannot exist (set semantics); both (u, v) and (v, u) may be
     present. Instances are never mutated after construction and are safe
-    to share across concurrent readers.
+    to share across concurrent readers; the only later write fills the
+    adjacency-mask cache, a pure function of the edges.
     """
 
-    __slots__ = ("n", "edges", "out_adj", "in_adj")
+    __slots__ = ("n", "edges", "out_adj", "in_adj", "_out_masks", "_in_masks")
 
     def __init__(self, n, edges=()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        edges = frozenset(tuple(e) for e in edges)
+        edges = frozenset(map(tuple, edges))
         out = [[] for _ in range(n)]
         inn = [[] for _ in range(n)]
         for u, v in edges:
@@ -33,6 +34,9 @@ class Digraph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "out_adj", tuple(tuple(sorted(a)) for a in out))
         object.__setattr__(self, "in_adj", tuple(tuple(sorted(a)) for a in inn))
+        # adjacency_masks fills these on first use
+        object.__setattr__(self, "_out_masks", None)
+        object.__setattr__(self, "_in_masks", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Digraph is immutable")
@@ -172,14 +176,21 @@ def bfs_dist(graph, src, max_depth=None, direction="out", within=None,
 
 
 def adjacency_masks(G, direction="out"):
-    """Each vertex's out- (or in-) neighbours as an int bitmask, by a
-    plain loop: a generator sum per vertex took twice as long."""
-    masks = []
-    for nbrs in (G.out_adj if direction == "out" else G.in_adj):
-        mask = 0
-        for w in nbrs:
-            mask |= 1 << w
-        masks.append(mask)
+    """Each vertex's out- (or in-) neighbours as an int bitmask, in a
+    tuple built on the first call for that direction and kept on the
+    immutable G; callers only read it. Built by a plain loop: a
+    generator sum per vertex took twice as long."""
+    slot = "_out_masks" if direction == "out" else "_in_masks"
+    masks = getattr(G, slot)
+    if masks is None:
+        built = []
+        for nbrs in (G.out_adj if direction == "out" else G.in_adj):
+            mask = 0
+            for w in nbrs:
+                mask |= 1 << w
+            built.append(mask)
+        masks = tuple(built)
+        object.__setattr__(G, slot, masks)
     return masks
 
 

@@ -14,13 +14,11 @@ class GraphFormatError(ValueError):
 
 def parse_graph(text):
     n = None
-    seen = set()
-    edges = []
+    edges = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         if n is None:
             if len(fields) != 1:
                 raise GraphFormatError("line %d: expected vertex count" % lineno)
@@ -41,10 +39,9 @@ def parse_graph(text):
             raise GraphFormatError("line %d: vertex id out of range (n=%d)" % (lineno, n))
         if u == v:
             raise GraphFormatError("line %d: self-loop at vertex %d" % (lineno, u))
-        if (u, v) in seen:
+        if (u, v) in edges:
             raise GraphFormatError("line %d: duplicate edge (%d, %d)" % (lineno, u, v))
-        seen.add((u, v))
-        edges.append((u, v))
+        edges.add((u, v))
     if n is None:
         raise GraphFormatError("line 1: missing vertex count")
     return Digraph(n, edges)

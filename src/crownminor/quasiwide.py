@@ -719,21 +719,22 @@ def scattered_or_crown(cb, p, q, peel_threshold=None):
     rounds = math.comb(q, 2)
     kept = []
     pool = list(cb.b_nodes)
+    in_pool = set(pool)
     while len(kept) < rounds:
         best = None
         for a in cb.a_nodes:
             if a in kept:
                 continue
-            cover = sum(1 for b in cb.a_successors(a) if b in pool)
+            cover = sum(1 for b in cb.a_successors(a) if b in in_pool)
             if cover > thresh and (best is None or (-cover, repr(a)) < best[0]):
                 best = ((-cover, repr(a)), a)
         if best is None:
             break
         a = best[1]
         kept.append(a)
-        keep = set(cb.a_successors(a)) & set(pool)
-        keep.discard(cb.base.get(a))
-        pool = sorted(keep)
+        in_pool = set(cb.a_successors(a)) & in_pool
+        in_pool.discard(cb.base.get(a))
+        pool = sorted(in_pool)
 
     if len(kept) == rounds:
         if len(pool) < q:

@@ -44,14 +44,26 @@ class SplitMix64:
         return self.next_u64() / (_MASK + 1)
 
     def sample(self, seq, k):
-        """k distinct elements of seq, by partial Fisher-Yates."""
-        pool = list(seq)
-        if k > len(pool):
+        """k distinct elements of seq, in draw order, in O(k) time and
+        memory; seq needs len() and indexing, and is never copied.
+
+        It is the partial Fisher-Yates shuffle of a full copy of seq,
+        run over a sparse swap map (position -> index of the element
+        now there): the same randrange calls in the same order return
+        the same list.
+        """
+        n = len(seq)
+        if k < 0:
+            raise ValueError("sample size must be nonnegative")
+        if k > n:
             raise ValueError("sample size exceeds population")
+        moved = {}
+        picked = []
         for i in range(k):
-            j = i + self.randrange(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
+            j = i + self.randrange(n - i)
+            picked.append(seq[moved.get(j, j)])
+            moved[j] = moved.get(i, i)
+        return picked
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]

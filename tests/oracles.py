@@ -7,7 +7,8 @@ and an exhaustive family sweep for `grad`. The exceptions are former
 library code that the current code must reproduce: `reference_guesses`,
 the minor checkers' guess stream before its owner-aware pruning, and
 `scattered_by_sweep` and `controlled_bipartite_by_table`, which ran one
-BFS per host vertex where the library now runs one per member.
+BFS per host vertex where the library now runs one per member, and
+`full_copy_sample`, the generators' sampler before it went O(k).
 Random test instances, which decide no verdict, come from the library's
 `random_digraph` and `random_dag` and are re-exported under those names;
 `ladder` builds the path router's exponential case.
@@ -357,6 +358,18 @@ def scattered_by_sweep(G, U, d, deleted=()):
         if len(set(U) & bfs_dist(G, v, max_depth=d, within=alive).keys()) >= 2:
             return False
     return True
+
+
+def full_copy_sample(rng, seq, k):
+    """SplitMix64.sample's former body: a partial Fisher-Yates shuffle of
+    a full copy of seq, drawing from the SplitMix64 `rng`."""
+    pool = list(seq)
+    if k > len(pool):
+        raise ValueError("sample size exceeds population")
+    for i in range(k):
+        j = i + rng.randrange(len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
 
 
 def controlled_bipartite_by_table(G, I, r):

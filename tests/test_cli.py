@@ -48,12 +48,20 @@ def test_parse_comments_ignored():
         ("2\nnope\n", "edge"),
         ("", "missing vertex count"),
         ("x\n", "not an integer"),
+        ("3\n0 1\n# a note\n1 1\n", "self-loop"),
+        ("3\n0 1#c\n0 1\n", "duplicate"),
+        ("3\r\n0 1\r\n\r\n2 2\r\n", "self-loop"),
+        ("3\n0\t1\n1\t5\n", "out of range"),
+        ("3\n0 1 2\n", "expected `u v` edge pair"),
+        ("-1\n", "must be nonnegative"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
+    # every bad text here fails on its last line; an empty one on line 1
+    line = max(text.count("\n"), 1)
     with pytest.raises(GraphFormatError) as err:
         parse_graph(text)
-    assert "line" in str(err.value)
+    assert str(err.value).startswith("line %d: " % line)
     assert fragment in str(err.value)
 
 

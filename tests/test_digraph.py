@@ -5,6 +5,7 @@ import pytest
 from crownminor.digraph import (
     Digraph,
     GraphError,
+    adjacency_masks,
     bidirect,
     count_alternations,
     find_cycle,
@@ -74,6 +75,23 @@ def test_neighborhood_matches_path_enumeration():
         d = rng.randint(0, 3)
         assert list(out_neighborhood(G, v, d)) == reach_by_paths(G, v, d)
         assert list(in_neighborhood(G, v, d)) == reach_by_paths(G, v, d, reverse=True)
+
+
+def test_adjacency_masks_are_built_once_per_direction():
+    rng = random.Random(2024)
+    for _ in range(20):
+        G = random_digraph(rng, rng.randint(1, 8), 0.3)
+        built = {}
+        for direction, adj in (("out", G.out_adj), ("in", G.in_adj)):
+            built[direction] = adjacency_masks(G, direction)
+            assert built[direction] == tuple(sum(1 << w for w in nbrs) for nbrs in adj)
+        for _ in range(3):
+            v, d = rng.randrange(G.n), rng.randint(0, 3)
+            assert list(out_neighborhood(G, v, d)) == reach_by_paths(G, v, d)
+            assert list(in_neighborhood(G, v, d)) == reach_by_paths(G, v, d, reverse=True)
+        # the neighborhoods read the cached masks and never rebuild them
+        for direction in ("out", "in"):
+            assert adjacency_masks(G, direction) is built[direction]
 
 
 def test_neighborhood_monotone_in_radius():

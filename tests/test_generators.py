@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -27,6 +28,8 @@ from crownminor.generators import (
     random_tournament,
     reversed_crown,
 )
+from crownminor.graphio import emit_graph
+from crownminor.rng import SplitMix64
 
 
 def test_crown_counts():
@@ -177,6 +180,40 @@ def test_random_bipartite_outregular():
         assert G == random_bipartite_outregular(n, d, seed)
     with pytest.raises(GraphError):
         random_bipartite_outregular(3, 4, seed=0)
+
+
+# SHA-1 of emit_graph's text for fixed (generator, arguments), recorded
+# with the full-copy sampler; any drift in a seeded generator shows here.
+PINNED_HOSTS = [
+    (random_bipartite_outregular, (5, 2, 0), "1561ae7e3673d1a253dcf2f33d1c80f3a6c050c3"),
+    (random_bipartite_outregular, (20, 3, 1), "75f55d29c609f7ca7b12a797b6472c5d8661d0a5"),
+    (random_bipartite_outregular, (50, 5, 7), "0db53fa05763ca4422345f1560030cc6eb32ef4e"),
+    (random_bipartite_outregular, (1000, 3, 1), "fa6660d864fbb1a597551898bc80649bd33d3402"),
+    (random_bipartite_outregular, (1000, 3, 2), "fd5ec617edcc3fa0c1d16c080718d063749e7787"),
+    (oriented_grid, (3, 4, 0), "8e06c5038df060bf27f78785b560939a59602627"),
+    (oriented_grid, (5, 5, 1), "2258c0b2012ca3e5cb34259f9ceb843df4eb34cb"),
+    (oriented_grid, (8, 6, 42), "0d9836566cb461d7b74e8ba4e0458934c9c73314"),
+    (random_tournament, (4, 0), "0d45ec782deb8ca9b008924340603de382233918"),
+    (random_tournament, (9, 3), "283750684ef76a43ee2ff5082d0d14ead6738e2d"),
+    (random_tournament, (20, 11), "bd175520d7bfc67d6a0d6ab7497321e6098442d7"),
+]
+
+
+@pytest.mark.parametrize("gen,args,digest", PINNED_HOSTS,
+                         ids=["%s%s" % (g.__name__, a) for g, a, _ in PINNED_HOSTS])
+def test_seeded_generators_are_pinned(gen, args, digest):
+    G = gen(*args)
+    assert hashlib.sha1(emit_graph(G).encode()).hexdigest() == digest
+
+
+def test_sample_rejects_a_negative_size():
+    with pytest.raises(ValueError):
+        SplitMix64(1).sample(range(5), -1)
+
+
+def test_sample_never_copies_the_population():
+    got = SplitMix64(1).sample(range(10**18), 3)
+    assert len(set(got)) == 3 and all(0 <= x < 10**18 for x in got)
 
 
 def test_crown_pattern_probability_values():

@@ -6,11 +6,13 @@ networkx's DiGraphMatcher, the model verifier, the general minor checker
 and the disjoint-path router against the brute-force oracles, the
 bitmask searches of compute_scattered and the solvers against the
 set-based searches they replaced, and grad against the exhaustive family
-sweep and subset enumeration."""
+sweep and subset enumeration, and the O(k) sampler against the
+full-copy one it replaced."""
 
 import itertools
 
 import networkx as nx
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import DiGraphMatcher
@@ -26,6 +28,7 @@ from crownminor.digraph import (
     reach_mask,
     set_neighborhood,
 )
+from crownminor.rng import SplitMix64
 from crownminor.quasiwide import build_controlled_bipartite, compute_scattered, is_scattered
 from crownminor.solvers import (
     DominationInstance,
@@ -57,6 +60,7 @@ from oracles import (
     densest_subgraph_by_subsets,
     enum_paths,
     exhaustive_grad,
+    full_copy_sample,
     ladder,
     reach_by_paths,
     scattered_by_sweep,
@@ -145,6 +149,26 @@ def test_reach_mask_matches_bfs_dist(G, data):
         got = reach_mask(adjacency_masks(G, direction), src, mask, depth)
         want = bfs_dist(G, src, depth, direction, within=within)
         assert list(mask_bits(got)) == sorted(want)
+
+
+@SMALL
+@given(st.integers(0, 2**64 - 1), st.data())
+def test_sample_matches_full_copy(seed, data):
+    kind = data.draw(st.sampled_from(["range", "list", "tuple"]))
+    if kind == "range":
+        start = data.draw(st.integers(-5, 5))
+        seq = range(start, start + data.draw(st.integers(0, 40)))
+    else:
+        items = data.draw(st.lists(st.integers(-9, 9) | st.text(max_size=2), max_size=40))
+        seq = items if kind == "list" else tuple(items)
+    n = len(seq)
+    k = data.draw(st.sampled_from([0, n]) | st.integers(0, n))
+    got, want = SplitMix64(seed), SplitMix64(seed)
+    assert got.sample(seq, k) == full_copy_sample(want, seq, k)
+    # the same draws were made, so both generators stand at the same state
+    assert got.next_u64() == want.next_u64()
+    with pytest.raises(ValueError):
+        got.sample(seq, n + data.draw(st.integers(1, 3)))
 
 
 @st.composite
