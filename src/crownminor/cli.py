@@ -206,7 +206,7 @@ def cmd_minor(args):
         w = topological_minor_check(H, G)
         model = subdivision_to_model(w) if w is not None else None
     else:
-        found = is_butterfly_minor(H, G)
+        found = is_butterfly_minor(H, G) is not None
         _say(args, "butterfly minor: %s" % ("yes" if found else "no"))
         return EXIT_FOUND if found else EXIT_NOT_FOUND
 

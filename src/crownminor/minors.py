@@ -1,23 +1,26 @@
 """Directed-minor models, their verification, and minor search.
 
 Covers: model verification; directed-minor checking on any host,
-acyclic or not, and shallow depth-r checking, all by one loop that
-guesses edge images and routes the connecting paths with one
-backtracking path router, which also finds disjoint paths in DAGs;
-butterfly minors; topological minors; and the greatest reduced average
-density (grad), whose searches live in `density`.
+acyclic or not, shallow depth-r checking and butterfly-minor checking,
+all by one loop that guesses edge images and routes the connecting
+paths with one backtracking path router, which also finds disjoint
+paths in DAGs and the paths of topological minors; and the greatest
+reduced average density (grad), whose searches live in `density`.
+
+The router's callers own every request end before they call it. An end
+that several owners share, such as the root of a butterfly branch or a
+placed vertex of a topological minor, belongs to `_SHARED`, an owner no
+request has: it may end paths of several owners but lies inside none.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .digraph import (
     Digraph,
     GraphError,
     adjacency_masks,
-    bfs_dist,
     find_cycle,
-    is_directed_bipartite,
     mask_bits,
     reach_mask,
     topological_order,
@@ -202,7 +205,10 @@ def dag_disjoint_paths(G, pairs, partition, max_len=None):
     interval may share freely). With max_len set, every path must have at
     most max_len edges. Returns a list of vertex lists, or None.
 
-    Each interval is one owner for the path router `_route`.
+    Each interval is one owner for the path router `_route`, and owns
+    its requests' ends before the search, since each path holds its own
+    ends: two intervals sharing an end fail at once, and no path tries a
+    vertex a later request must end on.
     """
     if topological_order(G) is None:
         raise GraphError("host must be acyclic")
@@ -212,7 +218,11 @@ def dag_disjoint_paths(G, pairs, partition, max_len=None):
         G.check_vertex(s)
         G.check_vertex(t)
     reqs = [(g, *pairs[i]) for g, group in enumerate(partition.groups()) for i in group]
-    routed = _route(G, reqs, {}, max_len)
+    owner = {}
+    for g, s, t in reqs:
+        if owner.setdefault(s, g) != g or owner.setdefault(t, g) != g:
+            return None
+    routed = _route(G, reqs, owner, max_len)
     return None if routed is None else [path for _, path in routed]
 
 
@@ -227,7 +237,7 @@ def dag_disjoint_paths_bounded(G, pairs, partition, r):
 # guess enumeration shared by the minor checkers
 
 
-def _enumerate_guesses(H, G, depth=None):
+def _enumerate_guesses(H, G, depth=None, tree=False):
     """Yield (edge_image, source, sink, owner) quadruples, where owner
     maps every host vertex the guess uses to its pattern vertex.
 
@@ -236,13 +246,21 @@ def _enumerate_guesses(H, G, depth=None):
     does not determine them. A prefix is cut once a pattern automorphism
     maps it lower, so only lexicographically least images survive.
 
+    With tree set, each branch gets one root, its source and its sink,
+    as in a tree-like model (see is_butterfly_minor). A vertex that is
+    both an in-head and an out-tail must be the root. Otherwise a lone
+    in-head may be taken as the root, or else a lone out-tail: its side
+    of the branch shrinks to one path, which joins the other side. Only
+    branches with neither get root candidates, the common sinks of their
+    in-heads that are common sources of their out-tails.
+
     A branch's paths run within depth through free vertices and its own,
     and later steps only take vertices away. So a step is cut when a
     touched branch has an in-head that cannot reach an out-tail that way,
     or has only in-heads (out-tails) and no common sink (source) for
-    them; candidate sources and sinks pass the same test. Every cut is
-    necessary for routing, so the first guess that routes is the one the
-    unpruned stream reaches first.
+    them; candidate sources, sinks and roots pass the same test. Every
+    cut is necessary for routing, so the first guess that routes is the
+    one the unpruned stream reaches first.
 
     Host vertex sets are int masks per pattern vertex v: `own[v]` (their
     union is `claimed`), `heads[v]` and `tails[v]`, the in-heads and
@@ -320,51 +338,56 @@ def _enumerate_guesses(H, G, depth=None):
         own[u], own[v], tails[u], heads[v] = own_u, own_v, tails_u, heads_v
 
     def guess_ends(claimed):
+        # (v, ins, outs, ends): v needs a vertex that every vertex of ins
+        # reaches and that reaches every vertex of outs; the choice goes
+        # into each of the maps in `ends`
         need = []
-        fixed_source = {}
-        fixed_sink = {}
+        source, sink = {}, {}
         for v in sorted(H.vertices()):
             ins = list(mask_bits(heads[v]))
             outs = list(mask_bits(tails[v]))
+            if tree:
+                both = list(mask_bits(heads[v] & tails[v]))
+                if len(both) > 1:
+                    return  # each of them would have to be the root
+                fixed = both or (ins if len(ins) == 1 else outs if len(outs) == 1 else [])
+                if fixed:
+                    source[v] = sink[v] = fixed[0]
+                else:
+                    need.append((v, ins, outs, (source, sink)))
+                continue
             if ins:
-                fixed_source[v] = ins[0]
+                source[v] = ins[0]
             elif len(outs) == 1:
-                fixed_source[v] = outs[0]
+                source[v] = outs[0]
             elif outs:
-                need.append(("source", v, outs))
+                need.append((v, (), outs, (source,)))
             else:
-                need.append(("free", v, ()))
+                need.append((v, (), (), (source, sink)))
             if outs:
-                fixed_sink[v] = outs[0]
+                sink[v] = outs[0]
             elif len(ins) == 1:
-                fixed_sink[v] = ins[0]
+                sink[v] = ins[0]
             elif ins:
-                need.append(("sink", v, ins))
+                need.append((v, ins, (), (sink,)))
 
-        def fill(j, claimed, extra):
+        def fill(j, claimed):
             if j == len(need):
-                source = dict(fixed_source)
-                sink = dict(fixed_sink)
-                for (kind, v, _), host_v in zip(need, extra):
-                    if kind in ("source", "free"):
-                        source[v] = host_v
-                    if kind in ("sink", "free"):
-                        sink[v] = host_v
                 owner = {x: v for v in H.vertices() for x in mask_bits(own[v])}
-                yield dict(zip(edge_order, image)), source, sink, owner
+                yield dict(zip(edge_order, image)), dict(source), dict(sink), owner
                 return
-            kind, v, anchors = need[j]
+            v, ins, outs, ends = need[j]
             own_v = own[v]
             usable = full & ~claimed | own_v
-            for cand in mask_bits(common_end(anchors, usable, kind == "source")):
+            for cand in mask_bits(common_end(ins, usable, False) & common_end(outs, usable, True)):
                 bit = 1 << cand
                 own[v] = own_v | bit
-                extra.append(cand)
-                yield from fill(j + 1, claimed | bit, extra)
-                extra.pop()
+                for end in ends:
+                    end[v] = cand
+                yield from fill(j + 1, claimed | bit)
             own[v] = own_v
 
-        yield from fill(0, claimed, [])
+        yield from fill(0, claimed)
 
     yield from assign(0, 0)
 
@@ -377,9 +400,6 @@ def _branch_requests(H, image, source, sink):
         ins, outs = _in_out(H, image, v)
         if ins and outs:
             reqs.extend((v, a, b) for a in ins for b in outs)
-            t = sink[v]
-            if t not in outs:
-                reqs.extend((v, a, t) for a in ins)
         elif ins:
             t = sink[v]
             reqs.extend((v, a, t) for a in ins)
@@ -481,21 +501,22 @@ def _simple_paths(G, a, b, usable, max_len=None):
             stack.append(iter(G.successors(w)))
 
 
+# the owner of request ends that several owners share; no request has it
+_SHARED = object()
+
+
 def _route(G, reqs, owner, max_len):
     """The one path-completion engine: a simple path of at most max_len
     edges (any length when None) for each (owner, from, to) request, in
     order, backtracking over the paths of earlier requests. A path may
     use free vertices and those of its own owner, and its vertices join
-    that owner. `owner` maps host vertices to owners; it holds the
-    vertices claimed up front and is extended in place. Returns a list
-    of (request, path) pairs, or None.
+    that owner. `owner` maps host vertices to owners and is extended in
+    place. Returns a list of (request, path) pairs, or None.
 
-    Every request's ends join its owner before the search, since each
-    path holds its own ends: two owners sharing an end fail at once,
-    and no path tries a vertex a later request must end on."""
-    for v, a, b in reqs:
-        if owner.setdefault(a, v) != v or owner.setdefault(b, v) != v:
-            return None
+    The caller owns every request end before the call. An end of one
+    owner belongs to it, so no other path passes through it; an end that
+    several owners share belongs to `_SHARED`, which no request has, so
+    it may end paths of several owners but lies inside none."""
     out = []
 
     def rec(idx):
@@ -604,117 +625,40 @@ def legal_butterfly_contractions(G):
     )
 
 
-def digraph_isomorphic(A, B):
-    """Exact isomorphism test by backtracking with degree-profile pruning."""
-    if A.n != B.n or A.num_edges() != B.num_edges():
-        return False
-    prof_a = sorted((A.in_degree(v), A.out_degree(v)) for v in A.vertices())
-    prof_b = sorted((B.in_degree(v), B.out_degree(v)) for v in B.vertices())
-    if prof_a != prof_b:
-        return False
-    return next(_injective_maps(A, B, True), None) is not None
-
-
-def _iso_invariant(G):
-    degs = tuple(sorted((G.in_degree(v), G.out_degree(v)) for v in G.vertices()))
-    sig = tuple(
-        sorted(
-            (G.out_degree(u), G.in_degree(u), G.out_degree(v), G.in_degree(v))
-            for (u, v) in G.edges
-        )
-    )
-    return (G.n, G.num_edges(), degs, sig)
-
-
 def is_butterfly_minor(H, G):
-    """Exhaustive test for H obtainable from G by vertex/edge deletions
-    and butterfly contractions, with memoization on isomorphism classes
-    of intermediate graphs. Desk scale."""
-    hn, hm = H.n, H.num_edges()
-    seen = {}
+    """A tree-like model of H in G as a verified DirectedModel whose
+    source and sink are both the branch's root, or None when there is
+    none. Such a model exists iff H is a butterfly minor of G, that is,
+    iff H arises from G by deleting vertices and edges and contracting
+    edges (u, v) where u has out-degree 1 or v has in-degree 1 (Amiri,
+    Kawarabayashi, Kreutzer and Wollan, "The Erdős-Pósa property for
+    directed graphs", 2016). In a tree-like model each branch set is an
+    in-branching into its root and an out-branching from it that share
+    only the root, and each pattern edge (u, v) maps to a host edge from
+    the out-branching of u to the in-branching of v.
 
-    def visit(X):
-        key = _iso_invariant(X)
-        bucket = seen.setdefault(key, [])
-        for Y in bucket:
-            if digraph_isomorphic(X, Y):
-                return True
-        bucket.append(X)
-        return False
-
-    def search(X):
-        if X.n < hn or X.num_edges() < hm:
-            return False
-        if visit(X):
-            return False
-        if X.n == hn and X.num_edges() == hm:
-            return digraph_isomorphic(X, H)
-        if X.n > hn:
-            for v in X.vertices():
-                keep = [x for x in X.vertices() if x != v]
-                sub, _ = X.induced(keep)
-                if search(sub):
-                    return True
-            for e in legal_butterfly_contractions(X):
-                if search(butterfly_contract(X, e)):
-                    return True
-        if X.num_edges() > hm:
-            for e in sorted(X.edges):
-                if search(Digraph(X.n, X.edges - {e})):
-                    return True
-        return False
-
-    return search(G)
-
-
-def bipartite_minor_equiv_check(H, G):
-    """For directed-bipartite patterns the minor relation and the
-    butterfly relation coincide, and branch sets may be taken to be in-
-    or out-branchings. Runs both checks, raises on disagreement, and
-    returns (found, model-with-branching-branches-or-None)."""
-    if is_directed_bipartite(H) is None:
-        raise GraphError("pattern must be directed bipartite")
-    model = general_minor_check(H, G)
-    bfly = is_butterfly_minor(H, G)
-    if (model is not None) != bfly:
-        raise RuntimeError(
-            "directed-minor and butterfly-minor checks disagree on a bipartite pattern"
-        )
-    if model is None:
-        return False, None
-    return True, normalize_bipartite_model(model)
-
-
-def normalize_bipartite_model(model):
-    """Shrink every branch to the tree of its designated vertex: an
-    out-branching from the source on the source side, an in-branching
-    into the sink on the sink side."""
-    H, G = model.pattern, model.host
-    new_branch = {}
-    for v in H.vertices():
-        ins, outs = _in_out(H, model.edge_image, v)
-        if outs:
-            root, anchors, direction = model.source[v], outs, "out"
-        elif ins:
-            root, anchors, direction = model.sink[v], ins, "in"
-        else:
-            new_branch[v] = frozenset([model.source[v]])
-            continue
-        # the root stays passable even when a malformed model leaves it
-        # outside its own branch
-        parent = bfs_dist(
-            G, root, direction=direction, within=set(model.branch[v]) | {root},
-            parents=True,
-        )
-        # ancestors along BFS parents toward each anchor
-        keep = set()
-        for a in anchors + [root]:
-            x = a
-            while x is not None:
-                keep.add(x)
-                x = parent.get(x)
-        new_branch[v] = frozenset(keep)
-    return verified(replace(model, branch=new_branch), "branching normalization broke the model")
+    It runs the directed checkers' guess-and-route loop on guesses with
+    one root per branch (`_enumerate_guesses` with tree set). Each branch
+    is routed by two owners, (v, "in") from each in-head to the root and
+    (v, "out") from the root to each out-tail, so the two sides meet
+    only at the root, a shared end."""
+    if H.n == 0:
+        return DirectedModel(G, H, {}, {}, {}, {})
+    if H.n > G.n:
+        return None
+    for image, root, _, _ in _enumerate_guesses(H, G, None, True):
+        reqs = []
+        for v in sorted(H.vertices()):
+            ins, outs = _in_out(H, image, v)
+            reqs += [((v, "in"), a, root[v]) for a in ins]
+            reqs += [((v, "out"), root[v], b) for b in outs]
+        owner = {x: who for who, a, b in reqs for x in (a, b)}
+        owner.update(dict.fromkeys(root.values(), _SHARED))
+        routed = _route(G, reqs, owner, None)
+        if routed is not None:
+            paths = [((v, a, b), path) for ((v, _), a, b), path in routed]
+            return _assemble(H, G, image, root, root, paths, None)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +676,12 @@ class SubdivisionWitness:
 def topological_minor_check(H, G):
     """Search for a subdivision of H inside G: an injective placement of
     the pattern vertices plus internally disjoint directed paths, one per
-    pattern edge. Desk-scale backtracking; returns a witness or None."""
+    pattern edge. Desk-scale backtracking; returns a witness or None.
+
+    Each placement is completed by one `_route` call with one owner per
+    pattern edge, so paths of different edges share no inner vertex;
+    the placed vertices end the paths of several edges and lie inside
+    none, so they are shared ends."""
     hvs = sorted(H.vertices(), key=lambda v: (-(H.in_degree(v) + H.out_degree(v)), v))
     edge_order = sorted(H.edges)
 
@@ -741,7 +690,11 @@ def topological_minor_check(H, G):
 
     def place(idx):
         if idx == len(hvs):
-            return route(0, set(G.vertices()) - used, {})
+            reqs = [(e, placement[e[0]], placement[e[1]]) for e in edge_order]
+            routed = _route(G, reqs, dict.fromkeys(used, _SHARED), None)
+            if routed is None:
+                return None
+            return SubdivisionWitness(G, H, dict(placement), {e: path for (e, _, _), path in routed})
         v = hvs[idx]
         for cand in G.vertices():
             if cand in used:
@@ -755,19 +708,6 @@ def topological_minor_check(H, G):
                 return got
             del placement[v]
             used.discard(cand)
-        return None
-
-    def route(idx, free, chosen):
-        if idx == len(edge_order):
-            return SubdivisionWitness(G, H, dict(placement), dict(chosen))
-        u, v = edge_order[idx]
-        a, b = placement[u], placement[v]
-        for path in _simple_paths(G, a, b, free):
-            chosen[(u, v)] = path
-            got = route(idx + 1, free.difference(path[1:-1]), chosen)
-            if got is not None:
-                return got
-            del chosen[(u, v)]
         return None
 
     return place(0)

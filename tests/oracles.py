@@ -3,12 +3,17 @@
 Every verdict here is written from the definitions, separately from the
 library's own search code, so that agreements are meaningful: simple
 path enumeration, assignment-function minor search, exhaustive solvers,
-and an exhaustive family sweep for `grad`. The exceptions are former
-library code that the current code must reproduce: `reference_guesses`,
+an exhaustive family sweep for `grad`, placement-and-path search for
+subdivisions, and a split-by-split check that a butterfly model is
+tree-like. The exceptions are former library code that the current
+code must reproduce: `reference_guesses`,
 the minor checkers' guess stream before its owner-aware pruning, and
 `scattered_by_sweep` and `controlled_bipartite_by_table`, which ran one
 BFS per host vertex where the library now runs one per member, and
-`full_copy_sample`, the generators' sampler before it went O(k).
+`full_copy_sample`, the generators' sampler before it went O(k), and
+`butterfly_minor_by_contraction`, the library's butterfly test before it
+searched for tree-like models, with its isomorphism test
+`digraph_isomorphic`.
 Random test instances, which decide no verdict, come from the library's
 `random_digraph` and `random_dag` and are re-exported under those names;
 `ladder` builds the path router's exponential case.
@@ -20,7 +25,7 @@ from fractions import Fraction
 
 from crownminor.digraph import Digraph, GraphError, bfs_dist
 from crownminor.generators import random_dag, random_digraph  # noqa: F401
-from crownminor.minors import _injective_maps
+from crownminor.minors import _injective_maps, butterfly_contract, legal_butterfly_contractions
 from crownminor.quasiwide import ControlledBipartite
 
 
@@ -321,6 +326,121 @@ def brute_subgraph(H, G):
         if all(G.has_edge(perm[u], perm[v]) for (u, v) in H.edges):
             return True
     return False
+
+
+def brute_topological_minor(H, G):
+    """Subdivision oracle: some injective placement of the pattern
+    vertices and, per pattern edge, a simple path between the placed
+    ends, where no path's inner vertex is placed or inside another path."""
+    if H.n > G.n:
+        return False
+    edges = sorted(H.edges)
+    for place in itertools.permutations(range(G.n), H.n):
+        cand = [paths_between(G, place[u], place[v]) for u, v in edges]
+
+        def rec(i, used):
+            if i == len(edges):
+                return True
+            return any(
+                not used & set(p[1:-1]) and rec(i + 1, used | set(p[1:-1])) for p in cand[i]
+            )
+
+        if rec(0, set(place)):
+            return True
+    return False
+
+
+def is_tree_like_model(model):
+    """True iff every branch has source = sink = r and splits into an in
+    side I and an out side O with I & O = {r}: every vertex of I reaches
+    r inside I, r reaches every vertex of O inside O, the branch's
+    in-heads lie in I and its out-tails in O. Tries every split."""
+    H, G = model.pattern, model.host
+    for v in H.vertices():
+        r = model.source[v]
+        bset = set(model.branch[v])
+        if model.sink[v] != r or r not in bset:
+            return False
+        ins = {y for e, (x, y) in model.edge_image.items() if e[1] == v}
+        outs = {x for e, (x, y) in model.edge_image.items() if e[0] == v}
+        rest = sorted(bset - {r})
+
+        def splits():
+            for bits in range(2 ** len(rest)):
+                I = {r} | {x for i, x in enumerate(rest) if bits >> i & 1}
+                yield I, bset - I | {r}
+
+        if not any(
+            ins <= I and outs <= O
+            and all(r in _block_reach(G, I, a) for a in I)
+            and _block_reach(G, O, r).keys() == O
+            for I, O in splits()
+        ):
+            return False
+    return True
+
+
+def digraph_isomorphic(A, B):
+    """Exact isomorphism test by backtracking with degree-profile pruning."""
+    if A.n != B.n or A.num_edges() != B.num_edges():
+        return False
+    prof_a = sorted((A.in_degree(v), A.out_degree(v)) for v in A.vertices())
+    prof_b = sorted((B.in_degree(v), B.out_degree(v)) for v in B.vertices())
+    if prof_a != prof_b:
+        return False
+    return next(_injective_maps(A, B, True), None) is not None
+
+
+def _iso_invariant(G):
+    degs = tuple(sorted((G.in_degree(v), G.out_degree(v)) for v in G.vertices()))
+    sig = tuple(
+        sorted(
+            (G.out_degree(u), G.in_degree(u), G.out_degree(v), G.in_degree(v))
+            for (u, v) in G.edges
+        )
+    )
+    return (G.n, G.num_edges(), degs, sig)
+
+
+def butterfly_minor_by_contraction(H, G):
+    """Exhaustive test for H obtainable from G by vertex/edge deletions
+    and butterfly contractions, with memoization on isomorphism classes
+    of intermediate graphs. Desk scale."""
+    hn, hm = H.n, H.num_edges()
+    seen = {}
+
+    def visit(X):
+        key = _iso_invariant(X)
+        bucket = seen.setdefault(key, [])
+        for Y in bucket:
+            if digraph_isomorphic(X, Y):
+                return True
+        bucket.append(X)
+        return False
+
+    def search(X):
+        if X.n < hn or X.num_edges() < hm:
+            return False
+        if visit(X):
+            return False
+        if X.n == hn and X.num_edges() == hm:
+            return digraph_isomorphic(X, H)
+        if X.n > hn:
+            for v in X.vertices():
+                keep = [x for x in X.vertices() if x != v]
+                sub, _ = X.induced(keep)
+                if search(sub):
+                    return True
+            for e in legal_butterfly_contractions(X):
+                if search(butterfly_contract(X, e)):
+                    return True
+        if X.num_edges() > hm:
+            for e in sorted(X.edges):
+                if search(Digraph(X.n, X.edges - {e})):
+                    return True
+        return False
+
+    return search(G)
 
 
 # --- scattered sets ------------------------------------------------------------

@@ -9,12 +9,10 @@ from crownminor.generators import acyclic_tournament, crown, reversed_crown
 from crownminor.minors import (
     DirectedModel,
     IntervalPartition,
-    bipartite_minor_equiv_check,
     butterfly_contract,
     dag_disjoint_paths,
     dag_disjoint_paths_bounded,
     dag_minor_check,
-    digraph_isomorphic,
     general_minor_check,
     grad,
     is_butterfly_minor,
@@ -30,6 +28,10 @@ from oracles import (
     brute_directed_minor,
     brute_disjoint_paths,
     brute_subgraph,
+    brute_topological_minor,
+    butterfly_minor_by_contraction,
+    digraph_isomorphic,
+    is_tree_like_model,
     ladder,
     random_dag,
     random_digraph,
@@ -495,6 +497,9 @@ def test_butterfly_sequences_are_directed_minors():
                 break
             H = butterfly_contract(H, ops[rng.randrange(len(ops))])
         assert general_minor_check(H, G) is not None
+        model = is_butterfly_minor(H, G)
+        assert model is not None and verify_model(model)[0]
+        assert is_tree_like_model(model)
 
 
 def butterfly_counterexample():
@@ -512,6 +517,19 @@ def test_butterfly_weaker_than_directed_minor():
     assert not is_butterfly_minor(star, host)
 
 
+def test_butterfly_branch_sides_meet_only_at_the_root():
+    """The star's centre fits in the hub 2 <-> 4 <-> 6 as a directed
+    model. Since 6 is an in-head and an out-tail, it must be the root,
+    and its out side reaches the out-tail 2 only through the in-head 4.
+    So the in and out sides would share 4, and no tree-like model
+    exists."""
+    star, _ = butterfly_counterexample()
+    host = Digraph(7, [(1, 6), (2, 0), (2, 4), (4, 2), (4, 6), (5, 0), (5, 4), (6, 3), (6, 4)])
+    assert general_minor_check(star, host) is not None
+    assert not butterfly_minor_by_contraction(star, host)
+    assert is_butterfly_minor(star, host) is None
+
+
 def test_butterfly_positive_cases():
     # a directed 4-cycle butterfly-contracts down to the 2-cycle
     C4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -523,28 +541,68 @@ def test_butterfly_positive_cases():
     assert is_butterfly_minor(H, G)
 
 
+def test_butterfly_matches_contraction_oracle():
+    """Tree-like models against the contraction search on small hosts:
+    the same verdict, and every model is verified, has source = sink
+    and splits into in and out sides that meet only at the root."""
+    rng = random.Random(1212)
+    positives = 0
+    for _ in range(1200):
+        G = random_digraph(rng, rng.randint(2, 6), rng.choice([0.25, 0.35, 0.5]))
+        H = random_digraph(rng, rng.randint(1, min(4, G.n)), rng.choice([0.3, 0.5]))
+        model = is_butterfly_minor(H, G)
+        assert (model is not None) == butterfly_minor_by_contraction(H, G), (H, G)
+        if model is not None:
+            positives += 1
+            ok, bad = verify_model(model)
+            assert ok, bad
+            assert model.source == model.sink
+            assert is_tree_like_model(model), model
+    assert 300 <= positives <= 1100
+
+
+def test_butterfly_crown_in_a_nine_vertex_host_takes_few_guesses(monkeypatch):
+    """Work guard: the contraction search took about 150 s on this
+    positive instance, the host of perfbench's random_digraph_edges(9,
+    0.25, 1); the tree-like model search needs a handful of guesses."""
+    import crownminor.minors as minors
+
+    rng = random.Random(1)
+    G = Digraph(9, [(u, v) for u in range(9) for v in range(9) if u != v and rng.random() < 0.25])
+    H, _ = crown(3)
+    calls = [0]
+    enumerate_guesses = minors._enumerate_guesses
+
+    def counting(*args):
+        for guess in enumerate_guesses(*args):
+            calls[0] += 1
+            yield guess
+
+    monkeypatch.setattr(minors, "_enumerate_guesses", counting)
+    model = is_butterfly_minor(H, G)
+    assert model is not None and is_tree_like_model(model)
+    assert 0 < calls[0] <= 10
+
+
 def test_bipartite_equivalence():
+    """On directed-bipartite patterns the butterfly and directed-minor
+    relations coincide, and a tree-like model's branches are in- or
+    out-branchings."""
+
+    def agree(H, G):
+        model = is_butterfly_minor(H, G)
+        assert (model is not None) == (general_minor_check(H, G) is not None)
+        if model is not None:
+            assert verify_model(model)[0]
+            assert is_branching_model(model)
+
     rng = random.Random(4040)
     S2, _ = crown(2)
     for _ in range(12):
-        G = random_digraph(rng, rng.randint(3, 6), 0.35)
-        found, model = bipartite_minor_equiv_check(S2, G)
-        if found:
-            ok, bad = verify_model(model)
-            assert ok, bad
-            assert is_branching_model(model)
+        agree(S2, random_digraph(rng, rng.randint(3, 6), 0.35))
     S3r, _ = reversed_crown(3)
     for _ in range(6):
-        G = random_digraph(rng, 5, 0.4)
-        found, model = bipartite_minor_equiv_check(S3r, G)
-        if found:
-            assert is_branching_model(model)
-
-
-def test_bipartite_equivalence_rejects_nonbipartite():
-    H = Digraph(3, [(0, 1), (1, 2)])
-    with pytest.raises(GraphError):
-        bipartite_minor_equiv_check(H, Digraph(3, [(0, 1), (1, 2)]))
+        agree(S3r, random_digraph(rng, 5, 0.4))
 
 
 # --- topological minors ----------------------------------------------------
@@ -572,6 +630,32 @@ def test_topological_implies_directed_minor():
             assert verify_model(subdivision_to_model(w))[0]
             assert general_minor_check(H, G) is not None
     assert hits > 0
+
+
+def test_topological_minor_matches_subdivision_oracle():
+    """Verdicts equal the placement-and-path oracle, and every witness is
+    a subdivision: paths between the placed ends whose inner vertices
+    are neither placed nor shared, with a verified model."""
+    rng = random.Random(6161)
+    hits = 0
+    for _ in range(400):
+        G = random_digraph(rng, rng.randint(2, 6), rng.choice([0.3, 0.45]))
+        H = random_digraph(rng, rng.randint(1, min(4, G.n)), rng.choice([0.3, 0.5]))
+        w = topological_minor_check(H, G)
+        assert (w is not None) == brute_topological_minor(H, G), (H, G)
+        if w is None:
+            continue
+        hits += 1
+        used = set(w.placement.values())
+        assert len(used) == H.n
+        for (u, v), path in w.paths.items():
+            assert (path[0], path[-1]) == (w.placement[u], w.placement[v])
+            assert all(G.has_edge(x, y) for x, y in zip(path, path[1:]))
+            assert not used & set(path[1:-1])
+            used |= set(path[1:-1])
+        assert sorted(w.paths) == sorted(H.edges)
+        assert verify_model(subdivision_to_model(w))[0]
+    assert 100 <= hits <= 370
 
 
 # --- grad -------------------------------------------------------------------

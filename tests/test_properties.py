@@ -44,7 +44,6 @@ from crownminor.minors import (
     _injective_maps,
     dag_disjoint_paths,
     dag_disjoint_paths_bounded,
-    digraph_isomorphic,
     general_minor_check,
     grad,
     subgraph_check,
@@ -58,6 +57,7 @@ from oracles import (
     common_ancestor_scatter,
     controlled_bipartite_by_table,
     densest_subgraph_by_subsets,
+    digraph_isomorphic,
     enum_paths,
     exhaustive_grad,
     full_copy_sample,
