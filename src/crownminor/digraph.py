@@ -351,17 +351,6 @@ def is_directed_bipartite(G):
     return tuple(A), tuple(B)
 
 
-def is_directed_path(G, seq):
-    """True iff seq is a directed path of G (distinct vertices, each
-    consecutive pair an edge)."""
-    if len(seq) != len(set(seq)):
-        return False
-    for v in seq:
-        if not (0 <= v < G.n):
-            return False
-    return all(G.has_edge(a, b) for a, b in zip(seq, seq[1:]))
-
-
 def _edge_choices(G, a, b):
     dirs = []
     if G.has_edge(a, b):

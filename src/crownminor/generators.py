@@ -32,13 +32,6 @@ def crown(q):
     return Digraph(next_id, edges), tuple(range(q))
 
 
-def crown_source_id(q, i, j):
-    """Vertex id of u_{i,j} in crown(q), principals numbered 0..q-1."""
-    if not (0 <= i < j < q):
-        raise GraphError("need 0 <= i < j < q")
-    return q + i * q - i * (i + 1) // 2 + (j - i - 1)
-
-
 def reversed_crown(q):
     """crown(q) with every edge reversed. Returns (graph, principals)."""
     G, principals = crown(q)

@@ -178,20 +178,6 @@ def dichotomy_threshold(r, p, q):
     return dichotomy_threshold_steps(r, p, q, math.comb(q, 2))
 
 
-def wideness_threshold(r, m, exclusion_order):
-    """Required set size N(r, m) for the iterated dichotomy, given the
-    excluded crown order per depth as a callable."""
-    val = m
-    for i in range(r - 1, -1, -1):
-        val = dichotomy_threshold(r, val, exclusion_order(i))
-    return val
-
-
-def deletion_budget(r, exclusion_order):
-    """Total deletions s(r) across the iterated dichotomy."""
-    return sum(math.comb(exclusion_order(i), 2) for i in range(r))
-
-
 # ---------------------------------------------------------------------------
 # controlled bipartite graphs
 
@@ -700,12 +686,12 @@ def bipartite_trichotomy(cb, p, q, n=None):
 # peeling: scattered set or crown in a controlled bipartite graph
 
 
-def scattered_or_crown(cb, p, q, peel_threshold=None):
+def scattered_or_crown(cb, p, q):
     """Either a BipartiteScattered (deleting at most C(q,2) A-vertices)
     or a ControlledCrown of order q.
 
-    Peels greedily: while some unused A-vertex covers more than the
-    threshold of the current pool, keep it and shrink the pool to its
+    Peels greedily: while some unused A-vertex covers more than q
+    vertices of the current pool, keep it and shrink the pool to its
     successors minus its base. Completing C(q,2) rounds leaves a pool
     every kept vertex covers fully, which is a crown; otherwise the
     trichotomy runs on the residual structure with bases cleared outside
@@ -713,9 +699,6 @@ def scattered_or_crown(cb, p, q, peel_threshold=None):
     """
     if q < 1 or p < 1:
         raise GraphError("need p, q >= 1")
-    thresh = peel_threshold if peel_threshold is not None else q
-    if thresh < q:
-        raise GraphError("peel threshold below crown order")
     rounds = math.comb(q, 2)
     kept = []
     pool = list(cb.b_nodes)
@@ -726,7 +709,7 @@ def scattered_or_crown(cb, p, q, peel_threshold=None):
             if a in kept:
                 continue
             cover = sum(1 for b in cb.a_successors(a) if b in in_pool)
-            if cover > thresh and (best is None or (-cover, repr(a)) < best[0]):
+            if cover > q and (best is None or (-cover, repr(a)) < best[0]):
                 best = ((-cover, repr(a)), a)
         if best is None:
             break
@@ -888,21 +871,17 @@ def without_vertices(G, S):
     return Digraph(G.n, [e for e in G.edges if e[0] not in S and e[1] not in S])
 
 
-def iterate_dichotomy(G, W, target_r, m, q_schedule, budget=None, slack=2):
+def iterate_dichotomy(G, W, target_r, m, q_schedule):
     """Iterate the dichotomy from radius 0 up to target_r: accumulate
     deletions while the scattered outcome repeats, stop at the first
     crown. Returns a ScatteredWitness at radius target_r or a crown
-    DirectedModel. q_schedule may be an int or a callable of the round.
+    DirectedModel. q_schedule, an int, is the crown order that every
+    round excludes.
 
-    Early rounds ask for `slack` extra members per remaining round (the
+    Early rounds ask for two extra members per remaining round (the
     guaranteed thresholds shrink the set round over round), backing off
     toward m when the pools cannot support the surplus.
     """
-    if isinstance(q_schedule, int):
-        fixed = q_schedule
-        q_of = lambda i: fixed
-    else:
-        q_of = q_schedule
     W = sorted(set(W))
     if len(W) < m:
         raise GraphError("need |W| >= m")
@@ -910,11 +889,11 @@ def iterate_dichotomy(G, W, target_r, m, q_schedule, budget=None, slack=2):
     members = list(W)
     for i in range(target_r):
         Gi = without_vertices(G, deleted)
-        p_hi = min(len(members), m + slack * (target_r - 1 - i))
+        p_hi = min(len(members), m + 2 * (target_r - 1 - i))
         res = None
         for p_try in range(p_hi, m - 1, -1):
             try:
-                res = dichotomy_step(Gi, members, i, p_try, q_of(i))
+                res = dichotomy_step(Gi, members, i, p_try, q_schedule)
                 break
             except BudgetExhausted:
                 if p_try == m:
@@ -923,8 +902,6 @@ def iterate_dichotomy(G, W, target_r, m, q_schedule, budget=None, slack=2):
             return verified(replace(res, host=G), "crown did not lift to the full graph")
         deleted.update(res.deleted)
         members = list(res.members)
-        if budget is not None and len(deleted) > budget:
-            raise BudgetExhausted("deletion budget exceeded")
     w = ScatteredWitness(G, tuple(sorted(deleted)), tuple(sorted(members[:m])), target_r)
     if not w.verify():
         raise RuntimeError("internal: iterated witness failed verification")

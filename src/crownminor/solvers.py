@@ -15,20 +15,12 @@ from .quasiwide import compute_scattered, without_vertices
 
 @dataclass(frozen=True)
 class DominationInstance:
-    """Inputs shared by the domination problems: a size budget k, a
-    domination radius d, a target set W (all vertices when None), and a
-    forbidden set Y."""
+    """Inputs shared by the domination problems: a size budget k and a
+    domination radius d."""
 
     graph: Digraph
     k: int
     d: int = 1
-    targets: tuple = None
-    forbidden: tuple = ()
-
-    def target_set(self):
-        if self.targets is None:
-            return tuple(self.graph.vertices())
-        return tuple(self.targets)
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,7 @@ def spanning_outtree(G, D):
 
 def brute_force_solve(instance, variant):
     """Exact solver by subset enumeration, smallest size first then
-    lexicographic, honoring the instance's forbidden set. Variants:
+    lexicographic. Variants:
     ds (d-dominating set), ids (independent dominating set),
     dob (dominating set spanned by an out-tree), is (independent set of
     size exactly k)."""
@@ -198,26 +190,23 @@ def brute_force_solve(instance, variant):
     k = instance.k
     _need_k(k)
     d = instance.d
-    W = instance.target_set()
-    Y = set(instance.forbidden)
-    cand = [v for v in G.vertices() if v not in Y]
     if variant == "is":
         if k == 0:
             return SolveOutcome(True, (), exhausted=True)
-        for combo in itertools.combinations(cand, k):
+        for combo in itertools.combinations(G.vertices(), k):
             if _independent(G, combo):
                 return SolveOutcome(True, tuple(combo), exhausted=True)
         return SolveOutcome(False, exhausted=True)
     for size in range(0, k + 1):
-        for combo in itertools.combinations(cand, size):
+        for combo in itertools.combinations(G.vertices(), size):
             if variant == "ds":
-                if verify_dominating(G, combo, d, W):
+                if verify_dominating(G, combo, d):
                     return SolveOutcome(True, tuple(combo), exhausted=True)
             elif variant == "ids":
-                if verify_dominating(G, combo, d, W) and _independent(G, combo):
+                if verify_dominating(G, combo, d) and _independent(G, combo):
                     return SolveOutcome(True, tuple(combo), exhausted=True)
             elif variant == "dob":
-                if not verify_dominating(G, combo, 1, W):
+                if not verify_dominating(G, combo, 1):
                     continue
                 parent = spanning_outtree(G, combo)
                 if parent is not None:
@@ -368,7 +357,7 @@ def d_dominating_set(G, k, d=1):
 # directed Steiner out-trees
 
 
-def directed_steiner_outtree(G, terminals, size_budget=None, required_root=None):
+def directed_steiner_outtree(G, terminals, size_budget=None):
     """Minimum-vertex out-tree containing all terminals, by dynamic
     programming over (vertex, terminal subset) with subtree merges at a
     shared root and single-edge extensions. Returns (vertices, parent)
@@ -414,12 +403,8 @@ def directed_steiner_outtree(G, terminals, size_budget=None, required_root=None)
                         choice[mask][v] = ("step", u)
                         changed = True
 
-    if required_root is not None:
-        roots = [required_root]
-    else:
-        roots = sorted(G.vertices())
     best_root, best_cost = None, INF
-    for v in roots:
+    for v in G.vertices():
         if cost[full][v] < best_cost:
             best_root, best_cost = v, cost[full][v]
     if best_root is None or best_cost == INF:
@@ -451,11 +436,6 @@ def directed_steiner_outtree(G, terminals, size_budget=None, required_root=None)
     parent = spanning_outtree(G, verts)
     if parent is None or not set(terms) <= verts:
         raise RuntimeError("internal: Steiner reconstruction failed")
-    root = [v for v, p in parent.items() if p is None][0]
-    if required_root is not None and root != required_root:
-        parent = bfs_dist(G, required_root, within=verts, parents=True)
-        if len(parent) != len(verts):
-            raise RuntimeError("internal: Steiner root lost in reconstruction")
     return tuple(sorted(verts)), parent
 
 

@@ -4,6 +4,18 @@ Every document carries its kind, echoed parameters, a payload with a
 fixed field order (diffable), and a verification status recomputed at
 emit time. Parsing re-verifies against the graphs in context, so a
 tampered document fails to load.
+
+A document is a `kind <kind>` line, field lines and an `end` line.
+Every field line has one shape, `key word... [: id...]`. FIELDS gives
+each kind's keys, and for each key the words that name the field (a
+second line with the same key and name repeats the field) and either
+the one word of its value or, after a colon, an id list. The emitters
+write their lines through this table, and `parse_witness` reads them
+back through it. The reader ignores blank lines and the spacing
+between words, and nothing else: it rejects a key the kind does not
+have, a wrong number of words, a missing or stray colon, a number not
+written as `%d` writes it, an id named twice in one list and a
+repeated field.
 """
 
 from .generators import crown
@@ -11,252 +23,197 @@ from .minors import DirectedModel, verify_model
 from .quasiwide import ScatteredWitness
 from .solvers import verify_dominating, verify_independent, verify_outbranching
 
-KINDS = ("model", "scattered", "dominating", "outbranching", "independent", "crown")
-
 
 class WitnessFormatError(ValueError):
     pass
 
 
-def _ids(vals):
-    return " ".join(str(v) for v in vals)
+def _int(word):
+    value = int(word)
+    if "%d" % value != word:
+        raise WitnessFormatError("not a plain integer: %r" % word)
+    return value
+
+
+def _opt(word):
+    return None if word == "none" else _int(word)
+
+
+def _flag(word):
+    if word not in ("true", "false"):
+        raise WitnessFormatError("verified is true or false, not %r" % word)
+    return word == "true"
+
+
+def _ids(text):
+    ids = tuple(_int(w) for w in text.split())
+    if len(set(ids)) != len(ids):
+        raise WitnessFormatError("repeated vertex id in %r" % text.strip())
+    return ids
+
+
+# kind -> key -> (a parser per word that names the field, the parser of
+# its value). The value is one word, or the id list after a colon when
+# its parser is _ids. Every kind also has a `verified` line.
+_SET = {"D": ((), _ids)}
+FIELDS = {
+    "model": {"param": ((str,), str), "depth": ((), _opt), "branch": ((_int,), _ids),
+              "edge": ((_int, _int), _ids), "source": ((_int,), _int),
+              "sink": ((_int,), _int)},
+    "scattered": {"d": ((), _int), "S": ((), _ids), "U": ((), _ids)},
+    "dominating": {"d": ((), _int), **_SET},
+    "outbranching": {**_SET, "parent": ((_int,), _opt)},
+    "independent": _SET,
+}
+FIELDS["crown"] = FIELDS["model"]
+FIELDS = {kind: {**keys, "verified": ((), _flag)} for kind, keys in FIELDS.items()}
+
+
+def _line(kind, key, *words):
+    """One line of a `kind` document; the last word is the id list when
+    FIELDS gives `key` one."""
+    if key not in FIELDS[kind]:
+        raise WitnessFormatError("%s documents have no %s line" % (kind, key))
+    listed = FIELDS[kind][key][1] is _ids
+    if listed:
+        words, ids = words[:-1], words[-1]
+    head = " ".join(["none" if w is None else str(w) for w in (key,) + words])
+    return "%s: %s" % (head, " ".join(str(v) for v in ids)) if listed else head
+
+
+def _document(kind, ok, lines):
+    if kind not in FIELDS:
+        raise WitnessFormatError("unknown kind %r" % kind)
+    body = [_line(kind, *line) for line in lines + [("verified", "true" if ok else "false")]]
+    return "\n".join(["kind " + kind] + body + ["end"]) + "\n"
 
 
 def emit_model(model, kind="model", params=()):
-    lines = ["kind %s" % kind]
-    for key, val in params:
-        lines.append("param %s %s" % (key, val))
-    lines.append("depth %s" % ("none" if model.depth is None else model.depth))
-    for v in sorted(model.branch):
-        lines.append("branch %d: %s" % (v, _ids(sorted(model.branch[v]))))
-    for e in sorted(model.edge_image):
-        x, y = model.edge_image[e]
-        lines.append("edge %d %d: %d %d" % (e[0], e[1], x, y))
-    for v in sorted(model.source):
-        lines.append("source %d %d" % (v, model.source[v]))
-    for v in sorted(model.sink):
-        lines.append("sink %d %d" % (v, model.sink[v]))
-    ok, _ = verify_model(model)
-    lines.append("verified %s" % ("true" if ok else "false"))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    lines = [("param", key, val) for key, val in params] + [("depth", model.depth)]
+    lines += [("branch", v, sorted(model.branch[v])) for v in sorted(model.branch)]
+    lines += [("edge", *e, model.edge_image[e]) for e in sorted(model.edge_image)]
+    lines += [("source", v, model.source[v]) for v in sorted(model.source)]
+    lines += [("sink", v, model.sink[v]) for v in sorted(model.sink)]
+    return _document(kind, verify_model(model)[0], lines)
 
 
 def emit_scattered(w):
-    lines = [
-        "kind scattered",
-        "d %d" % w.radius,
-        "S: %s" % _ids(w.deleted),
-        "U: %s" % _ids(w.members),
-        "verified %s" % ("true" if w.verify() else "false"),
-        "end",
-    ]
-    return "\n".join(lines) + "\n"
+    return _document("scattered", w.verify(), [("d", w.radius), ("S", w.deleted), ("U", w.members)])
 
 
 def emit_vertex_set(kind, G, vertices, d=None):
     if kind == "dominating":
-        ok = verify_dominating(G, vertices, d if d else 1)
+        ok = verify_dominating(G, vertices, 1 if d is None else d)
     elif kind == "independent":
         ok = verify_independent(G, vertices)
     else:
         raise WitnessFormatError("unknown vertex-set kind %r" % kind)
-    lines = ["kind %s" % kind]
-    if d is not None:
-        lines.append("d %d" % d)
-    lines.append("D: %s" % _ids(vertices))
-    lines.append("verified %s" % ("true" if ok else "false"))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    return _document(kind, ok, ([] if d is None else [("d", d)]) + [("D", vertices)])
 
 
 def emit_outbranching(G, vertices, parent):
     ok = verify_outbranching(G, vertices, parent) and verify_dominating(G, vertices, 1)
-    lines = ["kind outbranching", "D: %s" % _ids(sorted(vertices))]
-    for v in sorted(parent):
-        p = parent[v]
-        lines.append("parent %d %s" % (v, "none" if p is None else p))
-    lines.append("verified %s" % ("true" if ok else "false"))
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    lines = [("D", sorted(vertices))] + [("parent", v, parent[v]) for v in sorted(parent)]
+    return _document("outbranching", ok, lines)
 
 
-def _fields(text):
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line:
-            out.append(line)
-    if not out or out[-1] != "end":
+def _read(text):
+    """(kind, fields) of a document, where fields[key] maps each field's
+    name (its one name word, else the tuple of them) to its value."""
+    lines = [line for line in map(str.strip, text.splitlines()) if line]
+    if not lines or lines[-1] != "end":
         raise WitnessFormatError("document not terminated")
-    return out[:-1]
+    head = lines[0].split()
+    if len(head) != 2 or head[0] != "kind":
+        raise WitnessFormatError("missing or malformed kind header %r" % lines[0])
+    kind = head[1]
+    if kind not in FIELDS:
+        raise WitnessFormatError("unknown kind %r" % kind)
+    fields = {key: {} for key in FIELDS[kind]}
+    for line in lines[1:-1]:
+        text, colon, ids = line.partition(":")
+        words = text.split()
+        if not words or words[0] not in fields:
+            raise WitnessFormatError("unexpected line %r" % line)
+        names, value = FIELDS[kind][words[0]]
+        if value is _ids:
+            words.append(ids)
+        if bool(colon) != (value is _ids) or len(words) != len(names) + 2:
+            raise WitnessFormatError("malformed line %r" % line)
+        name = tuple(parse(w) for parse, w in zip(names, words[1:]))
+        name = name[0] if len(name) == 1 else name
+        if name in fields[words[0]]:
+            raise WitnessFormatError("repeated field in line %r" % line)
+        fields[words[0]][name] = value(words[-1])
+    return kind, fields
+
+
+def _need(kind, fields, *keys):
+    """The values of the unnamed fields `keys`, which must all be set."""
+    for key in keys:
+        if () not in fields[key]:
+            raise WitnessFormatError("incomplete %s document: no %s line" % (kind, key))
+    return [fields[key][()] for key in keys]
 
 
 def parse_witness(text, host=None, pattern=None):
     """Parse and re-verify a witness document. Model kinds need the host
     (and, for kind `model`, the pattern) graph; a crown document rebuilds
     its pattern from its order parameter. Raises WitnessFormatError when
-    a line is malformed, an id lies outside the graph, a vertex list
-    names a vertex twice, two lines set one field (a second `d` line,
-    or two `branch` lines for one vertex), or the payload does not
-    verify (an out-branching must also dominate the graph)."""
-    lines = _fields(text)
-    if not lines or not lines[0].startswith("kind "):
-        raise WitnessFormatError("missing kind header")
-    kind = lines[0].split()[1]
-    if kind not in KINDS:
-        raise WitnessFormatError("unknown kind %r" % kind)
-    body = lines[1:]
+    a line breaks the grammar above, an id lies outside the graph, a
+    vertex list names a vertex twice, two lines set one field (a second
+    `d` line, or two `branch` lines for one vertex), or the payload does
+    not verify (an out-branching must also dominate the graph, and a
+    dominating set must dominate within its `d`, 1 when the document
+    has no `d` line)."""
     try:
+        kind, fields = _read(text)
+        if host is None:
+            raise WitnessFormatError("%s documents need the graph" % kind)
         if kind in ("model", "crown"):
-            return _parse_model(body, kind, host, pattern)
+            return _model(kind, fields, host, pattern)
         if kind == "scattered":
-            return _parse_scattered(body, host)
-        if kind == "outbranching":
-            return _parse_outbranching(body, host)
-        return _parse_vertex_set(body, kind, host)
+            w = ScatteredWitness(host, *_need(kind, fields, "S", "U", "d"))
+            if not w.verify():
+                raise WitnessFormatError("scattered witness does not verify")
+            return w
+        (D,) = _need(kind, fields, "D")
+        if kind == "dominating":
+            d = fields["d"].get((), 1)
+            if d < 0 or not verify_dominating(host, D, d):
+                raise WitnessFormatError("dominating witness does not verify at d = %d" % d)
+        elif kind == "independent":
+            if not verify_independent(host, D):
+                raise WitnessFormatError("independent witness does not verify")
+        else:
+            if not verify_outbranching(host, D, fields["parent"]):
+                raise WitnessFormatError("outbranching witness does not verify")
+            if not verify_dominating(host, D, 1):
+                raise WitnessFormatError("outbranching witness does not dominate")
+            return D, fields["parent"]
+        return D
     except WitnessFormatError:
         raise
     except ValueError as err:
-        # int() of a non-integer field, a line with too many or too few
-        # fields, or a GraphError for an id outside the graph
+        # int() of a non-integer word, or a GraphError for an id outside the graph
         raise WitnessFormatError("invalid document: %s" % err) from err
 
 
-def _split_ids(payload):
-    payload = payload.strip()
-    return tuple(int(x) for x in payload.split()) if payload else ()
-
-
-def _distinct_ids(payload):
-    """_split_ids for a vertex list, which names each vertex once."""
-    ids = _split_ids(payload)
-    if len(set(ids)) != len(ids):
-        raise WitnessFormatError("repeated vertex id in %r" % payload.strip())
-    return ids
-
-
-def _once(table, key, val, line):
-    """table[key] = val for a line that may set its field only once."""
-    if key in table:
-        raise WitnessFormatError("repeated field in line %r" % line)
-    table[key] = val
-
-
-def _parse_model(body, kind, host, pattern):
-    if host is None:
-        raise WitnessFormatError("model documents need a host graph")
-    fields = {}
-    params = {}
-    branch, image, source, sink = {}, {}, {}, {}
-    for line in body:
-        if line.startswith("param "):
-            _, key, val = line.split(None, 2)
-            _once(params, key, val, line)
-        elif line.startswith("depth "):
-            val = line.split()[1]
-            _once(fields, "depth", None if val == "none" else int(val), line)
-        elif line.startswith("branch "):
-            head, payload = line.split(":", 1)
-            v = int(head.split()[1])
-            _once(branch, v, frozenset(_distinct_ids(payload)), line)
-        elif line.startswith("edge "):
-            head, payload = line.split(":", 1)
-            _, u, v = head.split()
-            x, y = _split_ids(payload)
-            _once(image, (int(u), int(v)), (x, y), line)
-        elif line.startswith("source "):
-            _, v, s = line.split()
-            _once(source, int(v), int(s), line)
-        elif line.startswith("sink "):
-            _, v, t = line.split()
-            _once(sink, int(v), int(t), line)
-        elif line.startswith("verified"):
-            pass
-        else:
-            raise WitnessFormatError("unexpected line %r" % line)
+def _model(kind, fields, host, pattern):
     if kind == "crown":
-        order = int(params.get("order", 0))
-        if order < 1:
-            raise WitnessFormatError("crown document lacks its order")
+        order = _int(fields["param"].get("order", "0"))
+        if order < 1 or order * (order + 1) // 2 > host.n:
+            raise WitnessFormatError("crown document lacks an order that fits the host")
         pattern, _ = crown(order)
     if pattern is None:
         raise WitnessFormatError("model documents need a pattern graph")
-    model = DirectedModel(host, pattern, branch, image, source, sink, fields.get("depth"))
+    image = fields["edge"]
+    if any(len(xy) != 2 for xy in image.values()):
+        raise WitnessFormatError("an edge line maps a pattern edge to two host ids")
+    branch = {v: frozenset(ids) for v, ids in fields["branch"].items()}
+    model = DirectedModel(host, pattern, branch, image, fields["source"], fields["sink"],
+                          fields["depth"].get(()))
     ok, bad = verify_model(model)
     if not ok:
         raise WitnessFormatError("model does not verify: %s" % "; ".join(bad))
     return model
-
-
-def _parse_scattered(body, host):
-    if host is None:
-        raise WitnessFormatError("scattered documents need the graph")
-    fields = {}
-    for line in body:
-        if line.startswith("d "):
-            _once(fields, "d", int(line.split()[1]), line)
-        elif line.startswith("S:"):
-            _once(fields, "S", _distinct_ids(line[2:]), line)
-        elif line.startswith("U:"):
-            _once(fields, "U", _distinct_ids(line[2:]), line)
-        elif line.startswith("verified"):
-            pass
-        else:
-            raise WitnessFormatError("unexpected line %r" % line)
-    if fields.keys() != {"d", "S", "U"}:
-        raise WitnessFormatError("incomplete scattered document")
-    w = ScatteredWitness(host, fields["S"], fields["U"], fields["d"])
-    if not w.verify():
-        raise WitnessFormatError("scattered witness does not verify")
-    return w
-
-
-def _parse_vertex_set(body, kind, host):
-    if host is None:
-        raise WitnessFormatError("vertex-set documents need the graph")
-    fields = {}
-    for line in body:
-        if line.startswith("d "):
-            _once(fields, "d", int(line.split()[1]), line)
-        elif line.startswith("D:"):
-            _once(fields, "D", _distinct_ids(line[2:]), line)
-        elif line.startswith("verified"):
-            pass
-        else:
-            raise WitnessFormatError("unexpected line %r" % line)
-    if "D" not in fields:
-        raise WitnessFormatError("incomplete document")
-    D, d = fields["D"], fields.get("d")
-    if kind == "dominating":
-        if not verify_dominating(host, D, d if d else 1):
-            raise WitnessFormatError("dominating witness does not verify")
-    else:
-        if not verify_independent(host, D):
-            raise WitnessFormatError("independent witness does not verify")
-    return D
-
-
-def _parse_outbranching(body, host):
-    if host is None:
-        raise WitnessFormatError("outbranching documents need the graph")
-    fields = {}
-    parent = {}
-    for line in body:
-        if line.startswith("D:"):
-            _once(fields, "D", _distinct_ids(line[2:]), line)
-        elif line.startswith("parent "):
-            _, v, p = line.split()
-            _once(parent, int(v), None if p == "none" else int(p), line)
-        elif line.startswith("verified"):
-            pass
-        else:
-            raise WitnessFormatError("unexpected line %r" % line)
-    if "D" not in fields:
-        raise WitnessFormatError("incomplete document")
-    D = fields["D"]
-    if not verify_outbranching(host, D, parent):
-        raise WitnessFormatError("outbranching witness does not verify")
-    if not verify_dominating(host, D, 1):
-        raise WitnessFormatError("outbranching witness does not dominate")
-    return D, parent

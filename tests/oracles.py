@@ -16,17 +16,20 @@ searched for tree-like models, with its isomorphism test
 `digraph_isomorphic`.
 Random test instances, which decide no verdict, come from the library's
 `random_digraph` and `random_dag` and are re-exported under those names;
-`ladder` builds the path router's exponential case.
+`ladder` builds the path router's exponential case. The last section
+holds small helpers that only tests call: `is_directed_path`,
+`crown_source_id`, `wideness_threshold` and `deletion_budget`.
 """
 
 import itertools
+import math
 from collections import deque
 from fractions import Fraction
 
 from crownminor.digraph import Digraph, GraphError, bfs_dist
 from crownminor.generators import random_dag, random_digraph  # noqa: F401
 from crownminor.minors import _injective_maps, butterfly_contract, legal_butterfly_contractions
-from crownminor.quasiwide import ControlledBipartite
+from crownminor.quasiwide import ControlledBipartite, dichotomy_threshold
 
 
 def enum_paths(G, src, max_len=None, reverse=False):
@@ -604,7 +607,7 @@ def oracle_solve(G, variant, k, d=1):
     return False, None
 
 
-def oracle_steiner(G, terminals, required_root=None):
+def oracle_steiner(G, terminals):
     """Minimum vertex count of an out-tree covering the terminals, by
     subset enumeration; None if impossible."""
     term = set(terminals)
@@ -614,10 +617,7 @@ def oracle_steiner(G, terminals, required_root=None):
             T = set(combo)
             if not term <= T:
                 continue
-            roots = [required_root] if required_root is not None else sorted(T)
-            for root in roots:
-                if root not in T:
-                    continue
+            for root in sorted(T):
                 seen = {root}
                 dq = deque([root])
                 while dq:
@@ -800,3 +800,39 @@ def densest_subgraph_by_subsets(G):
             e = sum(1 for u, v in G.edges if u in inside and v in inside)
             best = max(best, Fraction(e, size))
     return best
+
+
+# ---------------------------------------------------------------------------
+# helpers that only tests call
+
+
+def is_directed_path(G, seq):
+    """True iff seq is a directed path of G (distinct vertices, each
+    consecutive pair an edge)."""
+    if len(seq) != len(set(seq)):
+        return False
+    for v in seq:
+        if not (0 <= v < G.n):
+            return False
+    return all(G.has_edge(a, b) for a, b in zip(seq, seq[1:]))
+
+
+def crown_source_id(q, i, j):
+    """Vertex id of u_{i,j} in crown(q), principals numbered 0..q-1."""
+    if not (0 <= i < j < q):
+        raise GraphError("need 0 <= i < j < q")
+    return q + i * q - i * (i + 1) // 2 + (j - i - 1)
+
+
+def wideness_threshold(r, m, exclusion_order):
+    """Required set size N(r, m) for the iterated dichotomy, given the
+    excluded crown order per depth as a callable."""
+    val = m
+    for i in range(r - 1, -1, -1):
+        val = dichotomy_threshold(r, val, exclusion_order(i))
+    return val
+
+
+def deletion_budget(r, exclusion_order):
+    """Total deletions s(r) across the iterated dichotomy."""
+    return sum(math.comb(exclusion_order(i), 2) for i in range(r))

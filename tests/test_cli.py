@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,15 +9,17 @@ import pytest
 import crownminor
 from crownminor.cli import main
 from crownminor.digraph import Digraph
-from crownminor.generators import crown, oriented_grid, reversed_crown
+from crownminor.generators import crown, oriented_grid, random_digraph, reversed_crown
 from crownminor.graphio import GraphFormatError, emit_graph, parse_graph
-from crownminor.minors import DirectedModel
-from crownminor.quasiwide import ScatteredWitness, dichotomy_step
+from crownminor.minors import DirectedModel, general_minor_check, shallow_minor_check
+from crownminor.quasiwide import ScatteredWitness, compute_scattered, dichotomy_step
+from crownminor.solvers import d_dominating_set, dominating_outbranching, independent_set
 from crownminor.witnessdoc import (
     WitnessFormatError,
     emit_model,
     emit_outbranching,
     emit_scattered,
+    emit_vertex_set,
     parse_witness,
 )
 
@@ -202,6 +205,139 @@ def test_model_edge_line_with_three_ids_fails_to_load():
     line = next(x for x in doc.splitlines() if x.startswith("edge "))
     with pytest.raises(WitnessFormatError):
         parse_witness(doc.replace(line, line + " 2"), host=S3)
+
+
+@pytest.mark.parametrize(
+    "good,line,bad,host",
+    [
+        (EDGE_IN_PATH3, "branch 1: 1 2", "branch : 1 2", PATH3),
+        ("kind dominating\nd 1\nD: 0\nend\n", "d 1", "d 0", EDGE),
+        ("kind dominating\nd 1\nD: 0 2\nend\n", "d 1", "d -1", PATH3),
+        (EDGE_IN_PATH3, "branch 0: 0", "branch 0 7: 0", PATH3),
+        (EDGE_IN_PATH3, "depth none", "depth none 5", PATH3),
+        ("kind dominating\nd 1\nD: 0 2\nend\n", "d 1", "d 1 9", PATH3),
+        ("kind independent\nD: 0 2\nend\n", "kind independent", "kind independent junk",
+         PATH3),
+        ("kind independent\nD: 0 2\nend\n", "D: 0 2", "D: 0 2\nverifiedXYZ", PATH3),
+        ("kind independent\nD: 0 2\nend\n", "D: 0 2", "d 4\nD: 0 2", PATH3),
+        ("kind independent\nD: 0 2\nend\n", "D: 0 2", "D: 0 2\nverified maybe", PATH3),
+        ("kind independent\nD: 0 2\nend\n", "D: 0 2", "D 0 2", PATH3),
+        ("kind dominating\nd 1\nD: 0 2\nend\n", "d 1", "d 01", PATH3),
+        (EDGE_IN_PATH3, "source 0 0", "source 0: 0", PATH3),
+    ],
+    ids=["branch-without-vertex", "dominating-d0", "dominating-negative-d", "branch-extra-word",
+         "depth-extra-word", "d-extra-word", "kind-extra-word", "verified-glued",
+         "independent-d", "verified-not-a-flag", "list-without-colon", "padded-integer",
+         "stray-colon"],
+)
+def test_witness_lines_off_the_grammar_fail_to_load(good, line, bad, host):
+    parse_witness(good, host=host, pattern=EDGE)
+    with pytest.raises(WitnessFormatError):
+        parse_witness(good.replace(line, bad, 1), host=host, pattern=EDGE)
+
+
+def test_vertex_set_emitter_checks_d_at_its_radius():
+    assert "verified true" in emit_vertex_set("dominating", EDGE, (0,), d=1)
+    assert "verified false" in emit_vertex_set("dominating", EDGE, (0,), d=0)
+    with pytest.raises(WitnessFormatError, match="no d line"):
+        emit_vertex_set("independent", EDGE, (0,), d=1)
+
+
+# Round trips: every document built from a library answer on a small
+# random graph loads as the same payload, and re-emitting that payload
+# writes the same bytes.
+
+
+def _small_graphs(count=15):
+    for seed in range(count):
+        rng = random.Random(seed)
+        yield seed, random_digraph(rng, rng.randint(4, 7), 0.35), rng
+
+
+@pytest.mark.parametrize("mode", ["directed", "shallow"])
+def test_model_documents_round_trip(mode):
+    loaded = 0
+    for seed, G, rng in _small_graphs():
+        H = random_digraph(rng, 3, 0.5)
+        model = general_minor_check(H, G) if mode == "directed" else \
+            shallow_minor_check(H, G, seed % 3)
+        if model is None:
+            continue
+        doc = emit_model(model, params=[("mode", mode)])
+        back = parse_witness(doc, host=G, pattern=H)
+        assert back == model
+        assert emit_model(back, params=[("mode", mode)]) == doc
+        loaded += 1
+    assert loaded >= 5
+
+
+def test_crown_documents_round_trip():
+    loaded = 0
+    for seed in range(30):
+        G = random_digraph(random.Random(100 + seed), 6 + seed % 5, 0.3)
+        for p, q in ((2, 2), (3, 2), (2, 3)):
+            try:
+                model = dichotomy_step(G, sorted(G.vertices()), 0, p, q)
+            except RuntimeError:
+                continue
+            if isinstance(model, DirectedModel):
+                doc = emit_model(model, kind="crown", params=[("order", q)])
+                back = parse_witness(doc, host=G)
+                assert back == model and back.pattern == crown(q)[0]
+                assert emit_model(back, kind="crown", params=[("order", q)]) == doc
+                loaded += 1
+    assert loaded >= 5
+
+
+def test_scattered_documents_round_trip():
+    loaded = 0
+    for seed, G, _ in _small_graphs():
+        for d, m in ((0, 2), (1, 2), (1, 3), (2, 2)):
+            w = compute_scattered(G, sorted(G.vertices()), d, m, 2)
+            if w is None:
+                continue
+            doc = emit_scattered(w)
+            back = parse_witness(doc, host=G)
+            assert back == w and emit_scattered(back) == doc
+            loaded += 1
+    assert loaded >= 10
+
+
+@pytest.mark.parametrize("kind,d", [("dominating", None), ("dominating", 1),
+                                    ("dominating", 2), ("independent", None)])
+def test_vertex_set_documents_round_trip(kind, d):
+    loaded = 0
+    for seed, G, _ in _small_graphs():
+        for k in (1, 2, 3):
+            if kind == "independent":
+                out = independent_set(G, k)
+            else:
+                out = d_dominating_set(G, k, 1 if d is None else d)
+            if not out.feasible:
+                continue
+            doc = emit_vertex_set(kind, G, out.witness, d=d)
+            assert ("\nd " in doc) == (d is not None)
+            back = parse_witness(doc, host=G)
+            assert back == tuple(out.witness)
+            assert emit_vertex_set(kind, G, back, d=d) == doc
+            loaded += 1
+    assert loaded >= 10
+
+
+def test_outbranching_documents_round_trip():
+    loaded = 0
+    for seed, G, _ in _small_graphs():
+        for k in (1, 2, 3):
+            out = dominating_outbranching(G, k)
+            if not out.feasible:
+                continue
+            D, parent = out.witness
+            doc = emit_outbranching(G, D, parent)
+            back = parse_witness(doc, host=G)
+            assert back == (tuple(sorted(D)), parent)
+            assert emit_outbranching(G, *back) == doc
+            loaded += 1
+    assert loaded >= 10
 
 
 # --- CLI ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from crownminor.digraph import (
     in_neighborhood,
     is_dag,
     is_directed_bipartite,
-    is_directed_path,
     out_neighborhood,
     set_neighborhood,
     topological_order,
@@ -20,7 +19,7 @@ from crownminor.digraph import (
 )
 from crownminor.generators import alternating_path, crown, reversed_crown
 
-from oracles import random_digraph, reach_by_paths
+from oracles import is_directed_path, random_digraph, reach_by_paths
 
 
 def is_alternating_path_model(G, path):

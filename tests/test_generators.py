@@ -18,7 +18,6 @@ from crownminor.generators import (
     alternating_path,
     crown,
     crown_pattern_probability,
-    crown_source_id,
     embed_acyclic_tournament,
     extract_grid_alternating_path,
     grid_undirected_edges,
@@ -30,6 +29,8 @@ from crownminor.generators import (
 )
 from crownminor.graphio import emit_graph
 from crownminor.rng import SplitMix64
+
+from oracles import crown_source_id
 
 
 def test_crown_counts():

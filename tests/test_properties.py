@@ -22,7 +22,6 @@ from crownminor.digraph import (
     adjacency_masks,
     bfs_dist,
     in_neighborhood,
-    is_directed_path,
     mask_bits,
     out_neighborhood,
     reach_mask,
@@ -61,6 +60,7 @@ from oracles import (
     enum_paths,
     exhaustive_grad,
     full_copy_sample,
+    is_directed_path,
     ladder,
     reach_by_paths,
     scattered_by_sweep,

@@ -18,7 +18,6 @@ from crownminor.quasiwide import (
     cc2_condition,
     clique_threshold,
     compute_scattered,
-    deletion_budget,
     dichotomy_step,
     dichotomy_threshold_steps,
     is_scattered,
@@ -30,11 +29,10 @@ from crownminor.quasiwide import (
     uniform_level_crown,
     uniform_level_threshold,
     verify_controlled_crown,
-    wideness_threshold,
     without_vertices,
 )
 
-from oracles import random_digraph
+from oracles import deletion_budget, random_digraph, wideness_threshold
 
 
 def greedy_scattered(G, d, avoid=()):
