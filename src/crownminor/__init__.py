@@ -1,122 +1,63 @@
 """Directed-graph structure toolkit: crowns, shallow directed minors,
 scattered sets, the crown-or-scattered dichotomy, and parameterized
 domination solvers, each paired with verifiers and brute-force oracles.
+
+`import crownminor` loads no submodule. A name below is imported from
+its home module on first use (PEP 562 `__getattr__`), and so is a
+submodule reached as an attribute (`crownminor.minors`), so each
+command-line command compiles only the layers it runs.
 """
 
-from .digraph import (
-    Digraph,
-    GraphError,
-    UndirectedGraph,
-    bidirect,
-    count_alternations,
-    in_neighborhood,
-    is_dag,
-    is_directed_bipartite,
-    out_neighborhood,
-    set_neighborhood,
-    topological_order,
-    underlying_undirected,
-)
-from .generators import (
-    acyclic_tournament,
-    alternating_path,
-    crown,
-    crown_pattern_probability,
-    extract_grid_alternating_path,
-    oriented_grid,
-    random_bipartite_outregular,
-    random_tournament,
-    reversed_crown,
-)
-from .graphio import GraphFormatError, emit_graph, parse_graph
-from .minors import (
-    DirectedModel,
-    IntervalPartition,
-    dag_disjoint_paths,
-    dag_disjoint_paths_bounded,
-    dag_minor_check,
-    general_minor_check,
-    grad,
-    is_butterfly_minor,
-    shallow_minor_check,
-    topological_minor_check,
-    verify_model,
-)
-from .quasiwide import (
-    BudgetExhausted,
-    ControlledBipartite,
-    ControlledCrown,
-    ScatteredWitness,
-    build_controlled_bipartite,
-    compute_scattered,
-    dichotomy_step,
-    is_scattered,
-    iterate_dichotomy,
-)
-from .solvers import (
-    DominationInstance,
-    SolveOutcome,
-    brute_force_solve,
-    d_dominating_set,
-    directed_steiner_outtree,
-    dominating_outbranching,
-    independent_dominating_set,
-    independent_set,
-)
+import importlib
 
-__all__ = [
-    "BudgetExhausted",
-    "ControlledBipartite",
-    "ControlledCrown",
-    "Digraph",
-    "DirectedModel",
-    "DominationInstance",
-    "GraphError",
-    "GraphFormatError",
-    "IntervalPartition",
-    "ScatteredWitness",
-    "SolveOutcome",
-    "UndirectedGraph",
-    "acyclic_tournament",
-    "alternating_path",
-    "bidirect",
-    "brute_force_solve",
-    "build_controlled_bipartite",
-    "compute_scattered",
-    "count_alternations",
-    "crown",
-    "crown_pattern_probability",
-    "d_dominating_set",
-    "dag_disjoint_paths",
-    "dag_disjoint_paths_bounded",
-    "dag_minor_check",
-    "dichotomy_step",
-    "directed_steiner_outtree",
-    "dominating_outbranching",
-    "emit_graph",
-    "extract_grid_alternating_path",
-    "general_minor_check",
-    "grad",
-    "in_neighborhood",
-    "independent_dominating_set",
-    "independent_set",
-    "is_butterfly_minor",
-    "is_dag",
-    "is_directed_bipartite",
-    "is_scattered",
-    "iterate_dichotomy",
-    "oriented_grid",
-    "out_neighborhood",
-    "parse_graph",
-    "random_bipartite_outregular",
-    "random_tournament",
-    "reversed_crown",
-    "set_neighborhood",
-    "shallow_minor_check",
-    "topological_minor_check",
-    "topological_order",
-    "underlying_undirected",
-    "verify_model",
-]
+# every submodule, with the names the package re-exports from it
+_EXPORTS = {
+    "cli": (),
+    "density": (),
+    "digraph": (
+        "BudgetExhausted", "Digraph", "GraphError", "UndirectedGraph", "bidirect",
+        "count_alternations", "in_neighborhood", "is_dag", "is_directed_bipartite",
+        "out_neighborhood", "set_neighborhood", "topological_order", "underlying_undirected",
+    ),
+    "generators": (
+        "acyclic_tournament", "alternating_path", "crown", "crown_pattern_probability",
+        "extract_grid_alternating_path", "oriented_grid", "random_bipartite_outregular",
+        "random_tournament", "reversed_crown",
+    ),
+    "graphio": ("GraphFormatError", "emit_graph", "parse_graph"),
+    "minors": (
+        "DirectedModel", "IntervalPartition", "dag_disjoint_paths",
+        "dag_disjoint_paths_bounded", "dag_minor_check", "general_minor_check", "grad",
+        "is_butterfly_minor", "shallow_minor_check", "topological_minor_check",
+        "verify_model",
+    ),
+    "quasiwide": (
+        "ControlledBipartite", "ControlledCrown", "ScatteredWitness",
+        "build_controlled_bipartite", "compute_scattered", "dichotomy_step", "is_scattered",
+        "iterate_dichotomy",
+    ),
+    "rng": (),
+    "selftest": (),
+    "solvers": (
+        "DominationInstance", "SolveOutcome", "brute_force_solve", "d_dominating_set",
+        "directed_steiner_outtree", "dominating_outbranching", "independent_dominating_set",
+        "independent_set",
+    ),
+    "witnessdoc": (),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(importlib.import_module("." + _HOME[name], __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module("." + name, __name__)
+    else:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    globals()[name] = value
+    return value

@@ -7,46 +7,16 @@ bug: a failed self-check or any other unexpected exception, reported
 in one line on stderr). Structured output mode
 emits only the witness document and demands an explicit seed from every
 randomized command.
+
+Each command imports the library layers it runs in its handler, so a
+process compiles and loads only those.
 """
 
 import argparse
 import sys
 
-from .digraph import GraphError
-from .generators import (
-    acyclic_tournament,
-    alternating_path,
-    crown,
-    oriented_grid,
-    random_bipartite_outregular,
-    random_tournament,
-    reversed_crown,
-)
+from .digraph import BudgetExhausted, GraphError
 from .graphio import GraphFormatError, emit_graph, load_graph
-from .minors import (
-    general_minor_check,
-    grad,
-    is_butterfly_minor,
-    shallow_minor_check,
-    subdivision_to_model,
-    topological_minor_check,
-)
-from .quasiwide import (
-    BudgetExhausted,
-    ScatteredWitness,
-    compute_scattered,
-    dichotomy_step,
-    is_scattered,
-)
-from .solvers import (
-    DominationInstance,
-    brute_force_solve,
-    d_dominating_set,
-    dominating_outbranching,
-    independent_dominating_set,
-    independent_set,
-)
-from .selftest import format_results, run_selftest
 from .witnessdoc import emit_model, emit_outbranching, emit_scattered, emit_vertex_set
 
 EXIT_FOUND = 0
@@ -149,6 +119,16 @@ def _need_seed(args):
 
 
 def cmd_generate(args):
+    from .generators import (
+        acyclic_tournament,
+        alternating_path,
+        crown,
+        oriented_grid,
+        random_bipartite_outregular,
+        random_tournament,
+        reversed_crown,
+    )
+
     fam = args.family
     p = args.params
     comments = []
@@ -194,6 +174,14 @@ def cmd_generate(args):
 
 
 def cmd_minor(args):
+    from .minors import (
+        general_minor_check,
+        is_butterfly_minor,
+        shallow_minor_check,
+        subdivision_to_model,
+        topological_minor_check,
+    )
+
     H = load_graph(args.pattern)
     G = load_graph(args.host)
     mode = args.mode
@@ -221,6 +209,8 @@ def cmd_minor(args):
 
 
 def cmd_scatter(args):
+    from .quasiwide import compute_scattered
+
     G = load_graph(args.graph)
     w = compute_scattered(G, sorted(G.vertices()), args.d, args.m, args.s_budget)
     if w is None:
@@ -232,6 +222,8 @@ def cmd_scatter(args):
 
 
 def cmd_dichotomy(args):
+    from .quasiwide import ScatteredWitness, dichotomy_step, is_scattered
+
     G = load_graph(args.graph)
     if args.i_set is not None:
         try:
@@ -257,6 +249,15 @@ def cmd_dichotomy(args):
 
 
 def cmd_solve(args):
+    from .solvers import (
+        DominationInstance,
+        brute_force_solve,
+        d_dominating_set,
+        dominating_outbranching,
+        independent_dominating_set,
+        independent_set,
+    )
+
     G = load_graph(args.graph)
     variant = args.variant
     d = args.d
@@ -291,6 +292,8 @@ def cmd_solve(args):
 
 
 def cmd_grad(args):
+    from .minors import grad
+
     G = load_graph(args.graph)
     val = grad(G, args.r)
     print("%s" % val)
@@ -298,6 +301,8 @@ def cmd_grad(args):
 
 
 def cmd_selftest(args):
+    from .selftest import format_results, run_selftest
+
     results = run_selftest(args.scale)
     print(format_results(results))
     return EXIT_FOUND if all(ok for _, ok, _ in results) else EXIT_NOT_FOUND

@@ -5,6 +5,12 @@ class GraphError(ValueError):
     """Raised for malformed graphs or invalid vertex ids."""
 
 
+class BudgetExhausted(RuntimeError):
+    """Desk-scale pools ran out below the guaranteed thresholds. The
+    extractors in quasiwide raise it; it lives here so that a caller can
+    catch it without loading them."""
+
+
 class Digraph:
     """Immutable digraph on dense vertex ids 0..n-1.
 
@@ -76,6 +82,7 @@ class Digraph:
     def check_vertex(self, v):
         if not (0 <= v < self.n):
             raise GraphError("invalid vertex id %s (n=%d)" % (v, self.n))
+
     def reversed(self):
         """The digraph with every edge direction flipped."""
         return Digraph(self.n, [(v, u) for (u, v) in self.edges])

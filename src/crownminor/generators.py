@@ -7,7 +7,6 @@ probability.
 """
 
 import math
-from fractions import Fraction
 
 from .digraph import Digraph, GraphError, count_alternations
 from .rng import SplitMix64
@@ -247,6 +246,8 @@ def crown_pattern_probability(n, d, q):
     independently for all C(q, 2) sources. The bound is (2d/n)^(q(q-1)).
     Returns (exact, bound) as Fractions.
     """
+    from fractions import Fraction
+
     if q < 1 or n < 1 or d < 0:
         raise GraphError("need q >= 1, n >= 1, d >= 0")
     pairs = math.comb(q, 2)

@@ -18,13 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-from .digraph import Digraph, GraphError, adjacency_masks, bfs_dist, reach_mask
-from .generators import crown
-from .minors import DirectedModel, verified, verify_model
-
-
-class BudgetExhausted(RuntimeError):
-    """Desk-scale pools ran out below the guaranteed thresholds."""
+from .digraph import BudgetExhausted, Digraph, GraphError, adjacency_masks, bfs_dist, reach_mask
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +799,9 @@ def crown_to_model(G, cb, cc, r):
     """Depth-r model of the crown pattern in the ground digraph:
     connector branches are singletons; a principal's branch is the union
     of the labels on its crown edges (walks back to the principal)."""
+    from .generators import crown
+    from .minors import DirectedModel, verify_model
+
     q = cc.order
     pattern, _ = crown(q)
     branch = {}
@@ -882,6 +879,8 @@ def iterate_dichotomy(G, W, target_r, m, q_schedule):
     guaranteed thresholds shrink the set round over round), backing off
     toward m when the pools cannot support the surplus.
     """
+    from .minors import DirectedModel, verified
+
     W = sorted(set(W))
     if len(W) < m:
         raise GraphError("need |W| >= m")

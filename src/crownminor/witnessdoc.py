@@ -16,12 +16,11 @@ between words, and nothing else: it rejects a key the kind does not
 have, a wrong number of words, a missing or stray colon, a number not
 written as `%d` writes it, an id named twice in one list and a
 repeated field.
-"""
 
-from .generators import crown
-from .minors import DirectedModel, verify_model
-from .quasiwide import ScatteredWitness
-from .solvers import verify_dominating, verify_independent, verify_outbranching
+The layers a document's payload lives in (minors, quasiwide, solvers)
+are imported by the emitter or reader that needs them, so that a
+command loads only its own.
+"""
 
 
 class WitnessFormatError(ValueError):
@@ -89,6 +88,8 @@ def _document(kind, ok, lines):
 
 
 def emit_model(model, kind="model", params=()):
+    from .minors import verify_model
+
     lines = [("param", key, val) for key, val in params] + [("depth", model.depth)]
     lines += [("branch", v, sorted(model.branch[v])) for v in sorted(model.branch)]
     lines += [("edge", *e, model.edge_image[e]) for e in sorted(model.edge_image)]
@@ -102,6 +103,8 @@ def emit_scattered(w):
 
 
 def emit_vertex_set(kind, G, vertices, d=None):
+    from .solvers import verify_dominating, verify_independent
+
     if kind == "dominating":
         ok = verify_dominating(G, vertices, 1 if d is None else d)
     elif kind == "independent":
@@ -112,6 +115,8 @@ def emit_vertex_set(kind, G, vertices, d=None):
 
 
 def emit_outbranching(G, vertices, parent):
+    from .solvers import verify_dominating, verify_outbranching
+
     ok = verify_outbranching(G, vertices, parent) and verify_dominating(G, vertices, 1)
     lines = [("D", sorted(vertices))] + [("parent", v, parent[v]) for v in sorted(parent)]
     return _document("outbranching", ok, lines)
@@ -173,10 +178,14 @@ def parse_witness(text, host=None, pattern=None):
         if kind in ("model", "crown"):
             return _model(kind, fields, host, pattern)
         if kind == "scattered":
+            from .quasiwide import ScatteredWitness
+
             w = ScatteredWitness(host, *_need(kind, fields, "S", "U", "d"))
             if not w.verify():
                 raise WitnessFormatError("scattered witness does not verify")
             return w
+        from .solvers import verify_dominating, verify_independent, verify_outbranching
+
         (D,) = _need(kind, fields, "D")
         if kind == "dominating":
             d = fields["d"].get((), 1)
@@ -200,7 +209,11 @@ def parse_witness(text, host=None, pattern=None):
 
 
 def _model(kind, fields, host, pattern):
+    from .minors import DirectedModel, verify_model
+
     if kind == "crown":
+        from .generators import crown
+
         order = _int(fields["param"].get("order", "0"))
         if order < 1 or order * (order + 1) // 2 > host.n:
             raise WitnessFormatError("crown document lacks an order that fits the host")

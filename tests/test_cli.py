@@ -596,7 +596,8 @@ def test_internal_error_has_its_own_exit_code(capsys, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("internal: branching produced an invalid witness")
 
-    monkeypatch.setattr(cli, "independent_set", broken)
+    # cmd_solve imports the solver when it runs, so patch its home module
+    monkeypatch.setattr(crownminor.solvers, "independent_set", broken)
     g = tmp_path / "g.graph"
     save_graph(str(g), crown(3)[0])
     code, out, err = run_cli(capsys, "solve", "is", str(g), "--k", "1")
@@ -674,14 +675,64 @@ def test_scatter_budget_environment_variable_is_ignored(tmp_path):
         assert run({"CROWNMINOR_SCATTER_BUDGET": "x"}, *argv) == plain
 
 
-def test_cli_import_does_not_load_density():
-    # density is imported on grad's first use; with bytecode caching off
-    # every process compiles each module it loads, so loading density at
-    # import would slow every cli command that never asks for grad
+def _fresh_python(*args):
+    """Runs a new interpreter on this checkout's package with bytecode
+    caching off, so that it compiles every module it loads."""
     src = os.path.dirname(os.path.dirname(crownminor.__file__))
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    code = ("import sys, crownminor, crownminor.cli; "
-            "print('crownminor.cli' in sys.modules, 'crownminor.density' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.split() == ["True", "False"]
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+# imports the package, runs the command in argv[1:] if there is one, and
+# prints the submodules loaded by then
+_LAYERS_AFTER = (
+    "import sys\n"
+    "import crownminor\n"
+    "code = 0\n"
+    "if sys.argv[1:]:\n"
+    "    from crownminor.cli import main\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(*sorted(m[11:] for m in sys.modules if m.startswith('crownminor.')), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+_IO = {"digraph", "graphio", "witnessdoc"}
+
+
+@pytest.mark.parametrize("argv,layers", [
+    ((), None),
+    (("generate", "crown", "3"), {"generators", "rng"}),
+    (("minor", "{pattern}", "{crown}"), {"minors"}),
+    (("grad", "{crown}", "--r", "1"), {"minors", "density"}),
+    (("scatter", "{reversed}", "--d", "1", "--m", "4", "--s-budget", "0"), {"quasiwide"}),
+    (("dichotomy", "{crown}", "--r", "0", "--q", "3", "--p", "2"),
+     {"quasiwide", "minors", "generators", "rng"}),
+    (("dichotomy", "{reversed}", "--r", "1", "--q", "2", "--p", "2", "--i-set", "0 1 2 3"),
+     {"quasiwide"}),
+    (("solve", "ds", "{crown}", "--k", "3"), {"quasiwide", "solvers"}),
+], ids=["import", "generate", "minor", "grad", "scatter", "dichotomy-crown", "dichotomy-scattered",
+        "solve"])
+def test_command_loads_only_its_layers(tmp_path, argv, layers):
+    # with bytecode caching off every process compiles each module it
+    # loads, so a layer a command does not run must stay unloaded; grad
+    # alone loads density
+    from crownminor.graphio import save_graph
+
+    files = {"pattern": crown(2)[0], "crown": crown(3)[0], "reversed": reversed_crown(4)[0]}
+    for name, G in files.items():
+        save_graph(str(tmp_path / name), G)
+    argv = [a.format(**{name: str(tmp_path / name) for name in files}) for a in argv]
+    done = _fresh_python("-c", _LAYERS_AFTER, *(["--format", "structured"] if argv else []), *argv)
+    assert done.returncode == 0, done.stderr
+    assert set(done.stderr.split()) == (set() if layers is None else {"cli"} | _IO | layers)
+
+
+def test_budget_exhaustion_exits_2_with_one_line(tmp_path):
+    # a host whose pools run dry before a crown or 3 scattered members form
+    g = tmp_path / "g.graph"
+    g.write_text("11\n0 5\n1 2\n1 5\n2 10\n3 4\n3 10\n6 5\n6 7\n6 9\n7 0\n7 4\n8 1\n8 7\n9 5\n")
+    done = _fresh_python("-m", "crownminor.cli", "--format", "structured", "dichotomy", str(g),
+                         "--r", "0", "--q", "3", "--p", "3")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("budget exhausted: ")
