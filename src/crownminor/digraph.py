@@ -36,10 +36,14 @@ class Digraph:
                 raise GraphError("self-loop at vertex %d" % u)
             out[u].append(v)
             inn[v].append(u)
+        for a in out:
+            a.sort()
+        for a in inn:
+            a.sort()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "out_adj", tuple(tuple(sorted(a)) for a in out))
-        object.__setattr__(self, "in_adj", tuple(tuple(sorted(a)) for a in inn))
+        object.__setattr__(self, "out_adj", tuple(map(tuple, out)))
+        object.__setattr__(self, "in_adj", tuple(map(tuple, inn)))
         # adjacency_masks fills these on first use
         object.__setattr__(self, "_out_masks", None)
         object.__setattr__(self, "_in_masks", None)

@@ -151,6 +151,8 @@ def oriented_grid(l1, l2, seed=None, choices=None):
     undirected edge; True keeps the (low, high) direction) or uniformly
     at random from `seed`.
     """
+    if l1 < 1 or l2 < 1:
+        raise GraphError("grid sides must be positive, got %d x %d" % (l1, l2))
     base = grid_undirected_edges(l1, l2)
     if (seed is None) == (choices is None):
         raise GraphError("supply exactly one of seed or choices")

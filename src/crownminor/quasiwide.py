@@ -87,6 +87,8 @@ def compute_scattered(G, W, d, m, s_budget, probe_cap=14):
         raise GraphError("need |W| >= m")
     if m <= 0:
         raise GraphError("target size must be positive")
+    if s_budget < 0:
+        raise GraphError("need s_budget >= 0, got %d" % s_budget)
     probe = W[:probe_cap]
     for u in probe:
         G.check_vertex(u)
@@ -201,9 +203,12 @@ class ControlledBipartite:
         self.ground = ground
         self._succ = {a: [] for a in self.a_nodes}
         self._pred = {b: [] for b in self.b_nodes}
-        for (a, b) in sorted(self.edges):
+        for (a, b) in self.edges:
             self._succ[a].append(b)
             self._pred[b].append(a)
+        for side in (self._succ, self._pred):
+            for nbrs in side.values():
+                nbrs.sort()
 
     def a_successors(self, a):
         return tuple(self._succ[a])
@@ -777,13 +782,15 @@ def build_controlled_bipartite(G, I, r):
         a_nodes.append(v)
         parents = bfs_dist(G, v, max_depth=r + 1, parents=True)
         for u in reach:
-            path = [u]
-            while path[-1] != v:
-                path.append(parents[path[-1]])
-            path.reverse()  # v ... u
+            tail = []  # the path from v to u without v, gathered from u back
+            x = u
+            while x != v:
+                tail.append(x)
+                x = parents[x]
+            tail.reverse()
             edges.add((v, u))
-            eta[(v, u)] = tuple(path[1:])
-            seen.update(path[1:])
+            eta[(v, u)] = tail
+            seen.update(tail)
     seen.update(a_nodes)
     seen.update(I)
     base = {}

@@ -42,6 +42,12 @@ def _need_k(k):
         raise GraphError("need k >= 0, got %d" % k)
 
 
+def _need_budget(scatter_budget):
+    # checked on entry, not only where compute_scattered is reached
+    if scatter_budget < 0:
+        raise GraphError("need scatter_budget >= 0, got %d" % scatter_budget)
+
+
 def _mask(vertices):
     mask = 0
     for v in vertices:
@@ -227,6 +233,7 @@ def independent_dominating_set(G, k, scatter_budget=3, base_cap=10):
     forbidding its in-neighborhood. Small or scatter-less residuals are
     searched exhaustively. Exact at all sizes."""
     _need_k(k)
+    _need_budget(scatter_budget)
     used_fallback = [False]
     # computed once per call: closed 1-out-balls and edge neighborhoods
     closed = ball_masks(G, 1)
@@ -571,6 +578,7 @@ def dominating_outbranching(G, k, scatter_budget=3):
     partition + Steiner route. Exact at all sizes via exhaustive
     fallback."""
     _need_k(k)
+    _need_budget(scatter_budget)
     used_fallback = [False]
     closed = ball_masks(G, 1)
     no_clash = [0] * G.n
@@ -652,6 +660,7 @@ def independent_set(G, k, d=1, scatter_budget=3):
     itertools.combinations over the sorted vertices, or proves that
     there is none without visiting the subsets it cuts."""
     _need_k(k)
+    _need_budget(scatter_budget)
     if k == 0:
         return SolveOutcome(True, ())
     if k > G.n:

@@ -13,7 +13,11 @@ BFS per host vertex where the library now runs one per member, and
 `full_copy_sample`, the generators' sampler before it went O(k), and
 `butterfly_minor_by_contraction`, the library's butterfly test before it
 searched for tree-like models, with its isomorphism test
-`digraph_isomorphic`.
+`digraph_isomorphic`, and the forms that sorted the same lists more
+than once: `adjacency_by_sorting` (the `Digraph` adjacency),
+`emit_graph_by_sorted_edges` (the graph text), the label walk with
+path and `reverse()` in `controlled_bipartite_by_table`, and
+`controlled_bipartite_lists` (`ControlledBipartite`'s neighbor lists).
 Random test instances, which decide no verdict, come from the library's
 `random_digraph` and `random_dag` and are re-exported under those names;
 `ladder` builds the path router's exponential case. The last section
@@ -530,6 +534,41 @@ def controlled_bipartite_by_table(G, I, r):
         base[w] = b
         level[w] = dist[w][b] if b is not None else r + 1
     return ControlledBipartite(a_nodes, I, edges, base, level, eta, r, ground=G)
+
+
+def controlled_bipartite_lists(cb):
+    """ControlledBipartite's former list fill: each A-vertex's successors
+    and each B-vertex's predecessors, appended in the order of
+    sorted(cb.edges)."""
+    succ = {a: [] for a in cb.a_nodes}
+    pred = {b: [] for b in cb.b_nodes}
+    for (a, b) in sorted(cb.edges):
+        succ[a].append(b)
+        pred[b].append(a)
+    return succ, pred
+
+
+# --- digraph construction and graph text ---------------------------------------
+
+
+def adjacency_by_sorting(n, edges):
+    """Digraph's former adjacency: (out_adj, in_adj), each vertex's list
+    filled from the edge set, then copied by sorted()."""
+    out = [[] for _ in range(n)]
+    inn = [[] for _ in range(n)]
+    for u, v in frozenset(map(tuple, edges)):
+        out[u].append(v)
+        inn[v].append(u)
+    return tuple(tuple(sorted(a)) for a in out), tuple(tuple(sorted(a)) for a in inn)
+
+
+def emit_graph_by_sorted_edges(G, comments=()):
+    """emit_graph's former body, writing the edges in sorted(G.edges)
+    order."""
+    lines = [str(G.n)]
+    lines.extend("%d %d" % e for e in sorted(G.edges))
+    lines.extend("# %s" % c for c in comments)
+    return "\n".join(lines) + "\n"
 
 
 # --- solver-side predicates, written from the definitions -----------------

@@ -57,6 +57,9 @@ def test_parse_comments_ignored():
         ("3\n0\t1\n1\t5\n", "out of range"),
         ("3\n0 1 2\n", "expected `u v` edge pair"),
         ("-1\n", "must be nonnegative"),
+        ("2 3\n", "expected vertex count"),
+        ("3\n0 1\n2 2 # loop\n", "self-loop"),
+        ("3\n0 1 # c\n0 1 # d\n", "duplicate"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
@@ -647,6 +650,33 @@ def test_bad_graph_file_is_input_error(capsys, tmp_path):
     g.write_text("2\n0 0\n")
     code, _, err = run_cli(capsys, "grad", str(g), "--r", "0")
     assert code == 4 and "line 2" in err
+
+
+def test_graph_file_that_is_not_utf8_is_input_error(capsys, tmp_path):
+    g = tmp_path / "g.graph"
+    g.write_bytes(b"2\n0 1\n\xff\xfe\n")
+    code, _, err = run_cli(capsys, "grad", str(g), "--r", "0")
+    assert code == 4
+    assert err.splitlines() == ["input error: line 3: not UTF-8 text"]
+
+
+@pytest.mark.parametrize(
+    "command,options",
+    [
+        (["scatter"], ["--d", "1", "--m", "2", "--s-budget", "-1"]),
+        (["solve", "ids"], ["--k", "1", "--scatter-budget", "-1"]),
+        (["solve", "dob"], ["--k", "1", "--scatter-budget", "-1"]),
+        (["solve", "is"], ["--k", "1", "--scatter-budget", "-1"]),
+    ],
+)
+def test_negative_deletion_budget_is_input_error(capsys, tmp_path, command, options):
+    from crownminor.graphio import save_graph
+
+    g = tmp_path / "g.graph"
+    save_graph(str(g), crown(3)[0])
+    code, out, err = run_cli(capsys, "--format", "structured", *command, str(g), *options)
+    assert code == 4 and out == ""
+    assert "budget >= 0, got -1" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -116,6 +116,14 @@ def test_oriented_grid_shape():
         oriented_grid(2, 3, seed=1, choices=[True] * 7)
 
 
+@pytest.mark.parametrize("l1,l2", [(0, 3), (3, 0), (-1, -3), (-2, 4)])
+def test_oriented_grid_rejects_sides_below_one(l1, l2):
+    with pytest.raises(GraphError):
+        oriented_grid(l1, l2, seed=1)
+    with pytest.raises(GraphError):
+        oriented_grid(l1, l2, choices=[])
+
+
 def test_grid_vertex_bounds():
     assert grid_vertex(2, 3, 1, 1) == 0
     assert grid_vertex(2, 3, 2, 3) == 5

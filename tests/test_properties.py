@@ -7,9 +7,12 @@ and the disjoint-path router against the brute-force oracles, the
 bitmask searches of compute_scattered and the solvers against the
 set-based searches they replaced, and grad against the exhaustive family
 sweep and subset enumeration, and the O(k) sampler against the
-full-copy one it replaced."""
+full-copy one it replaced, and the digraph adjacency, graph text and
+controlled-bipartite lists and labels, which sort each list once,
+against the forms that sorted the same lists again."""
 
 import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -27,8 +30,14 @@ from crownminor.digraph import (
     reach_mask,
     set_neighborhood,
 )
+from crownminor.graphio import emit_graph, parse_graph
 from crownminor.rng import SplitMix64
-from crownminor.quasiwide import build_controlled_bipartite, compute_scattered, is_scattered
+from crownminor.quasiwide import (
+    ControlledBipartite,
+    build_controlled_bipartite,
+    compute_scattered,
+    is_scattered,
+)
 from crownminor.solvers import (
     DominationInstance,
     _first_subset,
@@ -51,17 +60,21 @@ from crownminor.minors import (
 
 from oracles import (
     _model_conditions_hold,
+    adjacency_by_sorting,
     brute_directed_minor,
     brute_disjoint_paths,
     common_ancestor_scatter,
     controlled_bipartite_by_table,
+    controlled_bipartite_lists,
     densest_subgraph_by_subsets,
     digraph_isomorphic,
     enum_paths,
     exhaustive_grad,
     full_copy_sample,
     is_directed_path,
+    emit_graph_by_sorted_edges,
     ladder,
+    random_digraph,
     reach_by_paths,
     scattered_by_sweep,
 )
@@ -355,6 +368,76 @@ def test_controlled_bipartite_matches_distance_table(G, data):
     assert vars(got) == vars(want)
     for field in ("base", "level", "eta"):
         assert list(getattr(got, field).items()) == list(getattr(want, field).items())
+
+
+# Fixed-seed checks that the construction and text path, which sort each
+# list once, reproduce the forms that sorted the same lists again.
+
+
+def _shuffled_edge_lists(seed, count=80):
+    """(n, edges) for random digraphs, each edge list in shuffled order
+    and with about a third of its edges repeated."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(0, 30)
+        edges = sorted(random_digraph(rng, n, rng.choice([0.05, 0.2, 0.5])).edges)
+        edges += [rng.choice(edges) for _ in range(len(edges) // 3)]
+        rng.shuffle(edges)
+        yield n, edges
+
+
+def test_digraph_adjacency_matches_sorted_copies():
+    for n, edges in _shuffled_edge_lists(1):
+        G = Digraph(n, edges)
+        assert (G.out_adj, G.in_adj) == adjacency_by_sorting(n, edges)
+        assert all(type(a) is tuple for a in (G.out_adj, G.in_adj) + G.out_adj + G.in_adj)
+
+
+def test_emitted_text_matches_sorted_edge_order():
+    for n, edges in _shuffled_edge_lists(2):
+        G = Digraph(n, edges)
+        comments = ["n %d" % n, "m %d" % G.num_edges()]
+        text = emit_graph(G, comments)
+        assert text == emit_graph_by_sorted_edges(G, comments)
+        assert parse_graph(text) == G
+
+
+def test_parse_reads_edge_lines_in_any_order():
+    rng = random.Random(3)
+    for n, edges in _shuffled_edge_lists(3):
+        distinct = list(dict.fromkeys(edges))
+        lines = ["# host", "%d" % n]
+        for u, v in distinct:
+            lines.append("%d %d" % (u, v) + rng.choice(["", " # e", "\t"]))
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["", "  ", "# only a comment"]))
+        assert parse_graph("\n".join(lines)) == Digraph(n, edges)
+
+
+def test_controlled_bipartite_labels_and_lists_match_former_forms():
+    rng = random.Random(4)
+    empty_tails = 0
+    for _ in range(150):
+        n = rng.randrange(1, 12)
+        G = random_digraph(rng, n, rng.choice([0.1, 0.2, 0.35]))
+        r = rng.randrange(0, 3)
+        I = []
+        for v in rng.sample(range(n), n):
+            if scattered_by_sweep(G, I + [v], r):
+                I.append(v)
+        got = build_controlled_bipartite(G, I, r)
+        want = controlled_bipartite_by_table(G, I, r)
+        assert list(got.eta.items()) == list(want.eta.items())
+        assert (got._succ, got._pred) == controlled_bipartite_lists(got)
+        # a member reaching another member has the empty tail on its own edge
+        empty_tails += sum(not tail for tail in got.eta.values())
+        # the same edges given shuffled and with repeats fill the same lists
+        edges = sorted(got.edges) * 2
+        rng.shuffle(edges)
+        again = ControlledBipartite(got.a_nodes, got.b_nodes, edges, got.base, got.level,
+                                    got.eta, r)
+        assert (again._succ, again._pred) == controlled_bipartite_lists(got)
+    assert empty_tails > 0
 
 
 def _power(G, d):

@@ -95,6 +95,13 @@ def test_compute_scattered_requires_enough_candidates():
         compute_scattered(S3, principals, d=1, m=4, s_budget=0)
 
 
+def test_compute_scattered_rejects_a_negative_budget():
+    # a budget below 0 is an input error, not a budget that ran out
+    S5r, principals = reversed_crown(5)
+    with pytest.raises(GraphError):
+        compute_scattered(S5r, principals, d=1, m=2, s_budget=-1)
+
+
 def test_compute_scattered_exhaustion_returns_none():
     S3, principals = crown(3)
     assert compute_scattered(S3, principals, d=1, m=3, s_budget=0) is None

@@ -1,8 +1,10 @@
 import itertools
 import random
 
+import pytest
+
 from crownminor import solvers
-from crownminor.digraph import Digraph, bidirect, underlying_undirected
+from crownminor.digraph import Digraph, GraphError, bidirect, underlying_undirected
 from crownminor.generators import acyclic_tournament, crown, reversed_crown
 from crownminor.solvers import (
     DominationInstance,
@@ -372,6 +374,18 @@ def test_solvers_monotone_in_k():
         ):
             feas = [solver(k).feasible for k in range(0, 5)]
             assert all(b or not a for a, b in zip(feas, feas[1:]))
+
+
+@pytest.mark.parametrize(
+    "solver", [independent_dominating_set, dominating_outbranching, independent_set]
+)
+def test_negative_scatter_budget_is_rejected_on_entry(solver):
+    # rejected on hosts too small to reach compute_scattered as well as
+    # on one that reaches it
+    big = random_digraph(random.Random(7), 16, 0.2)
+    for G in (Digraph(0), dipath(3), big):
+        with pytest.raises(GraphError):
+            solver(G, 1, scatter_budget=-1)
 
 
 def test_scattered_branching_is_sound():
