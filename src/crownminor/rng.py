@@ -40,9 +40,6 @@ class SplitMix64:
             if x <= limit:
                 return x % n
 
-    def random(self):
-        return self.next_u64() / (_MASK + 1)
-
     def sample(self, seq, k):
         """k distinct elements of seq, in draw order, in O(k) time and
         memory; seq needs len() and indexing, and is never copied.
@@ -64,6 +61,3 @@ class SplitMix64:
             picked.append(seq[moved.get(j, j)])
             moved[j] = moved.get(i, i)
         return picked
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]

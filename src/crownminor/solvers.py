@@ -1,9 +1,12 @@
 """Parameterized solvers for domination-type problems.
 
 Each solver follows the scattered-set branching scheme where it applies
-and falls back to exhaustive search below desk-scale thresholds, so the
-answers stay exact at every size we can run. Every feasible outcome
-carries a witness that passes the matching verifier.
+and finishes with exhaustive search below desk-scale thresholds or where
+no scattered set is found, so the answers stay exact at every size we
+can run. The exhaustive steps share one pruned bitmask subset search,
+_first_subset. Every feasible outcome carries a witness that passes the
+matching verifier. directed_steiner_outtree is a standalone entry point;
+no solver calls it.
 """
 
 import itertools
@@ -30,9 +33,11 @@ class SolveOutcome:
     exhausted: bool = False
 
 
-# probes handed to compute_scattered by the branching solvers, and the
-# target-set size below which dominating_outbranching takes the
-# partition + Steiner route
+# PROBE_CAP: the probes independent_dominating_set and independent_set
+# hand to compute_scattered (dominating_outbranching passes none and so
+# gets compute_scattered's default of 14). W_CAP: dominating_outbranching
+# runs its exhaustive subset search on a target set of at most
+# max(W_CAP, chosen + budget) vertices instead of branching.
 PROBE_CAP = 12
 W_CAP = 8
 
@@ -111,14 +116,15 @@ def _first_subset(cand, size, clash, cover, want, accept):
 
 
 def verify_dominating(G, D, d=1, W=None):
-    """W (default: all vertices) lies inside the d-out-neighborhood of
-    D."""
+    """D names no vertex twice and W (default: all vertices) lies inside
+    the d-out-neighborhood of D. Raises GraphError for an id outside G."""
+    D = list(D)
     covered = set()
     for v in D:
         covered.update(bfs_dist(G, v, max_depth=d))
     if W is None:
         W = G.vertices()
-    return set(W) <= covered
+    return len(set(D)) == len(D) and set(W) <= covered
 
 
 def verify_independent(G, D):
@@ -141,12 +147,13 @@ def _independent(G, D):
 
 def verify_outbranching(G, vertices, parent):
     """parent maps each vertex to its tree parent (None at the root);
-    checks one root, edges present, and every vertex walking up to it.
-    Raises GraphError for an id outside G."""
+    checks that no vertex is named twice, one root, edges present, and
+    every vertex walking up to it. Raises GraphError for an id outside G."""
+    vertices = list(vertices)
     vs = set(vertices)
     for v in vs:
         G.check_vertex(v)
-    if set(parent) != vs or not vs:
+    if len(vs) != len(vertices) or set(parent) != vs or not vs:
         return False
     roots = [v for v in vs if parent[v] is None]
     if len(roots) != 1:
@@ -450,133 +457,15 @@ def directed_steiner_outtree(G, terminals, size_budget=None):
 # dominating out-branching
 
 
-def dominating_outbranching_bounded(G, us, W, j, partition_cap=12):
-    """Extension of the fixed vertices us by at most j new vertices so
-    that together they span an out-tree and the new ones 1-dominate W.
-
-    Enumerates partitions of W into at most j parts (canonical block
-    order, candidate sets pruned during assignment), reduces each to a
-    Steiner instance through one auxiliary sink per part, and translates
-    the tree back. Returns (vertices, parent) over us plus the extension
-    or None."""
-    us = tuple(dict.fromkeys(us))
-    W = sorted(set(W))
-    if len(W) > partition_cap:
-        raise GraphError("target set exceeds the partition cap")
-    if j < 0:
-        return None
-    t = len(us)
-    if j == 0 or (not W and not us):
-        if W:
-            return None
-        if not us:
-            # nothing fixed and nothing to dominate: one vertex suffices
-            if j >= 1 and G.n >= 1:
-                return (0,), {0: None}
-            return None
-        parent = spanning_outtree(G, us)
-        if parent is None:
-            return None
-        return tuple(sorted(us)), parent
-
-    dominated_by = {
-        v: frozenset(bfs_dist(G, v, max_depth=1)) & set(W)
-        for v in G.vertices()
-        if v not in us
-    }
-    seen_profiles = {}
-
-    def steiner_for(blocks):
-        xsets = []
-        for members in blocks:
-            need = frozenset(members)
-            xs = frozenset(
-                v for v, dom in dominated_by.items() if need <= dom
-            )
-            if not xs:
-                return None
-            xsets.append(xs)
-        if not us and len(xsets) == 1:
-            # a single chooser is a one-vertex out-branching by itself
-            v = min(xsets[0])
-            return (v,), {v: None}
-        profile = (frozenset(xsets), us)
-        if profile in seen_profiles:
-            return seen_profiles[profile]
-        aug_edges = list(G.edges)
-        aux = []
-        for i, xs in enumerate(xsets):
-            node = G.n + i
-            aux.append(node)
-            for v in xs:
-                aug_edges.append((v, node))
-        aug = Digraph(G.n + len(xsets), aug_edges)
-        got = directed_steiner_outtree(
-            aug, list(us) + aux, size_budget=t + j + len(xsets)
-        )
-        out = None
-        if got is not None:
-            verts, parent = got
-            real = [v for v in verts if v < G.n]
-            ext = [v for v in real if v not in us]
-            if len(ext) <= j:
-                tree_parent = spanning_outtree(G, real)
-                if tree_parent is not None:
-                    out = (tuple(sorted(real)), tree_parent)
-        seen_profiles[profile] = out
-        return out
-
-    # canonical partitions of W into at most j nonempty blocks; a block's
-    # candidate mask is intersected as members join and empties prune
-    blocks = []
-
-    def assign(idx):
-        if idx == len(W):
-            got = steiner_for([m for m, _ in blocks])
-            if got is None:
-                return None
-            verts, parent = got
-            ext = [v for v in verts if v not in us]
-            covered = set()
-            for v in ext:
-                covered |= dominated_by.get(v, frozenset())
-            if not set(W) <= covered:
-                return None
-            return got
-        w = W[idx]
-        for bi, (members, cand) in enumerate(blocks):
-            new_cand = {v for v in cand if w in dominated_by[v]}
-            if not new_cand:
-                continue
-            members.append(w)
-            blocks[bi] = (members, new_cand)
-            got = assign(idx + 1)
-            if got is not None:
-                return got
-            members.pop()
-            blocks[bi] = (members, cand)
-        if len(blocks) < j:
-            cand = {v for v in dominated_by if w in dominated_by[v]}
-            if cand:
-                blocks.append(([w], cand))
-                got = assign(idx + 1)
-                if got is not None:
-                    return got
-                blocks.pop()
-        return None
-
-    if not W:
-        return steiner_for([])
-    return assign(0)
-
-
 def dominating_outbranching(G, k, scatter_budget=3):
     """Does some set of at most k vertices span an out-tree and dominate
     every vertex? Branches on the deletion set of a scattered witness
     (any solution must meet it), shrinking the target set by the chosen
-    vertex's closed out-neighborhood; small target sets go through the
-    partition + Steiner route. Exact at all sizes via exhaustive
-    fallback."""
+    vertex's closed out-neighborhood. A target set of at most
+    max(W_CAP, chosen + budget) vertices, or one with no scattered
+    witness, goes to the exhaustive subset search, which keeps the
+    answer exact at all sizes; only the second case marks the outcome
+    exhausted."""
     _need_k(k)
     _need_budget(scatter_budget)
     used_fallback = [False]
@@ -613,9 +502,7 @@ def dominating_outbranching(G, k, scatter_budget=3):
     def rec(W, us, j):
         t = len(us)
         if len(W) <= max(W_CAP, t + j):
-            return dominating_outbranching_bounded(
-                G, us, W, j, partition_cap=max(W_CAP, t + j)
-            )
+            return exhaustive(W, us, j)
         if j == 0:
             return None
         scat = compute_scattered(G, sorted(W), d=1, m=t + j + 1, s_budget=scatter_budget)

@@ -246,6 +246,17 @@ def test_vertex_set_emitter_checks_d_at_its_radius():
         emit_vertex_set("independent", EDGE, (0,), d=1)
 
 
+def test_emitters_do_not_attest_a_set_that_repeats_an_id():
+    # parse_witness rejects a repeated id, so the emitters must not
+    # write such a document as verified
+    assert "verified true" in emit_vertex_set("dominating", PATH3, [0, 2])
+    assert "verified false" in emit_vertex_set("dominating", PATH3, [0, 0, 2])
+    assert "verified false" in emit_vertex_set("independent", PATH3, [0, 0])
+    parent = {0: None, 1: 0}
+    assert "verified true" in emit_outbranching(PATH3, [0, 1], parent)
+    assert "verified false" in emit_outbranching(PATH3, [0, 1, 1], parent)
+
+
 # Round trips: every document built from a library answer on a small
 # random graph loads as the same payload, and re-emitting that payload
 # writes the same bytes.
@@ -350,6 +361,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.mark.parametrize("scale", ["small", "full"])
+def test_selftest_passes(capsys, scale):
+    code, out, _ = run_cli(capsys, "selftest", "--scale", scale)
+    assert code == 0
+    assert out.splitlines()[-1] == "12/12 checks passed"
 
 
 def test_generate_crown(capsys, tmp_path):

@@ -12,7 +12,6 @@ from crownminor.solvers import (
     d_dominating_set,
     directed_steiner_outtree,
     dominating_outbranching,
-    dominating_outbranching_bounded,
     find_irrelevant_vertex,
     independent_dominating_set,
     independent_set,
@@ -60,6 +59,15 @@ def test_verify_outbranching():
     assert verify_outbranching(G, (2,), {2: None})
     assert not verify_outbranching(G, (0, 1), {0: None, 1: None})
     assert not verify_outbranching(G, (0, 2), {0: None, 2: 0})
+
+
+def test_verifiers_reject_a_repeated_vertex():
+    G = dipath(3)
+    assert verify_dominating(G, [0, 2], 1)
+    assert not verify_dominating(G, [0, 0, 2], 1)
+    assert verify_outbranching(G, [0, 1], {0: None, 1: 0})
+    assert not verify_outbranching(G, [0, 1, 1], {0: None, 1: 0})
+    assert not verify_independent(G, [0, 0])
 
 
 def test_spanning_outtree():
@@ -278,14 +286,13 @@ def test_dob_directed_path():
     assert not dominating_outbranching(G, 3).feasible
 
 
-def test_dob_bounded_direct():
-    G = bidirected_star(3)
-    got = dominating_outbranching_bounded(G, (), tuple(range(1, 4)), 1)
-    assert got is not None
-    D, parent = got
+def test_dob_base_case_on_small_star():
+    # four targets: the exhaustive base case answers without branching
+    got = dominating_outbranching(bidirected_star(3), 1)
+    assert got.feasible and not got.exhausted
+    D, parent = got.witness
     assert D == (0,)
-    S3, _ = crown(3)
-    assert dominating_outbranching_bounded(S3, (), (3, 4, 5), 3) is None
+    assert parent == {0: None}
 
 
 def test_dob_agrees_with_oracle():
@@ -301,6 +308,49 @@ def test_dob_agrees_with_oracle():
             assert len(D) <= k
             assert verify_outbranching(G, D, parent)
             assert dominates(G, D, 1, G.vertices())
+
+
+def test_dob_answers_a_budget_of_every_vertex_without_enumerating_partitions():
+    # six sources: each must be chosen, as only it dominates itself, and
+    # an out-tree holds at most one. A base case that split all 14
+    # targets into up to 14 groups ran for over a minute here.
+    G = Digraph(14, [(0, 3), (1, 10), (2, 1), (2, 12), (2, 13), (4, 1), (4, 5), (4, 12),
+                     (5, 4), (5, 11), (5, 13), (8, 10), (10, 4), (11, 12), (12, 1)])
+    for k in (12, 14, 20):
+        assert not dominating_outbranching(G, k).feasible
+        assert not oracle_solve(G, "dob", k)[0]
+
+
+def test_dob_agrees_with_oracle_on_the_benchmark_family(monkeypatch):
+    # n 12-16, p 0.15, k 3-7: most of these instances first find a
+    # scattered set and branch on it, so the exhaustive base case runs
+    # with chosen vertices fixed
+    found = []
+    compute_scattered = solvers.compute_scattered
+
+    def counting(*args, **kwargs):
+        w = compute_scattered(*args, **kwargs)
+        found.append(w is not None)
+        return w
+
+    monkeypatch.setattr(solvers, "compute_scattered", counting)
+    rng = random.Random(3)
+    verdicts = []
+    for n in (12, 14, 16):
+        for _ in range(2):
+            G = random_digraph(rng, n, 0.15)
+            for k in range(3, 8):
+                got = dominating_outbranching(G, k)
+                want, _ = oracle_solve(G, "dob", k)
+                assert got.feasible == want, (n, k)
+                verdicts.append(want)
+                if got.feasible:
+                    D, parent = got.witness
+                    assert len(D) <= k
+                    assert verify_outbranching(G, D, parent)
+                    assert verify_dominating(G, D, 1)
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert any(found) and not all(found)
 
 
 def test_dob_fallback_skips_sets_that_cannot_dominate(monkeypatch):
@@ -448,23 +498,26 @@ def test_exhaustive_searches_do_not_run_a_bfs_per_subset(monkeypatch):
 
 def test_steiner_table_runs_one_bfs_per_terminal(monkeypatch):
     # the Steiner table reads distances into terminals only, so one
-    # in-direction BFS per terminal fills it; a BFS from every vertex of
-    # the augmented graph would make more than n calls per Steiner call
-    import crownminor.solvers
-
+    # in-direction BFS per terminal fills it, and a call that finds no
+    # tree makes no other; a found tree adds at most one BFS per leaf
+    # and one per root spanning_outtree tries. A BFS from every vertex
+    # would make more than n calls per Steiner call.
     calls = count_bfs_calls(monkeypatch)
-    steiner = crownminor.solvers.directed_steiner_outtree
-    per_call = []
-
-    def traced(G, terminals, *args, **kwargs):
-        before = calls[0]
-        got = steiner(G, terminals, *args, **kwargs)
-        per_call.append((calls[0] - before, len(set(terminals)), got))
-        return got
-
-    monkeypatch.setattr(crownminor.solvers, "directed_steiner_outtree", traced)
     G = random_digraph(random.Random(3), 18, 0.15)
-    dominating_outbranching(G, 6)
-    assert per_call
-    assert all(made <= terms for made, terms, got in per_call if got is None)
-    assert calls[0] <= 24 * G.n
+    # vertex 18 is isolated, so no tree holds it and another terminal
+    H = Digraph(G.n + 1, G.edges)
+    rng = random.Random(7)
+    cases = [(rng.sample(range(G.n), size), None) for size in (1, 2, 3, 4, 5) for _ in range(3)]
+    cases += [(rng.sample(range(G.n), size) + [18], None) for size in (1, 2, 4)]
+    cases += [([0, 9, 13], 3), ([2, 3], 3)]
+    found = missed = 0
+    for terminals, budget in cases:
+        calls[0] = 0
+        got = directed_steiner_outtree(H, terminals, size_budget=budget)
+        if got is None:
+            missed += 1
+            assert calls[0] <= len(terminals), terminals
+        else:
+            found += 1
+            assert calls[0] <= 2 * len(terminals) + len(got[0]), terminals
+    assert found == 15 and missed == 5
