@@ -161,15 +161,9 @@ def cmd_generate(args):
         arity(2)
         G = random_bipartite_outregular(p[0], p[1], _need_seed(args))
 
-    text = emit_graph(G, comments)
+    _document(args, emit_graph(G, comments), args.out)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         _say(args, "wrote %d vertices, %d edges to %s" % (G.n, G.num_edges(), args.out))
-        if args.format == "structured":
-            sys.stdout.write(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_FOUND
 
 
@@ -214,8 +208,7 @@ def cmd_scatter(args):
     G = load_graph(args.graph)
     w = compute_scattered(G, sorted(G.vertices()), args.d, args.m, args.s_budget)
     if w is None:
-        _say(args, "no scattered witness within budget")
-        return EXIT_BUDGET
+        raise BudgetExhausted("no scattered witness within budget")
     _say(args, "scattered witness: |S|=%d |U|=%d d=%d" % (len(w.deleted), len(w.members), w.radius))
     _document(args, emit_scattered(w), args.witness)
     return EXIT_FOUND

@@ -7,10 +7,13 @@ paths with one backtracking path router, which also finds disjoint
 paths in DAGs and the paths of topological minors; and the greatest
 reduced average density (grad), whose searches live in `density`.
 
-The router's callers own every request end before they call it. An end
-that several owners share, such as the root of a butterfly branch or a
-placed vertex of a topological minor, belongs to `_SHARED`, an owner no
-request has: it may end paths of several owners but lies inside none.
+Vertex sets are int masks from the guess to the model: each owner's
+host vertices are one mask, which the router extends with its paths and
+`_assemble` reads as the branch set. The router's callers own every
+request end before they call it. An end that several owners share, such
+as the root of a butterfly branch or a placed vertex of a topological
+minor, goes in the router's `shared` mask instead: it may end paths of
+several owners but lies inside none.
 """
 
 import itertools
@@ -218,12 +221,15 @@ def dag_disjoint_paths(G, pairs, partition, max_len=None):
         G.check_vertex(s)
         G.check_vertex(t)
     reqs = [(g, *pairs[i]) for g, group in enumerate(partition.groups()) for i in group]
-    owner = {}
+    own = dict.fromkeys(range(len(partition.groups())), 0)
     for g, s, t in reqs:
-        if owner.setdefault(s, g) != g or owner.setdefault(t, g) != g:
+        own[g] |= 1 << s | 1 << t
+    seen = 0
+    for ends in own.values():
+        if ends & seen:
             return None
-    routed = _route(G, reqs, owner, max_len)
-    return None if routed is None else [path for _, path in routed]
+        seen |= ends
+    return _route(G, reqs, own, max_len)
 
 
 def dag_disjoint_paths_bounded(G, pairs, partition, r):
@@ -238,8 +244,8 @@ def dag_disjoint_paths_bounded(G, pairs, partition, r):
 
 
 def _enumerate_guesses(H, G, depth=None, tree=False):
-    """Yield (edge_image, source, sink, owner) quadruples, where owner
-    maps every host vertex the guess uses to its pattern vertex.
+    """Yield (edge_image, source, sink, own) quadruples, where own maps
+    each pattern vertex to the mask of host vertices the guess gives it.
 
     Host edges are tried for each pattern edge in lexicographic order,
     then the extra source/sink vertices of branches whose in or out set
@@ -373,8 +379,7 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
 
         def fill(j, claimed):
             if j == len(need):
-                owner = {x: v for v in H.vertices() for x in mask_bits(own[v])}
-                yield dict(zip(edge_order, image)), dict(source), dict(sink), owner
+                yield dict(zip(edge_order, image)), dict(source), dict(sink), dict(enumerate(own))
                 return
             v, ins, outs, ends = need[j]
             own_v = own[v]
@@ -412,17 +417,13 @@ def _branch_requests(H, image, source, sink):
     return reqs
 
 
-def _assemble(H, G, image, source, sink, request_paths, depth):
-    branch = {v: set() for v in H.vertices()}
-    for (v, _, _), path in request_paths:
-        branch[v].update(path)
-    for v in H.vertices():
-        branch[v].add(source[v])
-        branch[v].add(sink[v])
+def _assemble(H, G, image, source, sink, own, depth):
+    """The verified model whose branch sets are the routed owner masks:
+    own[v] holds v's request paths and its source and sink."""
     model = DirectedModel(
         host=G,
         pattern=H,
-        branch={v: frozenset(b) for v, b in branch.items()},
+        branch={v: frozenset(mask_bits(own[v])) for v in H.vertices()},
         edge_image=dict(image),
         source=dict(source),
         sink=dict(sink),
@@ -466,81 +467,78 @@ def _guess_and_route(H, G, depth):
     """The first guess whose branch requests all route (paths of at most
     `depth` edges, any length when None), as a verified model; None when
     no guess routes."""
-    for image, source, sink, owner in _enumerate_guesses(H, G, depth):
+    for image, source, sink, own in _enumerate_guesses(H, G, depth):
         reqs = _branch_requests(H, image, source, sink)
-        routed = _route(G, reqs, owner, depth)
-        if routed is not None:
-            return _assemble(H, G, image, source, sink, routed, depth)
+        if _route(G, reqs, own, depth) is not None:
+            return _assemble(H, G, image, source, sink, own, depth)
     return None
 
 
-def _simple_paths(G, a, b, usable, max_len=None):
-    """Every simple directed a->b path, as a vertex list in depth-first
-    order over sorted successors, whose vertices strictly between a and b
-    lie in the set `usable`; with max_len set, only paths of at most
-    max_len edges. Paths are yielded one at a time, since there can be
-    exponentially many."""
+def _simple_paths(adj, a, b, usable, max_len=None):
+    """Every simple directed a->b path, for adj = adjacency_masks(G), as a
+    (vertex list, vertex mask) pair in depth-first order over increasing
+    successor ids, whose vertices strictly between a and b lie in the
+    mask `usable`; with max_len set, only paths of at most max_len edges.
+    Paths are yielded one at a time, since there can be exponentially
+    many."""
+    end = 1 << b
     if a == b:
-        yield [a]
+        yield [a], end
         return
-    # path[-1] lies len(path) - 1 edges from a, so it may take another
-    # step while len(path) <= limit; n bounds nothing, since a simple
+    # path[-1] lies len(path) - 1 edges from a, so it may step to an inner
+    # vertex while len(path) < limit; n bounds nothing, since a simple
     # path has fewer than n edges
-    limit = G.n if max_len is None else max_len
-    path = [a]
-    stack = [iter(G.successors(a))] if limit > 0 else []
+    limit = len(adj) if max_len is None else max_len
+    path, on = [a], 1 << a
+    stack = [mask_bits(adj[a] & (usable & ~on | end if limit > 1 else end))] if limit > 0 else []
     while stack:
         w = next(stack[-1], None)
         if w is None:
             stack.pop()
-            path.pop()
+            on ^= 1 << path.pop()
         elif w == b:
-            yield path + [b]
-        elif w in usable and w not in path and len(path) < limit:
+            yield path + [b], on | end
+        else:
             path.append(w)
-            stack.append(iter(G.successors(w)))
+            on |= 1 << w
+            stack.append(mask_bits(adj[w] & (usable & ~on | end if len(path) < limit else end)))
 
 
-# the owner of request ends that several owners share; no request has it
-_SHARED = object()
-
-
-def _route(G, reqs, owner, max_len):
+def _route(G, reqs, own, max_len, shared=0):
     """The one path-completion engine: a simple path of at most max_len
     edges (any length when None) for each (owner, from, to) request, in
-    order, backtracking over the paths of earlier requests. A path may
-    use free vertices and those of its own owner, and its vertices join
-    that owner. `owner` maps host vertices to owners and is extended in
-    place. Returns a list of (request, path) pairs, or None.
+    order, backtracking over the paths of earlier requests. `own` maps
+    every owner to its host-vertex mask; a vertex is taken when some
+    owner or `shared` holds it. A path may use untaken vertices and those
+    of its own owner, and its untaken vertices join that owner in place.
+    Returns the list of paths, one per request, or None.
 
     The caller owns every request end before the call. An end of one
     owner belongs to it, so no other path passes through it; an end that
-    several owners share belongs to `_SHARED`, which no request has, so
-    it may end paths of several owners but lies inside none."""
-    out = []
+    several owners share goes in `shared` and in no owner's mask, so it
+    may end paths of several owners but lies inside none."""
+    adj = adjacency_masks(G)
+    paths = []
 
-    def rec(idx):
+    def rec(idx, taken):
         if idx == len(reqs):
             return True
         v, a, b = reqs[idx]
-        usable = {w for w in G.vertices() if owner.get(w, v) == v}
-        for path in _simple_paths(G, a, b, usable, max_len=max_len):
-            claimed = []
-            for x in path:
-                if x not in owner:
-                    owner[x] = v
-                    claimed.append(x)
-            out.append(((v, a, b), path))
-            if rec(idx + 1):
+        mine = own[v]
+        for path, on in _simple_paths(adj, a, b, ~taken | mine, max_len):
+            new = on & ~taken
+            own[v] = mine | new
+            paths.append(path)
+            if rec(idx + 1, taken | new):
                 return True
-            out.pop()
-            for x in claimed:
-                del owner[x]
+            paths.pop()
+        own[v] = mine
         return False
 
-    if rec(0):
-        return out
-    return None
+    taken = shared
+    for mask in own.values():
+        taken |= mask
+    return paths if rec(0, taken) else None
 
 
 def _injective_maps(H, G, induced):
@@ -647,17 +645,17 @@ def is_butterfly_minor(H, G):
     if H.n > G.n:
         return None
     for image, root, _, _ in _enumerate_guesses(H, G, None, True):
-        reqs = []
+        roots = sum(1 << x for x in root.values())
+        reqs, own = [], {}
         for v in sorted(H.vertices()):
             ins, outs = _in_out(H, image, v)
             reqs += [((v, "in"), a, root[v]) for a in ins]
             reqs += [((v, "out"), root[v], b) for b in outs]
-        owner = {x: who for who, a, b in reqs for x in (a, b)}
-        owner.update(dict.fromkeys(root.values(), _SHARED))
-        routed = _route(G, reqs, owner, None)
-        if routed is not None:
-            paths = [((v, a, b), path) for ((v, _), a, b), path in routed]
-            return _assemble(H, G, image, root, root, paths, None)
+            own[v, "in"] = sum(1 << a for a in ins) & ~roots
+            own[v, "out"] = sum(1 << b for b in outs) & ~roots
+        if _route(G, reqs, own, None, roots) is not None:
+            branch = {v: own[v, "in"] | own[v, "out"] | 1 << root[v] for v in H.vertices()}
+            return _assemble(H, G, image, root, root, branch, None)
     return None
 
 
@@ -686,31 +684,28 @@ def topological_minor_check(H, G):
     edge_order = sorted(H.edges)
 
     placement = {}
-    used = set()
 
-    def place(idx):
+    def place(idx, used):
         if idx == len(hvs):
             reqs = [(e, placement[e[0]], placement[e[1]]) for e in edge_order]
-            routed = _route(G, reqs, dict.fromkeys(used, _SHARED), None)
+            routed = _route(G, reqs, dict.fromkeys(edge_order, 0), None, used)
             if routed is None:
                 return None
-            return SubdivisionWitness(G, H, dict(placement), {e: path for (e, _, _), path in routed})
+            return SubdivisionWitness(G, H, dict(placement), dict(zip(edge_order, routed)))
         v = hvs[idx]
         for cand in G.vertices():
-            if cand in used:
+            if used >> cand & 1:
                 continue
             if G.out_degree(cand) < H.out_degree(v) or G.in_degree(cand) < H.in_degree(v):
                 continue
             placement[v] = cand
-            used.add(cand)
-            got = place(idx + 1)
+            got = place(idx + 1, used | 1 << cand)
             if got is not None:
                 return got
             del placement[v]
-            used.discard(cand)
         return None
 
-    return place(0)
+    return place(0, 0)
 
 
 def subdivision_to_model(w):

@@ -155,25 +155,6 @@ def uniform_level_threshold(q, n):
     return (2 * n) ** (2 * clique_threshold(q))
 
 
-def trichotomy_threshold(r, p, q, n):
-    """Pool size guaranteeing the three-way outcome:
-    (r+3)^(p + (r+2) g(q, n))."""
-    return (r + 3) ** (p + (r + 2) * uniform_level_threshold(q, n))
-
-
-def dichotomy_threshold_steps(r, p, q, t):
-    """Iterated trichotomy threshold: step 0 is q, each further step
-    feeds the previous value in as the degree bound."""
-    val = q
-    for _ in range(t):
-        val = trichotomy_threshold(r, p, q, val)
-    return val
-
-
-def dichotomy_threshold(r, p, q):
-    return dichotomy_threshold_steps(r, p, q, math.comb(q, 2))
-
-
 # ---------------------------------------------------------------------------
 # controlled bipartite graphs
 
@@ -192,7 +173,7 @@ class ControlledBipartite:
     roles stay distinct; edges are always read as A-side to B-side).
     """
 
-    def __init__(self, a_nodes, b_nodes, edges, base, level, eta, r, ground=None):
+    def __init__(self, a_nodes, b_nodes, edges, base, level, eta, r):
         self.a_nodes = tuple(sorted(a_nodes))
         self.b_nodes = tuple(sorted(b_nodes))
         self.edges = frozenset(edges)
@@ -200,7 +181,6 @@ class ControlledBipartite:
         self.level = dict(level)
         self.eta = {e: tuple(val) for e, val in eta.items()}
         self.r = r
-        self.ground = ground
         self._succ = {a: [] for a in self.a_nodes}
         self._pred = {b: [] for b in self.b_nodes}
         for (a, b) in self.edges:
@@ -294,7 +274,7 @@ class ControlledBipartite:
                     base[a] = None
         eta = {e: self.eta[e] for e in edges}
         return ControlledBipartite(
-            sorted(a_keep), sorted(b_keep), edges, base, self.level, eta, self.r, self.ground
+            sorted(a_keep), sorted(b_keep), edges, base, self.level, eta, self.r
         )
 
 
@@ -729,10 +709,8 @@ def scattered_or_crown(cb, p, q):
     sub = cb.restrict(
         [a for a in cb.a_nodes if a not in kept], pool, zero_base_outside=True
     )
-    residual_degree = sub.max_out_degree()
-    res = bipartite_trichotomy(sub, p, q, n=residual_degree)
-    if isinstance(res, HighDegreeVertex):
-        raise RuntimeError("internal: residual degree bound was violated")
+    # n defaults to sub's largest out-degree, so no vertex exceeds it
+    res = bipartite_trichotomy(sub, p, q)
     if isinstance(res, BipartiteScattered):
         members = res.members
         deleted = tuple(kept)
@@ -799,7 +777,7 @@ def build_controlled_bipartite(G, I, r):
         b = near.get(w)
         base[w] = b
         level[w] = into[b][w] if b is not None else r + 1
-    return ControlledBipartite(a_nodes, I, edges, base, level, eta, r, ground=G)
+    return ControlledBipartite(a_nodes, I, edges, base, level, eta, r)
 
 
 def crown_to_model(G, cb, cc, r):

@@ -33,9 +33,9 @@ class SolveOutcome:
     exhausted: bool = False
 
 
-# PROBE_CAP: the probes independent_dominating_set and independent_set
-# hand to compute_scattered (dominating_outbranching passes none and so
-# gets compute_scattered's default of 14). W_CAP: dominating_outbranching
+# PROBE_CAP: the probes independent_dominating_set hands to
+# compute_scattered (dominating_outbranching passes none and so gets
+# compute_scattered's default of 14). W_CAP: dominating_outbranching
 # runs its exhaustive subset search on a target set of at most
 # max(W_CAP, chosen + budget) vertices instead of branching.
 PROBE_CAP = 12
@@ -115,16 +115,14 @@ def _first_subset(cand, size, clash, cover, want, accept):
 # verifiers
 
 
-def verify_dominating(G, D, d=1, W=None):
-    """D names no vertex twice and W (default: all vertices) lies inside
-    the d-out-neighborhood of D. Raises GraphError for an id outside G."""
+def verify_dominating(G, D, d=1):
+    """D names no vertex twice and every vertex lies inside the
+    d-out-neighborhood of D. Raises GraphError for an id outside G."""
     D = list(D)
     covered = set()
     for v in D:
         covered.update(bfs_dist(G, v, max_depth=d))
-    if W is None:
-        W = G.vertices()
-    return len(set(D)) == len(D) and set(W) <= covered
+    return len(set(D)) == len(D) and len(covered) == G.n
 
 
 def verify_independent(G, D):
@@ -537,15 +535,12 @@ def dominating_outbranching(G, k, scatter_budget=3):
 
 def independent_set(G, k, d=1, scatter_budget=3):
     """Independent set of size exactly k (distance-d version: no member
-    within distance d of another). A d-scattered set with its deletion
-    set disjoint from it is independent once re-checked in the full
-    graph; otherwise exhaustive search.
-
-    Both steps read each vertex's two-way d-ball as a bitmask, computed
-    once per call. The exhaustive step is _first_subset over those
-    balls: it returns the first independent k-subset in the order of
+    within distance d of another), by one exact search: _first_subset
+    over each vertex's two-way d-ball as a bitmask, computed once per
+    call. It returns the first independent k-subset in the order of
     itertools.combinations over the sorted vertices, or proves that
-    there is none without visiting the subsets it cuts."""
+    there is none without visiting the subsets it cuts. scatter_budget
+    is checked as for the other solvers and otherwise unused."""
     _need_k(k)
     _need_budget(scatter_budget)
     if k == 0:
@@ -553,16 +548,6 @@ def independent_set(G, k, d=1, scatter_budget=3):
     if k > G.n:
         return SolveOutcome(False)
     clash = [o | i for o, i in zip(ball_masks(G, d), ball_masks(G, d, "in"))]
-
-    if k <= min(G.n, PROBE_CAP):
-        w = compute_scattered(
-            G, sorted(G.vertices()), d=d, m=k, s_budget=scatter_budget,
-            probe_cap=PROBE_CAP,
-        )
-        if w is not None:
-            members = _mask(w.members)
-            if all(clash[u] & members == 1 << u for u in w.members):
-                return SolveOutcome(True, tuple(w.members))
     got = _first_subset((1 << G.n) - 1, k, clash, clash, 0, tuple)
     if got is not None:
         return SolveOutcome(True, got, exhausted=True)

@@ -8,6 +8,8 @@ subdivisions, and a split-by-split check that a butterfly model is
 tree-like. The exceptions are former library code that the current
 code must reproduce: `reference_guesses`,
 the minor checkers' guess stream before its owner-aware pruning, and
+`route_by_sets` with `simple_paths_by_sets`, the path router before it
+ran on vertex masks, and
 `scattered_by_sweep` and `controlled_bipartite_by_table`, which ran one
 BFS per host vertex where the library now runs one per member, and
 `full_copy_sample`, the generators' sampler before it went O(k), and
@@ -22,7 +24,9 @@ Random test instances, which decide no verdict, come from the library's
 `random_digraph` and `random_dag` and are re-exported under those names;
 `ladder` builds the path router's exponential case. The last section
 holds small helpers that only tests call: `is_directed_path`,
-`crown_source_id`, `wideness_threshold` and `deletion_budget`.
+`crown_source_id`, the guaranteed-size formulas `trichotomy_threshold`,
+`dichotomy_threshold_steps`, `dichotomy_threshold` and
+`wideness_threshold`, and `deletion_budget`.
 """
 
 import itertools
@@ -33,7 +37,7 @@ from fractions import Fraction
 from crownminor.digraph import Digraph, GraphError, bfs_dist
 from crownminor.generators import random_dag, random_digraph  # noqa: F401
 from crownminor.minors import _injective_maps, butterfly_contract, legal_butterfly_contractions
-from crownminor.quasiwide import ControlledBipartite, dichotomy_threshold
+from crownminor.quasiwide import ControlledBipartite, uniform_level_threshold
 
 
 def enum_paths(G, src, max_len=None, reverse=False):
@@ -325,6 +329,63 @@ def reference_guesses(H, G, depth=None):
     yield from assign(0, {})
 
 
+# the owner of request ends that several owners share; no request has it
+SHARED = object()
+
+
+def simple_paths_by_sets(G, a, b, usable, max_len=None):
+    """The router's former `_simple_paths`: every simple directed a->b
+    path, as a vertex list in depth-first order over sorted successors,
+    whose vertices strictly between a and b lie in the set `usable`;
+    with max_len set, only paths of at most max_len edges."""
+    if a == b:
+        yield [a]
+        return
+    limit = G.n if max_len is None else max_len
+    path = [a]
+    stack = [iter(G.successors(a))] if limit > 0 else []
+    while stack:
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            path.pop()
+        elif w == b:
+            yield path + [b]
+        elif w in usable and w not in path and len(path) < limit:
+            path.append(w)
+            stack.append(iter(G.successors(w)))
+
+
+def route_by_sets(G, reqs, owner, max_len):
+    """The router's former `_route`, kept as the reference the mask router
+    must agree with: `owner` maps host vertices to owners (ends that
+    several owners share to `SHARED`) and is extended in place; a path
+    may use free vertices and its own owner's, and its free vertices join
+    that owner. Returns a list of (request, path) pairs, or None."""
+    out = []
+
+    def rec(idx):
+        if idx == len(reqs):
+            return True
+        v, a, b = reqs[idx]
+        usable = {w for w in G.vertices() if owner.get(w, v) == v}
+        for path in simple_paths_by_sets(G, a, b, usable, max_len=max_len):
+            claimed = []
+            for x in path:
+                if x not in owner:
+                    owner[x] = v
+                    claimed.append(x)
+            out.append(((v, a, b), path))
+            if rec(idx + 1):
+                return True
+            out.pop()
+            for x in claimed:
+                del owner[x]
+        return False
+
+    return out if rec(0) else None
+
+
 def brute_subgraph(H, G):
     """Permutation-based subgraph containment (not induced)."""
     if H.n > G.n:
@@ -533,7 +594,7 @@ def controlled_bipartite_by_table(G, I, r):
         b = base_of(w)
         base[w] = b
         level[w] = dist[w][b] if b is not None else r + 1
-    return ControlledBipartite(a_nodes, I, edges, base, level, eta, r, ground=G)
+    return ControlledBipartite(a_nodes, I, edges, base, level, eta, r)
 
 
 def controlled_bipartite_lists(cb):
@@ -861,6 +922,25 @@ def crown_source_id(q, i, j):
     if not (0 <= i < j < q):
         raise GraphError("need 0 <= i < j < q")
     return q + i * q - i * (i + 1) // 2 + (j - i - 1)
+
+
+def trichotomy_threshold(r, p, q, n):
+    """Pool size guaranteeing the three-way outcome:
+    (r+3)^(p + (r+2) g(q, n))."""
+    return (r + 3) ** (p + (r + 2) * uniform_level_threshold(q, n))
+
+
+def dichotomy_threshold_steps(r, p, q, t):
+    """Iterated trichotomy threshold: step 0 is q, each further step
+    feeds the previous value in as the degree bound."""
+    val = q
+    for _ in range(t):
+        val = trichotomy_threshold(r, p, q, val)
+    return val
+
+
+def dichotomy_threshold(r, p, q):
+    return dichotomy_threshold_steps(r, p, q, math.comb(q, 2))
 
 
 def wideness_threshold(r, m, exclusion_order):

@@ -778,9 +778,16 @@ def test_budget_exhaustion_exits_2_with_one_line(tmp_path):
     # a host whose pools run dry before a crown or 3 scattered members form
     g = tmp_path / "g.graph"
     g.write_text("11\n0 5\n1 2\n1 5\n2 10\n3 4\n3 10\n6 5\n6 7\n6 9\n7 0\n7 4\n8 1\n8 7\n9 5\n")
-    done = _fresh_python("-m", "crownminor.cli", "--format", "structured", "dichotomy", str(g),
-                         "--r", "0", "--q", "3", "--p", "3")
-    assert done.returncode == 2
-    assert done.stdout == ""
-    lines = done.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("budget exhausted: ")
+    # a 4-cycle, whose scattered-set search runs out of budget
+    c4 = tmp_path / "c4.graph"
+    c4.write_text("4\n0 1\n1 2\n2 3\n3 0\n")
+    for argv in (
+        ["--format", "structured", "dichotomy", str(g), "--r", "0", "--q", "3", "--p", "3"],
+        ["--format", "structured", "scatter", str(c4), "--d", "2", "--m", "2", "--s-budget", "1"],
+        ["--format", "human", "scatter", str(c4), "--d", "2", "--m", "2", "--s-budget", "1"],
+    ):
+        done = _fresh_python("-m", "crownminor.cli", *argv)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("budget exhausted: ")

@@ -35,7 +35,9 @@ from oracles import (
     ladder,
     random_dag,
     random_digraph,
+    SHARED,
     reference_guesses,
+    route_by_sets,
     undirected_minor_check,
 )
 
@@ -395,9 +397,11 @@ def _reference_model(H, G, depth):
 
     for count, (image, source, sink, owner) in enumerate(reference_guesses(H, G, depth), 1):
         reqs = minors._branch_requests(H, image, source, sink)
-        routed = minors._route(G, reqs, owner, depth)
-        if routed is not None:
-            return minors._assemble(H, G, image, source, sink, routed, depth), count
+        own = dict.fromkeys(H.vertices(), 0)
+        for x, v in owner.items():
+            own[v] |= 1 << x
+        if minors._route(G, reqs, own, depth) is not None:
+            return minors._assemble(H, G, image, source, sink, own, depth), count
     return None, None
 
 
@@ -467,6 +471,56 @@ def test_router_fails_at_once_when_two_owners_need_one_end(monkeypatch):
     monkeypatch.setattr(minors, "_simple_paths", counting)
     assert dag_disjoint_paths(G, [(0, t), (1, t)], IntervalPartition.from_sizes([1, 1])) is None
     assert calls[0] <= 5
+
+
+def test_mask_router_matches_the_set_router():
+    """The mask router returns the paths the set-based router returned,
+    in the same order, fails where it failed, and leaves every owner
+    with the vertices the set-based router gave it. Owners hold request
+    ends, some ends are shared and some vertices block as other owners'
+    own; a third of the queries bound the path length."""
+    import crownminor.minors as minors
+
+    rng = random.Random(1717)
+    routed = failed = shared_routed = bounded_routed = 0
+    for i in range(600):
+        n = rng.randint(3, 10)
+        if i % 2:
+            G = random_dag(rng, n, rng.choice([0.3, 0.5]))
+        else:
+            G = random_digraph(rng, n, rng.choice([0.25, 0.4]))
+        owners = rng.randint(1, 3)
+        reqs = [(rng.randrange(owners), rng.randrange(n), rng.randrange(n))
+                for _ in range(rng.randint(1, 4))]
+        owner = {}
+        for v, a, b in reqs:
+            for x in (a, b):
+                if owner.setdefault(x, v) != v or rng.random() < 0.1:
+                    owner[x] = SHARED
+        for x in rng.sample(range(n), rng.randint(0, 2)):
+            owner.setdefault(x, rng.randrange(owners + 1))
+        max_len = rng.choice([None, None, 0, 1, 2, 3])
+        own = dict.fromkeys(range(owners + 1), 0)
+        shared = 0
+        for x, v in owner.items():
+            if v is SHARED:
+                shared |= 1 << x
+            else:
+                own[v] |= 1 << x
+        want = route_by_sets(G, reqs, owner, max_len)
+        got = minors._route(G, reqs, own, max_len, shared)
+        if want is None:
+            assert got is None
+            failed += 1
+            continue
+        assert got == [path for _, path in want]
+        for v, mask in own.items():
+            assert mask == sum(1 << x for x, w in owner.items() if w == v)
+        routed += 1
+        shared_routed += shared != 0
+        bounded_routed += max_len is not None
+    assert routed >= 120 and failed >= 300
+    assert shared_routed >= 50 and bounded_routed >= 60
 
 
 # --- butterfly minors ------------------------------------------------------

@@ -19,20 +19,24 @@ from crownminor.quasiwide import (
     clique_threshold,
     compute_scattered,
     dichotomy_step,
-    dichotomy_threshold_steps,
     is_scattered,
     iterate_dichotomy,
     label_avoiding_clique,
     ramsey_upper,
     scattered_or_crown,
-    trichotomy_threshold,
     uniform_level_crown,
     uniform_level_threshold,
     verify_controlled_crown,
     without_vertices,
 )
 
-from oracles import deletion_budget, random_digraph, wideness_threshold
+from oracles import (
+    deletion_budget,
+    dichotomy_threshold_steps,
+    random_digraph,
+    trichotomy_threshold,
+    wideness_threshold,
+)
 
 
 def greedy_scattered(G, d, avoid=()):
