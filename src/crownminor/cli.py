@@ -6,7 +6,8 @@ exhausted, 3 usage error, 4 input/format error, 5 internal error (a
 bug: a failed self-check or any other unexpected exception, reported
 in one line on stderr). Structured output mode
 emits only the witness document and demands an explicit seed from every
-randomized command.
+randomized command; selftest, which has no document, runs in human mode
+only.
 
 Each command imports the library layers it runs in its handler, so a
 process compiles and loads only those.
@@ -57,7 +58,7 @@ def build_parser():
     minor = sub.add_parser("minor", help="minor containment checks")
     minor.add_argument("--mode", choices=("directed", "shallow", "butterfly", "topological"),
                        default="directed")
-    minor.add_argument("--depth", type=int, default=None)
+    minor.add_argument("--depth", type=int, default=None, help="path bound for --mode shallow")
     minor.add_argument("pattern")
     minor.add_argument("host")
     minor.add_argument("--witness", help="write the witness document here")
@@ -168,6 +169,9 @@ def cmd_generate(args):
 
 
 def cmd_minor(args):
+    mode = args.mode
+    if args.depth is not None and mode != "shallow":
+        raise UsageError("--depth applies to --mode shallow only")
     from .minors import (
         general_minor_check,
         is_butterfly_minor,
@@ -178,7 +182,6 @@ def cmd_minor(args):
 
     H = load_graph(args.pattern)
     G = load_graph(args.host)
-    mode = args.mode
     if mode == "shallow":
         depth = args.depth if args.depth is not None else 0
         model = shallow_minor_check(H, G, depth)
@@ -294,6 +297,8 @@ def cmd_grad(args):
 
 
 def cmd_selftest(args):
+    if args.format == "structured":
+        raise UsageError("selftest prints a report, not a witness document; run it in human mode")
     from .selftest import format_results, run_selftest
 
     results = run_selftest(args.scale)

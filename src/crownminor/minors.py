@@ -17,7 +17,7 @@ several owners but lies inside none.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .digraph import (
     Digraph,
@@ -34,9 +34,10 @@ from .digraph import (
 # models
 
 
-@dataclass(frozen=True)
-class DirectedModel:
-    """Witness that `pattern` has a directed model in `host`.
+class DirectedModel(namedtuple(
+        "DirectedModel", "host pattern branch edge_image source sink depth", defaults=(None,))):
+    """Witness that `pattern` has a directed model in `host`, both
+    Digraphs.
 
     branch maps each pattern vertex to a host vertex set; edge_image maps
     each pattern edge to a host edge; source/sink give the per-branch
@@ -45,13 +46,7 @@ class DirectedModel:
     of every connecting path inside a branch set.
     """
 
-    host: Digraph
-    pattern: Digraph
-    branch: dict
-    edge_image: dict
-    source: dict
-    sink: dict
-    depth: object = None
+    __slots__ = ()
 
 
 def _branch_reach(adj, bmask, depth):
@@ -663,12 +658,9 @@ def is_butterfly_minor(H, G):
 # topological minors
 
 
-@dataclass(frozen=True)
-class SubdivisionWitness:
-    host: Digraph
-    pattern: Digraph
-    placement: dict  # pattern vertex -> host vertex
-    paths: dict  # pattern edge -> host vertex list
+# placement maps each pattern vertex to a host vertex, paths each pattern
+# edge to a host vertex list
+SubdivisionWitness = namedtuple("SubdivisionWitness", "host pattern placement paths")
 
 
 def topological_minor_check(H, G):

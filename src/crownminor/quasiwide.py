@@ -16,7 +16,7 @@ witness is ever returned.
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .digraph import BudgetExhausted, Digraph, GraphError, adjacency_masks, bfs_dist, reach_mask
 
@@ -52,14 +52,11 @@ def is_scattered(G, U, d, deleted=()):
     return True
 
 
-@dataclass(frozen=True)
-class ScatteredWitness:
-    """U is radius-scattered in graph - deleted."""
+class ScatteredWitness(namedtuple("ScatteredWitness", "graph deleted members radius")):
+    """members, a tuple, is radius-scattered in the Digraph graph minus
+    the tuple deleted."""
 
-    graph: Digraph
-    deleted: tuple
-    members: tuple
-    radius: int
+    __slots__ = ()
 
     def verify(self):
         return is_scattered(self.graph, self.members, self.radius, self.deleted)
@@ -278,15 +275,12 @@ class ControlledBipartite:
         )
 
 
-@dataclass(frozen=True)
-class ControlledCrown:
+class ControlledCrown(namedtuple("ControlledCrown", "order principals connectors")):
     """Crown of the given order inside a controlled bipartite graph:
     principals are the B-side sinks, connectors[k] covers the k-th pair
     of principals (pairs in lexicographic order)."""
 
-    order: int
-    principals: tuple
-    connectors: tuple
+    __slots__ = ()
 
     def pair_of(self, k):
         q = self.order
@@ -551,19 +545,14 @@ def _assemble_crown(recorded, body, q):
 # trichotomy over level classes
 
 
-@dataclass(frozen=True)
-class HighDegreeVertex:
-    vertex: object
-    successors: tuple
+HighDegreeVertex = namedtuple("HighDegreeVertex", "vertex successors")
 
 
-@dataclass(frozen=True)
-class BipartiteScattered:
+class BipartiteScattered(namedtuple("BipartiteScattered", "deleted members")):
     """members are 1-scattered in the structure minus the deleted
     A-vertices."""
 
-    deleted: tuple
-    members: tuple
+    __slots__ = ()
 
 
 def bipartite_trichotomy(cb, p, q, n=None):
@@ -883,7 +872,7 @@ def iterate_dichotomy(G, W, target_r, m, q_schedule):
                 if p_try == m:
                     raise
         if isinstance(res, DirectedModel):
-            return verified(replace(res, host=G), "crown did not lift to the full graph")
+            return verified(res._replace(host=G), "crown did not lift to the full graph")
         deleted.update(res.deleted)
         members = list(res.members)
     w = ScatteredWitness(G, tuple(sorted(deleted)), tuple(sorted(members[:m])), target_r)

@@ -10,27 +10,22 @@ no solver calls it.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .digraph import Digraph, GraphError, ball_masks, bfs_dist, mask_bits, reach_mask
+from .digraph import GraphError, ball_masks, bfs_dist, mask_bits, reach_mask
 from .quasiwide import compute_scattered, without_vertices
 
 
-@dataclass(frozen=True)
-class DominationInstance:
-    """Inputs shared by the domination problems: a size budget k and a
-    domination radius d."""
+class DominationInstance(namedtuple("DominationInstance", "graph k d", defaults=(1,))):
+    """Inputs shared by the domination problems: a Digraph, a size
+    budget k and a domination radius d."""
 
-    graph: Digraph
-    k: int
-    d: int = 1
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
-    feasible: bool
-    witness: tuple = None  # vertex tuple, or (vertex tuple, parent dict)
-    exhausted: bool = False
+# witness: a vertex tuple, or (vertex tuple, parent dict) for an
+# outbranching; None when infeasible
+SolveOutcome = namedtuple("SolveOutcome", "feasible witness exhausted", defaults=(None, False))
 
 
 # PROBE_CAP: the probes independent_dominating_set hands to
@@ -542,6 +537,8 @@ def independent_set(G, k, d=1, scatter_budget=3):
     there is none without visiting the subsets it cuts. scatter_budget
     is checked as for the other solvers and otherwise unused."""
     _need_k(k)
+    if d < 1:
+        raise GraphError("need d >= 1, got %d" % d)
     _need_budget(scatter_budget)
     if k == 0:
         return SolveOutcome(True, ())

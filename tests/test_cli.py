@@ -370,6 +370,14 @@ def test_selftest_passes(capsys, scale):
     assert out.splitlines()[-1] == "12/12 checks passed"
 
 
+def test_structured_selftest_is_usage_error(capsys):
+    # structured mode prints documents only, and selftest has none
+    code, out, err = run_cli(capsys, "--format", "structured", "selftest")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+
+
 def test_generate_crown(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "generate", "crown", "3")
     assert code == 0
@@ -456,6 +464,25 @@ def test_minor_command_verifies_its_model_twice(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert "verified=True" in out
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("mode", ["directed", "butterfly", "topological"])
+def test_minor_depth_outside_shallow_mode_is_usage_error(capsys, tmp_path, mode):
+    # only the shallow checker bounds path lengths; a --depth the other
+    # modes would drop must not be answered without it
+    from crownminor.graphio import save_graph
+
+    pat = tmp_path / "pat.graph"
+    host = tmp_path / "host.graph"
+    save_graph(str(pat), crown(2)[0])
+    save_graph(str(host), crown(3)[0])
+    for depth in ("0", "2"):
+        code, out, err = run_cli(capsys, "--format", "structured", "minor", "--mode", mode,
+                                 "--depth", depth, str(pat), str(host))
+        assert code == 3
+        assert out == "" and err.startswith("usage error:")
+    code, _, _ = run_cli(capsys, "minor", "--mode", mode, str(pat), str(host))
+    assert code == 0
 
 
 def test_minor_butterfly_exit_codes(capsys, tmp_path):
@@ -597,6 +624,21 @@ def test_solve_distance_other_than_one_is_usage_error(capsys, tmp_path, variant,
     assert code in (0, 1)
 
 
+@pytest.mark.parametrize("d", ["0", "-3"])
+def test_solve_is_distance_below_one_is_input_error(capsys, tmp_path, d):
+    # no independent-set document may be printed for a radius the
+    # solver cannot honour
+    from crownminor.generators import acyclic_tournament
+    from crownminor.graphio import save_graph
+
+    g = tmp_path / "g.graph"
+    save_graph(str(g), acyclic_tournament(4))
+    code, out, err = run_cli(capsys, "--format", "structured", "solve", "is", str(g),
+                             "--k", "4", "--d", d)
+    assert code == 4
+    assert out == "" and "need d >= 1" in err
+
+
 @pytest.mark.parametrize("oracle", [False, True])
 @pytest.mark.parametrize("variant", ["ds", "ids", "dds", "dob", "is"])
 def test_solve_negative_k_is_input_error(capsys, tmp_path, variant, oracle):
@@ -732,7 +774,7 @@ def _fresh_python(*args):
 
 
 # imports the package, runs the command in argv[1:] if there is one, and
-# prints the submodules loaded by then
+# prints the submodules loaded by then and whether dataclasses is loaded
 _LAYERS_AFTER = (
     "import sys\n"
     "import crownminor\n"
@@ -741,6 +783,7 @@ _LAYERS_AFTER = (
     "    from crownminor.cli import main\n"
     "    code = main(sys.argv[1:])\n"
     "print(*sorted(m[11:] for m in sys.modules if m.startswith('crownminor.')), file=sys.stderr)\n"
+    "print('dataclasses' in sys.modules, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 _IO = {"digraph", "graphio", "witnessdoc"}
@@ -762,7 +805,8 @@ _IO = {"digraph", "graphio", "witnessdoc"}
 def test_command_loads_only_its_layers(tmp_path, argv, layers):
     # with bytecode caching off every process compiles each module it
     # loads, so a layer a command does not run must stay unloaded; grad
-    # alone loads density
+    # alone loads density. The result records are namedtuples, so no
+    # command pays for importing dataclasses either.
     from crownminor.graphio import save_graph
 
     files = {"pattern": crown(2)[0], "crown": crown(3)[0], "reversed": reversed_crown(4)[0]}
@@ -771,7 +815,9 @@ def test_command_loads_only_its_layers(tmp_path, argv, layers):
     argv = [a.format(**{name: str(tmp_path / name) for name in files}) for a in argv]
     done = _fresh_python("-c", _LAYERS_AFTER, *(["--format", "structured"] if argv else []), *argv)
     assert done.returncode == 0, done.stderr
-    assert set(done.stderr.split()) == (set() if layers is None else {"cli"} | _IO | layers)
+    *loaded, dataclasses_loaded = done.stderr.split()
+    assert set(loaded) == (set() if layers is None else {"cli"} | _IO | layers)
+    assert dataclasses_loaded == "False"
 
 
 def test_budget_exhaustion_exits_2_with_one_line(tmp_path):

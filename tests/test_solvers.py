@@ -438,6 +438,17 @@ def test_negative_scatter_budget_is_rejected_on_entry(solver):
             solver(G, 1, scatter_budget=-1)
 
 
+@pytest.mark.parametrize("d", [0, -3])
+def test_independent_set_rejects_distance_below_one(d):
+    # as d_dominating_set does; below 1 the radius has no meaning
+    for G in (Digraph(0), acyclic_tournament(4)):
+        for k in (0, 2):
+            with pytest.raises(GraphError):
+                independent_set(G, k, d)
+    with pytest.raises(GraphError):
+        d_dominating_set(acyclic_tournament(4), 2, d)
+
+
 def test_scattered_branching_is_sound():
     # whenever a verified 1-scattered witness of size k+1 exists, no
     # dominating set of size <= k avoids its deletion set
