@@ -32,11 +32,11 @@ _EXPORTS = {
         "verify_model",
     ),
     "quasiwide": (
-        "ControlledBipartite", "ControlledCrown", "ScatteredWitness",
-        "build_controlled_bipartite", "compute_scattered", "dichotomy_step", "is_scattered",
-        "iterate_dichotomy",
+        "ControlledBipartite", "ControlledCrown", "build_controlled_bipartite",
+        "dichotomy_step", "iterate_dichotomy",
     ),
     "rng": (),
+    "scattered": ("ScatteredWitness", "compute_scattered", "is_scattered"),
     "selftest": (),
     "solvers": (
         "DominationInstance", "SolveOutcome", "brute_force_solve", "d_dominating_set",

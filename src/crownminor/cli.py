@@ -9,8 +9,9 @@ emits only the witness document and demands an explicit seed from every
 randomized command; selftest, which has no document, runs in human mode
 only.
 
-Each command imports the library layers it runs in its handler, so a
-process compiles and loads only those.
+Each command imports the library layers it runs in its handler, and
+the witness-document emitters only once it has a document to write, so
+a process compiles and loads only those.
 """
 
 import argparse
@@ -18,7 +19,6 @@ import sys
 
 from .digraph import BudgetExhausted, GraphError
 from .graphio import GraphFormatError, emit_graph, load_graph
-from .witnessdoc import emit_model, emit_outbranching, emit_scattered, emit_vertex_set
 
 EXIT_FOUND = 0
 EXIT_NOT_FOUND = 1
@@ -198,6 +198,8 @@ def cmd_minor(args):
     if model is None:
         _say(args, "no %s minor model" % mode)
         return EXIT_NOT_FOUND
+    from .witnessdoc import emit_model
+
     # every checker returns a model that already passed verify_model
     _say(args, "%s minor model found (verified=True)" % mode)
     doc = emit_model(model, params=[("mode", mode)])
@@ -206,19 +208,22 @@ def cmd_minor(args):
 
 
 def cmd_scatter(args):
-    from .quasiwide import compute_scattered
+    from .scattered import compute_scattered
 
     G = load_graph(args.graph)
     w = compute_scattered(G, sorted(G.vertices()), args.d, args.m, args.s_budget)
     if w is None:
         raise BudgetExhausted("no scattered witness within budget")
+    from .witnessdoc import emit_scattered
+
     _say(args, "scattered witness: |S|=%d |U|=%d d=%d" % (len(w.deleted), len(w.members), w.radius))
     _document(args, emit_scattered(w), args.witness)
     return EXIT_FOUND
 
 
 def cmd_dichotomy(args):
-    from .quasiwide import ScatteredWitness, dichotomy_step, is_scattered
+    from .quasiwide import dichotomy_step
+    from .scattered import ScatteredWitness, is_scattered
 
     G = load_graph(args.graph)
     if args.i_set is not None:
@@ -233,6 +238,8 @@ def cmd_dichotomy(args):
     if not is_scattered(G, I, args.r):
         raise UsageError("the start set is not %d-scattered" % args.r)
     res = dichotomy_step(G, I, args.r, args.p, args.q)
+    from .witnessdoc import emit_model, emit_scattered
+
     if isinstance(res, ScatteredWitness):
         _say(args, "scattered outcome: |S|=%d |U|=%d d=%d"
              % (len(res.deleted), len(res.members), res.radius))
@@ -276,6 +283,8 @@ def cmd_solve(args):
         "feasible" if out.feasible else "infeasible", out.exhausted))
     if not out.feasible:
         return EXIT_NOT_FOUND
+    from .witnessdoc import emit_outbranching, emit_vertex_set
+
     if variant == "dob":
         D, parent = out.witness
         doc = emit_outbranching(G, D, parent)

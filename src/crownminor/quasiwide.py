@@ -1,11 +1,12 @@
-"""Scattered sets and the crown-or-scattered dichotomy.
+"""The crown-or-scattered dichotomy.
 
 Given a digraph with an r-scattered set, the dichotomy either exhibits a
 crown of order q as a depth-r minor or produces an (r+1)-scattered set
 after deleting few vertices. The extraction pipeline mirrors the
 underlying combinatorics: a label-avoiding clique step, a crown
 extractor for one level class, a trichotomy over level classes, and a
-peeling loop on top.
+peeling loop on top. Scattered sets themselves, which the solvers need
+without the dichotomy, live in `scattered`; this module builds on them.
 
 The guaranteed thresholds for these constructions are astronomically
 large, so everything here runs in best-effort mode: pools are consumed
@@ -18,106 +19,12 @@ import itertools
 import math
 from collections import namedtuple
 
-from .digraph import BudgetExhausted, Digraph, GraphError, adjacency_masks, bfs_dist, reach_mask
+from .digraph import BudgetExhausted, GraphError, bfs_dist
 
-
-# ---------------------------------------------------------------------------
-# scattered sets
-
-
-def is_scattered(G, U, d, deleted=()):
-    """True iff no vertex of G - deleted has two distinct members of U in
-    its d-out-neighborhood (computed in G - deleted), that is, iff the
-    members' d-in-balls in G - deleted are pairwise disjoint. Raises
-    GraphError for a member or deleted id outside G."""
-    if d < 0:
-        raise GraphError("radius must be nonnegative")
-    U = list(U)
-    if len(set(U)) != len(U):
-        raise GraphError("scattered candidates must be distinct")
-    dead = frozenset(deleted)
-    for v in itertools.chain(U, dead):
-        G.check_vertex(v)
-    members = set(U)
-    if members & dead:
-        return False
-    adj = adjacency_masks(G, "in")
-    alive = ((1 << G.n) - 1) & ~sum(1 << v for v in dead)
-    covered = 0
-    for u in U:
-        ball = reach_mask(adj, u, alive, d)
-        if ball & covered:
-            return False
-        covered |= ball
-    return True
-
-
-class ScatteredWitness(namedtuple("ScatteredWitness", "graph deleted members radius")):
-    """members, a tuple, is radius-scattered in the Digraph graph minus
-    the tuple deleted."""
-
-    __slots__ = ()
-
-    def verify(self):
-        return is_scattered(self.graph, self.members, self.radius, self.deleted)
-
-
-def compute_scattered(G, W, d, m, s_budget, probe_cap=14):
-    """Search for S (|S| <= s_budget) and U in W (|U| = m) with U
-    d-scattered in G - S, via the common-ancestor construction: for a
-    candidate U' the set C of vertices that d-in-dominate two members is
-    deleted, which scatters the survivors.
-
-    Subsets of the first probe_cap elements of W are tried by increasing
-    size then lexicographically, the order of itertools.combinations.
-    C only grows as U grows, so any m survivors of a larger answer are an
-    answer of size m by themselves: the first answer, if there is one,
-    has size m, and only size m is walked. It is walked as a prefix
-    search over the in-ball bitmasks, carrying C and the chosen members,
-    and a prefix is cut with all its extensions as soon as its C exceeds
-    s_budget or holds a chosen member, which would then fall short of m
-    survivors. A cut branch holds no answer, so the first answer is the
-    one the full walk finds. Returns a verified witness or None.
-    """
-    W = sorted(set(W))
-    if m > len(W):
-        raise GraphError("need |W| >= m")
-    if m <= 0:
-        raise GraphError("target size must be positive")
-    if s_budget < 0:
-        raise GraphError("need s_budget >= 0, got %d" % s_budget)
-    probe = W[:probe_cap]
-    for u in probe:
-        G.check_vertex(u)
-    adj, full = adjacency_masks(G, "in"), (1 << G.n) - 1
-    balls = [reach_mask(adj, u, full, d) for u in probe]
-    chosen = []
-
-    def extend(start, reached, C, held):
-        # reached: union of the chosen members' balls; C: the vertices
-        # in the balls of two chosen members; held: the chosen members
-        if len(chosen) == m:
-            return C
-        for i in range(start, len(probe) - m + len(chosen) + 1):
-            grown = C | (reached & balls[i])
-            now = held | 1 << probe[i]
-            if grown.bit_count() > s_budget or grown & now:
-                continue
-            chosen.append(probe[i])
-            got = extend(i + 1, reached | balls[i], grown, now)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    C = extend(0, 0, 0, 0)
-    if C is None:
-        return None
-    deleted = tuple(v for v in G.vertices() if C >> v & 1)
-    w = ScatteredWitness(G, deleted, tuple(chosen), d)
-    if not w.verify():
-        raise RuntimeError("internal: common-ancestor deletion failed to scatter")
-    return w
+# compute_scattered is not used here. It stays importable as
+# quasiwide.compute_scattered because the benchmark in perfbench/ reads
+# it under that name (workloads.py, and tracer.WRAPPED["quasiwide"]).
+from .scattered import ScatteredWitness, compute_scattered, is_scattered, without_vertices  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -835,11 +742,6 @@ def dichotomy_step(G, I, r, p, q):
         return w
     return crown_to_model(G, cb, res, r)
 
-
-def without_vertices(G, S):
-    """Same vertex ids, all edges meeting S removed (S becomes isolated)."""
-    S = set(S)
-    return Digraph(G.n, [e for e in G.edges if e[0] not in S and e[1] not in S])
 
 
 def iterate_dichotomy(G, W, target_r, m, q_schedule):

@@ -13,7 +13,7 @@ import itertools
 from collections import namedtuple
 
 from .digraph import GraphError, ball_masks, bfs_dist, mask_bits, reach_mask
-from .quasiwide import compute_scattered, without_vertices
+from .scattered import compute_scattered, without_vertices
 
 
 class DominationInstance(namedtuple("DominationInstance", "graph k d", defaults=(1,))):
@@ -191,16 +191,21 @@ def brute_force_solve(instance, variant):
     lexicographic. Variants:
     ds (d-dominating set), ids (independent dominating set),
     dob (dominating set spanned by an out-tree), is (independent set of
-    size exactly k)."""
+    size exactly k, no member within distance d of another either way).
+    dob takes d = 1 whatever instance.d says; every variant raises
+    GraphError for d < 1."""
     G = instance.graph
     k = instance.k
     _need_k(k)
     d = instance.d
+    if d < 1:
+        raise GraphError("need d >= 1, got %d" % d)
     if variant == "is":
         if k == 0:
             return SolveOutcome(True, (), exhausted=True)
+        near = [bfs_dist(G, v, max_depth=d) for v in G.vertices()]
         for combo in itertools.combinations(G.vertices(), k):
-            if _independent(G, combo):
+            if not any(b in near[a] or a in near[b] for a, b in itertools.combinations(combo, 2)):
                 return SolveOutcome(True, tuple(combo), exhausted=True)
         return SolveOutcome(False, exhausted=True)
     for size in range(0, k + 1):

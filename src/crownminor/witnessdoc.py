@@ -17,7 +17,7 @@ have, a wrong number of words, a missing or stray colon, a number not
 written as `%d` writes it, an id named twice in one list and a
 repeated field.
 
-The layers a document's payload lives in (minors, quasiwide, solvers)
+The layers a document's payload lives in (minors, scattered, solvers)
 are imported by the emitter or reader that needs them, so that a
 command loads only its own.
 """
@@ -178,7 +178,7 @@ def parse_witness(text, host=None, pattern=None):
         if kind in ("model", "crown"):
             return _model(kind, fields, host, pattern)
         if kind == "scattered":
-            from .quasiwide import ScatteredWitness
+            from .scattered import ScatteredWitness
 
             w = ScatteredWitness(host, *_need(kind, fields, "S", "U", "d"))
             if not w.verify():

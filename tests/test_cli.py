@@ -640,6 +640,36 @@ def test_solve_is_distance_below_one_is_input_error(capsys, tmp_path, d):
 
 
 @pytest.mark.parametrize("oracle", [False, True])
+def test_solve_is_oracle_honours_distance(capsys, tmp_path, oracle):
+    # on the path 0->1->2->3 every two vertices lie within distance 3
+    from crownminor.graphio import save_graph
+
+    g = tmp_path / "g.graph"
+    save_graph(str(g), Digraph(4, [(0, 1), (1, 2), (2, 3)]))
+    flag = ["--oracle"] if oracle else []
+    code, out, _ = run_cli(capsys, "--format", "structured", "solve", "is", str(g),
+                           "--k", "2", "--d", "3", *flag)
+    assert code == 1 and out == ""
+    code, out, _ = run_cli(capsys, "--format", "structured", "solve", "is", str(g),
+                           "--k", "2", "--d", "2", *flag)
+    assert code == 0
+    assert tuple(parse_witness(out, host=parse_graph(g.read_text()))) == (0, 3)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("variant", ["dds", "is"])
+def test_solve_distance_zero_is_input_error(capsys, tmp_path, variant, oracle):
+    from crownminor.graphio import save_graph
+
+    g = tmp_path / "g.graph"
+    save_graph(str(g), crown(3)[0])
+    code, out, err = run_cli(capsys, "--format", "structured", "solve", variant, str(g),
+                             "--k", "4", "--d", "0", *(["--oracle"] if oracle else []))
+    assert code == 4
+    assert out == "" and "d >= 1" in err
+
+
+@pytest.mark.parametrize("oracle", [False, True])
 @pytest.mark.parametrize("variant", ["ds", "ids", "dds", "dob", "is"])
 def test_solve_negative_k_is_input_error(capsys, tmp_path, variant, oracle):
     from crownminor.graphio import save_graph
@@ -774,39 +804,49 @@ def _fresh_python(*args):
 
 
 # imports the package, runs the command in argv[1:] if there is one, and
-# prints the submodules loaded by then and whether dataclasses is loaded
+# prints the submodules loaded by then and whether dataclasses is loaded;
+# --help ends the command with SystemExit, after which it still prints
 _LAYERS_AFTER = (
     "import sys\n"
     "import crownminor\n"
     "code = 0\n"
     "if sys.argv[1:]:\n"
     "    from crownminor.cli import main\n"
-    "    code = main(sys.argv[1:])\n"
+    "    try:\n"
+    "        code = main(sys.argv[1:])\n"
+    "    except SystemExit as stop:\n"
+    "        code = stop.code\n"
     "print(*sorted(m[11:] for m in sys.modules if m.startswith('crownminor.')), file=sys.stderr)\n"
     "print('dataclasses' in sys.modules, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
-_IO = {"digraph", "graphio", "witnessdoc"}
+_IO = {"digraph", "graphio"}
+# the layers of a command that writes a witness document
+_DOC = {"witnessdoc"}
 
 
 @pytest.mark.parametrize("argv,layers", [
     ((), None),
     (("generate", "crown", "3"), {"generators", "rng"}),
-    (("minor", "{pattern}", "{crown}"), {"minors"}),
+    (("minor", "{pattern}", "{crown}"), {"minors"} | _DOC),
+    (("minor", "--mode", "butterfly", "{pattern}", "{crown}"), {"minors"}),
     (("grad", "{crown}", "--r", "1"), {"minors", "density"}),
-    (("scatter", "{reversed}", "--d", "1", "--m", "4", "--s-budget", "0"), {"quasiwide"}),
+    (("scatter", "{reversed}", "--d", "1", "--m", "4", "--s-budget", "0"), {"scattered"} | _DOC),
     (("dichotomy", "{crown}", "--r", "0", "--q", "3", "--p", "2"),
-     {"quasiwide", "minors", "generators", "rng"}),
+     {"quasiwide", "scattered", "minors", "generators", "rng"} | _DOC),
     (("dichotomy", "{reversed}", "--r", "1", "--q", "2", "--p", "2", "--i-set", "0 1 2 3"),
-     {"quasiwide"}),
-    (("solve", "ds", "{crown}", "--k", "3"), {"quasiwide", "solvers"}),
-], ids=["import", "generate", "minor", "grad", "scatter", "dichotomy-crown", "dichotomy-scattered",
-        "solve"])
+     {"quasiwide", "scattered"} | _DOC),
+    (("solve", "ds", "{crown}", "--k", "3"), {"scattered", "solvers"} | _DOC),
+    (("solve", "dob", "{pattern}", "--k", "1"), {"scattered", "solvers"} | _DOC),
+], ids=["import", "generate", "minor", "minor-butterfly", "grad", "scatter", "dichotomy-crown",
+        "dichotomy-scattered", "solve", "solve-dob"])
 def test_command_loads_only_its_layers(tmp_path, argv, layers):
     # with bytecode caching off every process compiles each module it
     # loads, so a layer a command does not run must stay unloaded; grad
-    # alone loads density. The result records are namedtuples, so no
-    # command pays for importing dataclasses either.
+    # alone loads density, solve and scatter never load the dichotomy
+    # (quasiwide), and only a command that writes a document loads
+    # witnessdoc. The result records are namedtuples, so no command pays
+    # for importing dataclasses either.
     from crownminor.graphio import save_graph
 
     files = {"pattern": crown(2)[0], "crown": crown(3)[0], "reversed": reversed_crown(4)[0]}
@@ -818,6 +858,16 @@ def test_command_loads_only_its_layers(tmp_path, argv, layers):
     *loaded, dataclasses_loaded = done.stderr.split()
     assert set(loaded) == (set() if layers is None else {"cli"} | _IO | layers)
     assert dataclasses_loaded == "False"
+
+
+@pytest.mark.parametrize("command", [
+    None, "generate", "minor", "scatter", "dichotomy", "solve", "grad", "selftest",
+])
+def test_help_loads_no_layer(command):
+    done = _fresh_python("-c", _LAYERS_AFTER, *([command] if command else []), "--help")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: crownminor")
+    assert done.stderr.split() == sorted({"cli"} | _IO) + ["False"]
 
 
 def test_budget_exhaustion_exits_2_with_one_line(tmp_path):

@@ -98,6 +98,25 @@ def test_brute_empty_graph():
     assert brute_force_solve(DominationInstance(G, 0), "ds").feasible
 
 
+def test_brute_independent_set_honours_distance():
+    # the oracle keeps members d apart in both directions, as the solver does
+    assert not brute_force_solve(DominationInstance(dipath(4), 2, d=3), "is").feasible
+    rng = random.Random(19)
+    for _ in range(40):
+        G = random_digraph(rng, rng.randint(2, 8), rng.uniform(0.1, 0.4))
+        for d in (1, 2, 3):
+            for k in range(4):
+                want = independent_set(G, k, d)
+                got = brute_force_solve(DominationInstance(G, k, d), "is")
+                assert (got.feasible, got.witness) == (want.feasible, want.witness)
+
+
+@pytest.mark.parametrize("variant", ["ds", "ids", "dob", "is"])
+def test_brute_rejects_distance_below_one(variant):
+    with pytest.raises(GraphError, match="need d >= 1"):
+        brute_force_solve(DominationInstance(dipath(3), 1, d=0), variant)
+
+
 # --- independent dominating set -------------------------------------------------
 
 
