@@ -5,8 +5,10 @@ crown of order q as a depth-r minor or produces an (r+1)-scattered set
 after deleting few vertices. The extraction pipeline mirrors the
 underlying combinatorics: a label-avoiding clique step, a crown
 extractor for one level class, a trichotomy over level classes, and a
-peeling loop on top. Scattered sets themselves, which the solvers need
-without the dichotomy, live in `scattered`; this module builds on them.
+peeling loop on top. Vertex sets inside the control structure are int
+bitmasks over vertex ids, from the adjacency to the pools and buckets.
+Scattered sets themselves, which the solvers need without the dichotomy,
+live in `scattered`; this module builds on them.
 
 The guaranteed thresholds for these constructions are astronomically
 large, so everything here runs in best-effort mode: pools are consumed
@@ -19,7 +21,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from .digraph import BudgetExhausted, GraphError, bfs_dist
+from .digraph import BudgetExhausted, GraphError, bfs_dist, mask_bits
 
 # compute_scattered is not used here. It stays importable as
 # quasiwide.compute_scattered because the benchmark in perfbench/ reads
@@ -72,55 +74,42 @@ class ControlledBipartite:
     the walk and ending at b. base and level must be defined for every
     A-vertex, every B-vertex and every vertex appearing in a label.
 
-    Labels are opaque hashables. When built over a ground digraph, labels
-    are ground vertex ids, and one id may appear on both sides (the two
-    roles stay distinct; edges are always read as A-side to B-side).
+    Labels are vertex ids (ints >= 0): over a ground digraph they are its
+    vertex ids, and one id may appear on both sides (the two roles stay
+    distinct; edges are always read as A-side to B-side). The adjacency
+    is kept as masks only: succ[a] is the mask of a's B-side successors
+    and pred[b] the mask of b's A-side predecessors. An edge whose ends
+    are not an A-vertex and a B-vertex raises KeyError.
     """
 
     def __init__(self, a_nodes, b_nodes, edges, base, level, eta, r):
         self.a_nodes = tuple(sorted(a_nodes))
         self.b_nodes = tuple(sorted(b_nodes))
-        self.edges = frozenset(edges)
         self.base = dict(base)
         self.level = dict(level)
         self.eta = {e: tuple(val) for e, val in eta.items()}
         self.r = r
-        self._succ = {a: [] for a in self.a_nodes}
-        self._pred = {b: [] for b in self.b_nodes}
-        for (a, b) in self.edges:
-            self._succ[a].append(b)
-            self._pred[b].append(a)
-        for side in (self._succ, self._pred):
-            for nbrs in side.values():
-                nbrs.sort()
+        self.succ = dict.fromkeys(self.a_nodes, 0)
+        self.pred = dict.fromkeys(self.b_nodes, 0)
+        for (a, b) in edges:
+            self.succ[a] |= 1 << b
+            self.pred[b] |= 1 << a
 
-    def a_successors(self, a):
-        return tuple(self._succ[a])
-
-    def b_predecessors(self, b):
-        return tuple(self._pred[b])
-
-    def out_degree(self, a):
-        return len(self._succ[a])
-
-    def max_out_degree(self):
-        return max((len(s) for s in self._succ.values()), default=0)
+    @property
+    def edges(self):
+        """The edges (a, b), read off the successor masks."""
+        return frozenset((a, b) for a, s in self.succ.items() for b in mask_bits(s))
 
     def check(self, constructed=False):
         """Structural invariants; returns (ok, violations).
 
-        Always: edges within A x B, levels in range, every edge label a
-        chain of vertices based at the edge's endpoint with strictly
-        increasing levels, and label levels below the tail's own level on
-        base edges. With constructed=True additionally: the tail's level
-        equals its least label length, and base is empty exactly at
-        level r+1.
+        Always: levels in range, every edge label a chain of vertices
+        based at the edge's endpoint with strictly increasing levels, and
+        label levels below the tail's own level on base edges. With
+        constructed=True additionally: the tail's level equals its least
+        label length, and base is empty exactly at level r+1.
         """
         bad = []
-        aset, bset = set(self.a_nodes), set(self.b_nodes)
-        for (a, b) in self.edges:
-            if a not in aset or b not in bset:
-                bad.append("edge (%s, %s) leaves the bipartition" % (a, b))
         referenced = set(self.a_nodes) | set(self.b_nodes)
         for tail in self.eta.values():
             referenced.update(tail)
@@ -150,7 +139,7 @@ class ControlledBipartite:
                     bad.append("base edge %s carries a label at or above its level" % (e,))
         if constructed:
             for a in self.a_nodes:
-                lens = [len(self.eta[(a, b)]) for b in self._succ[a]]
+                lens = [len(self.eta[(a, b)]) for b in mask_bits(self.succ[a])]
                 if lens and min(lens) != self.level[a]:
                     bad.append("level of %s is not its least label length" % (a,))
                 if (self.base[a] is None) != (self.level[a] == self.r + 1):
@@ -158,28 +147,22 @@ class ControlledBipartite:
         return not bad, bad
 
     def one_scattered(self, members):
-        """No A-vertex sees two of `members` among its successors."""
-        members = set(members)
-        for a in self.a_nodes:
-            if sum(1 for b in self._succ[a] if b in members) >= 2:
-                return False
-        return True
+        """No A-vertex sees two of `members`, a mask of B-vertices, among
+        its successors."""
+        return all((s & members).bit_count() < 2 for s in self.succ.values())
 
-    def restrict(self, a_keep, b_keep, zero_base_outside=False):
-        """Induced sub-structure; optionally clears bases that left the
-        B-side (levels and labels are kept as they are)."""
-        a_keep = set(a_keep)
-        b_keep = set(b_keep)
-        edges = {(a, b) for (a, b) in self.edges if a in a_keep and b in b_keep}
-        base = dict(self.base)
-        if zero_base_outside:
-            for a in a_keep:
-                if base.get(a) is not None and base[a] not in b_keep:
-                    base[a] = None
-        eta = {e: self.eta[e] for e in edges}
-        return ControlledBipartite(
-            sorted(a_keep), sorted(b_keep), edges, base, self.level, eta, self.r
-        )
+    def restrict(self, a_keep, b_keep):
+        """The sub-structure induced by the A-vertices in the mask a_keep
+        and the B-vertices in the mask b_keep. It shares base, level and
+        eta with this structure, read-only, and holds only the ANDed
+        adjacency masks of its own."""
+        sub = object.__new__(ControlledBipartite)
+        sub.a_nodes = tuple(a for a in self.a_nodes if a_keep >> a & 1)
+        sub.b_nodes = tuple(b for b in self.b_nodes if b_keep >> b & 1)
+        sub.base, sub.level, sub.eta, sub.r = self.base, self.level, self.eta, self.r
+        sub.succ = {a: self.succ[a] & b_keep for a in sub.a_nodes}
+        sub.pred = {b: self.pred[b] & a_keep for b in sub.b_nodes}
+        return sub
 
 
 class ControlledCrown(namedtuple("ControlledCrown", "order principals connectors")):
@@ -214,7 +197,7 @@ def verify_controlled_crown(cb, cc):
     if len(body) != q + math.comb(q, 2):
         return False  # duplicate labels or a connector colliding with a principal
     for (a, b) in cc.crown_edges():
-        if (a, b) not in cb.edges:
+        if not cb.succ.get(a, 0) >> b & 1:
             return False
         if (set(cb.eta[(a, b)]) - {b}) & body:
             return False
@@ -340,42 +323,34 @@ def uniform_level_crown(cb, q):
             raise BudgetExhausted("no principals available")
         return ControlledCrown(1, (cb.b_nodes[0],), ())
     c = next(iter(lvls)) if lvls else None
-
-    try:
-        round_limit = 2 * clique_threshold(q) if q <= 4 else None
-    except (OverflowError, MemoryError):  # pragma: no cover
-        round_limit = None
+    round_limit = 2 * clique_threshold(q) if q <= 4 else None
 
     recorded = {}  # frozenset pair of pivots -> connector
-    used = set()
-    pool = list(cb.b_nodes)
+    used = 0
+    pool = sum(1 << b for b in cb.b_nodes)
     red, yellow = [], []
     rounds = 0
     while pool and (round_limit is None or rounds < round_limit):
         rounds += 1
-        v = pool.pop(0)
-        d_red, d_yellow = [], []
-        for u in list(pool):
-            if u not in pool:
+        v = (pool & -pool).bit_length() - 1
+        pool ^= 1 << v
+        d_red = d_yellow = 0
+        for u in mask_bits(pool):
+            if not pool >> u & 1:
                 continue
-            conn = None
-            for a in cb.b_predecessors(v):
-                if a in used:
-                    continue
-                if u in cb.a_successors(a):
-                    conn = a
-                    break
-            if conn is None:
-                continue  # this pair cannot be connected; leave u for later rounds
-            used.add(conn)
+            # the least unused A-vertex seeing both pivots
+            conns = cb.pred[v] & cb.pred[u] & ~used
+            if not conns:
+                continue  # this pair cannot be connected; u leaves with the round
+            conn = (conns & -conns).bit_length() - 1
+            used |= 1 << conn
             recorded[frozenset((v, u))] = conn
-            b_conn = cb.base.get(conn)
-            bucket = d_yellow if b_conn in (v, u) else d_red
-            bucket.append(u)
-            for w in cb.a_successors(conn):
-                if w in pool:
-                    pool.remove(w)
-        if len(d_red) >= len(d_yellow):
+            if cb.base.get(conn) in (v, u):
+                d_yellow |= 1 << u
+            else:
+                d_red |= 1 << u
+            pool &= ~cb.succ[conn]
+        if d_red.bit_count() >= d_yellow.bit_count():
             pool = d_red
             red.append(v)
         else:
@@ -452,9 +427,6 @@ def _assemble_crown(recorded, body, q):
 # trichotomy over level classes
 
 
-HighDegreeVertex = namedtuple("HighDegreeVertex", "vertex successors")
-
-
 class BipartiteScattered(namedtuple("BipartiteScattered", "deleted members")):
     """members are 1-scattered in the structure minus the deleted
     A-vertices."""
@@ -462,98 +434,83 @@ class BipartiteScattered(namedtuple("BipartiteScattered", "deleted members")):
     __slots__ = ()
 
 
-def bipartite_trichotomy(cb, p, q, n=None):
-    """One of: an A-vertex with n+1 successors, a 1-scattered B-set of
-    size p, or a controlled crown of order q.
+def bipartite_trichotomy(cb, p, q):
+    """A 1-scattered B-set of size p, or a controlled crown of order q.
 
     The loop classifies pivots: if enough of the pool avoids all of a
     pivot's predecessors' successor sets, the pivot joins the scattered
     set; otherwise the pool narrows to one level class and the pivot
     joins that class's bucket. Big buckets go to the one-level crown
-    extractor.
+    extractor. The third outcome of the underlying trichotomy, an
+    A-vertex with more than n successors, cannot occur: n is taken as
+    the largest out-degree, and only sizes the buckets' goal.
     """
     if p < 1 or q < 1:
         raise GraphError("need p, q >= 1")
-    if n is None:
-        n = cb.max_out_degree()
-    for a in cb.a_nodes:
-        if cb.out_degree(a) >= n + 1:
-            return HighDegreeVertex(a, tuple(cb.a_successors(a)[: n + 1]))
+    n = max((s.bit_count() for s in cb.succ.values()), default=0)
+    bucket_goal = uniform_level_threshold(q, max(n, 1)) if q <= 3 else None
 
-    try:
-        bucket_goal = uniform_level_threshold(q, max(n, 1)) if q <= 3 else None
-    except (OverflowError, MemoryError):  # pragma: no cover
-        bucket_goal = None
-
-    pool = list(cb.b_nodes)
-    scattered = []
-    buckets = {j: [] for j in range(cb.r + 2)}
-    bucketed = set()
+    pool = sum(1 << b for b in cb.b_nodes)
+    scattered = 0
+    buckets = [0] * (cb.r + 2)
+    bucketed = 0
 
     def crown_from_bucket(j):
-        a_keep = [a for a in cb.a_nodes if cb.level[a] == j]
-        sub = cb.restrict(a_keep, buckets[j])
-        return uniform_level_crown(sub, q)
+        a_keep = sum(1 << a for a in cb.a_nodes if cb.level[a] == j)
+        return uniform_level_crown(cb.restrict(a_keep, buckets[j]), q)
 
-    while True:
-        if len(scattered) == p:
-            if not cb.one_scattered(scattered):
-                raise RuntimeError("internal: scattered invariant broke")
-            return BipartiteScattered((), tuple(sorted(scattered)))
+    while scattered.bit_count() < p:
         if bucket_goal is not None:
             for j in range(cb.r + 2):
-                if len(buckets[j]) >= bucket_goal:
+                if buckets[j].bit_count() >= bucket_goal:
                     return crown_from_bucket(j)
-        fresh = [v for v in pool if v not in bucketed]
+        fresh = pool & ~bucketed
         if not fresh:
             break
-        v = fresh[0]
-        by_level = {j: set() for j in range(cb.r + 2)}
-        for a in cb.b_predecessors(v):
-            j = cb.level[a]
-            for w in cb.a_successors(a):
-                if w in pool:
-                    by_level[j].add(w)
-        covered = set().union(*by_level.values()) if by_level else set()
-        rest = [w for w in pool if w not in covered]
-        share = len(pool) / (cb.r + 3)
-        if len(rest) >= share:
-            scattered.append(v)
-            pool = [w for w in rest if w != v]
+        v = (fresh & -fresh).bit_length() - 1
+        by_level = [0] * (cb.r + 2)
+        for a in mask_bits(cb.pred[v]):
+            by_level[cb.level[a]] |= cb.succ[a] & pool
+        rest = pool
+        for reach in by_level:
+            rest &= ~reach
+        share = pool.bit_count() / (cb.r + 3)
+        if rest.bit_count() >= share:
+            scattered |= 1 << v
+            pool = rest & ~(1 << v)
         else:
-            t = min(j for j in range(cb.r + 2) if len(by_level[j]) >= share)
-            buckets[t].append(v)
-            bucketed.add(v)
-            pool = sorted(by_level[t])
+            t = min(j for j in range(cb.r + 2) if by_level[j].bit_count() >= share)
+            buckets[t] |= 1 << v
+            bucketed |= 1 << v
+            pool = by_level[t]
 
-    # pools exhausted below the guaranteed sizes: try the buckets anyway
-    order = sorted(range(cb.r + 2), key=lambda j: (-len(buckets[j]), j))
     last_err = None
-    for j in order:
-        if len(buckets[j]) < q:
-            continue
-        try:
-            return crown_from_bucket(j)
-        except BudgetExhausted as err:
-            last_err = err
-    # the share-based loop confines itself to one pivot's reach class;
-    # greedily top the scattered set up from the whole B-side instead
-    for b in cb.b_nodes:
-        if len(scattered) == p:
-            break
-        if b in scattered:
-            continue
-        if cb.one_scattered(scattered + [b]):
-            scattered.append(b)
-    if len(scattered) == p:
+    if scattered.bit_count() < p:
+        # pools exhausted below the guaranteed sizes: try the buckets anyway
+        order = sorted(range(cb.r + 2), key=lambda j: (-buckets[j].bit_count(), j))
+        for j in order:
+            if buckets[j].bit_count() < q:
+                continue
+            try:
+                return crown_from_bucket(j)
+            except BudgetExhausted as err:
+                last_err = err
+        # the share-based loop confines itself to one pivot's reach class;
+        # greedily top the scattered set up from the whole B-side instead
+        for b in cb.b_nodes:
+            if scattered.bit_count() == p:
+                break
+            if not scattered >> b & 1 and cb.one_scattered(scattered | 1 << b):
+                scattered |= 1 << b
+    if scattered.bit_count() == p:
         if not cb.one_scattered(scattered):
             raise RuntimeError("internal: scattered invariant broke")
-        return BipartiteScattered((), tuple(sorted(scattered)))
+        return BipartiteScattered((), tuple(mask_bits(scattered)))
     if last_err is not None:
         raise last_err
     raise BudgetExhausted(
         "trichotomy stalled: %d scattered of %d, largest bucket %d"
-        % (len(scattered), p, max((len(b) for b in buckets.values()), default=0))
+        % (scattered.bit_count(), p, max(b.bit_count() for b in buckets))
     )
 
 
@@ -569,53 +526,47 @@ def scattered_or_crown(cb, p, q):
     vertices of the current pool, keep it and shrink the pool to its
     successors minus its base. Completing C(q,2) rounds leaves a pool
     every kept vertex covers fully, which is a crown; otherwise the
-    trichotomy runs on the residual structure with bases cleared outside
-    the pool.
+    trichotomy runs on the residual structure: the unkept A-vertices
+    over the pool.
     """
     if q < 1 or p < 1:
         raise GraphError("need p, q >= 1")
     rounds = math.comb(q, 2)
     kept = []
-    pool = list(cb.b_nodes)
-    in_pool = set(pool)
+    pool = every_b = sum(1 << b for b in cb.b_nodes)
     while len(kept) < rounds:
         best = None
         for a in cb.a_nodes:
             if a in kept:
                 continue
-            cover = sum(1 for b in cb.a_successors(a) if b in in_pool)
+            cover = (cb.succ[a] & pool).bit_count()
             if cover > q and (best is None or (-cover, repr(a)) < best[0]):
                 best = ((-cover, repr(a)), a)
         if best is None:
             break
         a = best[1]
         kept.append(a)
-        in_pool = set(cb.a_successors(a)) & in_pool
-        in_pool.discard(cb.base.get(a))
-        pool = sorted(in_pool)
+        pool &= cb.succ[a]
+        if cb.base.get(a) is not None:
+            pool &= ~(1 << cb.base[a])
 
     if len(kept) == rounds:
-        if len(pool) < q:
+        principals = tuple(mask_bits(pool))[:q]
+        if len(principals) < q:
             raise BudgetExhausted("peeled pool thinner than the crown order")
-        cc = ControlledCrown(q, tuple(pool[:q]), tuple(kept))
+        cc = ControlledCrown(q, principals, tuple(kept))
         if not cc2_condition(cb, cc) or not verify_controlled_crown(cb, cc):
             raise BudgetExhausted("peeled crown failed verification")
         return cc
 
-    sub = cb.restrict(
-        [a for a in cb.a_nodes if a not in kept], pool, zero_base_outside=True
-    )
-    # n defaults to sub's largest out-degree, so no vertex exceeds it
-    res = bipartite_trichotomy(sub, p, q)
+    alive = sum(1 << a for a in cb.a_nodes if a not in kept)
+    res = bipartite_trichotomy(cb.restrict(alive, pool), p, q)
     if isinstance(res, BipartiteScattered):
-        members = res.members
-        deleted = tuple(kept)
-        full = BipartiteScattered(deleted, members)
         # scatteredness must survive in the whole structure minus deletions
-        check = cb.restrict([a for a in cb.a_nodes if a not in kept], cb.b_nodes)
-        if not check.one_scattered(members):
+        whole = cb.restrict(alive, every_b)
+        if not whole.one_scattered(sum(1 << b for b in res.members)):
             raise RuntimeError("internal: scattered set not scattered after deletion")
-        return full
+        return BipartiteScattered(tuple(kept), res.members)
     if not verify_controlled_crown(cb, res):
         raise BudgetExhausted("residual crown failed verification in the full structure")
     return res
@@ -743,13 +694,12 @@ def dichotomy_step(G, I, r, p, q):
     return crown_to_model(G, cb, res, r)
 
 
-
-def iterate_dichotomy(G, W, target_r, m, q_schedule):
+def iterate_dichotomy(G, W, target_r, m, q):
     """Iterate the dichotomy from radius 0 up to target_r: accumulate
     deletions while the scattered outcome repeats, stop at the first
     crown. Returns a ScatteredWitness at radius target_r or a crown
-    DirectedModel. q_schedule, an int, is the crown order that every
-    round excludes.
+    DirectedModel. q, an int, is the crown order that every round
+    excludes.
 
     Early rounds ask for two extra members per remaining round (the
     guaranteed thresholds shrink the set round over round), backing off
@@ -768,7 +718,7 @@ def iterate_dichotomy(G, W, target_r, m, q_schedule):
         res = None
         for p_try in range(p_hi, m - 1, -1):
             try:
-                res = dichotomy_step(Gi, members, i, p_try, q_schedule)
+                res = dichotomy_step(Gi, members, i, p_try, q)
                 break
             except BudgetExhausted:
                 if p_try == m:

@@ -533,24 +533,21 @@ def dominating_outbranching(G, k, scatter_budget=3):
 # independent set
 
 
-def independent_set(G, k, d=1, scatter_budget=3):
+def independent_set(G, k, d=1):
     """Independent set of size exactly k (distance-d version: no member
     within distance d of another), by one exact search: _first_subset
     over each vertex's two-way d-ball as a bitmask, computed once per
     call. It returns the first independent k-subset in the order of
     itertools.combinations over the sorted vertices, or proves that
-    there is none without visiting the subsets it cuts. scatter_budget
-    is checked as for the other solvers and otherwise unused."""
+    there is none without visiting the subsets it cuts. The search is
+    the whole method, not a fallback, so `exhausted` stays False."""
     _need_k(k)
     if d < 1:
         raise GraphError("need d >= 1, got %d" % d)
-    _need_budget(scatter_budget)
     if k == 0:
         return SolveOutcome(True, ())
     if k > G.n:
         return SolveOutcome(False)
     clash = [o | i for o, i in zip(ball_masks(G, d), ball_masks(G, d, "in"))]
     got = _first_subset((1 << G.n) - 1, k, clash, clash, 0, tuple)
-    if got is not None:
-        return SolveOutcome(True, got, exhausted=True)
-    return SolveOutcome(False, exhausted=True)
+    return SolveOutcome(got is not None, got)

@@ -17,9 +17,8 @@ BFS per host vertex where the library now runs one per member, and
 searched for tree-like models, with its isomorphism test
 `digraph_isomorphic`, and the forms that sorted the same lists more
 than once: `adjacency_by_sorting` (the `Digraph` adjacency),
-`emit_graph_by_sorted_edges` (the graph text), the label walk with
-path and `reverse()` in `controlled_bipartite_by_table`, and
-`controlled_bipartite_lists` (`ControlledBipartite`'s neighbor lists).
+`emit_graph_by_sorted_edges` (the graph text), and the label walk with
+path and `reverse()` in `controlled_bipartite_by_table`.
 Random test instances, which decide no verdict, come from the library's
 `random_digraph` and `random_dag` and are re-exported under those names;
 `ladder` builds the path router's exponential case. The last section
@@ -597,16 +596,14 @@ def controlled_bipartite_by_table(G, I, r):
     return ControlledBipartite(a_nodes, I, edges, base, level, eta, r)
 
 
-def controlled_bipartite_lists(cb):
-    """ControlledBipartite's former list fill: each A-vertex's successors
-    and each B-vertex's predecessors, appended in the order of
-    sorted(cb.edges)."""
-    succ = {a: [] for a in cb.a_nodes}
-    pred = {b: [] for b in cb.b_nodes}
-    for (a, b) in sorted(cb.edges):
-        succ[a].append(b)
-        pred[b].append(a)
-    return succ, pred
+def bipartite_one_scattered(cb, members, deleted=()):
+    """From the definition, over the edge pairs: no A-vertex outside
+    `deleted` has edges to two of the B-vertices `members`."""
+    seen = {}
+    for (a, b) in cb.edges:
+        if a not in deleted and b in members:
+            seen[a] = seen.get(a, 0) + 1
+    return all(count < 2 for count in seen.values())
 
 
 # --- digraph construction and graph text ---------------------------------------

@@ -48,7 +48,6 @@ from crownminor.quasiwide import (
     BudgetExhausted,
     ControlledBipartite,
     ControlledCrown,
-    HighDegreeVertex,
     ScatteredWitness,
     bipartite_trichotomy,
     clique_threshold,
@@ -397,7 +396,7 @@ def test_c09_dichotomy_soundness():
         target = rng.randint(1, 2)
         q = rng.choice((2, 3))
         try:
-            res = iterate_dichotomy(G, range(G.n), target, m=3, q_schedule=q)
+            res = iterate_dichotomy(G, range(G.n), target, m=3, q=q)
         except BudgetExhausted:
             failures += 1
             continue
@@ -425,7 +424,7 @@ def test_c09_dichotomy_soundness():
     assert crowns >= 5 and scattereds >= 20
 
     # extractor unit branches: both colors of the clique step, both
-    # pivot classes, all three trichotomy outcomes, both peeling ends
+    # pivot classes, both trichotomy outcomes, both peeling ends
     assert label_avoiding_clique(range(4), {}, 2) == [0, 1]
     adv = {frozenset((0, 1)): 2, frozenset((0, 2)): 1, frozenset((1, 2)): 0}
     got = label_avoiding_clique(range(5), adv, 2)
@@ -450,9 +449,6 @@ def test_c09_dichotomy_soundness():
     yellow = cb_from({10: ((0, 1), 0), 11: ((0, 2), 0), 12: ((1, 2), 1)}, 3)
     assert verify_controlled_crown(yellow, uniform_level_crown(yellow, 2))
 
-    high = cb_from({10: (tuple(range(5)), None)}, 5)
-    got = bipartite_trichotomy(high, p=2, q=2, n=3)
-    assert isinstance(got, HighDegreeVertex)
     empty = ControlledBipartite([], range(4), set(), {b: b for b in range(4)},
                                 {b: 0 for b in range(4)}, {}, 0)
     got = bipartite_trichotomy(empty, p=3, q=2)

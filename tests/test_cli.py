@@ -756,7 +756,6 @@ def test_graph_file_that_is_not_utf8_is_input_error(capsys, tmp_path):
         (["scatter"], ["--d", "1", "--m", "2", "--s-budget", "-1"]),
         (["solve", "ids"], ["--k", "1", "--scatter-budget", "-1"]),
         (["solve", "dob"], ["--k", "1", "--scatter-budget", "-1"]),
-        (["solve", "is"], ["--k", "1", "--scatter-budget", "-1"]),
     ],
 )
 def test_negative_deletion_budget_is_input_error(capsys, tmp_path, command, options):
@@ -767,6 +766,32 @@ def test_negative_deletion_budget_is_input_error(capsys, tmp_path, command, opti
     code, out, err = run_cli(capsys, "--format", "structured", *command, str(g), *options)
     assert code == 4 and out == ""
     assert "budget >= 0, got -1" in err
+
+
+@pytest.mark.parametrize("variant", ["is", "ds", "dds"])
+def test_scatter_budget_outside_ids_and_dob_is_usage_error(capsys, tmp_path, variant):
+    # these variants run no scattered-set step, so a budget would be ignored
+    from crownminor.graphio import save_graph
+
+    g = tmp_path / "g.graph"
+    save_graph(str(g), crown(3)[0])
+    for budget in ("-1", "3", "5"):
+        code, out, err = run_cli(capsys, "--format", "structured", "solve", variant, str(g),
+                                 "--k", "1", "--scatter-budget", budget)
+        assert code == 3
+        assert out == "" and err.startswith("usage error:")
+
+
+def test_solve_is_reports_no_fallback(capsys, tmp_path):
+    # the exact search is the whole method, not a fallback
+    from crownminor.graphio import save_graph
+
+    g = tmp_path / "g.graph"
+    save_graph(str(g), crown(3)[0])
+    for k, want in (("3", 0), ("4", 1)):
+        code, out, _ = run_cli(capsys, "solve", "is", str(g), "--k", k)
+        assert code == want
+        assert "(fallback=False)" in out
 
 
 def test_usage_error_exit_code(capsys):

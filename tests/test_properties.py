@@ -65,7 +65,6 @@ from oracles import (
     brute_disjoint_paths,
     common_ancestor_scatter,
     controlled_bipartite_by_table,
-    controlled_bipartite_lists,
     densest_subgraph_by_subsets,
     digraph_isomorphic,
     enum_paths,
@@ -428,15 +427,24 @@ def test_controlled_bipartite_labels_and_lists_match_former_forms():
         got = build_controlled_bipartite(G, I, r)
         want = controlled_bipartite_by_table(G, I, r)
         assert list(got.eta.items()) == list(want.eta.items())
-        assert (got._succ, got._pred) == controlled_bipartite_lists(got)
+        # the masks hold exactly the labelled edges, seen from either side
+        assert got.edges == set(want.eta)
+        assert got.pred == {b: sum(1 << a for (a, y) in want.eta if y == b) for b in I}
+        # a restriction holds the induced edges and shares the tables
+        a_keep, b_keep = rng.getrandbits(n), rng.getrandbits(n)
+        sub = got.restrict(a_keep, b_keep)
+        assert sub.edges == {(a, b) for (a, b) in want.eta
+                             if a_keep >> a & 1 and b_keep >> b & 1}
+        assert sub.pred == {b: got.pred[b] & a_keep for b in I if b_keep >> b & 1}
+        assert sub.base is got.base and sub.level is got.level and sub.eta is got.eta
         # a member reaching another member has the empty tail on its own edge
         empty_tails += sum(not tail for tail in got.eta.values())
-        # the same edges given shuffled and with repeats fill the same lists
-        edges = sorted(got.edges) * 2
+        # the same edges given shuffled and with repeats fill the same masks
+        edges = sorted(want.eta) * 2
         rng.shuffle(edges)
         again = ControlledBipartite(got.a_nodes, got.b_nodes, edges, got.base, got.level,
                                     got.eta, r)
-        assert (again._succ, again._pred) == controlled_bipartite_lists(got)
+        assert (again.succ, again.pred) == (got.succ, got.pred)
     assert empty_tails > 0
 
 
@@ -454,8 +462,8 @@ def test_independent_set_matches_brute_force(G, d, data):
     got = independent_set(G, k, d=d)
     want = brute_force_solve(DominationInstance(_power(G, d), k), "is")
     assert got.feasible == want.feasible
-    if got.exhausted and got.feasible:
-        # the exhaustive step keeps itertools.combinations order
+    if got.feasible:
+        # the exact search keeps itertools.combinations order
         assert got.witness == want.witness
 
 

@@ -1,17 +1,23 @@
+import hashlib
 import math
 import random
 
 import pytest
 
 from crownminor.digraph import Digraph, GraphError, bfs_dist
-from crownminor.generators import crown, oriented_grid, reversed_crown
+from crownminor.generators import (
+    crown,
+    oriented_grid,
+    random_bipartite_outregular,
+    random_tournament,
+    reversed_crown,
+)
 from crownminor.minors import DirectedModel, verify_model
 from crownminor.quasiwide import (
     BipartiteScattered,
     BudgetExhausted,
     ControlledBipartite,
     ControlledCrown,
-    HighDegreeVertex,
     ScatteredWitness,
     bipartite_trichotomy,
     build_controlled_bipartite,
@@ -31,6 +37,7 @@ from crownminor.quasiwide import (
 )
 
 from oracles import (
+    bipartite_one_scattered,
     deletion_budget,
     dichotomy_threshold_steps,
     random_digraph,
@@ -316,19 +323,6 @@ def test_uniform_level_crown_budget_failure():
 # --- trichotomy -----------------------------------------------------------------
 
 
-def test_trichotomy_high_degree():
-    cb = ControlledBipartite(
-        [10], list(range(5)), {(10, b) for b in range(5)},
-        {10: None, **{b: b for b in range(5)}},
-        {10: 1, **{b: 0 for b in range(5)}},
-        {(10, b): (b,) for b in range(5)},
-        0,
-    )
-    got = bipartite_trichotomy(cb, p=2, q=2, n=3)
-    assert isinstance(got, HighDegreeVertex)
-    assert got.vertex == 10 and len(got.successors) == 4
-
-
 def test_trichotomy_scattered_without_predecessors():
     cb = ControlledBipartite(
         [], list(range(5)), set(), {b: b for b in range(5)},
@@ -337,7 +331,7 @@ def test_trichotomy_scattered_without_predecessors():
     got = bipartite_trichotomy(cb, p=3, q=2)
     assert isinstance(got, BipartiteScattered)
     assert got.members == (0, 1, 2)
-    assert cb.one_scattered(got.members)
+    assert bipartite_one_scattered(cb, got.members)
 
 
 def test_trichotomy_funnels_to_crown():
@@ -401,10 +395,7 @@ def test_peeling_random_outcomes_verify():
         except BudgetExhausted:
             continue
         if isinstance(got, BipartiteScattered):
-            rest = cb.restrict(
-                [a for a in cb.a_nodes if a not in got.deleted], cb.b_nodes
-            )
-            assert rest.one_scattered(got.members)
+            assert bipartite_one_scattered(cb, got.members, got.deleted)
             assert len(got.deleted) <= 1  # C(2,2)
         else:
             assert verify_controlled_crown(cb, got)
@@ -472,14 +463,14 @@ def test_dichotomy_random_outcomes_always_verify():
 
 def test_iterate_dichotomy_zero_rounds():
     G = Digraph(5, [(0, 1)])
-    got = iterate_dichotomy(G, range(5), target_r=0, m=3, q_schedule=2)
+    got = iterate_dichotomy(G, range(5), target_r=0, m=3, q=2)
     assert isinstance(got, ScatteredWitness)
     assert got.members == (0, 1, 2) and got.deleted == ()
 
 
 def test_iterate_dichotomy_reversed_crown():
     S6r, principals = reversed_crown(6)
-    got = iterate_dichotomy(S6r, principals, target_r=2, m=4, q_schedule=3)
+    got = iterate_dichotomy(S6r, principals, target_r=2, m=4, q=3)
     assert isinstance(got, ScatteredWitness)
     assert got.radius == 2 and len(got.members) == 4
     assert got.verify()
@@ -487,7 +478,7 @@ def test_iterate_dichotomy_reversed_crown():
 
 def test_iterate_dichotomy_grid_orientation():
     G = oriented_grid(4, 3, seed=11)
-    got = iterate_dichotomy(G, range(G.n), target_r=1, m=3, q_schedule=2)
+    got = iterate_dichotomy(G, range(G.n), target_r=1, m=3, q=2)
     if isinstance(got, ScatteredWitness):
         assert got.verify()
     else:
@@ -596,3 +587,55 @@ def test_contradiction_blocked_by_deletions():
     w = ScatteredWitness(S4, blockers, tuple(principals), 1)
     assert w.verify()
     assert find_scatter_contradiction(S4, 0, 4, model, w) is None
+
+
+# --- pinned outcomes ---------------------------------------------------------------
+
+
+def _pinned_outcome(res):
+    """The class of a dichotomy outcome with its whole witness."""
+    if isinstance(res, ScatteredWitness):
+        return ("scattered", res.deleted, res.members)
+    assert isinstance(res, DirectedModel)
+    branches = tuple(sorted((k, tuple(sorted(v))) for k, v in res.branch.items()))
+    return ("crown", branches, tuple(sorted(res.edge_image.items())))
+
+
+def _pinned_host(rng, i):
+    kind = i % 4
+    if kind == 0:
+        n = rng.randint(6, 30)
+        return random_digraph(rng, n, rng.uniform(0.8, 2.5) / n)
+    if kind == 1:
+        return oriented_grid(rng.randint(2, 4), rng.randint(2, 4), seed=rng.randrange(1 << 40))
+    if kind == 2:
+        n = rng.randint(3, 12)
+        return random_bipartite_outregular(n, rng.randint(1, min(n, 3)), rng.randrange(1 << 40))
+    return random_tournament(rng.randint(3, 7), rng.randrange(1 << 40))
+
+
+def test_dichotomy_outcomes_are_pinned():
+    # a fixed battery over four host families, r 0-2 and q 1-4, with the
+    # iterated dichotomy on every tenth instance: the hash of every
+    # outcome, witness and exhaustion message, as the list-based control
+    # structure produced them
+    rng = random.Random(0x5CA7)
+    outcomes = []
+    for i in range(1000):
+        G = _pinned_host(rng, i)
+        r, q = rng.randint(0, 2), rng.randint(1, 4)
+        try:
+            if i % 10 == 9:
+                res = iterate_dichotomy(G, range(G.n), r, rng.randint(1, 3), q)
+            else:
+                I = []
+                for v in rng.sample(range(G.n), G.n):
+                    if is_scattered(G, I + [v], r):
+                        I.append(v)
+                res = dichotomy_step(G, I, r, rng.randint(1, len(I)), q)
+            outcomes.append(_pinned_outcome(res))
+        except BudgetExhausted as err:
+            outcomes.append(("exhausted", str(err)))
+    assert {o[0] for o in outcomes} == {"scattered", "crown", "exhausted"}
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "fc422f1ba73a275ecc1c17bd7c4f2d6c17ee35e12542722a311f3ef986f89a5a"

@@ -10,7 +10,6 @@ from crownminor.minors import DirectedModel, SubdivisionWitness
 from crownminor.quasiwide import (
     BipartiteScattered,
     ControlledCrown,
-    HighDegreeVertex,
     ScatteredWitness,
     iterate_dichotomy,
 )
@@ -24,7 +23,6 @@ RECORDS = [
     (SubdivisionWitness, ("host", "pattern", "placement", "paths"), (G, G, {}, {})),
     (ScatteredWitness, ("graph", "deleted", "members", "radius"), (G, (), (0,), 1)),
     (ControlledCrown, ("order", "principals", "connectors"), (1, (0,), ())),
-    (HighDegreeVertex, ("vertex", "successors"), (0, (1,))),
     (BipartiteScattered, ("deleted", "members"), ((), (0,))),
     (DominationInstance, ("graph", "k", "d"), (G, 3)),
     (SolveOutcome, ("feasible", "witness", "exhausted"), (True,)),
@@ -54,6 +52,6 @@ def test_lifted_crown_lives_in_the_given_host():
     # the dichotomy runs on a copy of the host; its crown is handed back
     # with the caller's own graph as host
     S3, _ = crown(3)
-    res = iterate_dichotomy(S3, range(S3.n), target_r=1, m=3, q_schedule=2)
+    res = iterate_dichotomy(S3, range(S3.n), target_r=1, m=3, q=2)
     assert isinstance(res, DirectedModel)
     assert res.host is S3
