@@ -12,7 +12,7 @@ no solver calls it.
 import itertools
 from collections import namedtuple
 
-from .digraph import GraphError, ball_masks, bfs_dist, mask_bits, reach_mask
+from .digraph import GraphError, adjacency_masks, ball_masks, bfs_dist, mask_bits, reach_mask
 from .scattered import compute_scattered, without_vertices
 
 
@@ -301,19 +301,23 @@ def find_irrelevant_vertex(G, W, d):
     smaller ball hits w's too. Returns the smallest such w or None; the
     rule holds whatever the size budget, so it takes none."""
     W = sorted(set(W))
+    targets = 0
     for w in W:
         G.check_vertex(w)
+        targets |= 1 << w
     balls = ball_masks(G, d, "in")
     for w in W:
-        if _implied(w, W, balls):
+        if _implied(w, targets, balls):
             return w
     return None
 
 
-def _implied(w, W, balls):
-    """Some target of W other than w has its in-ball mask inside w's."""
+def _implied(w, targets, balls):
+    """Some target other than w, in the vertex mask targets, has its
+    in-ball mask inside w's. Balls are closed, so such a target lies in
+    w's own ball, and only the targets there are tested."""
     ball = balls[w]
-    return any(w2 != w and not balls[w2] & ~ball for w2 in W)
+    return any(not balls[x] & ~ball for x in mask_bits(ball & targets & ~(1 << w)))
 
 
 def d_dominating_set(G, k, d=1):
@@ -321,42 +325,48 @@ def d_dominating_set(G, k, d=1):
     the residual targets exactly by grouping potential dominators by
     their trace on the targets.
 
-    The reductions are one sweep over the sorted targets with the in-ball
-    masks computed once. It drops what repeated find_irrelevant_vertex
-    calls would: dropping a target makes no other target irrelevant, so
-    each next one found lies later in the order."""
+    Targets, traces and open targets are int vertex masks, and every
+    d-ball comes from one ball_masks call per direction. The reductions
+    are one sweep over the targets in id order. It drops what repeated
+    find_irrelevant_vertex calls would: dropping a target makes no other
+    target irrelevant, so each next one found lies later in the order.
+    The cover branches on the open target in the fewest traces, the
+    smallest id among ties, over the traces that hold it in order of
+    their first dominator."""
     if k < 0 or d < 1:
         raise GraphError("need k >= 0 and d >= 1")
     balls = ball_masks(G, d, "in")
-    W = set(G.vertices())
+    targets = (1 << G.n) - 1
     for w in G.vertices():
-        if _implied(w, W, balls):
-            W.remove(w)
+        if _implied(w, targets, balls):
+            targets &= ~(1 << w)
 
+    # each distinct nonempty trace on the targets, with the smallest
+    # vertex that has it, in order of that vertex
     traces = {}
-    for v in sorted(G.vertices()):
-        tr = frozenset(bfs_dist(G, v, max_depth=d)) & W
+    for v, ball in enumerate(ball_masks(G, d)):
+        tr = ball & targets
         if tr and tr not in traces:
             traces[tr] = v
-
-    trace_list = sorted(traces.items(), key=lambda it: traces[it[0]])
-    # the pivot is the uncovered target in the fewest traces
-    hits = {w: sum(1 for tr, _ in trace_list if w in tr) for w in W}
+    holders = [[] for _ in range(G.n)]
+    for tr, v in traces.items():
+        for w in mask_bits(tr):
+            holders[w].append((tr, v))
+    hits = [len(h) for h in holders]
 
     def cover(uncovered, budget, chosen):
         if not uncovered:
             return list(chosen)
         if budget == 0:
             return None
-        pivot = min(uncovered, key=hits.__getitem__)
-        for tr, v in trace_list:
-            if pivot in tr:
-                got = cover(uncovered - tr, budget - 1, chosen + [v])
-                if got is not None:
-                    return got
+        pivot = min(mask_bits(uncovered), key=hits.__getitem__)
+        for tr, v in holders[pivot]:
+            got = cover(uncovered & ~tr, budget - 1, chosen + [v])
+            if got is not None:
+                return got
         return None
 
-    got = cover(frozenset(W), k, [])
+    got = cover(targets, k, [])
     if got is None:
         return SolveOutcome(False)
     D = tuple(sorted(got))
@@ -455,68 +465,87 @@ def directed_steiner_outtree(G, terminals, size_budget=None):
 # dominating out-branching
 
 
+def _rooted(inside, closed, into):
+    """Some member of the vertex mask inside reaches all of it inside
+    G[inside], that is, an out-tree spans it. closed[v] is v's closed
+    out-ball mask and into[v] its in-neighbour mask. A member with no
+    in-neighbour inside (an in-source) must be the root of any such
+    tree: two in-sources reject the set without a reach sweep, and one
+    is the only root swept from."""
+    root = None
+    for v in mask_bits(inside):
+        if not into[v] & inside:
+            if root is not None:
+                return False
+            root = v
+    if root is not None:
+        return reach_mask(closed, root, inside) == inside
+    return any(reach_mask(closed, v, inside) == inside for v in mask_bits(inside))
+
+
 def dominating_outbranching(G, k, scatter_budget=3):
     """Does some set of at most k vertices span an out-tree and dominate
     every vertex? Branches on the deletion set of a scattered witness
-    (any solution must meet it), shrinking the target set by the chosen
+    (any solution must meet it), shrinking the target mask by the chosen
     vertex's closed out-neighborhood. A target set of at most
     max(W_CAP, chosen + budget) vertices, or one with no scattered
     witness, goes to the exhaustive subset search, which keeps the
     answer exact at all sizes; only the second case marks the outcome
-    exhausted."""
+    exhausted. The search screens each covering set with _rooted, so a
+    set with two in-sources costs no reach sweep, and spanning_outtree
+    runs only on the set it accepts."""
     _need_k(k)
     _need_budget(scatter_budget)
     used_fallback = [False]
     closed = ball_masks(G, 1)
+    into = adjacency_masks(G, "in")
     no_clash = [0] * G.n
-
-    def rooted(D):
-        """Some member of D reaches all of D inside G[D]; the closed
-        balls serve as adjacency masks."""
-        inside = _mask(D)
-        return any(reach_mask(closed, root, inside) == inside for root in D)
 
     def exhaustive(W, us, j):
         """us plus the first 0..j further vertices, by size, then in
-        itertools.combinations order, that dominate W and span an
-        out-tree. _first_subset covers W with the closed out-neighborhood
-        masks and rooted() screens the rest, so spanning_outtree runs
-        only on the set it will accept."""
-        want = _mask(W)
+        itertools.combinations order, that dominate the target mask W
+        and span an out-tree, as (D, parent). _first_subset covers W
+        with the closed out-neighborhood masks."""
+        fixed = _mask(us)
 
         def spanned(combo):
-            D = tuple(sorted(set(us) | set(combo)))
-            if not rooted(D):
+            inside = fixed
+            for v in combo:
+                inside |= 1 << v
+            if not _rooted(inside, closed, into):
                 return None
+            D = tuple(mask_bits(inside))
             return D, spanning_outtree(G, D)
 
-        cand = ((1 << G.n) - 1) & ~_mask(us)
+        cand = ((1 << G.n) - 1) & ~fixed
         for size in range(0, j + 1):
-            got = _first_subset(cand, size, no_clash, closed, want, spanned)
+            got = _first_subset(cand, size, no_clash, closed, W, spanned)
             if got is not None:
                 return got
         return None
 
     def rec(W, us, j):
         t = len(us)
-        if len(W) <= max(W_CAP, t + j):
+        if W.bit_count() <= max(W_CAP, t + j):
             return exhaustive(W, us, j)
         if j == 0:
             return None
-        scat = compute_scattered(G, sorted(W), d=1, m=t + j + 1, s_budget=scatter_budget)
+        # a scan by shifts: mask_bits makes three n-bit ints per member,
+        # which adds up on a dense target mask of thousands of vertices
+        members = [v for v in range(G.n) if W >> v & 1]
+        scat = compute_scattered(G, members, d=1, m=t + j + 1, s_budget=scatter_budget)
         if scat is None:
             used_fallback[0] = True
             return exhaustive(W, us, j)
         for nxt in sorted(set(scat.deleted) - set(us)):
-            rest = W - set(mask_bits(closed[nxt]))
-            got = rec(rest, us + (nxt,), j - 1)
+            got = rec(W & ~closed[nxt], us + (nxt,), j - 1)
             if got is not None:
                 return got
         return None
 
     if G.n == 0:
         return SolveOutcome(False)
-    got = rec(set(G.vertices()), (), k)
+    got = rec((1 << G.n) - 1, (), k)
     if got is None:
         return SolveOutcome(False, exhausted=used_fallback[0])
     D, parent = got

@@ -21,7 +21,9 @@ than once: `adjacency_by_sorting` (the `Digraph` adjacency),
 path and `reverse()` in `controlled_bipartite_by_table`.
 Random test instances, which decide no verdict, come from the library's
 `random_digraph` and `random_dag` and are re-exported under those names;
-`ladder` builds the path router's exponential case. The last section
+`ladder` builds the path router's exponential case, and `apex_grid` the
+solvers' fixed-k family. `irrelevant_vertex_by_scan` is the irrelevant
+target rule by a scan of every pair of targets. The last section
 holds small helpers that only tests call: `is_directed_path`,
 `crown_source_id`, the guaranteed-size formulas `trichotomy_threshold`,
 `dichotomy_threshold_steps`, `dichotomy_threshold` and
@@ -34,7 +36,7 @@ from collections import deque
 from fractions import Fraction
 
 from crownminor.digraph import Digraph, GraphError, bfs_dist
-from crownminor.generators import random_dag, random_digraph  # noqa: F401
+from crownminor.generators import oriented_grid, random_dag, random_digraph  # noqa: F401
 from crownminor.minors import _injective_maps, butterfly_contract, legal_butterfly_contractions
 from crownminor.quasiwide import ControlledBipartite, uniform_level_threshold
 
@@ -630,6 +632,30 @@ def emit_graph_by_sorted_edges(G, comments=()):
 
 
 # --- solver-side predicates, written from the definitions -----------------
+
+
+def apex_grid(side, k, seed=1):
+    """The oriented side x side grid of `oriented_grid(side, side, seed)`
+    plus k apices: apex i, id side * side + i, points at every grid
+    vertex v with v = i (mod k). The apices form an independent
+    dominating set of size k, and a bounded number of apices keeps the
+    class nowhere dense."""
+    grid = oriented_grid(side, side, seed=seed)
+    cells = side * side
+    edges = list(grid.edges) + [(cells + v % k, v) for v in range(cells)]
+    return Digraph(cells + k, edges)
+
+
+def irrelevant_vertex_by_scan(G, W, d):
+    """The smallest w of W such that another target's d-in-ball lies
+    inside w's, by comparing every ordered pair of targets; None if
+    there is none."""
+    W = sorted(set(W))
+    balls = {w: set(bfs_dist(G, w, max_depth=d, direction="in")) for w in W}
+    for w in W:
+        if any(x != w and balls[x] <= balls[w] for x in W):
+            return w
+    return None
 
 
 def dominates(G, D, d, W):

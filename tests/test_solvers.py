@@ -1,10 +1,18 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from crownminor import solvers
-from crownminor.digraph import Digraph, GraphError, bidirect, underlying_undirected
+from crownminor.digraph import (
+    Digraph,
+    GraphError,
+    adjacency_masks,
+    ball_masks,
+    bidirect,
+    underlying_undirected,
+)
 from crownminor.generators import acyclic_tournament, crown, reversed_crown
 from crownminor.solvers import (
     DominationInstance,
@@ -21,7 +29,15 @@ from crownminor.solvers import (
     verify_outbranching,
 )
 
-from oracles import dominates, independent, oracle_solve, oracle_steiner, random_digraph
+from oracles import (
+    apex_grid,
+    dominates,
+    independent,
+    irrelevant_vertex_by_scan,
+    oracle_solve,
+    oracle_steiner,
+    random_digraph,
+)
 
 
 def dipath(n):
@@ -204,6 +220,46 @@ def test_reversed_crown_principals_have_no_irrelevant_vertex():
     assert find_irrelevant_vertex(S4r, principals, 1) is None
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_irrelevant_vertex_matches_the_pairwise_scan(d):
+    # the library tests only the targets inside w's in-ball; the oracle
+    # compares every ordered pair of targets
+    rng = random.Random(4400 + d)
+    found = 0
+    for _ in range(120):
+        G = random_digraph(rng, rng.randint(1, 12), rng.uniform(0.05, 0.4))
+        W = [v for v in G.vertices() if rng.random() < 0.6]
+        want = irrelevant_vertex_by_scan(G, W, d)
+        assert find_irrelevant_vertex(G, W, d) == want, (G.edges, W, d)
+        found += want is not None
+    assert 0 < found < 120
+
+
+def test_ds_sweep_tests_only_targets_inside_each_ball(monkeypatch):
+    """Work guard: ds's target sweep reads the in-ball table once per
+    target and once per other target inside that target's ball, so at
+    most n times the largest in-ball reads. Scanning every target for
+    every target made about n^2/2 = 2M reads on this apex grid."""
+    reads = [0]
+
+    class CountingBalls(list):
+        def __getitem__(self, i):
+            reads[0] += 1
+            return list.__getitem__(self, i)
+
+    def counting(G, d, direction="out"):
+        balls = ball_masks(G, d, direction)
+        return CountingBalls(balls) if direction == "in" else balls
+
+    monkeypatch.setattr(solvers, "ball_masks", counting)
+    G = apex_grid(45, 3)
+    assert G.n == 2028
+    got = d_dominating_set(G, 3, 1)
+    assert got.feasible and got.witness == (2025, 2026, 2027)
+    largest = max(ball.bit_count() for ball in ball_masks(G, 1, "in"))
+    assert G.n <= reads[0] <= G.n * largest
+
+
 # --- d-dominating set ------------------------------------------------------------
 
 
@@ -312,6 +368,52 @@ def test_dob_base_case_on_small_star():
     D, parent = got.witness
     assert D == (0,)
     assert parent == {0: None}
+
+
+def test_in_source_screen_accepts_exactly_the_spanned_sets():
+    # _rooted against its definition: an out-tree spans the vertex set.
+    # The battery holds sets with no, one and several in-sources (members
+    # with no in-neighbour in the set), and sets that are one cycle.
+    rng = random.Random(2118)
+    kinds = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 12)
+        G = random_digraph(rng, n, rng.uniform(0.05, 0.5))
+        cycle = rng.sample(range(n), rng.randint(1, n))
+        if len(cycle) > 1:
+            ring = {(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+            G = Digraph(n, set(G.edges) | ring)
+        closed, into = ball_masks(G, 1), adjacency_masks(G, "in")
+        masks = [rng.getrandbits(n) for _ in range(12)]
+        masks.append(sum(1 << v for v in cycle))
+        for inside in masks:
+            D = [v for v in G.vertices() if inside >> v & 1]
+            sources = sum(1 for v in D if not any(G.has_edge(u, v) for u in D))
+            want = spanning_outtree(G, D) is not None
+            assert solvers._rooted(inside, closed, into) == want, (G.edges, D)
+            kinds[min(sources, 2), want] += 1
+        assert solvers._rooted(masks[-1], closed, into)
+    # every kind of set occurs, and only sets with two or more in-sources
+    # are never spanned
+    assert {key for key in kinds} == {(0, True), (0, False), (1, True), (1, False), (2, False)}
+
+
+def test_dob_witness_is_the_brute_force_witness_when_the_base_case_runs_alone():
+    # with n <= W_CAP the first call goes to the exhaustive search, which
+    # must return the smallest set, then the first combination, with the
+    # parent map spanning_outtree gives it
+    rng = random.Random(808)
+    feasible = 0
+    for _ in range(60):
+        n = rng.randint(1, solvers.W_CAP)
+        G = random_digraph(rng, n, rng.uniform(0.1, 0.5))
+        for k in range(0, n + 2):
+            got = dominating_outbranching(G, k)
+            want = brute_force_solve(DominationInstance(G, k), "dob")
+            assert got.feasible == want.feasible, (G.edges, k)
+            assert got.witness == want.witness, (G.edges, k)
+            feasible += got.feasible
+    assert feasible > 0
 
 
 def test_dob_agrees_with_oracle():
