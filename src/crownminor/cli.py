@@ -226,6 +226,8 @@ def cmd_dichotomy(args):
     from .quasiwide import dichotomy_step
     from .scattered import ScatteredWitness, is_scattered
 
+    if args.r < 0:
+        raise GraphError("radius must be nonnegative")
     G = load_graph(args.graph)
     if args.i_set is not None:
         try:

@@ -6,12 +6,13 @@ that is, when the members' d-in-balls in G - S are pairwise disjoint.
 Directed uniform quasi-wideness asks for a large such U after deleting
 a bounded S, and the domination solvers branch on exactly that. This
 module holds the test (`is_scattered`), the verified witness record
-(`ScatteredWitness`), the bounded search for one (`compute_scattered`)
-and the vertex deletion the solvers and the dichotomy share
-(`without_vertices`). The crown-or-scattered dichotomy, behind the
-equivalence of nowhere crownful and directed uniformly quasi-wide
-classes, lives in `quasiwide`, so that the solvers and the `scatter`
-command never load it.
+(`ScatteredWitness`), the bounded search for one (`compute_scattered`),
+the prefix walk behind that search, which the solvers run on their own
+ball tables (`common_ancestor_walk`), and the vertex deletion the
+dichotomy uses (`without_vertices`). The crown-or-scattered dichotomy,
+behind the equivalence of nowhere crownful and directed uniformly
+quasi-wide classes, lives in `quasiwide`, so that the solvers and the
+`scatter` command never load it.
 """
 
 import itertools
@@ -61,19 +62,12 @@ def compute_scattered(G, W, d, m, s_budget, probe_cap=14):
     """Search for S (|S| <= s_budget) and U in W (|U| = m) with U
     d-scattered in G - S, via the common-ancestor construction: for a
     candidate U' the set C of vertices that d-in-dominate two members is
-    deleted, which scatters the survivors.
-
-    Subsets of the first probe_cap elements of W are tried by increasing
-    size then lexicographically, the order of itertools.combinations.
-    C only grows as U grows, so any m survivors of a larger answer are an
-    answer of size m by themselves: the first answer, if there is one,
-    has size m, and only size m is walked. It is walked as a prefix
-    search over the in-ball bitmasks, carrying C and the chosen members,
-    and a prefix is cut with all its extensions as soon as its C exceeds
-    s_budget or holds a chosen member, which would then fall short of m
-    survivors. A cut branch holds no answer, so the first answer is the
-    one the full walk finds. Returns a verified witness or None.
+    deleted, which scatters the survivors. common_ancestor_walk runs the
+    search over the d-in-balls of the first probe_cap elements of W.
+    Returns a verified witness or None.
     """
+    if d < 0:
+        raise GraphError("radius must be nonnegative")
     W = sorted(set(W))
     if m > len(W):
         raise GraphError("need |W| >= m")
@@ -85,7 +79,33 @@ def compute_scattered(G, W, d, m, s_budget, probe_cap=14):
     for u in probe:
         G.check_vertex(u)
     adj, full = adjacency_masks(G, "in"), (1 << G.n) - 1
-    balls = [reach_mask(adj, u, full, d) for u in probe]
+    got = common_ancestor_walk(probe, [reach_mask(adj, u, full, d) for u in probe], m, s_budget)
+    if got is None:
+        return None
+    C, chosen = got
+    deleted = tuple(v for v in G.vertices() if C >> v & 1)
+    w = ScatteredWitness(G, deleted, tuple(chosen), d)
+    if not w.verify():
+        raise RuntimeError("internal: common-ancestor deletion failed to scatter")
+    return w
+
+
+def common_ancestor_walk(probe, balls, m, s_budget):
+    """The first m-subset U of the vertex list probe, in the order of
+    itertools.combinations, whose deletion set C (the vertices in the
+    balls of two members, balls[i] being probe[i]'s in-ball mask) has at
+    most s_budget vertices and misses U; then U is scattered once C is
+    deleted. Returns (C, U as a list) or None.
+
+    C only grows as U grows, so any m survivors of a larger answer are an
+    answer of size m by themselves: the first answer, if there is one,
+    has size m, and only size m is walked. It is walked as a prefix
+    search over the ball masks, carrying C and the chosen members, and a
+    prefix is cut with all its extensions as soon as its C exceeds
+    s_budget or holds a chosen member, which would then fall short of m
+    survivors. A cut branch holds no answer, so the first answer is the
+    one the full walk finds.
+    """
     chosen = []
 
     def extend(start, reached, C, held):
@@ -106,13 +126,7 @@ def compute_scattered(G, W, d, m, s_budget, probe_cap=14):
         return None
 
     C = extend(0, 0, 0, 0)
-    if C is None:
-        return None
-    deleted = tuple(v for v in G.vertices() if C >> v & 1)
-    w = ScatteredWitness(G, deleted, tuple(chosen), d)
-    if not w.verify():
-        raise RuntimeError("internal: common-ancestor deletion failed to scatter")
-    return w
+    return None if C is None else (C, chosen)
 
 
 def without_vertices(G, S):

@@ -13,7 +13,7 @@ import itertools
 from collections import namedtuple
 
 from .digraph import GraphError, adjacency_masks, ball_masks, bfs_dist, mask_bits, reach_mask
-from .scattered import compute_scattered, without_vertices
+from .scattered import common_ancestor_walk, is_scattered
 
 
 class DominationInstance(namedtuple("DominationInstance", "graph k d", defaults=(1,))):
@@ -28,10 +28,9 @@ class DominationInstance(namedtuple("DominationInstance", "graph k d", defaults=
 SolveOutcome = namedtuple("SolveOutcome", "feasible witness exhausted", defaults=(None, False))
 
 
-# PROBE_CAP: the probes independent_dominating_set hands to
-# compute_scattered (dominating_outbranching passes none and so gets
-# compute_scattered's default of 14). W_CAP: dominating_outbranching
-# runs its exhaustive subset search on a target set of at most
+# PROBE_CAP: the first targets whose balls _deletion_set walks, in
+# both branching solvers. W_CAP: dominating_outbranching runs its
+# exhaustive subset search on a target set of at most
 # max(W_CAP, chosen + budget) vertices instead of branching.
 PROBE_CAP = 12
 W_CAP = 8
@@ -43,25 +42,36 @@ def _need_k(k):
 
 
 def _need_budget(scatter_budget):
-    # checked on entry, not only where compute_scattered is reached
+    # checked on entry, not only where _deletion_set is reached
     if scatter_budget < 0:
         raise GraphError("need scatter_budget >= 0, got %d" % scatter_budget)
 
 
-def _mask(vertices):
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
+def _deletion_set(G, targets, passable, in_ball, m, s_budget):
+    """The deletion set C, as a mask, that common_ancestor_walk finds
+    for m of the first PROBE_CAP members of the vertex mask targets in
+    G[passable]: the m members are 1-scattered in G[passable] - C, so a
+    set that dominates them there meets C. None if the walk finds none.
+    in_ball[u] is u's closed 1-in-ball mask in G; a member u is
+    passable, so its ball in G[passable] is in_ball[u] & passable."""
+    probe = list(itertools.islice(mask_bits(targets), PROBE_CAP))
+    got = common_ancestor_walk(probe, [in_ball[u] & passable for u in probe], m, s_budget)
+    if got is None:
+        return None
+    C, members = got
+    dead = ((1 << G.n) - 1) & ~passable
+    if not is_scattered(G, members, 1, mask_bits(C | dead)):
+        raise RuntimeError("internal: common-ancestor deletion failed to scatter")
+    return C
 
 
-def _first_subset(cand, size, clash, cover, want, accept):
-    """The first non-None accept(members) over the size-subsets of the
-    vertex bitmask cand that hold no two vertices u, w with w in
-    clash[u] and whose masks cover[u] together hold the bitmask want,
-    tried in the order of itertools.combinations over cand's sorted
-    members; None if there is none. accept gets a list it must copy to
-    keep.
+def _first_subset(cand, sizes, clash, cover, want, accept):
+    """The first non-None accept(members) over the subsets of the vertex
+    bitmask cand that hold no two vertices u, w with w in clash[u] and
+    whose masks cover[u] together hold the bitmask want, tried size by
+    size through sizes and within a size in the order of
+    itertools.combinations over cand's sorted members; None if there is
+    none. accept gets a list it must copy to keep.
 
     Include/exclude search on the smallest candidate v: including v
     drops clash[v] from the candidates and adds cover[v] to the covered
@@ -103,7 +113,11 @@ def _first_subset(cand, size, clash, cover, want, accept):
             cand ^= low
         return None
 
-    return rec(cand, size, 0)
+    for size in sizes:
+        got = rec(cand, size, 0)
+        if got is not None:
+            return got
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -126,12 +140,6 @@ def verify_independent(G, D):
     D = list(D)
     for v in D:
         G.check_vertex(v)
-    return _independent(G, D)
-
-
-def _independent(G, D):
-    """verify_independent without the range check, for brute_force_solve,
-    whose candidate sets are drawn from G's own vertices."""
     for a, b in itertools.combinations(D, 2):
         if G.has_edge(a, b) or G.has_edge(b, a):
             return False
@@ -214,7 +222,7 @@ def brute_force_solve(instance, variant):
                 if verify_dominating(G, combo, d):
                     return SolveOutcome(True, tuple(combo), exhausted=True)
             elif variant == "ids":
-                if verify_dominating(G, combo, d) and _independent(G, combo):
+                if verify_dominating(G, combo, d) and verify_independent(G, combo):
                     return SolveOutcome(True, tuple(combo), exhausted=True)
             elif variant == "dob":
                 if not verify_dominating(G, combo, 1):
@@ -234,61 +242,43 @@ def brute_force_solve(instance, variant):
 def independent_dominating_set(G, k, scatter_budget=3, base_cap=10):
     """Branching solver: a verified 1-scattered set of size k+1 forces
     every dominating set to meet its deletion set, so branch on those
-    vertices, removing the chosen vertex's out-neighborhood and
-    forbidding its in-neighborhood. Small or scatter-less residuals are
-    searched exhaustively. Exact at all sizes."""
+    vertices, removing the chosen vertex's closed out-neighborhood from
+    the alive mask and forbidding its closed in-neighborhood. Small or
+    scatter-less residuals go to the exhaustive subset search. Alive and
+    forbidden vertices are int masks, and every branch is read off ball
+    tables built once per call. Exact at all sizes."""
     _need_k(k)
     _need_budget(scatter_budget)
-    used_fallback = [False]
-    # computed once per call: closed 1-out-balls and edge neighborhoods
-    closed = ball_masks(G, 1)
-    clash = [c | i for c, i in zip(closed, ball_masks(G, 1, "in"))]
-
-    def masked(alive):
-        return without_vertices(G, set(G.vertices()) - alive)
-
-    def exhaustive(alive, Y, k):
-        """The first independent set of alive - Y dominating alive, by
-        size 0..k, then in itertools.combinations order: _first_subset
-        over the edge-neighborhood masks, covering alive with the
-        closed out-neighborhood masks."""
-        want = _mask(alive)
-        cand = want & ~_mask(Y)
-        for size in range(0, k + 1):
-            got = _first_subset(cand, size, clash, closed, want, list)
-            if got is not None:
-                return got
-        return None
+    fell_back = False
+    # computed once per call: closed 1-balls and edge neighborhoods
+    closed, in_ball = ball_masks(G, 1), ball_masks(G, 1, "in")
+    clash = [c | i for c, i in zip(closed, in_ball)]
 
     def rec(alive, Y, k):
+        # an independent set of at most k vertices of alive - Y that
+        # dominates alive, as a list, or None
+        nonlocal fell_back
         if k < 0:
             return None
-        if len(alive) <= max(base_cap, k + 1):
-            return exhaustive(alive, Y, k)
-        Gm = masked(alive)
-        w = compute_scattered(
-            Gm, sorted(alive), d=1, m=k + 1, s_budget=scatter_budget,
-            probe_cap=PROBE_CAP,
-        )
-        if w is None:
-            used_fallback[0] = True
-            return exhaustive(alive, Y, k)
-        for s in sorted(set(w.deleted) - Y):
-            # closed[s] is s's ball in G; s is alive, so it takes from
-            # alive what s's ball in Gm would
-            gone = set(mask_bits(closed[s]))
-            sub = rec(alive - gone, Y | set(Gm.in_adj[s]), k - 1)
+        C = None
+        if alive.bit_count() > max(base_cap, k + 1):
+            C = _deletion_set(G, alive, alive, in_ball, k + 1, scatter_budget)
+            fell_back |= C is None
+        if C is None:
+            return _first_subset(alive & ~Y, range(k + 1), clash, closed, alive, list)
+        for s in mask_bits(C & ~Y):
+            sub = rec(alive & ~closed[s], Y | in_ball[s], k - 1)
             if sub is not None:
                 return [s] + sub
         return None
 
-    got = rec(frozenset(G.vertices()), frozenset(), k)
+    got = rec((1 << G.n) - 1, 0, k)
     if got is None:
-        return SolveOutcome(False, exhausted=used_fallback[0])
+        return SolveOutcome(False, exhausted=fell_back)
     D = tuple(sorted(got))
     if not (verify_independent(G, D) and verify_dominating(G, D, 1)):
         raise RuntimeError("internal: branching produced an invalid witness")
-    return SolveOutcome(True, D, exhausted=used_fallback[0])
+    return SolveOutcome(True, D, exhausted=fell_back)
 
 
 # ---------------------------------------------------------------------------
@@ -496,58 +486,45 @@ def dominating_outbranching(G, k, scatter_budget=3):
     runs only on the set it accepts."""
     _need_k(k)
     _need_budget(scatter_budget)
-    used_fallback = [False]
-    closed = ball_masks(G, 1)
+    fell_back = False
+    full = (1 << G.n) - 1
+    closed, in_ball = ball_masks(G, 1), ball_masks(G, 1, "in")
     into = adjacency_masks(G, "in")
     no_clash = [0] * G.n
 
-    def exhaustive(W, us, j):
-        """us plus the first 0..j further vertices, by size, then in
-        itertools.combinations order, that dominate the target mask W
-        and span an out-tree, as (D, parent). _first_subset covers W
-        with the closed out-neighborhood masks."""
-        fixed = _mask(us)
-
-        def spanned(combo):
-            inside = fixed
-            for v in combo:
-                inside |= 1 << v
-            if not _rooted(inside, closed, into):
-                return None
-            D = tuple(mask_bits(inside))
-            return D, spanning_outtree(G, D)
-
-        cand = ((1 << G.n) - 1) & ~fixed
-        for size in range(0, j + 1):
-            got = _first_subset(cand, size, no_clash, closed, W, spanned)
-            if got is not None:
-                return got
-        return None
+    def spanned(inside):
+        # (D, parent) if an out-tree spans the vertex mask inside
+        if not _rooted(inside, closed, into):
+            return None
+        D = tuple(mask_bits(inside))
+        return D, spanning_outtree(G, D)
 
     def rec(W, us, j):
-        t = len(us)
-        if W.bit_count() <= max(W_CAP, t + j):
-            return exhaustive(W, us, j)
-        if j == 0:
-            return None
-        # a scan by shifts: mask_bits makes three n-bit ints per member,
-        # which adds up on a dense target mask of thousands of vertices
-        members = [v for v in range(G.n) if W >> v & 1]
-        scat = compute_scattered(G, members, d=1, m=t + j + 1, s_budget=scatter_budget)
-        if scat is None:
-            used_fallback[0] = True
-            return exhaustive(W, us, j)
-        for nxt in sorted(set(scat.deleted) - set(us)):
-            got = rec(W & ~closed[nxt], us + (nxt,), j - 1)
+        # the vertex mask us plus at most j further vertices that
+        # dominate the target mask W and span an out-tree, as
+        # (D, parent), or None
+        nonlocal fell_back
+        t = us.bit_count()
+        C = None
+        if W.bit_count() > max(W_CAP, t + j):
+            if j == 0:
+                return None
+            C = _deletion_set(G, W, full, in_ball, t + j + 1, scatter_budget)
+            fell_back |= C is None
+        if C is None:
+            return _first_subset(full & ~us, range(j + 1), no_clash, closed, W,
+                                 lambda combo: spanned(us | sum(1 << v for v in combo)))
+        for nxt in mask_bits(C & ~us):
+            got = rec(W & ~closed[nxt], us | 1 << nxt, j - 1)
             if got is not None:
                 return got
         return None
 
     if G.n == 0:
         return SolveOutcome(False)
-    got = rec((1 << G.n) - 1, (), k)
+    got = rec(full, 0, k)
     if got is None:
-        return SolveOutcome(False, exhausted=used_fallback[0])
+        return SolveOutcome(False, exhausted=fell_back)
     D, parent = got
     if not (
         verify_outbranching(G, D, parent)
@@ -555,7 +532,7 @@ def dominating_outbranching(G, k, scatter_budget=3):
         and len(D) <= k
     ):
         raise RuntimeError("internal: out-branching witness invalid")
-    return SolveOutcome(True, (D, parent), exhausted=used_fallback[0])
+    return SolveOutcome(True, (D, parent), exhausted=fell_back)
 
 
 # ---------------------------------------------------------------------------
@@ -578,5 +555,5 @@ def independent_set(G, k, d=1):
     if k > G.n:
         return SolveOutcome(False)
     clash = [o | i for o, i in zip(ball_masks(G, d), ball_masks(G, d, "in"))]
-    got = _first_subset((1 << G.n) - 1, k, clash, clash, 0, tuple)
+    got = _first_subset((1 << G.n) - 1, (k,), clash, clash, 0, tuple)
     return SolveOutcome(got is not None, got)

@@ -551,6 +551,33 @@ def test_dichotomy_requires_start_set_for_positive_radius(capsys, tmp_path):
     assert "kind scattered" in out
 
 
+def test_dichotomy_negative_radius_is_input_error(capsys, tmp_path):
+    # with or without a start set, before "--i-set is required" is asked
+    from crownminor.graphio import save_graph
+
+    g = tmp_path / "g.graph"
+    save_graph(str(g), reversed_crown(4)[0])
+    for extra in ((), ("--i-set", "0 1")):
+        code, out, err = run_cli(capsys, "dichotomy", str(g), "--r", "-1", "--q", "2", "--p", "2",
+                                 *extra)
+        assert (code, out) == (4, "")
+        assert err == "input error: radius must be nonnegative\n"
+
+
+def test_scatter_negative_radius_is_input_error_before_the_search(capsys, tmp_path):
+    # m = 15 exceeds the 14 probes, so a search would find nothing and
+    # report an exhausted budget; the radius is rejected first
+    from crownminor.graphio import save_graph
+
+    g = tmp_path / "g.graph"
+    save_graph(str(g), oriented_grid(4, 5, seed=1))
+    for m in ("2", "15"):
+        code, out, err = run_cli(capsys, "scatter", str(g), "--d", "-1", "--m", m,
+                                 "--s-budget", "0")
+        assert (code, out) == (4, "")
+        assert err == "input error: radius must be nonnegative\n"
+
+
 def test_dichotomy_start_set_outside_the_graph_is_input_error(capsys, tmp_path):
     from crownminor.graphio import save_graph
 

@@ -472,7 +472,8 @@ def test_independent_set_matches_brute_force(G, d, data):
 def test_first_subset_is_the_first_accepted_cover_in_combinations_order(data):
     n = data.draw(st.integers(0, 10))
     cand = data.draw(st.integers(0, (1 << n) - 1))
-    size = data.draw(st.integers(0, n))
+    low = data.draw(st.integers(0, n))
+    sizes = range(low, data.draw(st.integers(low, n + 1)))
     pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
                       if n else st.just([]))
     clash = [0] * n
@@ -488,8 +489,10 @@ def test_first_subset_is_the_first_accepted_cover_in_combinations_order(data):
     def accept(members):
         return None if sum(members) % mod == rejected else tuple(members)
 
+    members = [v for v in range(n) if cand >> v & 1]
+    combos = itertools.chain.from_iterable(itertools.combinations(members, size) for size in sizes)
     expected = None
-    for combo in itertools.combinations([v for v in range(n) if cand >> v & 1], size):
+    for combo in combos:
         covered = 0
         for v in combo:
             covered |= cover[v]
@@ -498,7 +501,7 @@ def test_first_subset_is_the_first_accepted_cover_in_combinations_order(data):
                 and accept(combo) is not None):
             expected = combo
             break
-    assert _first_subset(cand, size, clash, cover, want, accept) == expected
+    assert _first_subset(cand, sizes, clash, cover, want, accept) == expected
 
 
 @SMALL

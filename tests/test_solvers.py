@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -447,14 +448,14 @@ def test_dob_agrees_with_oracle_on_the_benchmark_family(monkeypatch):
     # scattered set and branch on it, so the exhaustive base case runs
     # with chosen vertices fixed
     found = []
-    compute_scattered = solvers.compute_scattered
+    deletion_set = solvers._deletion_set
 
-    def counting(*args, **kwargs):
-        w = compute_scattered(*args, **kwargs)
-        found.append(w is not None)
-        return w
+    def counting(*args):
+        C = deletion_set(*args)
+        found.append(C is not None)
+        return C
 
-    monkeypatch.setattr(solvers, "compute_scattered", counting)
+    monkeypatch.setattr(solvers, "_deletion_set", counting)
     rng = random.Random(3)
     verdicts = []
     for n in (12, 14, 16):
@@ -481,17 +482,73 @@ def test_dob_fallback_skips_sets_that_cannot_dominate(monkeypatch):
     calls = [0]
     first_subset = solvers._first_subset
 
-    def counting(cand, size, clash, cover, want, accept):
+    def counting(cand, sizes, clash, cover, want, accept):
         def counted(members):
             calls[0] += 1
             return accept(members)
 
-        return first_subset(cand, size, clash, cover, want, counted)
+        return first_subset(cand, sizes, clash, cover, want, counted)
 
     monkeypatch.setattr(solvers, "_first_subset", counting)
     got = dominating_outbranching(random_digraph(random.Random(5), 18, 0.2), 6)
     assert not got.feasible and got.exhausted
     assert 0 < calls[0] < 10_000
+
+
+def test_solver_outcomes_are_pinned():
+    # a fixed battery of random digraphs (n 8-22) and apex grids, most of
+    # whose calls branch on a scattered set: the hash of every verdict
+    # and witness of ids (default and base_cap=3) and dob, as the
+    # frozenset-based ids and the list-probing dob produced them
+    rng = random.Random(0x1D5)
+    hosts = []
+    for _ in range(300):
+        n = rng.randint(8, 22)
+        hosts.append((random_digraph(rng, n, rng.uniform(0.05, 0.3)), rng.randint(1, 6)))
+    hosts += [(apex_grid(side, 3), k) for side in (4, 5, 6, 8) for k in (2, 3, 4)]
+    outcomes = []
+    for G, k in hosts:
+        for got in (independent_dominating_set(G, k), independent_dominating_set(G, k, base_cap=3),
+                    dominating_outbranching(G, k)):
+            w = got.witness
+            if w is not None and isinstance(w[1], dict):
+                w = (w[0], sorted(w[1].items()))
+            outcomes.append((got.feasible, w))
+    assert 0 < sum(f for f, _ in outcomes) < len(outcomes)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "9e800f8898d400d7a8703127d6f696c20efec6e3f676905705572f506e646efb"
+
+
+def test_branching_builds_no_digraph(monkeypatch):
+    # ids and dob read every branch off ball tables built once per call;
+    # building a graph per branching node, as a vertex deletion does,
+    # would construct one Digraph per node
+    hosts = [(apex_grid(6, 3), 3)]
+    rng = random.Random(21)
+    hosts += [(random_digraph(rng, rng.randint(14, 20), 0.15), rng.randint(2, 4)) for _ in range(10)]
+    cuts = []
+    deletion_set = solvers._deletion_set
+
+    def counting(*args):
+        C = deletion_set(*args)
+        cuts.append(C is not None)
+        return C
+
+    monkeypatch.setattr(solvers, "_deletion_set", counting)
+    built = [0]
+    init = Digraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Digraph, "__init__", counted)
+    for G, k in hosts:
+        independent_dominating_set(G, k)
+        independent_dominating_set(G, k, base_cap=3)
+        dominating_outbranching(G, k)
+    assert sum(cuts) > 20
+    assert built[0] == 0
 
 
 # --- independent set --------------------------------------------------------------
@@ -549,8 +606,8 @@ def test_solvers_monotone_in_k():
 
 @pytest.mark.parametrize("solver", [independent_dominating_set, dominating_outbranching])
 def test_negative_scatter_budget_is_rejected_on_entry(solver):
-    # rejected on hosts too small to reach compute_scattered as well as
-    # on one that reaches it
+    # rejected on hosts too small to reach _deletion_set as well as on
+    # one that reaches it
     big = random_digraph(random.Random(7), 16, 0.2)
     for G in (Digraph(0), dipath(3), big):
         with pytest.raises(GraphError):
