@@ -51,7 +51,8 @@ def build_parser():
         "tournament", "grid", "bipartite-outregular",
     ))
     gen.add_argument("params", nargs="*", type=int, help="family size parameters")
-    gen.add_argument("--phase", choices=("odd", "even"), default="odd")
+    gen.add_argument("--phase", choices=("odd", "even"),
+                     help="edge orientation for alternating-path (default odd)")
     gen.add_argument("--seed", type=int)
     gen.add_argument("--out", help="write the graph text here instead of stdout")
 
@@ -121,6 +122,8 @@ def _need_seed(args):
 
 
 def cmd_generate(args):
+    if args.phase is not None and args.family != "alternating-path":
+        raise UsageError("--phase applies to alternating-path only")
     from .generators import (
         acyclic_tournament,
         alternating_path,
@@ -149,7 +152,7 @@ def cmd_generate(args):
         comments.append("principal: %s" % " ".join(str(v) for v in principals))
     elif fam == "alternating-path":
         arity(1)
-        G = alternating_path(p[0], args.phase)
+        G = alternating_path(p[0], args.phase or "odd")
     elif fam == "acyclic-tournament":
         arity(1)
         G = acyclic_tournament(p[0])

@@ -91,17 +91,6 @@ class Digraph:
         """The digraph with every edge direction flipped."""
         return Digraph(self.n, [(v, u) for (u, v) in self.edges])
 
-    def induced(self, keep):
-        """Induced subgraph on `keep`, relabeled densely in sorted order.
-
-        Returns (subgraph, old_id_list) where old_id_list[i] is the
-        original id of new vertex i.
-        """
-        keep = sorted(set(keep))
-        idx = {v: i for i, v in enumerate(keep)}
-        es = [(idx[u], idx[v]) for (u, v) in self.edges if u in idx and v in idx]
-        return Digraph(len(keep), es), keep
-
 
 class UndirectedGraph:
     """Minimal undirected graph on ids 0..n-1; edges stored as (min, max)."""

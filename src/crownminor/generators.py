@@ -6,6 +6,7 @@ out-regular bipartite construction together with its exact pattern
 probability.
 """
 
+import itertools
 import math
 
 from .digraph import Digraph, GraphError, count_alternations
@@ -21,14 +22,9 @@ def crown(q):
     """
     if q < 1:
         raise GraphError("crown order must be positive")
-    edges = []
-    next_id = q
-    for i in range(q):
-        for j in range(i + 1, q):
-            edges.append((next_id, i))
-            edges.append((next_id, j))
-            next_id += 1
-    return Digraph(next_id, edges), tuple(range(q))
+    pairs = itertools.combinations(range(q), 2)
+    edges = [(u, v) for u, pair in enumerate(pairs, q) for v in pair]
+    return Digraph(q + math.comb(q, 2), edges), tuple(range(q))
 
 
 def reversed_crown(q):

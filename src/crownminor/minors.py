@@ -208,6 +208,8 @@ def dag_disjoint_paths(G, pairs, partition, max_len=None):
     ends: two intervals sharing an end fail at once, and no path tries a
     vertex a later request must end on.
     """
+    if max_len is not None and max_len < 0:
+        raise GraphError("length bound must be nonnegative")
     if topological_order(G) is None:
         raise GraphError("host must be acyclic")
     if partition.k != len(pairs):
@@ -229,8 +231,6 @@ def dag_disjoint_paths(G, pairs, partition, max_len=None):
 
 def dag_disjoint_paths_bounded(G, pairs, partition, r):
     """dag_disjoint_paths with every path length capped at r edges."""
-    if r < 0:
-        raise GraphError("length bound must be nonnegative")
     return dag_disjoint_paths(G, pairs, partition, max_len=r)
 
 

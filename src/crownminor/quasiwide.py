@@ -100,52 +100,6 @@ class ControlledBipartite:
         """The edges (a, b), read off the successor masks."""
         return frozenset((a, b) for a, s in self.succ.items() for b in mask_bits(s))
 
-    def check(self, constructed=False):
-        """Structural invariants; returns (ok, violations).
-
-        Always: levels in range, every edge label a chain of vertices
-        based at the edge's endpoint with strictly increasing levels, and
-        label levels below the tail's own level on base edges. With
-        constructed=True additionally: the tail's level equals its least
-        label length, and base is empty exactly at level r+1.
-        """
-        bad = []
-        referenced = set(self.a_nodes) | set(self.b_nodes)
-        for tail in self.eta.values():
-            referenced.update(tail)
-        for x in referenced:
-            if x not in self.level:
-                bad.append("no level for %s" % (x,))
-            elif not (0 <= self.level[x] <= self.r + 1):
-                bad.append("level of %s out of range" % (x,))
-            if x not in self.base:
-                bad.append("no base entry for %s" % (x,))
-        if bad:
-            return False, bad
-        for e in sorted(self.edges, key=repr):
-            a, b = e
-            tail = self.eta.get(e)
-            if tail is None:
-                bad.append("edge %s has no label" % (e,))
-                continue
-            lvls = [self.level[x] for x in tail]
-            if sorted(lvls) != sorted(set(lvls)) or lvls != sorted(lvls, reverse=True):
-                bad.append("label of %s not a strictly ordered chain" % (e,))
-            for x in tail:
-                if self.base[x] != b:
-                    bad.append("label vertex %s of %s not based at %s" % (x, e, b))
-            if self.base[a] == b and tail:
-                if max(lvls) >= self.level[a]:
-                    bad.append("base edge %s carries a label at or above its level" % (e,))
-        if constructed:
-            for a in self.a_nodes:
-                lens = [len(self.eta[(a, b)]) for b in mask_bits(self.succ[a])]
-                if lens and min(lens) != self.level[a]:
-                    bad.append("level of %s is not its least label length" % (a,))
-                if (self.base[a] is None) != (self.level[a] == self.r + 1):
-                    bad.append("base/level mismatch at %s" % (a,))
-        return not bad, bad
-
     def one_scattered(self, members):
         """No A-vertex sees two of `members`, a mask of B-vertices, among
         its successors."""
@@ -172,19 +126,10 @@ class ControlledCrown(namedtuple("ControlledCrown", "order principals connectors
 
     __slots__ = ()
 
-    def pair_of(self, k):
-        q = self.order
-        i = 0
-        while k >= q - 1 - i:
-            k -= q - 1 - i
-            i += 1
-        return i, i + 1 + k
-
     def crown_edges(self):
-        for k, a in enumerate(self.connectors):
-            i, j = self.pair_of(k)
-            yield (a, self.principals[i])
-            yield (a, self.principals[j])
+        for a, (b, c) in zip(self.connectors, itertools.combinations(self.principals, 2)):
+            yield (a, b)
+            yield (a, c)
 
 
 def verify_controlled_crown(cb, cc):
@@ -636,38 +581,25 @@ def crown_to_model(G, cb, cc, r):
 
     q = cc.order
     pattern, _ = crown(q)
-    branch = {}
+    branch = {i: {b} for i, b in enumerate(cc.principals)}
     image = {}
-    source = {}
-    sink = {}
-    for i, b in enumerate(cc.principals):
-        verts = {b}
-        for k, a in enumerate(cc.connectors):
-            pi, pj = cc.pair_of(k)
-            if cc.principals[pi] == b or cc.principals[pj] == b:
-                verts.update(cb.eta[(a, b)])
-        branch[i] = frozenset(verts)
-        source[i] = b
-        sink[i] = b
-    for k, a in enumerate(cc.connectors):
-        pid = q + k
-        branch[pid] = frozenset([a])
-        source[pid] = a
-        sink[pid] = a
-        pi, pj = cc.pair_of(k)
-        for prin_idx in (pi, pj):
-            b = cc.principals[prin_idx]
-            tail = cb.eta[(a, b)]
+    pairs = itertools.combinations(range(q), 2)
+    for pid, (a, pair) in enumerate(zip(cc.connectors, pairs), q):
+        branch[pid] = {a}
+        for i in pair:
+            tail = cb.eta[(a, cc.principals[i])]
             if not tail:
                 raise BudgetExhausted("crown edge degenerates to its own principal")
-            image[(pid, prin_idx)] = (a, tail[0])
+            branch[i].update(tail)
+            image[(pid, i)] = (a, tail[0])
+    ends = dict(enumerate(cc.principals + cc.connectors))
     model = DirectedModel(
         host=G,
         pattern=pattern,
-        branch=branch,
+        branch={v: frozenset(verts) for v, verts in branch.items()},
         edge_image=image,
-        source=source,
-        sink=sink,
+        source=ends,
+        sink=dict(ends),
         depth=r,
     )
     ok, bad = verify_model(model)
@@ -707,6 +639,8 @@ def iterate_dichotomy(G, W, target_r, m, q):
     """
     from .minors import DirectedModel, verified
 
+    if m < 1:
+        raise GraphError("target size must be positive")
     W = sorted(set(W))
     if len(W) < m:
         raise GraphError("need |W| >= m")

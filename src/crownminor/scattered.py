@@ -20,6 +20,12 @@ from collections import namedtuple
 
 from .digraph import Digraph, GraphError, adjacency_masks, reach_mask
 
+# compute_scattered walks the d-in-balls of the first PROBE_CAP members
+# of W. The scatter benchmark's outcomes were recorded at 14; the
+# solvers' own cap (solvers.PROBE_CAP, 12) is separate, because their
+# probe runs at every branching node.
+PROBE_CAP = 14
+
 
 def is_scattered(G, U, d, deleted=()):
     """True iff no vertex of G - deleted has two distinct members of U in
@@ -58,12 +64,12 @@ class ScatteredWitness(namedtuple("ScatteredWitness", "graph deleted members rad
         return is_scattered(self.graph, self.members, self.radius, self.deleted)
 
 
-def compute_scattered(G, W, d, m, s_budget, probe_cap=14):
+def compute_scattered(G, W, d, m, s_budget):
     """Search for S (|S| <= s_budget) and U in W (|U| = m) with U
     d-scattered in G - S, via the common-ancestor construction: for a
     candidate U' the set C of vertices that d-in-dominate two members is
     deleted, which scatters the survivors. common_ancestor_walk runs the
-    search over the d-in-balls of the first probe_cap elements of W.
+    search over the d-in-balls of the first PROBE_CAP elements of W.
     Returns a verified witness or None.
     """
     if d < 0:
@@ -75,9 +81,10 @@ def compute_scattered(G, W, d, m, s_budget, probe_cap=14):
         raise GraphError("target size must be positive")
     if s_budget < 0:
         raise GraphError("need s_budget >= 0, got %d" % s_budget)
-    probe = W[:probe_cap]
-    for u in probe:
-        G.check_vertex(u)
+    # W is sorted and not empty, so its ends bound every id in it
+    G.check_vertex(W[0])
+    G.check_vertex(W[-1])
+    probe = W[:PROBE_CAP]
     adj, full = adjacency_masks(G, "in"), (1 << G.n) - 1
     got = common_ancestor_walk(probe, [reach_mask(adj, u, full, d) for u in probe], m, s_budget)
     if got is None:

@@ -29,10 +29,16 @@ SolveOutcome = namedtuple("SolveOutcome", "feasible witness exhausted", defaults
 
 
 # PROBE_CAP: the first targets whose balls _deletion_set walks, in
-# both branching solvers. W_CAP: dominating_outbranching runs its
-# exhaustive subset search on a target set of at most
-# max(W_CAP, chosen + budget) vertices instead of branching.
+# both branching solvers. It is not scattered.PROBE_CAP (14), which
+# bounds compute_scattered's one walk per call: this walk runs at every
+# branching node, and which residuals fall back to the subset search
+# (the exhausted flag) depends on it. BASE_CAP and W_CAP:
+# independent_dominating_set and dominating_outbranching run their
+# exhaustive subset search, instead of branching, on an alive set of at
+# most max(BASE_CAP, k + 1) vertices and on a target set of at most
+# max(W_CAP, chosen + budget) vertices.
 PROBE_CAP = 12
+BASE_CAP = 10
 W_CAP = 8
 
 
@@ -239,7 +245,7 @@ def brute_force_solve(instance, variant):
 # independent dominating set
 
 
-def independent_dominating_set(G, k, scatter_budget=3, base_cap=10):
+def independent_dominating_set(G, k, scatter_budget=3):
     """Branching solver: a verified 1-scattered set of size k+1 forces
     every dominating set to meet its deletion set, so branch on those
     vertices, removing the chosen vertex's closed out-neighborhood from
@@ -261,7 +267,7 @@ def independent_dominating_set(G, k, scatter_budget=3, base_cap=10):
         if k < 0:
             return None
         C = None
-        if alive.bit_count() > max(base_cap, k + 1):
+        if alive.bit_count() > max(BASE_CAP, k + 1):
             C = _deletion_set(G, alive, alive, in_ball, k + 1, scatter_budget)
             fell_back |= C is None
         if C is None:
@@ -369,11 +375,11 @@ def d_dominating_set(G, k, d=1):
 # directed Steiner out-trees
 
 
-def directed_steiner_outtree(G, terminals, size_budget=None):
+def directed_steiner_outtree(G, terminals):
     """Minimum-vertex out-tree containing all terminals, by dynamic
     programming over (vertex, terminal subset) with subtree merges at a
     shared root and single-edge extensions. Returns (vertices, parent)
-    or None (also when the optimum exceeds size_budget)."""
+    or None when no out-tree holds them all."""
     terms = sorted(set(terminals))
     if not terms:
         raise GraphError("need at least one terminal")
@@ -419,9 +425,7 @@ def directed_steiner_outtree(G, terminals, size_budget=None):
     for v in G.vertices():
         if cost[full][v] < best_cost:
             best_root, best_cost = v, cost[full][v]
-    if best_root is None or best_cost == INF:
-        return None
-    if size_budget is not None and best_cost > size_budget:
+    if best_root is None:
         return None
 
     verts = set()

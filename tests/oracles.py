@@ -23,7 +23,10 @@ Random test instances, which decide no verdict, come from the library's
 `random_digraph` and `random_dag` and are re-exported under those names;
 `ladder` builds the path router's exponential case, and `apex_grid` the
 solvers' fixed-k family. `irrelevant_vertex_by_scan` is the irrelevant
-target rule by a scan of every pair of targets. The last section
+target rule by a scan of every pair of targets.
+`controlled_bipartite_violations` lists the control structure's
+broken invariants, and `_delete_vertex` is the vertex deletion that
+`butterfly_minor_by_contraction` recurses on. The last section
 holds small helpers that only tests call: `is_directed_path`,
 `crown_source_id`, the guaranteed-size formulas `trichotomy_threshold`,
 `dichotomy_threshold_steps`, `dichotomy_threshold` and
@@ -471,6 +474,15 @@ def _iso_invariant(G):
     return (G.n, G.num_edges(), degs, sig)
 
 
+def _delete_vertex(G, v):
+    """G - v, with the ids above v moved down by one."""
+
+    def shift(x):
+        return x - (x > v)
+
+    return Digraph(G.n - 1, [(shift(a), shift(b)) for a, b in G.edges if v not in (a, b)])
+
+
 def butterfly_minor_by_contraction(H, G):
     """Exhaustive test for H obtainable from G by vertex/edge deletions
     and butterfly contractions, with memoization on isomorphism classes
@@ -496,9 +508,7 @@ def butterfly_minor_by_contraction(H, G):
             return digraph_isomorphic(X, H)
         if X.n > hn:
             for v in X.vertices():
-                keep = [x for x in X.vertices() if x != v]
-                sub, _ = X.induced(keep)
-                if search(sub):
+                if search(_delete_vertex(X, v)):
                     return True
             for e in legal_butterfly_contractions(X):
                 if search(butterfly_contract(X, e)):
@@ -606,6 +616,51 @@ def bipartite_one_scattered(cb, members, deleted=()):
         if a not in deleted and b in members:
             seen[a] = seen.get(a, 0) + 1
     return all(count < 2 for count in seen.values())
+
+
+def controlled_bipartite_violations(cb):
+    """The structural invariants build_controlled_bipartite promises,
+    as a list of violations (empty when all hold): every referenced
+    vertex has a base entry and a level in 0..r+1; every edge has a
+    label that is a chain of vertices based at the edge's B-end with
+    strictly decreasing levels, below the A-end's own level on a base
+    edge; an A-vertex's level is its least label length, and its base
+    is None exactly at level r+1."""
+    bad = []
+    edges = cb.edges
+    referenced = set(cb.a_nodes) | set(cb.b_nodes)
+    for tail in cb.eta.values():
+        referenced.update(tail)
+    for x in referenced:
+        if x not in cb.level:
+            bad.append("no level for %s" % (x,))
+        elif not (0 <= cb.level[x] <= cb.r + 1):
+            bad.append("level of %s out of range" % (x,))
+        if x not in cb.base:
+            bad.append("no base entry for %s" % (x,))
+    if bad:
+        return bad
+    for e in sorted(edges):
+        a, b = e
+        tail = cb.eta.get(e)
+        if tail is None:
+            bad.append("edge %s has no label" % (e,))
+            continue
+        lvls = [cb.level[x] for x in tail]
+        if any(x <= y for x, y in zip(lvls, lvls[1:])):
+            bad.append("label of %s not a strictly ordered chain" % (e,))
+        for x in tail:
+            if cb.base[x] != b:
+                bad.append("label vertex %s of %s not based at %s" % (x, e, b))
+        if cb.base[a] == b and tail and max(lvls) >= cb.level[a]:
+            bad.append("base edge %s carries a label at or above its level" % (e,))
+    for a in cb.a_nodes:
+        lens = [len(cb.eta[(a, b)]) for b in cb.b_nodes if (a, b) in edges]
+        if lens and min(lens) != cb.level[a]:
+            bad.append("level of %s is not its least label length" % (a,))
+        if (cb.base[a] is None) != (cb.level[a] == cb.r + 1):
+            bad.append("base/level mismatch at %s" % (a,))
+    return bad
 
 
 # --- digraph construction and graph text ---------------------------------------

@@ -387,6 +387,26 @@ def test_generate_crown(capsys, tmp_path):
     assert G == crown(3)[0]
 
 
+@pytest.mark.parametrize("family, params", [
+    ("crown", ["3"]), ("grid", ["2", "3", "--seed", "5"]), ("tournament", ["4", "--seed", "1"]),
+])
+def test_generate_phase_outside_alternating_path_is_usage_error(capsys, family, params):
+    # only alternating-path has a phase; a --phase another family would
+    # drop must not be answered without it
+    for phase in ("odd", "even"):
+        code, out, err = run_cli(capsys, "--format", "structured", "generate", family, *params,
+                                 "--phase", phase)
+        assert code == 3
+        assert out == "" and err.startswith("usage error:")
+    code, _, _ = run_cli(capsys, "--format", "structured", "generate", family, *params)
+    assert code == 0
+    for phase, edge in (("odd", "1 0"), ("even", "0 1")):
+        code, out, _ = run_cli(capsys, "generate", "alternating-path", "2", "--phase", phase)
+        assert code == 0 and edge in out.splitlines()
+    code, out, _ = run_cli(capsys, "generate", "alternating-path", "2")
+    assert code == 0 and "1 0" in out.splitlines()
+
+
 def test_generate_to_file(capsys, tmp_path):
     target = tmp_path / "g.graph"
     code, out, _ = run_cli(capsys, "generate", "grid", "2", "3", "--seed", "5",

@@ -224,6 +224,18 @@ def test_bounded_paths():
     assert dag_disjoint_paths_bounded(G, [(0, 1)], part, 0) is None
 
 
+def test_negative_length_bound_is_rejected_in_both_forms():
+    # a path has at least 0 edges, so a bound below 0 is an input error,
+    # whichever request it would have met
+    G = Digraph(3, [(0, 1), (1, 2)])
+    part = IntervalPartition([0, 1])
+    for pairs in ([(1, 1)], [(0, 2)]):
+        with pytest.raises(GraphError, match="length bound must be nonnegative"):
+            dag_disjoint_paths(G, pairs, part, max_len=-1)
+        with pytest.raises(GraphError, match="length bound must be nonnegative"):
+            dag_disjoint_paths_bounded(G, pairs, part, -1)
+
+
 def test_bounded_matches_unbounded_with_big_budget():
     rng = random.Random(77)
     for _ in range(30):

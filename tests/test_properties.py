@@ -13,6 +13,7 @@ against the forms that sorted the same lists again."""
 
 import itertools
 import random
+from unittest import mock
 
 import networkx as nx
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import DiGraphMatcher
 
+from crownminor import scattered, solvers
 from crownminor.digraph import (
     Digraph,
     adjacency_masks,
@@ -332,7 +334,8 @@ def scatter_queries(draw):
 @example((Digraph(3, [(0, 2), (1, 0)]), [0, 1, 2], 2, 2, 4, 6))
 def test_compute_scattered_matches_set_based_search(query):
     G, W, d, m, s_budget, probe_cap = query
-    w = compute_scattered(G, W, d, m, s_budget, probe_cap=probe_cap)
+    with mock.patch.object(scattered, "PROBE_CAP", probe_cap):
+        w = compute_scattered(G, W, d, m, s_budget)
     got = None if w is None else (w.deleted, w.members)
     assert got == common_ancestor_scatter(G, W, d, m, s_budget, probe_cap)
 
@@ -508,7 +511,8 @@ def test_first_subset_is_the_first_accepted_cover_in_combinations_order(data):
 @given(digraphs(max_n=9), st.integers(0, 4), st.sampled_from([3, 10]))
 def test_domination_solvers_match_brute_force_feasibility(G, k, base_cap):
     inst = DominationInstance(G, k)
-    got = independent_dominating_set(G, k, base_cap=base_cap)
+    with mock.patch.object(solvers, "BASE_CAP", base_cap):
+        got = independent_dominating_set(G, k)
     assert got.feasible == brute_force_solve(inst, "ids").feasible
     assert dominating_outbranching(G, k).feasible == brute_force_solve(inst, "dob").feasible
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -38,6 +39,7 @@ from crownminor.quasiwide import (
 
 from oracles import (
     bipartite_one_scattered,
+    controlled_bipartite_violations,
     deletion_budget,
     dichotomy_threshold_steps,
     random_digraph,
@@ -104,6 +106,16 @@ def test_compute_scattered_requires_enough_candidates():
     S3, principals = crown(3)
     with pytest.raises(GraphError):
         compute_scattered(S3, principals, d=1, m=4, s_budget=0)
+
+
+def test_compute_scattered_checks_every_candidate_id():
+    # 999 lies past the first 14 candidates the walk probes, and is no
+    # vertex of the 16-vertex grid
+    G = oriented_grid(4, 4, seed=1)
+    with pytest.raises(GraphError):
+        compute_scattered(G, list(range(16)) + [999], 1, 2, 3)
+    with pytest.raises(GraphError):
+        compute_scattered(G, [-1] + list(range(16)), 1, 2, 3)
 
 
 def test_compute_scattered_rejects_a_negative_budget():
@@ -195,16 +207,16 @@ def test_build_controlled_bipartite_on_crown():
     assert cb.b_nodes == (0, 1, 2)
     assert cb.edges == {(3, 0), (3, 1), (4, 0), (4, 2), (5, 1), (5, 2)}
     assert all(cb.base[a] is None and cb.level[a] == 1 for a in cb.a_nodes)
-    ok, bad = cb.check(constructed=True)
-    assert ok, bad
+    bad = controlled_bipartite_violations(cb)
+    assert not bad, bad
 
 
 def test_build_controlled_bipartite_empty_a_side():
     G = Digraph(5, [])
     cb = build_controlled_bipartite(G, range(5), 1)
     assert cb.a_nodes == ()
-    ok, bad = cb.check(constructed=True)
-    assert ok, bad
+    bad = controlled_bipartite_violations(cb)
+    assert not bad, bad
 
 
 def test_build_controlled_bipartite_requires_scattered_input():
@@ -220,8 +232,8 @@ def test_build_controlled_bipartite_random_invariants():
         r = rng.randint(0, 2)
         I = greedy_scattered(G, r)
         cb = build_controlled_bipartite(G, I, r)
-        ok, bad = cb.check(constructed=True)
-        assert ok, bad
+        bad = controlled_bipartite_violations(cb)
+        assert not bad, bad
 
 
 # --- label-avoiding clique -----------------------------------------------------
@@ -468,6 +480,16 @@ def test_iterate_dichotomy_zero_rounds():
     assert got.members == (0, 1, 2) and got.deleted == ()
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_iterate_dichotomy_rejects_a_target_size_below_one(m):
+    # with no rounds, m = -1 used to keep all but the last member and
+    # m = 0 to return an empty witness
+    G = oriented_grid(4, 4, seed=1)
+    for target_r in (0, 1):
+        with pytest.raises(GraphError, match="target size must be positive"):
+            iterate_dichotomy(G, range(G.n), target_r, m, 2)
+
+
 def test_iterate_dichotomy_reversed_crown():
     S6r, principals = reversed_crown(6)
     got = iterate_dichotomy(S6r, principals, target_r=2, m=4, q=3)
@@ -516,13 +538,10 @@ def find_scatter_contradiction(G, r, q, model, witness):
             principal_hits[v] = hits[0]
     if len(principal_hits) < 2:
         return None
-    for k in range(math.comb(q_pat, 2)):
-        pid = q_pat + k
+    for pid, (i, j) in enumerate(itertools.combinations(range(q_pat), 2), q_pat):
         cbranch = set(model.branch[pid])
         if cbranch & S:
             continue
-        cc = ControlledCrown(q_pat, tuple(range(q_pat)), tuple(range(math.comb(q_pat, 2))))
-        i, j = cc.pair_of(k)
         if i not in principal_hits or j not in principal_hits:
             continue
         root = model.source.get(pid)

@@ -161,13 +161,14 @@ def test_ids_agrees_with_oracle():
             assert independent(G, got.witness) and dominates(G, got.witness, 1, G.vertices())
 
 
-def test_ids_branching_path_used_on_larger_graphs():
+def test_ids_branching_path_used_on_larger_graphs(monkeypatch):
     # bigger than the exhaustive base so the scattered branching engages
+    monkeypatch.setattr(solvers, "BASE_CAP", 6)
     rng = random.Random(11)
     for _ in range(8):
         G = random_digraph(rng, 14, 0.12)
         k = 4
-        got = independent_dominating_set(G, k, base_cap=6)
+        got = independent_dominating_set(G, k)
         want, _ = oracle_solve(G, "ids", k)
         assert got.feasible == want
 
@@ -317,12 +318,6 @@ def test_steiner_path_endpoints():
 def test_steiner_disconnected_terminals():
     G = Digraph(4, [(0, 1), (2, 3)])
     assert directed_steiner_outtree(G, (1, 3)) is None
-
-
-def test_steiner_budget():
-    G = dipath(5)
-    assert directed_steiner_outtree(G, (0, 4), size_budget=4) is None
-    assert directed_steiner_outtree(G, (0, 4), size_budget=5) is not None
 
 
 def test_steiner_matches_exhaustive_minimum():
@@ -495,10 +490,16 @@ def test_dob_fallback_skips_sets_that_cannot_dominate(monkeypatch):
     assert 0 < calls[0] < 10_000
 
 
-def test_solver_outcomes_are_pinned():
+def _ids_with_base_cap(monkeypatch, G, k, cap):
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "BASE_CAP", cap)
+        return independent_dominating_set(G, k)
+
+
+def test_solver_outcomes_are_pinned(monkeypatch):
     # a fixed battery of random digraphs (n 8-22) and apex grids, most of
     # whose calls branch on a scattered set: the hash of every verdict
-    # and witness of ids (default and base_cap=3) and dob, as the
+    # and witness of ids (BASE_CAP 10 and 3) and dob, as the
     # frozenset-based ids and the list-probing dob produced them
     rng = random.Random(0x1D5)
     hosts = []
@@ -508,7 +509,7 @@ def test_solver_outcomes_are_pinned():
     hosts += [(apex_grid(side, 3), k) for side in (4, 5, 6, 8) for k in (2, 3, 4)]
     outcomes = []
     for G, k in hosts:
-        for got in (independent_dominating_set(G, k), independent_dominating_set(G, k, base_cap=3),
+        for got in (independent_dominating_set(G, k), _ids_with_base_cap(monkeypatch, G, k, 3),
                     dominating_outbranching(G, k)):
             w = got.witness
             if w is not None and isinstance(w[1], dict):
@@ -545,7 +546,7 @@ def test_branching_builds_no_digraph(monkeypatch):
     monkeypatch.setattr(Digraph, "__init__", counted)
     for G, k in hosts:
         independent_dominating_set(G, k)
-        independent_dominating_set(G, k, base_cap=3)
+        _ids_with_base_cap(monkeypatch, G, k, 3)
         dominating_outbranching(G, k)
     assert sum(cuts) > 20
     assert built[0] == 0
@@ -694,17 +695,16 @@ def test_steiner_table_runs_one_bfs_per_terminal(monkeypatch):
     # vertex 18 is isolated, so no tree holds it and another terminal
     H = Digraph(G.n + 1, G.edges)
     rng = random.Random(7)
-    cases = [(rng.sample(range(G.n), size), None) for size in (1, 2, 3, 4, 5) for _ in range(3)]
-    cases += [(rng.sample(range(G.n), size) + [18], None) for size in (1, 2, 4)]
-    cases += [([0, 9, 13], 3), ([2, 3], 3)]
+    cases = [rng.sample(range(G.n), size) for size in (1, 2, 3, 4, 5) for _ in range(3)]
+    cases += [rng.sample(range(G.n), size) + [18] for size in (1, 2, 4)]
     found = missed = 0
-    for terminals, budget in cases:
+    for terminals in cases:
         calls[0] = 0
-        got = directed_steiner_outtree(H, terminals, size_budget=budget)
+        got = directed_steiner_outtree(H, terminals)
         if got is None:
             missed += 1
             assert calls[0] <= len(terminals), terminals
         else:
             found += 1
             assert calls[0] <= 2 * len(terminals) + len(got[0]), terminals
-    assert found == 15 and missed == 5
+    assert found == 15 and missed == 3
