@@ -95,11 +95,6 @@ class ControlledBipartite:
             self.succ[a] |= 1 << b
             self.pred[b] |= 1 << a
 
-    @property
-    def edges(self):
-        """The edges (a, b), read off the successor masks."""
-        return frozenset((a, b) for a, s in self.succ.items() for b in mask_bits(s))
-
     def one_scattered(self, members):
         """No A-vertex sees two of `members`, a mask of B-vertices, among
         its successors."""

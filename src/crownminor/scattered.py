@@ -5,25 +5,23 @@ G - S reaches two members of U by directed paths of length at most d,
 that is, when the members' d-in-balls in G - S are pairwise disjoint.
 Directed uniform quasi-wideness asks for a large such U after deleting
 a bounded S, and the domination solvers branch on exactly that. This
-module holds the test (`is_scattered`), the verified witness record
-(`ScatteredWitness`), the bounded search for one (`compute_scattered`),
-the prefix walk behind that search, which the solvers run on their own
-ball tables (`common_ancestor_walk`), and the vertex deletion the
-dichotomy uses (`without_vertices`). The crown-or-scattered dichotomy,
-behind the equivalence of nowhere crownful and directed uniformly
-quasi-wide classes, lives in `quasiwide`, so that the solvers and the
-`scatter` command never load it.
+module holds the test (`is_scattered`, on the mask kernel
+`disjoint_balls`), the verified witness record (`ScatteredWitness`),
+the bounded search for one (`compute_scattered`), the probe behind it,
+which the solvers call too (`deletion_set`, over the prefix walk
+`common_ancestor_walk`), and the vertex deletion the dichotomy uses
+(`without_vertices`). The crown-or-scattered dichotomy, behind the
+equivalence of nowhere crownful and directed uniformly quasi-wide
+classes, lives in `quasiwide`, so that the solvers and the `scatter`
+command never load it.
 """
 
 import itertools
 from collections import namedtuple
 
-from .digraph import Digraph, GraphError, adjacency_masks, reach_mask
+from .digraph import Digraph, GraphError, adjacency_masks, mask_bits, reach_mask
 
-# compute_scattered walks the d-in-balls of the first PROBE_CAP members
-# of W. The scatter benchmark's outcomes were recorded at 14; the
-# solvers' own cap (solvers.PROBE_CAP, 12) is separate, because their
-# probe runs at every branching node.
+# the cap compute_scattered passes to deletion_set
 PROBE_CAP = 14
 
 
@@ -40,15 +38,19 @@ def is_scattered(G, U, d, deleted=()):
     dead = frozenset(deleted)
     for v in itertools.chain(U, dead):
         G.check_vertex(v)
-    members = set(U)
-    if members & dead:
-        return False
-    adj = adjacency_masks(G, "in")
     alive = ((1 << G.n) - 1) & ~sum(1 << v for v in dead)
+    return disjoint_balls(adjacency_masks(G, "in"), U, alive, d)
+
+
+def disjoint_balls(adj, members, alive, d):
+    """The kernel of is_scattered: every vertex id in members lies in the
+    vertex mask alive, and their d-balls in G[alive] are pairwise
+    disjoint, for adj = adjacency_masks(G, "in") or the closed in-ball
+    masks of G."""
     covered = 0
-    for u in U:
+    for u in members:
         ball = reach_mask(adj, u, alive, d)
-        if ball & covered:
+        if not ball or ball & covered:
             return False
         covered |= ball
     return True
@@ -66,11 +68,9 @@ class ScatteredWitness(namedtuple("ScatteredWitness", "graph deleted members rad
 
 def compute_scattered(G, W, d, m, s_budget):
     """Search for S (|S| <= s_budget) and U in W (|U| = m) with U
-    d-scattered in G - S, via the common-ancestor construction: for a
-    candidate U' the set C of vertices that d-in-dominate two members is
-    deleted, which scatters the survivors. common_ancestor_walk runs the
-    search over the d-in-balls of the first PROBE_CAP elements of W.
-    Returns a verified witness or None.
+    d-scattered in G - S, via the common-ancestor construction of
+    deletion_set over the first PROBE_CAP elements of W. Returns a
+    verified witness or None.
     """
     if d < 0:
         raise GraphError("radius must be nonnegative")
@@ -84,17 +84,30 @@ def compute_scattered(G, W, d, m, s_budget):
     # W is sorted and not empty, so its ends bound every id in it
     G.check_vertex(W[0])
     G.check_vertex(W[-1])
-    probe = W[:PROBE_CAP]
-    adj, full = adjacency_masks(G, "in"), (1 << G.n) - 1
-    got = common_ancestor_walk(probe, [reach_mask(adj, u, full, d) for u in probe], m, s_budget)
+    adj, targets = adjacency_masks(G, "in"), sum(1 << w for w in W[:PROBE_CAP])
+    got = deletion_set(adj, targets, (1 << G.n) - 1, d, m, s_budget, PROBE_CAP)
     if got is None:
         return None
     C, chosen = got
-    deleted = tuple(v for v in G.vertices() if C >> v & 1)
-    w = ScatteredWitness(G, deleted, tuple(chosen), d)
-    if not w.verify():
+    return ScatteredWitness(G, tuple(mask_bits(C)), tuple(chosen), d)
+
+
+def deletion_set(adj, targets, passable, d, m, s_budget, cap):
+    """The common-ancestor deletion over the first cap members of the
+    vertex mask targets, all passable: common_ancestor_walk over their
+    d-in-balls in G[passable], with adj as for disjoint_balls. Returns
+    (C, U), a mask C of at most s_budget vertices and a list U of m
+    members that disjoint_balls confirms scattered in G[passable & ~C],
+    or None. The caps differ: compute_scattered walks once per call, and
+    the scatter benchmark's outcomes were recorded at 14; the solvers
+    walk at every branching node, and their exhausted flag depends on
+    their cap of 12."""
+    probe = list(itertools.islice(mask_bits(targets), cap))
+    balls = [reach_mask(adj, u, passable, d) for u in probe]
+    got = common_ancestor_walk(probe, balls, m, s_budget)
+    if got is not None and not disjoint_balls(adj, got[1], passable & ~got[0], d):
         raise RuntimeError("internal: common-ancestor deletion failed to scatter")
-    return w
+    return got
 
 
 def common_ancestor_walk(probe, balls, m, s_budget):

@@ -13,7 +13,7 @@ import itertools
 from collections import namedtuple
 
 from .digraph import GraphError, adjacency_masks, ball_masks, bfs_dist, mask_bits, reach_mask
-from .scattered import common_ancestor_walk, is_scattered
+from .scattered import deletion_set
 
 
 class DominationInstance(namedtuple("DominationInstance", "graph k d", defaults=(1,))):
@@ -28,15 +28,12 @@ class DominationInstance(namedtuple("DominationInstance", "graph k d", defaults=
 SolveOutcome = namedtuple("SolveOutcome", "feasible witness exhausted", defaults=(None, False))
 
 
-# PROBE_CAP: the first targets whose balls _deletion_set walks, in
-# both branching solvers. It is not scattered.PROBE_CAP (14), which
-# bounds compute_scattered's one walk per call: this walk runs at every
-# branching node, and which residuals fall back to the subset search
-# (the exhausted flag) depends on it. BASE_CAP and W_CAP:
-# independent_dominating_set and dominating_outbranching run their
-# exhaustive subset search, instead of branching, on an alive set of at
-# most max(BASE_CAP, k + 1) vertices and on a target set of at most
-# max(W_CAP, chosen + budget) vertices.
+# PROBE_CAP: the cap both branching solvers pass to deletion_set,
+# whose docstring says why it is not scattered.PROBE_CAP. BASE_CAP and
+# W_CAP: independent_dominating_set and dominating_outbranching run
+# their exhaustive subset search, instead of branching, on an alive set
+# of at most max(BASE_CAP, k + 1) vertices and on a target set of at
+# most max(W_CAP, chosen + budget) vertices.
 PROBE_CAP = 12
 BASE_CAP = 10
 W_CAP = 8
@@ -48,27 +45,9 @@ def _need_k(k):
 
 
 def _need_budget(scatter_budget):
-    # checked on entry, not only where _deletion_set is reached
+    # checked on entry, not only where deletion_set is reached
     if scatter_budget < 0:
         raise GraphError("need scatter_budget >= 0, got %d" % scatter_budget)
-
-
-def _deletion_set(G, targets, passable, in_ball, m, s_budget):
-    """The deletion set C, as a mask, that common_ancestor_walk finds
-    for m of the first PROBE_CAP members of the vertex mask targets in
-    G[passable]: the m members are 1-scattered in G[passable] - C, so a
-    set that dominates them there meets C. None if the walk finds none.
-    in_ball[u] is u's closed 1-in-ball mask in G; a member u is
-    passable, so its ball in G[passable] is in_ball[u] & passable."""
-    probe = list(itertools.islice(mask_bits(targets), PROBE_CAP))
-    got = common_ancestor_walk(probe, [in_ball[u] & passable for u in probe], m, s_budget)
-    if got is None:
-        return None
-    C, members = got
-    dead = ((1 << G.n) - 1) & ~passable
-    if not is_scattered(G, members, 1, mask_bits(C | dead)):
-        raise RuntimeError("internal: common-ancestor deletion failed to scatter")
-    return C
 
 
 def _first_subset(cand, sizes, clash, cover, want, accept):
@@ -155,7 +134,9 @@ def verify_independent(G, D):
 def verify_outbranching(G, vertices, parent):
     """parent maps each vertex to its tree parent (None at the root);
     checks that no vertex is named twice, one root, edges present, and
-    every vertex walking up to it. Raises GraphError for an id outside G."""
+    every vertex hanging under the root: one reach sweep from it over
+    the child masks of the parent map covers them all. Raises GraphError
+    for an id outside G."""
     vertices = list(vertices)
     vs = set(vertices)
     for v in vs:
@@ -165,35 +146,27 @@ def verify_outbranching(G, vertices, parent):
     roots = [v for v in vs if parent[v] is None]
     if len(roots) != 1:
         return False
+    children = [0] * G.n
     for v in vs:
         p = parent[v]
         if p is None:
             continue
         if p not in vs or not G.has_edge(p, v):
             return False
-    root = roots[0]
-    for v in vs:
-        seen = set()
-        x = v
-        while x is not None:
-            if x in seen:
-                return False
-            seen.add(x)
-            x = parent[x]
-        if root not in seen:
-            return False
-    return True
+        children[p] |= 1 << v
+    inside = sum(1 << v for v in vs)
+    return reach_mask(children, roots[0], inside) == inside
 
 
 def spanning_outtree(G, D):
     """Parent map of an out-tree spanning D inside G[D], rooted at the
-    smallest workable root, or None."""
+    smallest workable root (_root), or None. Raises GraphError for an id
+    outside G."""
     live = set(D)
-    for root in sorted(live):
-        parent = bfs_dist(G, root, within=live, parents=True)
-        if len(parent) == len(live):
-            return parent
-    return None
+    for v in live:
+        G.check_vertex(v)
+    root = _root(sum(1 << v for v in live), adjacency_masks(G), adjacency_masks(G, "in"))
+    return None if root is None else bfs_dist(G, root, within=live, parents=True)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +237,14 @@ def independent_dominating_set(G, k, scatter_budget=3):
         # an independent set of at most k vertices of alive - Y that
         # dominates alive, as a list, or None
         nonlocal fell_back
-        if k < 0:
-            return None
-        C = None
+        cut = None
         if alive.bit_count() > max(BASE_CAP, k + 1):
-            C = _deletion_set(G, alive, alive, in_ball, k + 1, scatter_budget)
-            fell_back |= C is None
-        if C is None:
+            cut = deletion_set(in_ball, alive, alive, 1, k + 1, scatter_budget, PROBE_CAP)
+            fell_back |= cut is None
+        if cut is None:
             return _first_subset(alive & ~Y, range(k + 1), clash, closed, alive, list)
-        for s in mask_bits(C & ~Y):
+        # with k = 0 the walk returns C = 0, so no branch reaches k = -1
+        for s in mask_bits(cut[0] & ~Y):
             sub = rec(alive & ~closed[s], Y | in_ball[s], k - 1)
             if sub is not None:
                 return [s] + sub
@@ -459,22 +431,25 @@ def directed_steiner_outtree(G, terminals):
 # dominating out-branching
 
 
-def _rooted(inside, closed, into):
-    """Some member of the vertex mask inside reaches all of it inside
-    G[inside], that is, an out-tree spans it. closed[v] is v's closed
-    out-ball mask and into[v] its in-neighbour mask. A member with no
-    in-neighbour inside (an in-source) must be the root of any such
-    tree: two in-sources reject the set without a reach sweep, and one
-    is the only root swept from."""
-    root = None
-    for v in mask_bits(inside):
-        if not into[v] & inside:
-            if root is not None:
-                return False
-            root = v
-    if root is not None:
-        return reach_mask(closed, root, inside) == inside
-    return any(reach_mask(closed, v, inside) == inside for v in mask_bits(inside))
+def _root(inside, out_adj, in_adj):
+    """The smallest member of the vertex mask inside that reaches all of
+    it inside G[inside], that is, the smallest root of an out-tree that
+    spans it, or None. out_adj and in_adj are the out- and in-neighbour
+    masks of G, open or closed. A member with no in-neighbour inside (an
+    in-source) must be the root of any such tree: two in-sources reject
+    the set without a reach sweep, and one is the only root swept from.
+    The screen runs on every set dob's subset search tries, so it walks
+    the bits itself: through mask_bits it took 1.7 times as long."""
+    source, rest = None, inside
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if not in_adj[low.bit_length() - 1] & (inside ^ low):
+            if source is not None:
+                return None
+            source = low.bit_length() - 1
+    roots = mask_bits(inside) if source is None else (source,)
+    return next((v for v in roots if reach_mask(out_adj, v, inside) == inside), None)
 
 
 def dominating_outbranching(G, k, scatter_budget=3):
@@ -485,23 +460,23 @@ def dominating_outbranching(G, k, scatter_budget=3):
     max(W_CAP, chosen + budget) vertices, or one with no scattered
     witness, goes to the exhaustive subset search, which keeps the
     answer exact at all sizes; only the second case marks the outcome
-    exhausted. The search screens each covering set with _rooted, so a
-    set with two in-sources costs no reach sweep, and spanning_outtree
-    runs only on the set it accepts."""
+    exhausted. The search roots each covering set with _root, so a set
+    with two in-sources costs no reach sweep, and one BFS from the root
+    it finds builds the parent map of the set it accepts."""
     _need_k(k)
     _need_budget(scatter_budget)
     fell_back = False
     full = (1 << G.n) - 1
     closed, in_ball = ball_masks(G, 1), ball_masks(G, 1, "in")
-    into = adjacency_masks(G, "in")
     no_clash = [0] * G.n
 
     def spanned(inside):
         # (D, parent) if an out-tree spans the vertex mask inside
-        if not _rooted(inside, closed, into):
+        root = _root(inside, closed, in_ball)
+        if root is None:
             return None
         D = tuple(mask_bits(inside))
-        return D, spanning_outtree(G, D)
+        return D, bfs_dist(G, root, within=set(D), parents=True)
 
     def rec(W, us, j):
         # the vertex mask us plus at most j further vertices that
@@ -509,16 +484,16 @@ def dominating_outbranching(G, k, scatter_budget=3):
         # (D, parent), or None
         nonlocal fell_back
         t = us.bit_count()
-        C = None
+        cut = None
         if W.bit_count() > max(W_CAP, t + j):
             if j == 0:
                 return None
-            C = _deletion_set(G, W, full, in_ball, t + j + 1, scatter_budget)
-            fell_back |= C is None
-        if C is None:
+            cut = deletion_set(in_ball, W, full, 1, t + j + 1, scatter_budget, PROBE_CAP)
+            fell_back |= cut is None
+        if cut is None:
             return _first_subset(full & ~us, range(j + 1), no_clash, closed, W,
                                  lambda combo: spanned(us | sum(1 << v for v in combo)))
-        for nxt in mask_bits(C & ~us):
+        for nxt in mask_bits(cut[0] & ~us):
             got = rec(W & ~closed[nxt], us | 1 << nxt, j - 1)
             if got is not None:
                 return got
@@ -550,7 +525,8 @@ def independent_set(G, k, d=1):
     call. It returns the first independent k-subset in the order of
     itertools.combinations over the sorted vertices, or proves that
     there is none without visiting the subsets it cuts. The search is
-    the whole method, not a fallback, so `exhausted` stays False."""
+    the whole method, not a fallback, so `exhausted` stays False. The
+    answer is checked with one bounded BFS per member."""
     _need_k(k)
     if d < 1:
         raise GraphError("need d >= 1, got %d" % d)
@@ -560,4 +536,10 @@ def independent_set(G, k, d=1):
         return SolveOutcome(False)
     clash = [o | i for o, i in zip(ball_masks(G, d), ball_masks(G, d, "in"))]
     got = _first_subset((1 << G.n) - 1, (k,), clash, clash, 0, tuple)
-    return SolveOutcome(got is not None, got)
+    if got is None:
+        return SolveOutcome(False)
+    members = set(got)
+    near = (members.intersection(bfs_dist(G, v, max_depth=d)) for v in got)
+    if len(members) != k or any(len(mine) > 1 for mine in near):
+        raise RuntimeError("internal: independent set has two members within distance d")
+    return SolveOutcome(True, got)

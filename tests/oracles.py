@@ -38,7 +38,7 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from crownminor.digraph import Digraph, GraphError, bfs_dist
+from crownminor.digraph import Digraph, GraphError, bfs_dist, mask_bits
 from crownminor.generators import oriented_grid, random_dag, random_digraph  # noqa: F401
 from crownminor.minors import _injective_maps, butterfly_contract, legal_butterfly_contractions
 from crownminor.quasiwide import ControlledBipartite, uniform_level_threshold
@@ -608,11 +608,17 @@ def controlled_bipartite_by_table(G, I, r):
     return ControlledBipartite(a_nodes, I, edges, base, level, eta, r)
 
 
+def bipartite_edges(cb):
+    """The edges (a, b) of a ControlledBipartite, read off its successor
+    masks."""
+    return frozenset((a, b) for a, s in cb.succ.items() for b in mask_bits(s))
+
+
 def bipartite_one_scattered(cb, members, deleted=()):
     """From the definition, over the edge pairs: no A-vertex outside
     `deleted` has edges to two of the B-vertices `members`."""
     seen = {}
-    for (a, b) in cb.edges:
+    for (a, b) in bipartite_edges(cb):
         if a not in deleted and b in members:
             seen[a] = seen.get(a, 0) + 1
     return all(count < 2 for count in seen.values())
@@ -627,7 +633,7 @@ def controlled_bipartite_violations(cb):
     edge; an A-vertex's level is its least label length, and its base
     is None exactly at level r+1."""
     bad = []
-    edges = cb.edges
+    edges = bipartite_edges(cb)
     referenced = set(cb.a_nodes) | set(cb.b_nodes)
     for tail in cb.eta.values():
         referenced.update(tail)

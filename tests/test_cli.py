@@ -189,6 +189,42 @@ def test_outbranching_that_does_not_dominate_fails_to_load():
 
 
 @pytest.mark.parametrize(
+    "doc,graphs,message",
+    [
+        ("kind scattered\nd 1\nS: \nU: 0 2\n", (PATH3, None), "document not terminated"),
+        ("kind tree\nend\n", (PATH3, None), "unknown kind 'tree'"),
+        ("kind scattered\nd 1\nS: \nend\n", (PATH3, None),
+         "incomplete scattered document: no U line"),
+        ("kind independent\nverified true\nend\n", (PATH3, None),
+         "incomplete independent document: no D line"),
+        ("kind scattered\nd 1\nS: \nU: 0 2\nend\n", (None, None),
+         "scattered documents need the graph"),
+        (EDGE_IN_PATH3, (PATH3, None), "model documents need a pattern graph"),
+        ("kind crown\nparam order 3\nend\n", (PATH3, None),
+         "crown document lacks an order that fits the host"),
+        ("kind crown\nend\n", (PATH3, None), "crown document lacks an order that fits the host"),
+        ("kind scattered\nd 1\nS: \nU: 0 1\nend\n", (PATH3, None),
+         "scattered witness does not verify"),
+        ("kind independent\nD: 0 1\nend\n", (PATH3, None), "independent witness does not verify"),
+        ("kind outbranching\nD: 0 2\nparent 0 none\nparent 2 0\nend\n", (PATH3, None),
+         "outbranching witness does not verify"),
+        ("kind outbranching\nD: 1\nparent 1 none\nend\n", (PATH3, None),
+         "outbranching witness does not dominate"),
+        ("kind dominating\nD: 2\nend\n", (PATH3, None),
+         "dominating witness does not verify at d = 1"),
+    ],
+    ids=["unterminated", "unknown-kind", "no-U", "no-D", "no-host", "no-pattern",
+         "crown-too-large", "crown-no-order", "scattered", "independent", "outbranching",
+         "outbranching-not-dominating", "dominating"],
+)
+def test_witness_that_fails_a_semantic_check_names_it(doc, graphs, message):
+    host, pattern = graphs
+    with pytest.raises(WitnessFormatError) as err:
+        parse_witness(doc, host=host, pattern=pattern)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         "kind independent\nD: x\nend\n",

@@ -136,6 +136,56 @@ def test_overlapping_branches_rejected():
     assert any("overlap" in b for b in bad)
 
 
+# A path a -> b -> c and a -> c, modelled with branch sets {0, 1}, {2}
+# and {3, 4} in a six-edge host. Branch 0's out set is {0, 1} (source
+# 0), branch 2's in set is {3, 4} (sink 4).
+RULE_HOST_EDGES = [(0, 1), (1, 2), (0, 3), (2, 4), (3, 4), (3, 2)]
+RULE_MODEL = DirectedModel(
+    host=Digraph(5, RULE_HOST_EDGES),
+    pattern=Digraph(3, [(0, 1), (0, 2), (1, 2)]),
+    branch={0: frozenset({0, 1}), 1: frozenset({2}), 2: frozenset({3, 4})},
+    edge_image={(0, 1): (1, 2), (0, 2): (0, 3), (1, 2): (2, 4)},
+    source={0: 0}, sink={2: 4},
+)
+
+
+def _without(edge):
+    return Digraph(5, [e for e in RULE_HOST_EDGES if e != edge])
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        ({"depth": -1}, "negative depth"),
+        ({"branch": {**RULE_MODEL.branch, 1: frozenset()}}, "branch 1 empty or missing"),
+        ({"branch": {0: RULE_MODEL.branch[0], 2: RULE_MODEL.branch[2]}},
+         "branch 1 empty or missing"),
+        ({"branch": {**RULE_MODEL.branch, 1: frozenset({2, 9})}},
+         "branch 1 contains foreign vertices"),
+        ({"branch": {**RULE_MODEL.branch, 1: frozenset({2, 3})}}, "branches 1 and 2 overlap"),
+        ({"edge_image": {(0, 2): (0, 3), (1, 2): (2, 4)}}, "edge image missing for (0, 1)"),
+        ({"edge_image": {**RULE_MODEL.edge_image, (0, 1): (1, 4)}},
+         "image (1, 4) of (0, 1) is not a host edge"),
+        ({"edge_image": {**RULE_MODEL.edge_image, (0, 1): (3, 2)}},
+         "image of (0, 1) does not start in branch 0"),
+        ({"edge_image": {**RULE_MODEL.edge_image, (0, 1): (0, 3)}},
+         "image of (0, 1) does not end in branch 1"),
+        ({"source": {0: 2}}, "source of 0 outside branch"),
+        ({"source": {0: 1}}, "source of 0 misses part of out set"),
+        ({"sink": {2: 0}}, "sink of 2 outside branch"),
+        ({"sink": {2: 3}}, "sink of 2 not reached from part of in set"),
+        ({"host": _without((0, 1)), "source": {}}, "branch 0 has no valid source"),
+        ({"host": _without((3, 4)), "sink": {}}, "branch 2 has no valid sink"),
+    ],
+)
+def test_verify_model_rejects_each_broken_condition(change, message):
+    ok, bad = verify_model(RULE_MODEL)
+    assert ok, bad
+    ok, bad = verify_model(RULE_MODEL._replace(**change))
+    assert not ok
+    assert message in bad
+
+
 def test_handbuilt_subdivision_model_depth_sensitivity():
     ok, bad = verify_model(crown3_in_subdivision_model(depth=1))
     assert ok, bad

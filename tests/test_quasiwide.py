@@ -38,6 +38,7 @@ from crownminor.quasiwide import (
 )
 
 from oracles import (
+    bipartite_edges,
     bipartite_one_scattered,
     controlled_bipartite_violations,
     deletion_budget,
@@ -205,7 +206,7 @@ def test_build_controlled_bipartite_on_crown():
     cb = build_controlled_bipartite(S3, principals, 0)
     assert cb.a_nodes == (3, 4, 5)
     assert cb.b_nodes == (0, 1, 2)
-    assert cb.edges == {(3, 0), (3, 1), (4, 0), (4, 2), (5, 1), (5, 2)}
+    assert bipartite_edges(cb) == {(3, 0), (3, 1), (4, 0), (4, 2), (5, 1), (5, 2)}
     assert all(cb.base[a] is None and cb.level[a] == 1 for a in cb.a_nodes)
     bad = controlled_bipartite_violations(cb)
     assert not bad, bad

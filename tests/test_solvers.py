@@ -11,6 +11,7 @@ from crownminor.digraph import (
     GraphError,
     adjacency_masks,
     ball_masks,
+    bfs_dist,
     bidirect,
     underlying_undirected,
 )
@@ -33,6 +34,7 @@ from crownminor.solvers import (
 from oracles import (
     apex_grid,
     dominates,
+    has_spanning_outtree,
     independent,
     irrelevant_vertex_by_scan,
     oracle_solve,
@@ -78,6 +80,14 @@ def test_verify_outbranching():
     assert not verify_outbranching(G, (0, 2), {0: None, 2: 0})
 
 
+def test_verify_outbranching_rejects_a_cycle_under_no_root():
+    # every parent edge is present and there is one root, but 1 and 2
+    # are each other's parent, so neither hangs under the root
+    G = Digraph(3, [(0, 1), (1, 2), (2, 1)])
+    assert verify_outbranching(G, (0, 1, 2), {0: None, 1: 0, 2: 1})
+    assert not verify_outbranching(G, (0, 1, 2), {0: None, 1: 2, 2: 1})
+
+
 def test_verifiers_reject_a_repeated_vertex():
     G = dipath(3)
     assert verify_dominating(G, [0, 2], 1)
@@ -91,6 +101,18 @@ def test_spanning_outtree():
     S3, _ = crown(3)
     assert spanning_outtree(S3, (3, 0, 1)) is not None
     assert spanning_outtree(S3, (0, 1)) is None
+
+
+def test_spanning_outtree_runs_one_bfs(monkeypatch):
+    # Work guard: on the path 29 -> 28 -> ... -> 0 the only root is 29,
+    # the in-source; a BFS from each candidate root in turn makes 30
+    calls = count_bfs_calls(monkeypatch)
+    G = Digraph(30, [(v + 1, v) for v in range(29)])
+    parent = spanning_outtree(G, range(30))
+    assert parent == {v: None if v == 29 else v + 1 for v in range(30)}
+    assert calls[0] == 1
+    with pytest.raises(GraphError):
+        spanning_outtree(G, (0, 30))
 
 
 # --- brute force oracle -------------------------------------------------------
@@ -367,9 +389,11 @@ def test_dob_base_case_on_small_star():
 
 
 def test_in_source_screen_accepts_exactly_the_spanned_sets():
-    # _rooted against its definition: an out-tree spans the vertex set.
+    # _root against its definition: an out-tree spans the vertex set,
+    # and the root found is its smallest member that reaches the rest.
     # The battery holds sets with no, one and several in-sources (members
-    # with no in-neighbour in the set), and sets that are one cycle.
+    # with no in-neighbour in the set), and sets that are one cycle. The
+    # in-neighbour masks are given open and closed.
     rng = random.Random(2118)
     kinds = Counter()
     for _ in range(150):
@@ -379,16 +403,19 @@ def test_in_source_screen_accepts_exactly_the_spanned_sets():
         if len(cycle) > 1:
             ring = {(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
             G = Digraph(n, set(G.edges) | ring)
-        closed, into = ball_masks(G, 1), adjacency_masks(G, "in")
+        closed, into, in_ball = ball_masks(G, 1), adjacency_masks(G, "in"), ball_masks(G, 1, "in")
         masks = [rng.getrandbits(n) for _ in range(12)]
         masks.append(sum(1 << v for v in cycle))
         for inside in masks:
             D = [v for v in G.vertices() if inside >> v & 1]
             sources = sum(1 for v in D if not any(G.has_edge(u, v) for u in D))
-            want = spanning_outtree(G, D) is not None
-            assert solvers._rooted(inside, closed, into) == want, (G.edges, D)
+            want = has_spanning_outtree(G, D)
+            root = next((v for v in D if len(bfs_dist(G, v, within=set(D))) == len(D)), None)
+            assert (root is not None) == want, (G.edges, D)
+            assert solvers._root(inside, closed, into) == root, (G.edges, D)
+            assert solvers._root(inside, closed, in_ball) == root, (G.edges, D)
             kinds[min(sources, 2), want] += 1
-        assert solvers._rooted(masks[-1], closed, into)
+        assert solvers._root(masks[-1], closed, into) is not None
     # every kind of set occurs, and only sets with two or more in-sources
     # are never spanned
     assert {key for key in kinds} == {(0, True), (0, False), (1, True), (1, False), (2, False)}
@@ -443,14 +470,14 @@ def test_dob_agrees_with_oracle_on_the_benchmark_family(monkeypatch):
     # scattered set and branch on it, so the exhaustive base case runs
     # with chosen vertices fixed
     found = []
-    deletion_set = solvers._deletion_set
+    deletion_set = solvers.deletion_set
 
     def counting(*args):
-        C = deletion_set(*args)
-        found.append(C is not None)
-        return C
+        got = deletion_set(*args)
+        found.append(got is not None)
+        return got
 
-    monkeypatch.setattr(solvers, "_deletion_set", counting)
+    monkeypatch.setattr(solvers, "deletion_set", counting)
     rng = random.Random(3)
     verdicts = []
     for n in (12, 14, 16):
@@ -528,14 +555,14 @@ def test_branching_builds_no_digraph(monkeypatch):
     rng = random.Random(21)
     hosts += [(random_digraph(rng, rng.randint(14, 20), 0.15), rng.randint(2, 4)) for _ in range(10)]
     cuts = []
-    deletion_set = solvers._deletion_set
+    deletion_set = solvers.deletion_set
 
     def counting(*args):
-        C = deletion_set(*args)
-        cuts.append(C is not None)
-        return C
+        got = deletion_set(*args)
+        cuts.append(got is not None)
+        return got
 
-    monkeypatch.setattr(solvers, "_deletion_set", counting)
+    monkeypatch.setattr(solvers, "deletion_set", counting)
     built = [0]
     init = Digraph.__init__
 
@@ -550,6 +577,24 @@ def test_branching_builds_no_digraph(monkeypatch):
         dominating_outbranching(G, k)
     assert sum(cuts) > 20
     assert built[0] == 0
+
+
+def test_branching_probe_checks_no_vertex_ids(monkeypatch):
+    # Work guard: the probe rechecks its deletion set on masks. Listing
+    # the dead vertices at every branching node and range-checking them,
+    # as an id-based recheck does, makes 4,949 check_vertex calls here.
+    G = apex_grid(70, 3)
+    calls = [0]
+    check = Digraph.check_vertex
+
+    def counted(self, v):
+        calls[0] += 1
+        return check(self, v)
+
+    monkeypatch.setattr(Digraph, "check_vertex", counted)
+    got = independent_dominating_set(G, 3)
+    assert got.feasible and not got.exhausted
+    assert calls[0] <= 10
 
 
 # --- independent set --------------------------------------------------------------
@@ -580,6 +625,19 @@ def test_is_agrees_with_oracle():
             assert verify_independent(G, got.witness)
 
 
+def test_is_witness_is_checked(monkeypatch):
+    # the search's answer is checked against the graph: a set with two
+    # members within distance d of each other is an internal error
+    G = dipath(5)
+    assert independent_set(G, 2, d=2).witness == (0, 3)
+    monkeypatch.setattr(solvers, "_first_subset", lambda *args: (0, 2))
+    with pytest.raises(RuntimeError, match="internal"):
+        independent_set(G, 2, d=2)
+    monkeypatch.setattr(solvers, "_first_subset", lambda *args: (2, 0))
+    with pytest.raises(RuntimeError, match="internal"):
+        independent_set(G, 2, d=2)
+
+
 def test_is_distance_two():
     G = dipath(5)
     got = independent_set(G, 2, d=2)
@@ -607,7 +665,7 @@ def test_solvers_monotone_in_k():
 
 @pytest.mark.parametrize("solver", [independent_dominating_set, dominating_outbranching])
 def test_negative_scatter_budget_is_rejected_on_entry(solver):
-    # rejected on hosts too small to reach _deletion_set as well as on
+    # rejected on hosts too small to reach deletion_set as well as on
     # one that reaches it
     big = random_digraph(random.Random(7), 16, 0.2)
     for G in (Digraph(0), dipath(3), big):
@@ -688,7 +746,7 @@ def test_steiner_table_runs_one_bfs_per_terminal(monkeypatch):
     # the Steiner table reads distances into terminals only, so one
     # in-direction BFS per terminal fills it, and a call that finds no
     # tree makes no other; a found tree adds at most one BFS per leaf
-    # and one per root spanning_outtree tries. A BFS from every vertex
+    # and one for spanning_outtree. A BFS from every vertex
     # would make more than n calls per Steiner call.
     calls = count_bfs_calls(monkeypatch)
     G = random_digraph(random.Random(3), 18, 0.15)
