@@ -62,12 +62,10 @@ def random_tournament(n, seed):
     """Uniformly random orientation of K_n, deterministic in the seed."""
     if n < 1:
         raise GraphError("tournament order must be positive")
-    rng = SplitMix64(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            edges.append((i, j) if rng.randrange(2) == 0 else (j, i))
-    return Digraph(n, edges)
+    # one coin per pair: the low bit of a draw
+    draw = SplitMix64(seed).next_u64
+    return Digraph(n, [(j, i) if draw() & 1 else (i, j)
+                       for i in range(n) for j in range(i + 1, n)])
 
 
 def random_digraph(rng, n, p):
@@ -128,15 +126,17 @@ def grid_vertex(l1, l2, i, j):
 
 
 def grid_undirected_edges(l1, l2):
-    """Canonical (sorted) list of undirected grid adjacencies as id pairs."""
+    """Canonical (sorted) list of undirected grid adjacencies as id pairs:
+    each cell u's right and lower neighbour, u + 1 and u + l2, in
+    row-major order, which is already sorted."""
+    n = l1 * l2
     es = []
-    for i in range(1, l1 + 1):
-        for j in range(1, l2 + 1):
-            if j < l2:
-                es.append((grid_vertex(l1, l2, i, j), grid_vertex(l1, l2, i, j + 1)))
-            if i < l1:
-                es.append((grid_vertex(l1, l2, i, j), grid_vertex(l1, l2, i + 1, j)))
-    return sorted(es)
+    for u in range(n):
+        if (u + 1) % l2:
+            es.append((u, u + 1))
+        if u + l2 < n:
+            es.append((u, u + l2))
+    return es
 
 
 def oriented_grid(l1, l2, seed=None, choices=None):
@@ -153,8 +153,9 @@ def oriented_grid(l1, l2, seed=None, choices=None):
     if (seed is None) == (choices is None):
         raise GraphError("supply exactly one of seed or choices")
     if choices is None:
-        rng = SplitMix64(seed)
-        choices = [rng.randrange(2) == 0 for _ in base]
+        # one coin per edge: the low bit of a draw
+        draw = SplitMix64(seed).next_u64
+        choices = [not draw() & 1 for _ in base]
     if len(choices) != len(base):
         raise GraphError("expected %d orientation choices" % len(base))
     edges = [(a, b) if keep else (b, a) for (a, b), keep in zip(base, choices)]
@@ -226,12 +227,8 @@ def random_bipartite_outregular(n, d, seed):
     if d < 0 or d > n:
         raise GraphError("need 0 <= d <= n")
     rng = SplitMix64(seed)
-    edges = []
-    for a in range(n):
-        child = rng.split(a)
-        for b in child.sample(range(n, 2 * n), d):
-            edges.append((a, b))
-    return Digraph(2 * n, edges)
+    side = range(n, 2 * n)
+    return Digraph(2 * n, [(a, b) for a in range(n) for b in rng.split(a).sample(side, d)])
 
 
 def crown_pattern_probability(n, d, q):

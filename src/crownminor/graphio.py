@@ -2,8 +2,8 @@
 
 First non-comment line holds the vertex count n, then one `u v` pair per
 line (0-based, whitespace-separated). Anything after `#` is a comment.
-Serialization is deterministic: edges sorted lexicographically. Files
-are UTF-8.
+Serialization is deterministic: edges sorted lexicographically, then one
+`# ` line per line of each comment. Files are UTF-8.
 """
 
 from .digraph import Digraph
@@ -57,7 +57,9 @@ def emit_graph(G, comments=()):
     # out_adj lists each vertex's successors in ascending order, so this
     # is the edges in lexicographic order
     lines.extend("%d %d" % (u, v) for u, succ in enumerate(G.out_adj) for v in succ)
-    lines.extend("# %s" % c for c in comments)
+    # a comment holding a line break becomes one `# ` line per line, split
+    # as parse_graph splits the text; an empty one is a bare `# ` line
+    lines.extend("# " + line for c in comments for line in c.splitlines() or [""])
     return "\n".join(lines) + "\n"
 
 

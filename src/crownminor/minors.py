@@ -542,7 +542,10 @@ def _injective_maps(H, G, induced):
     non-edges to non-edges. Pattern vertices are placed by decreasing
     degree, host candidates tried in increasing id and pruned by in- and
     out-degree (equal when induced, at least the pattern's otherwise)."""
-    order = sorted(H.vertices(), key=lambda v: (-(H.in_degree(v) + H.out_degree(v)), v))
+    # degrees read once per call, not through in_adj at every candidate
+    hin, hout = [len(a) for a in H.in_adj], [len(a) for a in H.out_adj]
+    gin, gout = [len(a) for a in G.in_adj], [len(a) for a in G.out_adj]
+    order = sorted(H.vertices(), key=lambda v: (-(hin[v] + hout[v]), v))
     mapping = {}
     used = set()
 
@@ -551,11 +554,11 @@ def _injective_maps(H, G, induced):
             yield dict(mapping)
             return
         v = order[idx]
-        hi, ho = H.in_degree(v), H.out_degree(v)
+        hi, ho = hin[v], hout[v]
         for cand in G.vertices():
             if cand in used:
                 continue
-            gi, go = G.in_degree(cand), G.out_degree(cand)
+            gi, go = gin[cand], gout[cand]
             if (gi != hi or go != ho) if induced else (gi < hi or go < ho):
                 continue
             for u in order[:idx]:

@@ -30,34 +30,35 @@ class SplitMix64:
         """Independent child generator for the given integer key."""
         return SplitMix64(_mix((self._state ^ (key & _MASK)) + _GAMMA & _MASK))
 
-    def randrange(self, n):
-        """Uniform integer in [0, n), unbiased by rejection."""
-        if n <= 0:
-            raise ValueError("randrange bound must be positive")
-        limit = _MASK - (_MASK + 1) % n
-        while True:
-            x = self.next_u64()
-            if x <= limit:
-                return x % n
-
     def sample(self, seq, k):
         """k distinct elements of seq, in draw order, in O(k) time and
         memory; seq needs len() and indexing, and is never copied.
 
         It is the partial Fisher-Yates shuffle of a full copy of seq,
         run over a sparse swap map (position -> index of the element
-        now there): the same randrange calls in the same order return
-        the same list.
+        now there). Step i draws a uniform index below m = n - i by
+        rejection: a next_u64 value at or above floor(2^64 / m) * m is
+        refused and drawn again. The draws run on a local copy of the
+        state, written back at the end, so each costs one call to _mix.
         """
         n = len(seq)
         if k < 0:
             raise ValueError("sample size must be nonnegative")
         if k > n:
             raise ValueError("sample size exceeds population")
+        state = self._state
         moved = {}
         picked = []
         for i in range(k):
-            j = i + self.randrange(n - i)
+            m = n - i
+            limit = _MASK - (_MASK + 1) % m
+            while True:
+                state = (state + _GAMMA) & _MASK
+                x = _mix(state)
+                if x <= limit:
+                    break
+            j = i + x % m
             picked.append(seq[moved.get(j, j)])
             moved[j] = moved.get(i, i)
+        self._state = state
         return picked

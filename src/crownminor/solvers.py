@@ -56,7 +56,7 @@ def _first_subset(cand, sizes, clash, cover, want, accept):
     whose masks cover[u] together hold the bitmask want, tried size by
     size through sizes and within a size in the order of
     itertools.combinations over cand's sorted members; None if there is
-    none. accept gets a list it must copy to keep.
+    none. accept gets the members as one int mask.
 
     Include/exclude search on the smallest candidate v: including v
     drops clash[v] from the candidates and adds cover[v] to the covered
@@ -78,28 +78,25 @@ def _first_subset(cand, sizes, clash, cover, want, accept):
             mine = cover[v] & want
             suffix[v] |= mine
             most[v] = max(most[v], mine.bit_count())
-    chosen = []
 
-    def rec(cand, need, covered):
+    def rec(cand, need, covered, picked):
         left = want & ~covered
         if need == 0:
-            return None if left else accept(chosen)
+            return None if left else accept(picked)
         missing = left.bit_count()
         while cand.bit_count() >= need:
             low = cand & -cand
             v = low.bit_length() - 1
             if left & ~suffix[v] or need * most[v] < missing:
                 return None
-            chosen.append(v)
-            got = rec((cand ^ low) & ~clash[v], need - 1, covered | cover[v])
+            got = rec((cand ^ low) & ~clash[v], need - 1, covered | cover[v], picked | low)
             if got is not None:
                 return got
-            chosen.pop()
             cand ^= low
         return None
 
     for size in sizes:
-        got = rec(cand, size, 0)
+        got = rec(cand, size, 0, 0)
         if got is not None:
             return got
     return None
@@ -242,7 +239,8 @@ def independent_dominating_set(G, k, scatter_budget=3):
             cut = deletion_set(in_ball, alive, alive, 1, k + 1, scatter_budget, PROBE_CAP)
             fell_back |= cut is None
         if cut is None:
-            return _first_subset(alive & ~Y, range(k + 1), clash, closed, alive, list)
+            return _first_subset(alive & ~Y, range(k + 1), clash, closed, alive,
+                                 lambda m: list(mask_bits(m)))
         # with k = 0 the walk returns C = 0, so no branch reaches k = -1
         for s in mask_bits(cut[0] & ~Y):
             sub = rec(alive & ~closed[s], Y | in_ball[s], k - 1)
@@ -492,7 +490,7 @@ def dominating_outbranching(G, k, scatter_budget=3):
             fell_back |= cut is None
         if cut is None:
             return _first_subset(full & ~us, range(j + 1), no_clash, closed, W,
-                                 lambda combo: spanned(us | sum(1 << v for v in combo)))
+                                 lambda m: spanned(us | m))
         for nxt in mask_bits(cut[0] & ~us):
             got = rec(W & ~closed[nxt], us | 1 << nxt, j - 1)
             if got is not None:
@@ -535,7 +533,7 @@ def independent_set(G, k, d=1):
     if k > G.n:
         return SolveOutcome(False)
     clash = [o | i for o, i in zip(ball_masks(G, d), ball_masks(G, d, "in"))]
-    got = _first_subset((1 << G.n) - 1, (k,), clash, clash, 0, tuple)
+    got = _first_subset((1 << G.n) - 1, (k,), clash, clash, 0, lambda m: tuple(mask_bits(m)))
     if got is None:
         return SolveOutcome(False)
     members = set(got)

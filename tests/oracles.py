@@ -13,6 +13,8 @@ ran on vertex masks, and
 `scattered_by_sweep` and `controlled_bipartite_by_table`, which ran one
 BFS per host vertex where the library now runs one per member, and
 `full_copy_sample`, the generators' sampler before it went O(k), and
+`randrange_sample`, the O(k) sampler before its draws were inlined,
+both on `randrange`, the generator's former bounded draw, and
 `butterfly_minor_by_contraction`, the library's butterfly test before it
 searched for tree-like models, with its isomorphism test
 `digraph_isomorphic`, and the forms that sorted the same lists more
@@ -559,6 +561,19 @@ def scattered_by_sweep(G, U, d, deleted=()):
     return True
 
 
+def randrange(rng, n):
+    """SplitMix64.randrange's former body: a uniform integer in [0, n)
+    from the SplitMix64 `rng`, unbiased by rejection."""
+    if n <= 0:
+        raise ValueError("randrange bound must be positive")
+    mask = (1 << 64) - 1
+    limit = mask - (mask + 1) % n
+    while True:
+        x = rng.next_u64()
+        if x <= limit:
+            return x % n
+
+
 def full_copy_sample(rng, seq, k):
     """SplitMix64.sample's former body: a partial Fisher-Yates shuffle of
     a full copy of seq, drawing from the SplitMix64 `rng`."""
@@ -566,9 +581,26 @@ def full_copy_sample(rng, seq, k):
     if k > len(pool):
         raise ValueError("sample size exceeds population")
     for i in range(k):
-        j = i + rng.randrange(len(pool) - i)
+        j = i + randrange(rng, len(pool) - i)
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k]
+
+
+def randrange_sample(rng, seq, k):
+    """SplitMix64.sample's former body: the O(k) swap-map shuffle with
+    one randrange call per draw, before the draws were inlined."""
+    n = len(seq)
+    if k < 0:
+        raise ValueError("sample size must be nonnegative")
+    if k > n:
+        raise ValueError("sample size exceeds population")
+    moved = {}
+    picked = []
+    for i in range(k):
+        j = i + randrange(rng, n - i)
+        picked.append(seq[moved.get(j, j)])
+        moved[j] = moved.get(i, i)
+    return picked
 
 
 def controlled_bipartite_by_table(G, I, r):

@@ -10,7 +10,7 @@ import crownminor
 from crownminor.cli import main
 from crownminor.digraph import Digraph
 from crownminor.generators import crown, oriented_grid, random_digraph, reversed_crown
-from crownminor.graphio import GraphFormatError, emit_graph, parse_graph
+from crownminor.graphio import GraphFormatError, emit_graph, load_graph, parse_graph, save_graph
 from crownminor.minors import DirectedModel, general_minor_check, shallow_minor_check
 from crownminor.quasiwide import ScatteredWitness, compute_scattered, dichotomy_step
 from crownminor.solvers import d_dominating_set, dominating_outbranching, independent_set
@@ -40,6 +40,19 @@ def test_roundtrip_is_identity():
 def test_parse_comments_ignored():
     G = parse_graph("# a comment\n2\n0 1 # trailing\n")
     assert G == Digraph(2, [(0, 1)])
+
+
+@pytest.mark.parametrize("comment", ["two\nlines", "two\r\nlines", "two\rlines",
+                                     "two\x0blines", "two\u2028lines", ""])
+def test_comment_holding_a_line_break_round_trips(tmp_path, comment):
+    # every line of a comment is written as its own `# ` line, so what
+    # save_graph writes load_graph reads back
+    G = crown(3)[0]
+    text = emit_graph(G, [comment, "last"])
+    assert all(line.startswith("# ") for line in text.splitlines()[1 + G.num_edges():])
+    assert text.endswith("\n# last\n") and parse_graph(text) == G
+    save_graph(tmp_path / "g.txt", G, [comment])
+    assert load_graph(tmp_path / "g.txt") == G
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,14 @@ from crownminor.digraph import (
     topological_order,
     underlying_undirected,
 )
-from crownminor.generators import alternating_path, crown, reversed_crown
+from crownminor.generators import (
+    alternating_path,
+    crown,
+    oriented_grid,
+    random_bipartite_outregular,
+    reversed_crown,
+)
+from crownminor.graphio import emit_graph
 
 from oracles import is_directed_path, random_digraph, reach_by_paths
 
@@ -91,6 +98,20 @@ def test_adjacency_masks_are_built_once_per_direction():
         # the neighborhoods read the cached masks and never rebuild them
         for direction in ("out", "in"):
             assert adjacency_masks(G, direction) is built[direction]
+
+
+def test_in_adjacency_is_built_on_first_read_and_kept():
+    for G in (random_bipartite_outregular(50, 3, 1), oriented_grid(5, 5, seed=1)):
+        emit_graph(G)
+        # generating and writing a host reads only out_adj
+        assert G._in_adj is None
+        first = G.in_adj
+        assert all(G.in_adj is first for _ in range(3))
+        assert G.predecessors(G.n - 1) is first[-1]
+    # in_adj is a property: a class-level __getattr__ serving it made
+    # every Digraph attribute read about 4.7 times slower (1e6 rounds of
+    # four reads took 0.088 s instead of 0.019 s)
+    assert not {"__getattr__", "__getattribute__"} & set(vars(Digraph))
 
 
 def test_neighborhood_monotone_in_radius():

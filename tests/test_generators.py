@@ -30,7 +30,7 @@ from crownminor.generators import (
 from crownminor.graphio import emit_graph
 from crownminor.rng import SplitMix64
 
-from oracles import crown_source_id
+from oracles import crown_source_id, randrange_sample
 
 
 def test_crown_counts():
@@ -205,6 +205,14 @@ PINNED_HOSTS = [
     (random_tournament, (4, 0), "0d45ec782deb8ca9b008924340603de382233918"),
     (random_tournament, (9, 3), "283750684ef76a43ee2ff5082d0d14ead6738e2d"),
     (random_tournament, (20, 11), "bd175520d7bfc67d6a0d6ab7497321e6098442d7"),
+    # the shapes where a side is 1 or a draw is empty
+    (oriented_grid, (1, 7, 3), "fc1598ee6833f9620adcab9271cccd72043e1085"),
+    (oriented_grid, (7, 1, 3), "fc1598ee6833f9620adcab9271cccd72043e1085"),
+    (oriented_grid, (1, 1, 0), "e5fa44f2b31c1fb553b6021e7360d07d5d91ff5e"),
+    (oriented_grid, (2, 9, 5), "df047c28049f034ff304cda3cce1cacc716f27a8"),
+    (random_tournament, (1, 0), "e5fa44f2b31c1fb553b6021e7360d07d5d91ff5e"),
+    (random_bipartite_outregular, (6, 6, 2), "6f5aa91bab93a60f3a684482aa355f7a4e60c967"),
+    (random_bipartite_outregular, (6, 0, 2), "ad552e6dc057d1d825bf49df79d6b98eba846ebe"),
 ]
 
 
@@ -223,6 +231,35 @@ def test_sample_rejects_a_negative_size():
 def test_sample_never_copies_the_population():
     got = SplitMix64(1).sample(range(10**18), 3)
     assert len(set(got)) == 3 and all(0 <= x < 10**18 for x in got)
+
+
+class CountingMix(SplitMix64):
+    """A SplitMix64 that counts its next_u64 draws."""
+
+    __slots__ = ("draws",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        return super().next_u64()
+
+
+def test_sample_matches_randrange_draws_through_rejections():
+    # len() caps a population below 2^63, so this one has the largest
+    # share of refused draws a sequence can have: 2^64 mod n is n - 2,
+    # and about a third of the draws are refused
+    seq = range(2**64 // 3 + 1)
+    refused = 0
+    for seed in range(50):
+        got, want = SplitMix64(seed), CountingMix(seed)
+        assert got.sample(seq, 8) == randrange_sample(want, seq, 8)
+        # the same draws were made, so both generators stand at the same state
+        assert got.next_u64() == want.next_u64()
+        refused += want.draws - 9
+    assert refused > 0
 
 
 def test_crown_pattern_probability_values():

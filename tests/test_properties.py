@@ -490,8 +490,9 @@ def test_first_subset_is_the_first_accepted_cover_in_combinations_order(data):
     want = data.draw(mask)
     mod, rejected = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3))
 
-    def accept(members):
-        return None if sum(members) % mod == rejected else tuple(members)
+    def accept(picked):
+        members = tuple(mask_bits(picked))
+        return None if sum(members) % mod == rejected else members
 
     members = [v for v in range(n) if cand >> v & 1]
     combos = itertools.chain.from_iterable(itertools.combinations(members, size) for size in sizes)
@@ -502,7 +503,7 @@ def test_first_subset_is_the_first_accepted_cover_in_combinations_order(data):
             covered |= cover[v]
         if (not want & ~covered
                 and not any(clash[u] >> w & 1 for u, w in itertools.combinations(combo, 2))
-                and accept(combo) is not None):
+                and accept(sum(1 << v for v in combo)) is not None):
             expected = combo
             break
     assert _first_subset(cand, sizes, clash, cover, want, accept) == expected
