@@ -239,10 +239,28 @@ def reach_mask(adj, v, within, max_depth=None):
 
 def ball_masks(G, d, direction="out"):
     """Every vertex's ball of radius d as an int bitmask: entry v holds
-    the vertices v reaches (that reach v, for "in") within d edges."""
-    adj = adjacency_masks(G, direction)
-    full = (1 << G.n) - 1
-    return [reach_mask(adj, v, full, d) for v in G.vertices()]
+    the vertices v reaches (that reach v, for "in") within d edges.
+
+    Built by the radius recurrence: the radius-1 ball of v is its
+    adjacency mask plus v, and its radius-(i + 1) ball ORs into that the
+    radius-i balls of its out-neighbours (in-neighbours, for "in"). That
+    is at most d rounds of one OR per edge, and the rounds stop as soon
+    as one grows no ball, so a radius beyond the longest shortest path
+    costs nothing more. d <= 0 gives the singletons."""
+    if d <= 0:
+        return [1 << v for v in G.vertices()]
+    nbrs = G.out_adj if direction == "out" else G.in_adj
+    balls = [mask | 1 << v for v, mask in enumerate(adjacency_masks(G, direction))]
+    for _ in range(d - 1):
+        grown = []
+        for ball, ws in zip(balls, nbrs):
+            for w in ws:
+                ball |= balls[w]
+            grown.append(ball)
+        if grown == balls:
+            break
+        balls = grown
+    return balls
 
 
 def out_neighborhood(G, v, d, avoid=None):

@@ -281,9 +281,17 @@ def find_irrelevant_vertex(G, W, d):
 def _implied(w, targets, balls):
     """Some target other than w, in the vertex mask targets, has its
     in-ball mask inside w's. Balls are closed, so such a target lies in
-    w's own ball, and only the targets there are tested."""
+    w's own ball, and only the targets there are tested. It runs once
+    per target of ds's sweep, so it walks the bits itself, as _root
+    does."""
     ball = balls[w]
-    return any(not balls[x] & ~ball for x in mask_bits(ball & targets & ~(1 << w)))
+    rest = ball & targets & ~(1 << w)
+    while rest:
+        low = rest & -rest
+        if not balls[low.bit_length() - 1] & ~ball:
+            return True
+        rest ^= low
+    return False
 
 
 def d_dominating_set(G, k, d=1):

@@ -20,7 +20,9 @@ searched for tree-like models, with its isomorphism test
 `digraph_isomorphic`, and the forms that sorted the same lists more
 than once: `adjacency_by_sorting` (the `Digraph` adjacency),
 `emit_graph_by_sorted_edges` (the graph text), and the label walk with
-path and `reverse()` in `controlled_bipartite_by_table`.
+path and `reverse()` in `controlled_bipartite_by_table`, and
+`ball_masks_by_sweep`, the ball tables before the radius recurrence:
+one `reach_mask` sweep per vertex.
 Random test instances, which decide no verdict, come from the library's
 `random_digraph` and `random_dag` and are re-exported under those names;
 `ladder` builds the path router's exponential case, and `apex_grid` the
@@ -40,7 +42,7 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from crownminor.digraph import Digraph, GraphError, bfs_dist, mask_bits
+from crownminor.digraph import Digraph, GraphError, adjacency_masks, bfs_dist, mask_bits, reach_mask
 from crownminor.generators import oriented_grid, random_dag, random_digraph  # noqa: F401
 from crownminor.minors import _injective_maps, butterfly_contract, legal_butterfly_contractions
 from crownminor.quasiwide import ControlledBipartite, uniform_level_threshold
@@ -713,6 +715,14 @@ def adjacency_by_sorting(n, edges):
         out[u].append(v)
         inn[v].append(u)
     return tuple(tuple(sorted(a)) for a in out), tuple(tuple(sorted(a)) for a in inn)
+
+
+def ball_masks_by_sweep(G, d, direction="out"):
+    """ball_masks's former body: one reach_mask sweep per vertex, each
+    step ANDed with the full vertex mask."""
+    adj = adjacency_masks(G, direction)
+    full = (1 << G.n) - 1
+    return [reach_mask(adj, v, full, d) for v in G.vertices()]
 
 
 def emit_graph_by_sorted_edges(G, comments=()):

@@ -720,6 +720,21 @@ def test_solve_distance_other_than_one_is_usage_error(capsys, tmp_path, variant,
     assert code in (0, 1)
 
 
+def test_solve_dds_answers_a_radius_far_past_the_graph(capsys, tmp_path):
+    # the ball tables stop growing once a radius reaches every vertex it
+    # can, so a radius of 10^9 on a 400-vertex path costs no 10^9 rounds
+    from crownminor.graphio import save_graph
+
+    G = Digraph(400, [(i, i + 1) for i in range(399)])
+    g = tmp_path / "g.graph"
+    save_graph(str(g), G)
+    code, out, err = run_cli(capsys, "--format", "structured", "solve", "dds", str(g),
+                             "--k", "1", "--d", "1000000000")
+    assert code == 0 and err == ""
+    assert out.startswith("kind dominating\nd 1000000000\n")
+    assert parse_witness(out, host=G) == (0,)
+
+
 @pytest.mark.parametrize("d", ["0", "-3"])
 def test_solve_is_distance_below_one_is_input_error(capsys, tmp_path, d):
     # no independent-set document may be printed for a radius the

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from crownminor import digraph
 from crownminor.digraph import (
     Digraph,
     GraphError,
     adjacency_masks,
+    ball_masks,
     bidirect,
     count_alternations,
     find_cycle,
@@ -26,7 +28,7 @@ from crownminor.generators import (
 )
 from crownminor.graphio import emit_graph
 
-from oracles import is_directed_path, random_digraph, reach_by_paths
+from oracles import ball_masks_by_sweep, is_directed_path, random_digraph, reach_by_paths
 
 
 def is_alternating_path_model(G, path):
@@ -112,6 +114,52 @@ def test_in_adjacency_is_built_on_first_read_and_kept():
     # every Digraph attribute read about 4.7 times slower (1e6 rounds of
     # four reads took 0.088 s instead of 0.019 s)
     assert not {"__getattr__", "__getattribute__"} & set(vars(Digraph))
+
+
+def test_ball_masks_make_no_reach_sweep(monkeypatch):
+    # Work guard: the tables come from the radius recurrence; the former
+    # body ran one reach_mask sweep per vertex, each step ANDed with the
+    # full n-bit mask
+    G = oriented_grid(6, 6, seed=1)
+    want = {(d, direction): ball_masks_by_sweep(G, d, direction)
+            for d in (0, 1, 2, 5) for direction in ("out", "in")}
+    calls = [0]
+    reach = digraph.reach_mask
+
+    def counted(*args):
+        calls[0] += 1
+        return reach(*args)
+
+    monkeypatch.setattr(digraph, "reach_mask", counted)
+    for (d, direction), balls in want.items():
+        assert ball_masks(G, d, direction) == balls
+    assert calls[0] == 0
+
+
+def test_ball_masks_stop_once_a_round_grows_no_ball():
+    # Work guard: every round reads each vertex's neighbour list once, so
+    # on the path 0 -> 1 -> ... -> 399 the last vertex's in-list is read
+    # once for its adjacency mask and once per round. Its in-balls stop
+    # growing at radius 399, so radius 10^9 takes at most n + 1 reads
+    n = 400
+    reads = [0]
+
+    class Counted(tuple):
+        def __iter__(self):
+            reads[0] += 1
+            return tuple.__iter__(self)
+
+    lists = tuple(() if v == 0 else (v - 1,) for v in range(n - 1)) + (Counted((n - 2,)),)
+
+    class CountedPath(Digraph):
+        @property
+        def in_adj(self):
+            return lists
+
+    G = CountedPath(n, [(v, v + 1) for v in range(n - 1)])
+    assert ball_masks(G, 10**9, "in") == [(1 << v + 1) - 1 for v in range(n)]
+    # radii 2..399 each need a round, and so does the one that grows nothing
+    assert n - 1 <= reads[0] <= n + 1
 
 
 def test_neighborhood_monotone_in_radius():

@@ -1,5 +1,6 @@
 """Property tests: the BFS kernel and the neighborhoods against path
-enumeration, the mask reach sweep against the BFS kernel, the per-member
+enumeration, the mask reach sweep against the BFS kernel, the ball
+tables' radius recurrence against one reach sweep per vertex, the per-member
 sweeps of is_scattered and build_controlled_bipartite against the
 per-vertex ones they replaced, the backtracking matcher against
 networkx's DiGraphMatcher, the model verifier, the general minor checker
@@ -25,6 +26,7 @@ from crownminor import scattered, solvers
 from crownminor.digraph import (
     Digraph,
     adjacency_masks,
+    ball_masks,
     bfs_dist,
     in_neighborhood,
     mask_bits,
@@ -63,6 +65,7 @@ from crownminor.minors import (
 from oracles import (
     _model_conditions_hold,
     adjacency_by_sorting,
+    ball_masks_by_sweep,
     bipartite_edges,
     brute_directed_minor,
     brute_disjoint_paths,
@@ -164,6 +167,14 @@ def test_reach_mask_matches_bfs_dist(G, data):
         got = reach_mask(adjacency_masks(G, direction), src, mask, depth)
         want = bfs_dist(G, src, depth, direction, within=within)
         assert list(mask_bits(got)) == sorted(want)
+
+
+@SMALL
+@given(digraphs(max_n=10))
+def test_ball_masks_match_the_per_vertex_sweep(G):
+    for d in (-1, 0, 1, 2, 3, 4, G.n + 1):
+        for direction in ("out", "in"):
+            assert ball_masks(G, d, direction) == ball_masks_by_sweep(G, d, direction)
 
 
 @SMALL

@@ -547,6 +547,27 @@ def test_solver_outcomes_are_pinned(monkeypatch):
     assert digest == "9e800f8898d400d7a8703127d6f696c20efec6e3f676905705572f506e646efb"
 
 
+def test_ds_and_is_outcomes_are_pinned():
+    # a fixed battery of random digraphs (n 1-24) and apex grids (sides
+    # 4-12): the hash of every verdict and witness of ds (d 1-3) and is
+    # (d 1-2), as the per-vertex reach sweep's ball tables produced them
+    rng = random.Random(0xD5)
+    hosts = []
+    for _ in range(200):
+        n = rng.randint(1, 24)
+        hosts.append((random_digraph(rng, n, rng.uniform(0.05, 0.4)), rng.randint(0, 6)))
+    hosts += [(apex_grid(side, 3), k) for side in (4, 6, 9, 12) for k in (2, 3, 4)]
+    outcomes = []
+    for G, k in hosts:
+        for d in (1, 2, 3):
+            outcomes.append(tuple(d_dominating_set(G, k, d)))
+        for d in (1, 2):
+            outcomes.append(tuple(independent_set(G, k, d)))
+    assert 0 < sum(f for f, _, _ in outcomes) < len(outcomes)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "43b3a56c4f73e608c0248d7b7da98c6bdad596bd7a5d74895925dba074efd742"
+
+
 def test_branching_builds_no_digraph(monkeypatch):
     # ids and dob read every branch off ball tables built once per call;
     # building a graph per branching node, as a vertex deletion does,
