@@ -263,6 +263,19 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
     cut is necessary for routing, so the first guess that routes is the
     one the unpruned stream reaches first.
 
+    A step is also cut when a later pattern edge (a, b) with an end at a
+    touched branch has no host edge x -> y left, where x may be a's next
+    out-tail and y b's next in-head (forward checking, after Haralick
+    and Elliott, Artificial Intelligence 14(3), 1980). Such an x is
+    usable by a and reached within depth from each in-head of a, or,
+    with none, from a common source of a's out-tails; such a y is usable
+    by b and reaches each out-tail of b, or, with none, a common sink of
+    b's in-heads. The step that places (a, b) runs both ends through the
+    test above, which its image can pass only on these terms, on usable
+    sets no larger than now. So a cut prefix yields no guess, and the
+    stream is the same as without this cut. The edge right after the
+    step is left out: the next step tries its images anyway.
+
     Host vertex sets are int masks per pattern vertex v: `own[v]` (their
     union is `claimed`), `heads[v]` and `tails[v]`, the in-heads and
     out-tails so far. Reach masks are memoised per call.
@@ -273,6 +286,10 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
     # each automorphism as the permutation of edge positions it induces
     perms = {tuple(index[(a[u], a[v])] for u, v in edge_order) for a in autos}
     perms.discard(tuple(range(len(edge_order))))
+    # pending[k]: the pattern edges after edge k + 1 with an end at an end
+    # of edge k (step k + 1 tries the images of edge k + 1 anyway)
+    pending = [[(a, b) for a, b in edge_order[k + 2:] if a == u or a == v or b == u or b == v]
+               for k, (u, v) in enumerate(edge_order)]
     adj = (adjacency_masks(G, "out"), adjacency_masks(G, "in"))  # by `back`
     full = (1 << G.n) - 1
     image = [None] * len(edge_order)
@@ -295,6 +312,61 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
         for a in anchors:
             got &= reach(a, usable, back)
         return got
+
+    def spread(starts, usable, back):
+        """The vertices some vertex of starts reaches (back: that reach
+        one) within depth through usable vertices. With no depth bound a
+        start already reached adds nothing."""
+        got = 0
+        while starts:
+            low = starts & -starts
+            got |= reach(low.bit_length() - 1, usable, back)
+            starts ^= low
+            if depth is None:
+                starts &= ~got
+        return got
+
+    def next_ends(v, claimed, back):
+        """Where v's next out-tail may lie (back: its next in-head): the
+        usable vertices every in-head reaches, or with no in-head those
+        a common source of the out-tails reaches (back: those reaching
+        every out-tail, or a common sink of the in-heads)."""
+        usable = full & ~claimed | own[v]
+        near, far = (tails[v], heads[v]) if back else (heads[v], tails[v])
+        if near:
+            return common_end(mask_bits(near), usable, back)
+        if far:
+            return spread(common_end(mask_bits(far), usable, not back), usable, back)
+        return usable
+
+    def linked(xs, ys):
+        """Some host edge runs from xs to ys; walks the smaller mask."""
+        if xs.bit_count() <= ys.bit_count():
+            return any(adj[0][x] & ys for x in mask_bits(xs))
+        return any(adj[1][y] & xs for y in mask_bits(ys))
+
+    def carried(waiting, touched, claimed):
+        """Each pattern edge (a, b) in `waiting` still has a host edge
+        from where a's next out-tail may lie to where b's next in-head
+        may. Cheap parts of those sets are tried first: all free vertices
+        for a branch with no heads or tails, and the out-tails (in-heads)
+        of a `touched` branch, which just passed `feasible`."""
+        free = full & ~claimed
+        tail_ends, head_ends = {}, {}
+        for a, b in waiting:
+            xs = tails[a] if a in touched else 0 if heads[a] | tails[a] else free
+            ys = heads[b] if b in touched else 0 if heads[b] | tails[b] else free
+            if linked(xs, ys):
+                continue
+            if b not in head_ends:
+                head_ends[b] = next_ends(b, claimed, True)
+            if linked(xs, head_ends[b]):
+                continue
+            if a not in tail_ends:
+                tail_ends[a] = next_ends(a, claimed, False)
+            if not linked(tail_ends[a], head_ends[b]):
+                return False
+        return True
 
     def least(k):
         """No automorphism maps the first k edge images lower."""
@@ -320,7 +392,8 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
         if k == len(edge_order):
             yield from guess_ends(claimed)
             return
-        u, v = edge_order[k]
+        u, v = touched = edge_order[k]
+        waiting = pending[k]
         own_u, own_v, tails_u, heads_v = own[u], own[v], tails[u], heads[v]
         free = full & ~claimed
         # host edges in lexicographic order, tail usable by u, head by v
@@ -334,7 +407,8 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
                 own[u], own[v] = own_u | bx, own_v | by
                 tails[u], heads[v] = tails_u | bx, heads_v | by
                 now = claimed | bx | by
-                if feasible(u, now) and feasible(v, now):
+                if feasible(u, now) and feasible(v, now) and (
+                        not waiting or carried(waiting, touched, now)):
                     yield from assign(k + 1, now)
         own[u], own[v], tails[u], heads[v] = own_u, own_v, tails_u, heads_v
 
@@ -541,42 +615,49 @@ def _injective_maps(H, G, induced):
     edges of H to edges of G; with induced=True it must also send
     non-edges to non-edges. Pattern vertices are placed by decreasing
     degree, host candidates tried in increasing id and pruned by in- and
-    out-degree (equal when induced, at least the pattern's otherwise)."""
+    out-degree (equal when induced, at least the pattern's otherwise).
+
+    A vertex's candidates are one mask: the unused hosts inside the
+    out-masks of the images of its placed in-neighbours and the in-masks
+    of those of its placed out-neighbours. When induced, a candidate's
+    own masks must meet the images so far in exactly those images."""
     # degrees read once per call, not through in_adj at every candidate
     hin, hout = [len(a) for a in H.in_adj], [len(a) for a in H.out_adj]
     gin, gout = [len(a) for a in G.in_adj], [len(a) for a in G.out_adj]
+    g_out, g_in = adjacency_masks(G, "out"), adjacency_masks(G, "in")
     order = sorted(H.vertices(), key=lambda v: (-(hin[v] + hout[v]), v))
+    full = (1 << G.n) - 1
     mapping = {}
-    used = set()
 
-    def rec(idx):
+    def rec(idx, used):
         if idx == len(order):
             yield dict(mapping)
             return
         v = order[idx]
         hi, ho = hin[v], hout[v]
-        for cand in G.vertices():
-            if cand in used:
-                continue
+        cands = full & ~used
+        ins = outs = 0
+        for u in H.in_adj[v]:
+            x = mapping.get(u)
+            if x is not None:
+                ins |= 1 << x
+                cands &= g_out[x]
+        for u in H.out_adj[v]:
+            x = mapping.get(u)
+            if x is not None:
+                outs |= 1 << x
+                cands &= g_in[x]
+        for cand in mask_bits(cands):
             gi, go = gin[cand], gout[cand]
             if (gi != hi or go != ho) if induced else (gi < hi or go < ho):
                 continue
-            for u in order[:idx]:
-                x = mapping[u]
-                fwd = H.has_edge(u, v)
-                if (induced or fwd) and G.has_edge(x, cand) != fwd:
-                    break
-                bwd = H.has_edge(v, u)
-                if (induced or bwd) and G.has_edge(cand, x) != bwd:
-                    break
-            else:
-                mapping[v] = cand
-                used.add(cand)
-                yield from rec(idx + 1)
-                del mapping[v]
-                used.discard(cand)
+            if induced and (g_in[cand] & used != ins or g_out[cand] & used != outs):
+                continue
+            mapping[v] = cand
+            yield from rec(idx + 1, used | 1 << cand)
+        mapping.pop(v, None)
 
-    return rec(0)
+    return rec(0, 0)
 
 
 def subgraph_check(H, G):

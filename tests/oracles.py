@@ -22,7 +22,9 @@ than once: `adjacency_by_sorting` (the `Digraph` adjacency),
 `emit_graph_by_sorted_edges` (the graph text), and the label walk with
 path and `reverse()` in `controlled_bipartite_by_table`, and
 `ball_masks_by_sweep`, the ball tables before the radius recurrence:
-one `reach_mask` sweep per vertex.
+one `reach_mask` sweep per vertex, and `injective_maps_by_pairs`, the
+pattern-map search before it ran on adjacency masks, which
+`reference_guesses` and `digraph_isomorphic` use.
 Random test instances, which decide no verdict, come from the library's
 `random_digraph` and `random_dag` and are re-exported under those names;
 `ladder` builds the path router's exponential case, and `apex_grid` the
@@ -44,7 +46,7 @@ from fractions import Fraction
 
 from crownminor.digraph import Digraph, GraphError, adjacency_masks, bfs_dist, mask_bits, reach_mask
 from crownminor.generators import oriented_grid, random_dag, random_digraph  # noqa: F401
-from crownminor.minors import _injective_maps, butterfly_contract, legal_butterfly_contractions
+from crownminor.minors import butterfly_contract, legal_butterfly_contractions
 from crownminor.quasiwide import ControlledBipartite, uniform_level_threshold
 
 
@@ -225,6 +227,51 @@ def _partial_ok(H, G, blocks, edges, picked, depth):
     return True
 
 
+def injective_maps_by_pairs(H, G, induced):
+    """`minors._injective_maps` before it ran on adjacency masks, testing
+    each placed pair with `has_edge`: every injective map of V(H) into
+    V(G), as a dict, that sends edges of H to edges of G; with
+    induced=True it must also send non-edges to non-edges. Pattern
+    vertices are placed by decreasing degree, host candidates tried in
+    increasing id and pruned by in- and out-degree (equal when induced,
+    at least the pattern's otherwise)."""
+    # degrees read once per call, not through in_adj at every candidate
+    hin, hout = [len(a) for a in H.in_adj], [len(a) for a in H.out_adj]
+    gin, gout = [len(a) for a in G.in_adj], [len(a) for a in G.out_adj]
+    order = sorted(H.vertices(), key=lambda v: (-(hin[v] + hout[v]), v))
+    mapping = {}
+    used = set()
+
+    def rec(idx):
+        if idx == len(order):
+            yield dict(mapping)
+            return
+        v = order[idx]
+        hi, ho = hin[v], hout[v]
+        for cand in G.vertices():
+            if cand in used:
+                continue
+            gi, go = gin[cand], gout[cand]
+            if (gi != hi or go != ho) if induced else (gi < hi or go < ho):
+                continue
+            for u in order[:idx]:
+                x = mapping[u]
+                fwd = H.has_edge(u, v)
+                if (induced or fwd) and G.has_edge(x, cand) != fwd:
+                    break
+                bwd = H.has_edge(v, u)
+                if (induced or bwd) and G.has_edge(cand, x) != bwd:
+                    break
+            else:
+                mapping[v] = cand
+                used.add(cand)
+                yield from rec(idx + 1)
+                del mapping[v]
+                used.discard(cand)
+
+    return rec(0)
+
+
 def reference_guesses(H, G, depth=None):
     """The minor checkers' guess stream before owner-aware pruning, kept
     as the reference the pruned `minors._enumerate_guesses` must agree
@@ -234,11 +281,15 @@ def reference_guesses(H, G, depth=None):
     depth, an owner-aware in->out test on each touched branch, and, at
     full images, lexicographic least-ness under the pattern's
     automorphisms; source and sink candidates only by whole-host reach.
+    The automorphisms come from `injective_maps_by_pairs`, so the
+    library's mask search is not its own reference. The library's cut of
+    prefixes whose pending pattern edges have no host edge left drops no
+    guess, so it has no counterpart here.
     """
     edge_order = sorted(H.edges)
     host_edges = sorted(G.edges)
     reach = {v: set(bfs_dist(G, v, max_depth=depth)) for v in G.vertices()}
-    autos = {tuple(m[v] for v in H.vertices()) for m in _injective_maps(H, H, True)}
+    autos = {tuple(m[v] for v in H.vertices()) for m in injective_maps_by_pairs(H, H, True)}
     autos.discard(tuple(H.vertices()))
     in_edges = {v: sorted(e for e in H.edges if e[1] == v) for v in H.vertices()}
     out_edges = {v: sorted(e for e in H.edges if e[0] == v) for v in H.vertices()}
@@ -464,7 +515,7 @@ def digraph_isomorphic(A, B):
     prof_b = sorted((B.in_degree(v), B.out_degree(v)) for v in B.vertices())
     if prof_a != prof_b:
         return False
-    return next(_injective_maps(A, B, True), None) is not None
+    return next(injective_maps_by_pairs(A, B, True), None) is not None
 
 
 def _iso_invariant(G):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from crownminor.digraph import Digraph, GraphError, bfs_dist, bidirect, underlying_undirected
-from crownminor.generators import acyclic_tournament, crown, reversed_crown
+from crownminor.generators import acyclic_tournament, crown, oriented_grid, reversed_crown
 from crownminor.minors import (
     DirectedModel,
     IntervalPartition,
@@ -490,6 +491,41 @@ def test_pruned_guesses_keep_the_first_routing_guess():
     assert found >= 100
 
 
+def _pinned_model(model):
+    if model is None:
+        return None
+    return (sorted((v, sorted(b)) for v, b in model.branch.items()),
+            sorted(model.edge_image.items()), sorted(model.source.items()),
+            sorted(model.sink.items()))
+
+
+def test_minor_outcomes_are_pinned():
+    # a fixed battery of random (pattern, host) pairs through the dag,
+    # shallow (r 0-2), general and butterfly checks: the hash of every
+    # model's branch sets, edge images, sources and sinks, as the guess
+    # enumerator produced them before it checked pending pattern edges
+    rng = random.Random(0x3A1)
+    outcomes = []
+    for i in range(300):
+        if i % 4 == 0:
+            G = random_dag(rng, rng.randint(5, 14), rng.choice([0.2, 0.35]))
+            H = random_dag(rng, rng.randint(2, 6), 0.5)
+            got = dag_minor_check(H, G)
+        else:
+            G = random_digraph(rng, rng.randint(4, 10), rng.choice([0.2, 0.35]))
+            H = random_digraph(rng, rng.randint(2, min(5, G.n)), 0.5)
+            if i % 4 == 1:
+                got = shallow_minor_check(H, G, rng.randint(0, 2))
+            elif i % 4 == 2:
+                got = general_minor_check(H, G)
+            else:
+                got = is_butterfly_minor(H, G)
+        outcomes.append(_pinned_model(got))
+    assert 100 < sum(m is not None for m in outcomes) < len(outcomes)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "bc9a894d1e72d3b4ef0d37e19359260290bfe520bd47e482263630dbe001e6dc"
+
+
 def test_crown_in_dag_prunes_guesses_whose_branch_cannot_meet(monkeypatch):
     """Work guard: on this host the unpruned stream tries 6,077 guesses
     before one routes; the pruned one needs at most a handful and finds
@@ -511,6 +547,27 @@ def test_crown_in_dag_prunes_guesses_whose_branch_cannot_meet(monkeypatch):
     monkeypatch.setattr(minors, "_enumerate_guesses", counting)
     assert dag_minor_check(H, G) == want
     assert 0 < calls[0] <= 10
+
+
+def test_triangle_refuted_in_a_grid_with_few_reach_sweeps(monkeypatch):
+    """Work guard: bidirected K3 has no depth-1 model in this grid. A
+    prefix dies once a later pattern edge at a touched branch has no host
+    edge left from where its tail's branch may take its next out-tail to
+    where its head's branch may take its next in-head; without that cut
+    the refutation made 18,346 reach_mask calls."""
+    import crownminor.minors as minors
+
+    calls = [0]
+    reach = minors.reach_mask
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return reach(*args, **kwargs)
+
+    monkeypatch.setattr(minors, "reach_mask", counted)
+    K3 = bidirect(underlying_undirected(acyclic_tournament(3)))
+    assert shallow_minor_check(K3, oriented_grid(8, 8, seed=1), 1) is None
+    assert calls[0] <= 5000
 
 
 def test_router_fails_at_once_when_two_owners_need_one_end(monkeypatch):

@@ -76,6 +76,7 @@ from oracles import (
     enum_paths,
     exhaustive_grad,
     full_copy_sample,
+    injective_maps_by_pairs,
     is_directed_path,
     emit_graph_by_sorted_edges,
     ladder,
@@ -261,6 +262,16 @@ def test_automorphism_count_matches_networkx(G):
     expected = sum(1 for _ in DiGraphMatcher(to_nx(G), to_nx(G)).isomorphisms_iter())
     assert len(autos) == expected
     assert tuple(G.vertices()) in autos
+
+
+@SMALL
+@given(digraphs(max_n=4), digraphs())
+def test_mask_maps_match_the_pairwise_maps(H, G):
+    # the same maps in the same order, induced or not, into another
+    # digraph and onto the digraph itself (its automorphisms)
+    for A, B in ((H, G), (G, G)):
+        for induced in (False, True):
+            assert list(_injective_maps(A, B, induced)) == list(injective_maps_by_pairs(A, B, induced))
 
 
 @settings(max_examples=200, deadline=None)
