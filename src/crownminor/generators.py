@@ -162,12 +162,12 @@ def oriented_grid(l1, l2, seed=None, choices=None):
     return Digraph(l1 * l2, edges)
 
 
-def _grid_rows_path(r, kind):
-    """The two candidate spine pieces through rows (r, r+1) of a width-3
-    grid: the full snake or the short hook, in grid coordinates."""
-    if kind == "snake":
-        return [(r, 1), (r, 2), (r, 3), (r + 1, 3), (r + 1, 2), (r + 1, 1)]
-    return [(r, 1), (r, 2), (r + 1, 2), (r + 1, 3)]
+# The two spine pieces through a pair of rows of a width-3 grid, as
+# (row offset, column): the snake runs the top row, down column 3 and
+# back along the bottom row; the hook takes the top row's first edge,
+# steps down column 2 and takes the bottom row's last edge.
+_SNAKE = ((0, 1), (0, 2), (0, 3), (1, 3), (1, 2), (1, 1))
+_HOOK = ((0, 1), (0, 2), (1, 2), (1, 3))
 
 
 def extract_grid_alternating_path(G, l=None):
@@ -175,49 +175,40 @@ def extract_grid_alternating_path(G, l=None):
     or 3) whose orientation shows at least l alternations.
 
     G must be an orientation of a 2l x 3 grid. Works two rows at a time:
-    if the snake through the current rows alternates, it can be extended;
-    otherwise the short hook must alternate. Both candidate extensions
-    are checked and the first one verified is returned.
+    the snake through the current rows is taken if it alternates.
+    Otherwise it is a directed path, and the hook, which runs the snake's
+    first edge forward and its last edge backward, alternates. The hook
+    ends in the far column, so the rows after it are walked mirrored.
+    Joining the pieces keeps the alternations inside each, so the spine
+    has at least l.
     """
     if l is None:
         if G.n % 6 != 0 or G.n == 0:
             raise GraphError("host is not a 2l x 3 grid orientation")
         l = G.n // 6
-    l1 = 2 * l
-    expected = set()
-    for a, b in grid_undirected_edges(l1, 3):
-        expected.add((a, b))
-    actual = set()
-    for u, v in G.edges:
-        actual.add((min(u, v), max(u, v)))
+    elif l < 1:
+        raise GraphError("l must be positive, got %d" % l)
+    expected = set(grid_undirected_edges(2 * l, 3))
+    actual = {(min(u, v), max(u, v)) for u, v in G.edges}
     if actual != expected or G.num_edges() != len(expected):
         raise GraphError("host is not a 2l x 3 grid orientation")
 
-    def vid(c):
-        return grid_vertex(l1, 3, c[0], c[1])
+    def piece(cells, row, flip):
+        # `flip` mirrors the columns
+        return [grid_vertex(2 * l, 3, row + i, 4 - j if flip else j) for i, j in cells]
 
-    def mirror(c):
-        return (c[0], 4 - c[1])
-
-    def build(row, flip):
-        """Candidate paths for rows row..2l; `flip` mirrors columns so the
-        path starts at column 1 of the (possibly mirrored) grid."""
-        conv = (lambda c: vid(mirror(c))) if flip else vid
-        snake = [conv(c) for c in _grid_rows_path(row, "snake")]
-        hook = [conv(c) for c in _grid_rows_path(row, "hook")]
-        if row + 2 > l1:
-            return [snake, hook]
-        out = []
-        # snake ends at column 1, hook at column 3 (pre-mirror)
-        for head, next_flip in ((snake, flip), (hook, not flip)):
-            for tail in build(row + 2, next_flip):
-                out.append(head + tail)
-        return out
-
-    for cand in build(1, False):
-        if count_alternations(G, cand) >= l and cand[-1] // 3 == l1 - 1:
-            return cand
-    raise GraphError("no alternating spine found; host is not a grid orientation")
+    path = []
+    flip = False
+    for row in range(1, 2 * l, 2):
+        snake = piece(_SNAKE, row, flip)
+        if count_alternations(G, snake) >= 1:
+            path += snake
+        else:
+            path += piece(_HOOK, row, flip)
+            flip = not flip
+    if count_alternations(G, path) < l:
+        raise RuntimeError("internal: grid spine has fewer than %d alternations" % l)
+    return path
 
 
 def random_bipartite_outregular(n, d, seed):

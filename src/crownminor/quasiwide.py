@@ -23,9 +23,9 @@ from collections import namedtuple
 
 from .digraph import BudgetExhausted, GraphError, bfs_dist, mask_bits
 
-# compute_scattered is not used here. It stays importable as
-# quasiwide.compute_scattered because the benchmark in perfbench/ reads
-# it under that name (workloads.py, and tracer.WRAPPED["quasiwide"]).
+# compute_scattered and is_scattered are not used here. They stay
+# importable from quasiwide because the benchmark in perfbench/ reads
+# them there (workloads.py, and tracer.WRAPPED["quasiwide"]).
 from .scattered import ScatteredWitness, compute_scattered, is_scattered, without_vertices  # noqa: F401
 
 
@@ -521,9 +521,11 @@ def build_controlled_bipartite(G, I, r):
     set I: B is I; every vertex reaching two members within r+1 steps
     joins A; each such reach fixes one shortest path, recorded as the
     edge label; bases point at the unique member within r steps."""
-    if not is_scattered(G, I, r):
-        raise GraphError("input set is not r-scattered")
-    I = sorted(set(I))
+    if r < 0:
+        raise GraphError("radius must be nonnegative")
+    I = sorted(I)
+    if len(set(I)) != len(I):
+        raise GraphError("scattered candidates must be distinct")
     # into[u][w]: the distance from w to member u, up to r + 1
     into = {u: bfs_dist(G, u, max_depth=r + 1, direction="in") for u in I}
     reached = {}  # each vertex to the members it reaches, in order
@@ -532,8 +534,8 @@ def build_controlled_bipartite(G, I, r):
         for w, dd in into[u].items():
             reached.setdefault(w, []).append(u)
             if dd <= r:
-                if w in near:
-                    raise RuntimeError("internal: in-balls of the scattered set overlap")
+                if w in near:  # two members' r-in-balls meet at w
+                    raise GraphError("input set is not r-scattered")
                 near[w] = u
 
     a_nodes = []

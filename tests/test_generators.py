@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import crownminor.generators as generators
 from crownminor.digraph import (
     GraphError,
     is_dag,
@@ -176,6 +177,63 @@ def test_grid_extraction_random_larger():
 def test_grid_extraction_rejects_non_grid():
     with pytest.raises(GraphError):
         extract_grid_alternating_path(crown(3)[0])
+
+
+def assert_grid_spine(G, l, path):
+    """The extraction contract: a path of distinct grid neighbours from
+    cell (1,1) into row 2l with at least l alternations."""
+    assert path[0] == grid_vertex(2 * l, 3, 1, 1)
+    assert path[-1] // 3 == 2 * l - 1
+    assert len(set(path)) == len(path)
+    grid = set(grid_undirected_edges(2 * l, 3))
+    assert all((min(a, b), max(a, b)) in grid for a, b in zip(path, path[1:]))
+    assert count_alternations(G, path) >= l
+
+
+def test_grid_extraction_walks_once(monkeypatch):
+    # every snake, mirrored or not, is a directed path: top rows run
+    # left to right, bottom rows right to left, column 1 upwards and
+    # column 3 downwards inside each pair of rows. The walk takes the
+    # hook at every pair, with one snake test per pair plus the final
+    # check; a search over candidate spines makes many more calls.
+    l = 12
+    choices = [
+        (a // 3) % 2 == 0 if b == a + 1 else not ((a // 3) % 2 == 0 and a % 3 == 0)
+        for a, b in grid_undirected_edges(2 * l, 3)
+    ]
+    G = oriented_grid(2 * l, 3, choices=choices)
+    calls = []
+
+    def counted(G, path):
+        calls.append(len(path))
+        return count_alternations(G, path)
+
+    monkeypatch.setattr(generators, "count_alternations", counted)
+    path = extract_grid_alternating_path(G)
+    assert len(calls) <= l + 1
+    assert len(path) == 4 * l  # hooks only
+    assert_grid_spine(G, l, path)
+
+
+def test_grid_extraction_scales_to_a_thousand_row_pairs():
+    l = 1000
+    G = oriented_grid(2 * l, 3, seed=1000)
+    assert_grid_spine(G, l, extract_grid_alternating_path(G))
+
+
+@pytest.mark.parametrize("l", [0, -1, -6])
+def test_grid_extraction_rejects_a_nonpositive_l(l):
+    G = oriented_grid(2, 3, seed=0)
+    with pytest.raises(GraphError, match="^l must be positive, got %d$" % l):
+        extract_grid_alternating_path(G, l=l)
+
+
+def test_grid_extraction_contract_sweep():
+    rng = random.Random(0x5913)
+    for l in range(1, 41):
+        for _ in range(5):
+            G = oriented_grid(2 * l, 3, seed=rng.randrange(1 << 48))
+            assert_grid_spine(G, l, extract_grid_alternating_path(G))
 
 
 def test_random_bipartite_outregular():

@@ -226,6 +226,20 @@ def test_build_controlled_bipartite_requires_scattered_input():
         build_controlled_bipartite(S3, principals, 1)
 
 
+@pytest.mark.parametrize("I, r, message", [
+    ((0, 1, 2), 1, "input set is not r-scattered"),
+    ((0, 1, 0), 0, "scattered candidates must be distinct"),
+    ((0, 1, 6), 0, "invalid vertex id 6 (n=6)"),
+    ((0, 1, 2), -1, "radius must be nonnegative"),
+])
+def test_build_controlled_bipartite_rejects_bad_input(I, r, message):
+    S3, principals = crown(3)
+    assert principals == (0, 1, 2)
+    with pytest.raises(GraphError) as err:
+        build_controlled_bipartite(S3, I, r)
+    assert str(err.value) == message
+
+
 def test_build_controlled_bipartite_random_invariants():
     rng = random.Random(71)
     for _ in range(20):
@@ -260,6 +274,28 @@ def test_clique_adversarial_labels():
     assert len(got) == 2
     u, w = got
     assert gamma.get(frozenset((u, w))) not in got
+
+
+def assert_label_avoiding(got, gamma, n):
+    assert len(got) == n and len(set(got)) == n
+    for u, w in itertools.combinations(got, 2):
+        assert gamma.get(frozenset((u, w))) not in got
+
+
+def test_clique_strips_a_label_partner():
+    # the edge (0, 1) is labelled 2, so taking 1 under pivot 0 drops 2
+    gamma = {frozenset((0, 1)): 2}
+    got = label_avoiding_clique(range(5), gamma, 3)
+    assert_label_avoiding(got, gamma, 3)
+    assert got == [0, 1, 3]
+
+
+def test_clique_stops_when_no_vertex_is_pickable():
+    # under pivot 0, vertex 2's label partner 1 is already kept
+    gamma = {frozenset((0, 2)): 1}
+    got = label_avoiding_clique(range(3), gamma, 2)
+    assert_label_avoiding(got, gamma, 2)
+    assert got == [0, 1]
 
 
 def test_clique_rejects_labels_on_endpoints():
@@ -304,6 +340,16 @@ def test_uniform_level_crown_yellow_z_chasing():
         extra_eta={(10, 1): (12, 1)},
     )
     cc = uniform_level_crown(cb, 2)
+    assert verify_controlled_crown(cb, cc)
+
+
+def test_uniform_level_crown_yellow_based_at_the_larger_pivot():
+    # the connector of the pivot pair (0, 1) is based at 1
+    cb = synthetic_cb(
+        {10: ((0, 1), 1), 11: ((0, 2), 2), 12: ((1, 2), 2)}, 3, r=1
+    )
+    cc = uniform_level_crown(cb, 2)
+    assert cc.order == 2
     assert verify_controlled_crown(cb, cc)
 
 
