@@ -183,11 +183,11 @@ def extract_grid_alternating_path(G, l=None):
     has at least l.
     """
     if l is None:
-        if G.n % 6 != 0 or G.n == 0:
-            raise GraphError("host is not a 2l x 3 grid orientation")
         l = G.n // 6
     elif l < 1:
         raise GraphError("l must be positive, got %d" % l)
+    if l < 1 or G.n != 6 * l:
+        raise GraphError("host is not a 2l x 3 grid orientation")
     expected = set(grid_undirected_edges(2 * l, 3))
     actual = {(min(u, v), max(u, v)) for u, v in G.edges}
     if actual != expected or G.num_edges() != len(expected):
@@ -217,9 +217,9 @@ def random_bipartite_outregular(n, d, seed):
     Exactly d*n edges; deterministic in the seed."""
     if d < 0 or d > n:
         raise GraphError("need 0 <= d <= n")
-    rng = SplitMix64(seed)
-    side = range(n, 2 * n)
-    return Digraph(2 * n, [(a, b) for a in range(n) for b in rng.split(a).sample(side, d)])
+    # A-vertex a draws its targets with the child generator of key a
+    rows = SplitMix64(seed).samples(range(n), range(n, 2 * n), d)
+    return Digraph(2 * n, [(a, b) for a, row in enumerate(rows) for b in row])
 
 
 def crown_pattern_probability(n, d, q):

@@ -3,7 +3,9 @@
 All randomized constructions in this package are deterministic functions
 of (parameters, seed); this keeps every witness replayable. The core is
 SplitMix64, which is tiny, fast enough in pure Python at our scales, and
-easy to reimplement elsewhere at the witness level.
+easy to reimplement elsewhere at the witness level. `next_u64` draws one
+value at a time; `SplitMix64.samples` is the per-host sampler, which
+draws one sample for each of many keys in a single call.
 """
 
 _MASK = (1 << 64) - 1
@@ -26,39 +28,43 @@ class SplitMix64:
         self._state = (self._state + _GAMMA) & _MASK
         return _mix(self._state)
 
-    def split(self, key):
-        """Independent child generator for the given integer key."""
-        return SplitMix64(_mix((self._state ^ (key & _MASK)) + _GAMMA & _MASK))
+    def samples(self, keys, seq, k):
+        """For each integer key, k distinct elements of seq in draw order,
+        drawn by the independent child generator of that key. Leaves
+        this generator's state as it was. seq needs len() and indexing,
+        and is never copied.
 
-    def sample(self, seq, k):
-        """k distinct elements of seq, in draw order, in O(k) time and
-        memory; seq needs len() and indexing, and is never copied.
-
-        It is the partial Fisher-Yates shuffle of a full copy of seq,
-        run over a sparse swap map (position -> index of the element
+        The child of key starts at _mix(((state ^ key) + GAMMA) mod 2^64).
+        Its sample is the partial Fisher-Yates shuffle of a full copy of
+        seq, run over a sparse swap map (position -> index of the element
         now there). Step i draws a uniform index below m = n - i by
-        rejection: a next_u64 value at or above floor(2^64 / m) * m is
-        refused and drawn again. The draws run on a local copy of the
-        state, written back at the end, so each costs one call to _mix.
+        rejection: a draw above floor(2^64 / m) * m - 1 is refused and
+        drawn again. The k limits are computed once for all keys, and
+        _mix is written out inline, as this loop makes every draw of a
+        host.
         """
         n = len(seq)
         if k < 0:
             raise ValueError("sample size must be nonnegative")
         if k > n:
             raise ValueError("sample size exceeds population")
-        state = self._state
-        moved = {}
-        picked = []
-        for i in range(k):
-            m = n - i
-            limit = _MASK - (_MASK + 1) % m
-            while True:
-                state = (state + _GAMMA) & _MASK
-                x = _mix(state)
-                if x <= limit:
-                    break
-            j = i + x % m
-            picked.append(seq[moved.get(j, j)])
-            moved[j] = moved.get(i, i)
-        self._state = state
-        return picked
+        mask, gamma, state = _MASK, _GAMMA, self._state
+        steps = [(i, n - i, mask - (mask + 1) % (n - i)) for i in range(k)]
+        rows = []
+        for key in keys:
+            s = _mix(((state ^ (key & mask)) + gamma) & mask)
+            moved = {}
+            picked = []
+            for i, m, limit in steps:
+                while True:
+                    s = (s + gamma) & mask
+                    z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & mask
+                    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+                    z ^= z >> 31
+                    if z <= limit:
+                        break
+                j = i + z % m
+                picked.append(seq[moved.get(j, j)])
+                moved[j] = moved.get(i, i)
+            rows.append(picked)
+        return rows

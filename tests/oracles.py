@@ -15,6 +15,10 @@ BFS per host vertex where the library now runs one per member, and
 `full_copy_sample`, the generators' sampler before it went O(k), and
 `randrange_sample`, the O(k) sampler before its draws were inlined,
 both on `randrange`, the generator's former bounded draw, and
+`split_sample`, one A-vertex's draw of `random_bipartite_outregular`
+before one call drew a whole host, on `split`, the former child
+generator, and `parse_graph_by_lines`, the graph text parser before it
+accepted texts in one bulk pass, and
 `butterfly_minor_by_contraction`, the library's butterfly test before it
 searched for tree-like models, with its isomorphism test
 `digraph_isomorphic`, and the forms that sorted the same lists more
@@ -46,8 +50,10 @@ from fractions import Fraction
 
 from crownminor.digraph import Digraph, GraphError, adjacency_masks, bfs_dist, mask_bits, reach_mask
 from crownminor.generators import oriented_grid, random_dag, random_digraph  # noqa: F401
+from crownminor.graphio import GraphFormatError
 from crownminor.minors import butterfly_contract, legal_butterfly_contractions
 from crownminor.quasiwide import ControlledBipartite, uniform_level_threshold
+from crownminor.rng import _GAMMA, _MASK, SplitMix64, _mix
 
 
 def enum_paths(G, src, max_len=None, reverse=False):
@@ -656,6 +662,39 @@ def randrange_sample(rng, seq, k):
     return picked
 
 
+def split(rng, key):
+    """SplitMix64.split's former body: the independent child generator
+    of the SplitMix64 `rng` for an integer key."""
+    return SplitMix64(_mix((rng._state ^ (key & _MASK)) + _GAMMA & _MASK))
+
+
+def split_sample(rng, key, seq, k):
+    """random_bipartite_outregular's former per-vertex draw,
+    rng.split(key).sample(seq, k), before one call drew a whole host:
+    SplitMix64.sample's former body, the swap-map shuffle with its
+    draws inlined on a local copy of the child's state."""
+    n = len(seq)
+    if k < 0:
+        raise ValueError("sample size must be nonnegative")
+    if k > n:
+        raise ValueError("sample size exceeds population")
+    state = split(rng, key)._state
+    moved = {}
+    picked = []
+    for i in range(k):
+        m = n - i
+        limit = _MASK - (_MASK + 1) % m
+        while True:
+            state = (state + _GAMMA) & _MASK
+            x = _mix(state)
+            if x <= limit:
+                break
+        j = i + x % m
+        picked.append(seq[moved.get(j, j)])
+        moved[j] = moved.get(i, i)
+    return picked
+
+
 def controlled_bipartite_by_table(G, I, r):
     """build_controlled_bipartite's former body, on a table of every
     vertex's out-distances up to r + 1 and two scans of I per vertex.
@@ -783,6 +822,48 @@ def emit_graph_by_sorted_edges(G, comments=()):
     lines.extend("%d %d" % e for e in sorted(G.edges))
     lines.extend("# %s" % c for c in comments)
     return "\n".join(lines) + "\n"
+
+
+def parse_graph_by_lines(text):
+    """parse_graph's former body: one pass over the lines that range-,
+    loop- and duplicate-checks every edge line before `Digraph` checks
+    the edges again."""
+    n = None
+    edges = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        fields = raw.split()
+        # edge lines are nearly all of a file, so they are tested first
+        if len(fields) == 2 and n is not None:
+            try:
+                u, v = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise GraphFormatError("line %d: edge endpoints must be integers" % lineno) from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFormatError("line %d: vertex id out of range (n=%d)" % (lineno, n))
+            if u == v:
+                raise GraphFormatError("line %d: self-loop at vertex %d" % (lineno, u))
+            size = len(edges)
+            edges.add((u, v))
+            if len(edges) == size:
+                raise GraphFormatError("line %d: duplicate edge (%d, %d)" % (lineno, u, v))
+            continue
+        if not fields:
+            continue
+        if n is not None:
+            raise GraphFormatError("line %d: expected `u v` edge pair" % lineno)
+        if len(fields) != 1:
+            raise GraphFormatError("line %d: expected vertex count" % lineno)
+        try:
+            n = int(fields[0])
+        except ValueError:
+            raise GraphFormatError("line %d: vertex count is not an integer" % lineno) from None
+        if n < 0:
+            raise GraphFormatError("line %d: vertex count must be nonnegative" % lineno)
+    if n is None:
+        raise GraphFormatError("line 1: missing vertex count")
+    return Digraph(n, edges)
 
 
 # --- solver-side predicates, written from the definitions -----------------

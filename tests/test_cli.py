@@ -9,7 +9,14 @@ import pytest
 import crownminor
 from crownminor.cli import main
 from crownminor.digraph import Digraph
-from crownminor.generators import crown, oriented_grid, random_digraph, reversed_crown
+from crownminor import graphio
+from crownminor.generators import (
+    crown,
+    oriented_grid,
+    random_bipartite_outregular,
+    random_digraph,
+    reversed_crown,
+)
 from crownminor.graphio import GraphFormatError, emit_graph, load_graph, parse_graph, save_graph
 from crownminor.minors import DirectedModel, general_minor_check, shallow_minor_check
 from crownminor.quasiwide import ScatteredWitness, compute_scattered, dichotomy_step
@@ -82,6 +89,24 @@ def test_parse_errors_carry_line_numbers(text, fragment):
         parse_graph(text)
     assert str(err.value).startswith("line %d: " % line)
     assert fragment in str(err.value)
+
+
+def test_only_a_rejected_text_is_read_line_by_line(monkeypatch):
+    calls = []
+
+    def counted(lines):
+        calls.append(len(lines))
+        return first_error(lines)
+
+    first_error = graphio._first_error
+    monkeypatch.setattr(graphio, "_first_error", counted)
+    G = random_bipartite_outregular(1000, 3, seed=5)
+    text = emit_graph(G, ["a host"])
+    assert G.num_edges() == 3000 and parse_graph(text) == G
+    assert calls == []
+    with pytest.raises(GraphFormatError, match=r"^line 3003: self-loop at vertex 7$"):
+        parse_graph(text + "7 7\n")
+    assert calls == [3003]
 
 
 # --- witness documents ----------------------------------------------------------
@@ -463,6 +488,14 @@ def test_generate_to_file(capsys, tmp_path):
     assert code == 0
     G = parse_graph(target.read_text())
     assert G.n == 6 and G.num_edges() == 7
+
+
+def test_generated_host_reads_back_as_the_library_host(capsys, tmp_path):
+    target = tmp_path / "g.graph"
+    code, out, _ = run_cli(capsys, "generate", "bipartite-outregular", "2000", "3",
+                           "--seed", "7", "--out", str(target))
+    assert code == 0
+    assert load_graph(target) == random_bipartite_outregular(2000, 3, 7)
 
 
 def test_generate_structured_requires_seed(capsys):
@@ -851,6 +884,16 @@ def test_bad_graph_file_is_input_error(capsys, tmp_path):
     g.write_text("2\n0 0\n")
     code, _, err = run_cli(capsys, "grad", str(g), "--r", "0")
     assert code == 4 and "line 2" in err
+
+
+def test_large_bad_graph_file_names_its_last_line(capsys, tmp_path):
+    # the per-line pass words the error after the bulk pass refuses the text
+    lines = emit_graph(random_bipartite_outregular(1000, 3, seed=2)).splitlines()
+    g = tmp_path / "g.graph"
+    g.write_text("\n".join(lines[:2999] + ["5 5"]) + "\n")
+    code, out, err = run_cli(capsys, "grad", str(g), "--r", "0")
+    assert (code, out) == (4, "")
+    assert err.splitlines() == ["input error: line 3000: self-loop at vertex 5"]
 
 
 def test_graph_file_that_is_not_utf8_is_input_error(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 import crownminor.generators as generators
 from crownminor.digraph import (
+    Digraph,
     GraphError,
     is_dag,
     is_directed_bipartite,
@@ -31,7 +32,7 @@ from crownminor.generators import (
 from crownminor.graphio import emit_graph
 from crownminor.rng import SplitMix64
 
-from oracles import crown_source_id, randrange_sample
+from oracles import crown_source_id, randrange_sample, split, split_sample
 
 
 def test_crown_counts():
@@ -177,6 +178,11 @@ def test_grid_extraction_random_larger():
 def test_grid_extraction_rejects_non_grid():
     with pytest.raises(GraphError):
         extract_grid_alternating_path(crown(3)[0])
+    # a 2 x 3 grid plus an isolated vertex is no grid, whether l is given
+    padded = Digraph(7, oriented_grid(2, 3, seed=3).edges)
+    for l in (None, 1):
+        with pytest.raises(GraphError, match="^host is not a 2l x 3 grid orientation$"):
+            extract_grid_alternating_path(padded, l)
 
 
 def assert_grid_spine(G, l, path):
@@ -283,11 +289,11 @@ def test_seeded_generators_are_pinned(gen, args, digest):
 
 def test_sample_rejects_a_negative_size():
     with pytest.raises(ValueError):
-        SplitMix64(1).sample(range(5), -1)
+        SplitMix64(1).samples([0], range(5), -1)
 
 
 def test_sample_never_copies_the_population():
-    got = SplitMix64(1).sample(range(10**18), 3)
+    [got] = SplitMix64(1).samples([0], range(10**18), 3)
     assert len(set(got)) == 3 and all(0 <= x < 10**18 for x in got)
 
 
@@ -305,19 +311,33 @@ class CountingMix(SplitMix64):
         return super().next_u64()
 
 
+# len() caps a population below 2^63, so this one has the largest share
+# of refused draws a sequence can have: 2^64 mod n is n - 2, and about a
+# third of the draws below n, each sample's first, are refused
+MOST_REFUSED = range(2**64 // 3 + 1)
+
+
 def test_sample_matches_randrange_draws_through_rejections():
-    # len() caps a population below 2^63, so this one has the largest
-    # share of refused draws a sequence can have: 2^64 mod n is n - 2,
-    # and about a third of the draws are refused
-    seq = range(2**64 // 3 + 1)
     refused = 0
     for seed in range(50):
-        got, want = SplitMix64(seed), CountingMix(seed)
-        assert got.sample(seq, 8) == randrange_sample(want, seq, 8)
-        # the same draws were made, so both generators stand at the same state
-        assert got.next_u64() == want.next_u64()
-        refused += want.draws - 9
+        rows = SplitMix64(seed).samples(range(3), MOST_REFUSED, 8)
+        for key, row in enumerate(rows):
+            want = CountingMix(split(SplitMix64(seed), key)._state)
+            assert row == randrange_sample(want, MOST_REFUSED, 8)
+            refused += want.draws - 8
     assert refused > 0
+
+
+@pytest.mark.parametrize("n,d", [(1, 0), (1, 1), (5, 0), (5, 5), (6, 2), (40, 3), (200, 7),
+                                 (len(MOST_REFUSED), 6)])
+def test_host_sampler_matches_the_per_vertex_draws(n, d):
+    side = range(n, 2 * n)
+    keys = list(range(min(n, 60))) + [-1, 2**64 + 5]
+    for seed in (0, 1, 7, 2**64 - 1, -3):
+        rng = SplitMix64(seed)
+        assert rng.samples(keys, side, d) == [split_sample(rng, a, side, d) for a in keys]
+        # drawing for the children leaves the parent where it was
+        assert rng.next_u64() == SplitMix64(seed).next_u64()
 
 
 def test_crown_pattern_probability_values():

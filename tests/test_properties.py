@@ -10,7 +10,8 @@ set-based searches they replaced, and grad against the exhaustive family
 sweep and subset enumeration, and the O(k) sampler against the
 full-copy one it replaced, and the digraph adjacency, graph text and
 controlled-bipartite lists and labels, which sort each list once,
-against the forms that sorted the same lists again."""
+against the forms that sorted the same lists again, and the bulk graph
+text parser against the per-line one it replaced, message for message."""
 
 import itertools
 import random
@@ -34,7 +35,7 @@ from crownminor.digraph import (
     reach_mask,
     set_neighborhood,
 )
-from crownminor.graphio import emit_graph, parse_graph
+from crownminor.graphio import GraphFormatError, emit_graph, parse_graph
 from crownminor.rng import SplitMix64
 from crownminor.quasiwide import (
     ControlledBipartite,
@@ -80,9 +81,11 @@ from oracles import (
     is_directed_path,
     emit_graph_by_sorted_edges,
     ladder,
+    parse_graph_by_lines,
     random_digraph,
     reach_by_paths,
     scattered_by_sweep,
+    split,
 )
 
 SMALL = settings(max_examples=60, deadline=None)
@@ -190,12 +193,13 @@ def test_sample_matches_full_copy(seed, data):
         seq = items if kind == "list" else tuple(items)
     n = len(seq)
     k = data.draw(st.sampled_from([0, n]) | st.integers(0, n))
-    got, want = SplitMix64(seed), SplitMix64(seed)
-    assert got.sample(seq, k) == full_copy_sample(want, seq, k)
-    # the same draws were made, so both generators stand at the same state
-    assert got.next_u64() == want.next_u64()
+    key = data.draw(st.integers(-5, 2**64 + 5))
+    rng = SplitMix64(seed)
+    assert rng.samples([key], seq, k) == [full_copy_sample(split(SplitMix64(seed), key), seq, k)]
+    # drawing for a child leaves the parent where it was
+    assert rng.next_u64() == SplitMix64(seed).next_u64()
     with pytest.raises(ValueError):
-        got.sample(seq, n + data.draw(st.integers(1, 3)))
+        rng.samples([key], seq, n + data.draw(st.integers(1, 3)))
 
 
 @st.composite
@@ -437,6 +441,85 @@ def test_parse_reads_edge_lines_in_any_order():
             if rng.random() < 0.1:
                 lines.append(rng.choice(["", "  ", "# only a comment"]))
         assert parse_graph("\n".join(lines)) == Digraph(n, edges)
+
+
+# tokens that int() reads in its own way: signs, underscores and
+# non-ASCII digits are integers to it, the rest are not
+ODD_TOKENS = ["+1", "1_0", "\u0663", "\uff12", "-1", "-0", "x", "1.0", "0x1", "1__0", "\u00b2"]
+FAULTS = ["duplicate", "loop", "out of range", "one field", "three fields", "odd token",
+          "negative n", "long head", "no head"]
+
+
+@st.composite
+def graph_texts(draw):
+    """(text, graph): a graph written with comments, blank lines, tabs and
+    mixed line ends, then given up to two faults; graph is None when a
+    fault was made."""
+    n = draw(st.integers(0, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    rows = [[str(u), str(v)] for u, v in edges]
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=2))
+    head = [str(n)]
+    for fault in faults:
+        row = None
+        if fault == "duplicate" and rows:
+            row = list(draw(st.sampled_from(rows)))
+        elif fault == "loop":
+            row = [str(draw(st.integers(0, max(n - 1, 0))))] * 2
+        elif fault == "out of range":
+            row = [str(n), "0"] if draw(st.booleans()) else ["0", "-1"]
+        elif fault == "one field":
+            row = ["0"]
+        elif fault == "three fields":
+            row = ["0", "1", "2"]
+        elif fault == "odd token":
+            target = draw(st.sampled_from([head] + rows))
+            target[draw(st.integers(0, len(target) - 1))] = draw(st.sampled_from(ODD_TOKENS))
+        elif fault == "negative n":
+            head[0] = "-%d" % draw(st.integers(1, 3))
+        elif fault == "long head":
+            head += ["0", "1"][:draw(st.integers(1, 2))]
+        if row is not None:
+            rows.insert(draw(st.integers(0, len(rows))), row)
+    leading = st.sampled_from(["", "  ", "# lead", "\t# lead"])
+    lines = [draw(leading) for _ in range(draw(st.integers(0, 2)))]
+    for fields in ([] if "no head" in faults else [head]) + rows:
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        tail = draw(st.sampled_from(["", "", " # note", "#", "# 1 2"]))
+        lines.append(pad + sep.join(fields) + pad + tail)
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "# only a comment"])))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "\u2028"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n\u2028")
+    return text, None if faults else Digraph(n, edges)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as err:
+        return "GraphFormatError: %s" % err
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_texts())
+@example(("\n# lead\r\n3\t# n\r\n0\t1\r\n\r\n2 1 # e\r\n", Digraph(3, [(0, 1), (2, 1)])))
+@example(("3\n0\n1 2 0\n", None))
+@example(("\u0663\n+1 1_0\n", None))
+@example(("-2\n", None))
+@example(("2\n0 1\r\n1 0\n0 1 # again\n", None))
+@example(("3\n0 x\n", None))
+@example(("3 0 1\n2 1\n", None))
+def test_parse_matches_the_per_line_parser(case):
+    text, G = case
+    got = _parse_outcome(parse_graph, text)
+    assert got == _parse_outcome(parse_graph_by_lines, text)
+    if G is not None:
+        assert got == G
 
 
 def test_controlled_bipartite_labels_and_lists_match_former_forms():
