@@ -73,14 +73,6 @@ def _first_sink(reach, ins):
     return next((c for c in reach if all(reach[a] >> c & 1 for a in ins)), None)
 
 
-def _in_out(H, image, v):
-    """The sorted host heads of the images of v's in-edges, and the
-    sorted host tails of the images of its out-edges."""
-    ins = sorted({image[e][1] for e in H.edges if e[1] == v})
-    outs = sorted({image[e][0] for e in H.edges if e[0] == v})
-    return ins, outs
-
-
 def verified(model, what):
     """The model itself once verify_model accepts it; otherwise an
     internal error naming the step that built it."""
@@ -91,13 +83,20 @@ def verified(model, what):
 
 
 def verify_model(model):
-    """Check every model condition; returns (ok, list of violations)."""
+    """Check every model condition; returns (ok, list of violations).
+    Every key of branch, source and sink must be a pattern vertex, and
+    every key of edge_image a pattern edge."""
     H, G = model.pattern, model.host
-    bad = []
     limit = model.depth
     if limit is not None and limit < 0:
         return False, ["negative depth"]
 
+    bad = ["%s of %s, which is not a pattern vertex" % (name, v)
+           for name, keyed in (("branch", model.branch), ("source", model.source),
+                               ("sink", model.sink))
+           for v in keyed if v not in H.vertices()]
+    bad += ["edge image of %s, which is not a pattern edge" % (e,)
+            for e in model.edge_image if e not in H.edges]
     branches = {}
     for v in H.vertices():
         bset = frozenset(model.branch.get(v, ()))
@@ -113,6 +112,8 @@ def verify_model(model):
         if branches[u] & branches[v]:
             bad.append("branches %d and %d overlap" % (u, v))
 
+    # per pattern vertex, the masks of its in-heads and out-tails
+    heads, tails = dict.fromkeys(branches, 0), dict.fromkeys(branches, 0)
     for e in sorted(H.edges):
         img = model.edge_image.get(e)
         if img is None:
@@ -122,6 +123,8 @@ def verify_model(model):
         if not G.has_edge(x, y):
             bad.append("image %s of %s is not a host edge" % (img, e))
             continue
+        tails[e[0]] |= 1 << x
+        heads[e[1]] |= 1 << y
         if x not in branches[e[0]]:
             bad.append("image of %s does not start in branch %d" % (e, e[0]))
         if y not in branches[e[1]]:
@@ -130,9 +133,9 @@ def verify_model(model):
         return False, bad
 
     adj = adjacency_masks(G)
-    for v in sorted(H.vertices()):
+    for v in H.vertices():
         bset = branches[v]
-        in_set, out_set = _in_out(H, model.edge_image, v)
+        in_set, out_set = list(mask_bits(heads[v])), list(mask_bits(tails[v]))
         reach = _branch_reach(adj, sum(1 << x for x in bset), limit)
         for a, b in _unlinked(reach, in_set, out_set):
             bad.append("branch %d: no path %s -> %s within depth" % (v, a, b))
@@ -239,8 +242,11 @@ def dag_disjoint_paths_bounded(G, pairs, partition, r):
 
 
 def _enumerate_guesses(H, G, depth=None, tree=False):
-    """Yield (edge_image, source, sink, own) quadruples, where own maps
-    each pattern vertex to the mask of host vertices the guess gives it.
+    """Yield (edge_image, source, sink, own, ends) tuples, where own maps
+    each pattern vertex to the mask of host vertices the guess gives it,
+    and ends maps it to the pair (sorted in-heads, sorted out-tails): the
+    heads of the images of its in-edges and the tails of those of its
+    out-edges.
 
     Host edges are tried for each pattern edge in lexicographic order,
     then the extra source/sink vertices of branches whose in or out set
@@ -413,14 +419,15 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
         own[u], own[v], tails[u], heads[v] = own_u, own_v, tails_u, heads_v
 
     def guess_ends(claimed):
-        # (v, ins, outs, ends): v needs a vertex that every vertex of ins
+        # (v, ins, outs, maps): v needs a vertex that every vertex of ins
         # reaches and that reaches every vertex of outs; the choice goes
-        # into each of the maps in `ends`
+        # into each of the maps in `maps`
         need = []
-        source, sink = {}, {}
-        for v in sorted(H.vertices()):
+        source, sink, ends = {}, {}, {}
+        for v in H.vertices():
             ins = list(mask_bits(heads[v]))
             outs = list(mask_bits(tails[v]))
+            ends[v] = ins, outs
             if tree:
                 both = list(mask_bits(heads[v] & tails[v]))
                 if len(both) > 1:
@@ -448,16 +455,17 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
 
         def fill(j, claimed):
             if j == len(need):
-                yield dict(zip(edge_order, image)), dict(source), dict(sink), dict(enumerate(own))
+                yield (dict(zip(edge_order, image)), dict(source), dict(sink), dict(enumerate(own)),
+                       ends)
                 return
-            v, ins, outs, ends = need[j]
+            v, ins, outs, maps = need[j]
             own_v = own[v]
             usable = full & ~claimed | own_v
             for cand in mask_bits(common_end(ins, usable, False) & common_end(outs, usable, True)):
                 bit = 1 << cand
                 own[v] = own_v | bit
-                for end in ends:
-                    end[v] = cand
+                for chosen in maps:
+                    chosen[v] = cand
                 yield from fill(j + 1, claimed | bit)
             own[v] = own_v
 
@@ -466,24 +474,14 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
     yield from assign(0, 0)
 
 
-def _branch_requests(H, image, source, sink):
-    """Connection requests per pattern vertex: (vertex, from, to) triples
-    whose paths, found inside the branch, complete the model."""
-    reqs = []
-    for v in sorted(H.vertices()):
-        ins, outs = _in_out(H, image, v)
-        if ins and outs:
-            reqs.extend((v, a, b) for a in ins for b in outs)
-        elif ins:
-            t = sink[v]
-            reqs.extend((v, a, t) for a in ins)
-        elif outs:
-            s = source[v]
-            reqs.extend((v, s, b) for b in outs)
-        else:
-            s = source[v]
-            reqs.append((v, s, s))
-    return reqs
+def _branch_requests(ends, source, sink):
+    """Connection requests per pattern vertex, for ends as yielded by
+    `_enumerate_guesses`: (vertex, from, to) triples whose paths, found
+    inside the branch, complete the model. They run from each in-head, or
+    the source when there is none, to each out-tail, or the sink when
+    there is none."""
+    return [(v, a, b) for v, (ins, outs) in ends.items()
+            for a in ins or [source[v]] for b in outs or [sink[v]]]
 
 
 def _assemble(H, G, image, source, sink, own, depth):
@@ -506,8 +504,6 @@ def general_minor_check(H, G):
     images and the needed source/sink vertices, then route the
     connecting paths of every branch set, of any length. Every positive
     answer is a verified model; None means no model exists."""
-    if H.n == 0:
-        return DirectedModel(G, H, {}, {}, {}, {})
     if H.n > G.n:
         return None
     return _guess_and_route(H, G, None)
@@ -536,8 +532,8 @@ def _guess_and_route(H, G, depth):
     """The first guess whose branch requests all route (paths of at most
     `depth` edges, any length when None), as a verified model; None when
     no guess routes."""
-    for image, source, sink, own in _enumerate_guesses(H, G, depth):
-        reqs = _branch_requests(H, image, source, sink)
+    for image, source, sink, own, ends in _enumerate_guesses(H, G, depth):
+        reqs = _branch_requests(ends, source, sink)
         if _route(G, reqs, own, depth) is not None:
             return _assemble(H, G, image, source, sink, own, depth)
     return None
@@ -719,15 +715,12 @@ def is_butterfly_minor(H, G):
     is routed by two owners, (v, "in") from each in-head to the root and
     (v, "out") from the root to each out-tail, so the two sides meet
     only at the root, a shared end."""
-    if H.n == 0:
-        return DirectedModel(G, H, {}, {}, {}, {})
     if H.n > G.n:
         return None
-    for image, root, _, _ in _enumerate_guesses(H, G, None, True):
+    for image, root, _, _, ends in _enumerate_guesses(H, G, None, True):
         roots = sum(1 << x for x in root.values())
         reqs, own = [], {}
-        for v in sorted(H.vertices()):
-            ins, outs = _in_out(H, image, v)
+        for v, (ins, outs) in ends.items():
             reqs += [((v, "in"), a, root[v]) for a in ins]
             reqs += [((v, "out"), root[v], b) for b in outs]
             own[v, "in"] = sum(1 << a for a in ins) & ~roots

@@ -8,6 +8,8 @@ subdivisions, and a split-by-split check that a butterfly model is
 tree-like. The exceptions are former library code that the current
 code must reproduce: `reference_guesses`,
 the minor checkers' guess stream before its owner-aware pruning, and
+`branch_requests_by_scan` with `in_out_by_scan`, their connection
+requests before each guess carried its branch ends, and
 `route_by_sets` with `simple_paths_by_sets`, the path router before it
 ran on vertex masks, and
 `scattered_by_sweep` and `controlled_bipartite_by_table`, which ran one
@@ -392,6 +394,36 @@ def reference_guesses(H, G, depth=None):
         yield from fill(0, [])
 
     yield from assign(0, {})
+
+
+def in_out_by_scan(H, image, v):
+    """The sorted host heads of the images of v's in-edges, and the
+    sorted host tails of the images of its out-edges, by a scan of every
+    pattern edge."""
+    ins = sorted({image[e][1] for e in H.edges if e[1] == v})
+    outs = sorted({image[e][0] for e in H.edges if e[0] == v})
+    return ins, outs
+
+
+def branch_requests_by_scan(H, image, source, sink):
+    """The minor checkers' connection requests before each guess carried
+    its branch ends: (vertex, from, to) triples per pattern vertex, the
+    ends scanned from the edge image by `in_out_by_scan`."""
+    reqs = []
+    for v in sorted(H.vertices()):
+        ins, outs = in_out_by_scan(H, image, v)
+        if ins and outs:
+            reqs.extend((v, a, b) for a in ins for b in outs)
+        elif ins:
+            t = sink[v]
+            reqs.extend((v, a, t) for a in ins)
+        elif outs:
+            s = source[v]
+            reqs.extend((v, s, b) for b in outs)
+        else:
+            s = source[v]
+            reqs.append((v, s, s))
+    return reqs
 
 
 # the owner of request ends that several owners share; no request has it

@@ -250,10 +250,12 @@ def test_outbranching_that_does_not_dominate_fails_to_load():
          "outbranching witness does not dominate"),
         ("kind dominating\nD: 2\nend\n", (PATH3, None),
          "dominating witness does not verify at d = 1"),
+        (EDGE_IN_PATH3.replace("end\n", "branch 5: 2\nend\n"), (PATH3, EDGE),
+         "model does not verify: branch of 5, which is not a pattern vertex"),
     ],
     ids=["unterminated", "unknown-kind", "no-U", "no-D", "no-host", "no-pattern",
          "crown-too-large", "crown-no-order", "scattered", "independent", "outbranching",
-         "outbranching-not-dominating", "dominating"],
+         "outbranching-not-dominating", "dominating", "stray-branch"],
 )
 def test_witness_that_fails_a_semantic_check_names_it(doc, graphs, message):
     host, pattern = graphs

@@ -37,6 +37,7 @@ from oracles import (
     random_dag,
     random_digraph,
     SHARED,
+    branch_requests_by_scan,
     reference_guesses,
     route_by_sets,
     undirected_minor_check,
@@ -154,6 +155,23 @@ def _without(edge):
     return Digraph(5, [e for e in RULE_HOST_EDGES if e != edge])
 
 
+# The edge 0 -> 1 in the path 0 -> 1 -> 2 -> 3, with branch sets {0, 1}
+# and {2}; host vertex 3 is left over.
+STRAY_BASE = DirectedModel(
+    host=Digraph(4, [(0, 1), (1, 2), (2, 3)]),
+    pattern=Digraph(2, [(0, 1)]),
+    branch={0: frozenset({0, 1}), 1: frozenset({2})},
+    edge_image={(0, 1): (1, 2)},
+    source={0: 0, 1: 2}, sink={0: 1, 1: 2},
+)
+
+
+def _with_stray(field, key, value):
+    """STRAY_BASE's fields, with one more entry key -> value in the map
+    `field`, whose key is no pattern vertex or edge."""
+    return {**STRAY_BASE._asdict(), field: {**getattr(STRAY_BASE, field), key: value}}
+
+
 @pytest.mark.parametrize(
     "change,message",
     [
@@ -177,11 +195,17 @@ def _without(edge):
         ({"sink": {2: 3}}, "sink of 2 not reached from part of in set"),
         ({"host": _without((0, 1)), "source": {}}, "branch 0 has no valid source"),
         ({"host": _without((3, 4)), "sink": {}}, "branch 2 has no valid sink"),
+        (_with_stray("branch", 5, frozenset({3})), "branch of 5, which is not a pattern vertex"),
+        (_with_stray("edge_image", (1, 0), (2, 3)),
+         "edge image of (1, 0), which is not a pattern edge"),
+        (_with_stray("source", 9, 3), "source of 9, which is not a pattern vertex"),
+        (_with_stray("sink", 9, 3), "sink of 9, which is not a pattern vertex"),
     ],
 )
 def test_verify_model_rejects_each_broken_condition(change, message):
-    ok, bad = verify_model(RULE_MODEL)
-    assert ok, bad
+    for model in (RULE_MODEL, STRAY_BASE):
+        ok, bad = verify_model(model)
+        assert ok, bad
     ok, bad = verify_model(RULE_MODEL._replace(**change))
     assert not ok
     assert message in bad
@@ -459,7 +483,7 @@ def _reference_model(H, G, depth):
     import crownminor.minors as minors
 
     for count, (image, source, sink, owner) in enumerate(reference_guesses(H, G, depth), 1):
-        reqs = minors._branch_requests(H, image, source, sink)
+        reqs = branch_requests_by_scan(H, image, source, sink)
         own = dict.fromkeys(H.vertices(), 0)
         for x, v in owner.items():
             own[v] |= 1 << x
@@ -489,6 +513,18 @@ def test_pruned_guesses_keep_the_first_routing_guess():
         assert got == _reference_model(H, G, depth)[0]
         found += got is not None and H.num_edges() > 1
     assert found >= 100
+
+
+@pytest.mark.parametrize("G", [Digraph(0), Digraph(3, [(0, 1), (1, 2)])], ids=["empty", "path"])
+def test_empty_pattern_has_the_model_with_no_branches(G):
+    # the guess enumerator yields one empty guess, which routes at once
+    H = Digraph(0)
+    got = [(None, dag_minor_check(H, G)), (None, general_minor_check(H, G)),
+           (None, is_butterfly_minor(H, G))]
+    got += [(r, shallow_minor_check(H, G, r)) for r in range(3)]
+    for depth, model in got:
+        assert model == DirectedModel(G, H, {}, {}, {}, {}, depth)
+        assert verify_model(model) == (True, [])
 
 
 def _pinned_model(model):

@@ -54,6 +54,8 @@ from crownminor.solvers import (
 from crownminor.minors import (
     DirectedModel,
     IntervalPartition,
+    _branch_requests,
+    _enumerate_guesses,
     _injective_maps,
     dag_disjoint_paths,
     dag_disjoint_paths_bounded,
@@ -68,6 +70,7 @@ from oracles import (
     adjacency_by_sorting,
     ball_masks_by_sweep,
     bipartite_edges,
+    branch_requests_by_scan,
     brute_directed_minor,
     brute_disjoint_paths,
     common_ancestor_scatter,
@@ -77,6 +80,7 @@ from oracles import (
     enum_paths,
     exhaustive_grad,
     full_copy_sample,
+    in_out_by_scan,
     injective_maps_by_pairs,
     is_directed_path,
     emit_graph_by_sorted_edges,
@@ -276,6 +280,22 @@ def test_mask_maps_match_the_pairwise_maps(H, G):
     for A, B in ((H, G), (G, G)):
         for induced in (False, True):
             assert list(_injective_maps(A, B, induced)) == list(injective_maps_by_pairs(A, B, induced))
+
+
+@SMALL
+@given(digraphs(max_n=4), digraphs(min_n=1, max_n=6), st.sampled_from([None, 0, 1, 2]),
+       st.booleans())
+# branch 2 must hold in-heads 2, 3 and out-tails 4, 5: four requests
+@example(Digraph(5, [(0, 2), (1, 2), (2, 3), (2, 4)]),
+         Digraph(8, [(0, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 6), (5, 7)]), None, False)
+def test_guess_ends_and_requests_match_the_edge_scan(H, G, depth, tree):
+    # each guess's branch ends are the in-heads and out-tails a scan of
+    # its edge image finds, and its requests are the scan's, in order
+    for image, source, sink, _, ends in itertools.islice(
+            _enumerate_guesses(H, G, depth, tree), 200):
+        assert ends == {v: in_out_by_scan(H, image, v) for v in H.vertices()}
+        assert _branch_requests(ends, source, sink) == branch_requests_by_scan(
+            H, image, source, sink)
 
 
 @settings(max_examples=200, deadline=None)
