@@ -20,29 +20,29 @@ _EXPORTS = {
         "out_neighborhood", "set_neighborhood", "topological_order", "underlying_undirected",
     ),
     "generators": (
-        "acyclic_tournament", "alternating_path", "crown", "crown_pattern_probability",
+        "acyclic_tournament", "alternating_path", "crown_pattern_probability",
         "extract_grid_alternating_path", "oriented_grid", "random_bipartite_outregular",
         "random_tournament", "reversed_crown",
     ),
     "graphio": ("GraphFormatError", "emit_graph", "parse_graph"),
     "minors": (
-        "DirectedModel", "IntervalPartition", "dag_disjoint_paths",
-        "dag_disjoint_paths_bounded", "dag_minor_check", "general_minor_check", "grad",
-        "is_butterfly_minor", "shallow_minor_check", "topological_minor_check",
-        "verify_model",
+        "IntervalPartition", "dag_disjoint_paths", "dag_disjoint_paths_bounded",
+        "dag_minor_check", "general_minor_check", "grad", "is_butterfly_minor",
+        "shallow_minor_check", "topological_minor_check",
     ),
     "quasiwide": (
         "ControlledBipartite", "ControlledCrown", "build_controlled_bipartite",
         "dichotomy_step", "iterate_dichotomy",
     ),
     "rng": (),
-    "scattered": ("ScatteredWitness", "compute_scattered", "is_scattered"),
+    "scattered": ("compute_scattered",),
     "selftest": (),
     "solvers": (
         "DominationInstance", "SolveOutcome", "brute_force_solve", "d_dominating_set",
         "directed_steiner_outtree", "dominating_outbranching", "independent_dominating_set",
         "independent_set",
     ),
+    "verify": ("DirectedModel", "ScatteredWitness", "crown", "is_scattered", "verify_model"),
     "witnessdoc": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

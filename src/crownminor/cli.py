@@ -227,7 +227,7 @@ def cmd_scatter(args):
 
 def cmd_dichotomy(args):
     from .quasiwide import dichotomy_step
-    from .scattered import ScatteredWitness, is_scattered
+    from .verify import ScatteredWitness, is_scattered
 
     if args.r < 0:
         raise GraphError("radius must be nonnegative")
@@ -301,9 +301,9 @@ def cmd_solve(args):
         D, parent = out.witness
         doc = emit_outbranching(G, D, parent)
     elif variant == "is":
-        doc = emit_vertex_set("independent", G, out.witness)
+        doc = emit_vertex_set("independent", G, out.witness, d=d)
     else:
-        doc = emit_vertex_set("dominating", G, out.witness, d=d)
+        doc = emit_vertex_set("dominating", G, out.witness, d=d, independent=variant == "ids")
     _document(args, doc, args.witness)
     return EXIT_FOUND
 

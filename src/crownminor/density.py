@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 from .digraph import adjacency_masks, mask_bits, reach_mask
-from .minors import _branch_reach
+from .verify import _branch_reach
 
 
 def densest_subgraph(G):

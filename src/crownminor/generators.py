@@ -6,25 +6,11 @@ out-regular bipartite construction together with its exact pattern
 probability.
 """
 
-import itertools
 import math
 
 from .digraph import Digraph, GraphError, count_alternations
 from .rng import SplitMix64
-
-
-def crown(q):
-    """Crown of order q: sinks v_1..v_q (ids 0..q-1) plus one source
-    u_{i,j} per pair i < j (ids q.. in lexicographic pair order), with
-    edges u_{i,j} -> v_i and u_{i,j} -> v_j.
-
-    Returns (graph, principal_vertices).
-    """
-    if q < 1:
-        raise GraphError("crown order must be positive")
-    pairs = itertools.combinations(range(q), 2)
-    edges = [(u, v) for u, pair in enumerate(pairs, q) for v in pair]
-    return Digraph(q + math.comb(q, 2), edges), tuple(range(q))
+from .verify import crown
 
 
 def reversed_crown(q):

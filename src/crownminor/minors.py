@@ -1,11 +1,11 @@
-"""Directed-minor models, their verification, and minor search.
+"""Directed-minor search; the models and their check live in `verify`.
 
-Covers: model verification; directed-minor checking on any host,
-acyclic or not, shallow depth-r checking and butterfly-minor checking,
-all by one loop that guesses edge images and routes the connecting
-paths with one backtracking path router, which also finds disjoint
-paths in DAGs and the paths of topological minors; and the greatest
-reduced average density (grad), whose searches live in `density`.
+Covers: directed-minor checking on any host, acyclic or not, shallow
+depth-r checking and butterfly-minor checking, all by one loop that
+guesses edge images and routes the connecting paths with one
+backtracking path router, which also finds disjoint paths in DAGs and
+the paths of topological minors; and the greatest reduced average
+density (grad), whose searches live in `density`.
 
 Vertex sets are int masks from the guess to the model: each owner's
 host vertices are one mask, which the router extends with its paths and
@@ -16,7 +16,6 @@ minor, goes in the router's `shared` mask instead: it may end paths of
 several owners but lies inside none.
 """
 
-import itertools
 from collections import namedtuple
 
 from .digraph import (
@@ -28,137 +27,9 @@ from .digraph import (
     reach_mask,
     topological_order,
 )
-
-
-# ---------------------------------------------------------------------------
-# models
-
-
-class DirectedModel(namedtuple(
-        "DirectedModel", "host pattern branch edge_image source sink depth", defaults=(None,))):
-    """Witness that `pattern` has a directed model in `host`, both
-    Digraphs.
-
-    branch maps each pattern vertex to a host vertex set; edge_image maps
-    each pattern edge to a host edge; source/sink give the per-branch
-    designated vertices (entries may be omitted, in which case the
-    verifier checks existence). depth, when not None, bounds the length
-    of every connecting path inside a branch set.
-    """
-
-    __slots__ = ()
-
-
-def _branch_reach(adj, bmask, depth):
-    """The reach table of one branch set, an int mask, for adj =
-    adjacency_masks(G): each member, in increasing order, mapped to the
-    mask of members it reaches inside the branch by a path of at most
-    `depth` edges (of any length when depth is None)."""
-    return {a: reach_mask(adj, a, bmask, depth) for a in mask_bits(bmask)}
-
-
-def _unlinked(reach, ins, outs):
-    """The (in, out) pairs of a branch whose out-vertex lies outside its
-    in-vertex's reach; none means every in-vertex reaches every out."""
-    return ((a, b) for a in ins for b in outs if not reach[a] >> b & 1)
-
-
-def _first_source(reach, outs):
-    """Smallest branch member reaching every out-vertex, or None."""
-    return next((c for c in reach if all(reach[c] >> b & 1 for b in outs)), None)
-
-
-def _first_sink(reach, ins):
-    """Smallest branch member reached from every in-vertex, or None."""
-    return next((c for c in reach if all(reach[a] >> c & 1 for a in ins)), None)
-
-
-def verified(model, what):
-    """The model itself once verify_model accepts it; otherwise an
-    internal error naming the step that built it."""
-    ok, bad = verify_model(model)
-    if not ok:
-        raise RuntimeError("internal: %s: %s" % (what, bad))
-    return model
-
-
-def verify_model(model):
-    """Check every model condition; returns (ok, list of violations).
-    Every key of branch, source and sink must be a pattern vertex, and
-    every key of edge_image a pattern edge."""
-    H, G = model.pattern, model.host
-    limit = model.depth
-    if limit is not None and limit < 0:
-        return False, ["negative depth"]
-
-    bad = ["%s of %s, which is not a pattern vertex" % (name, v)
-           for name, keyed in (("branch", model.branch), ("source", model.source),
-                               ("sink", model.sink))
-           for v in keyed if v not in H.vertices()]
-    bad += ["edge image of %s, which is not a pattern edge" % (e,)
-            for e in model.edge_image if e not in H.edges]
-    branches = {}
-    for v in H.vertices():
-        bset = frozenset(model.branch.get(v, ()))
-        if not bset:
-            bad.append("branch %d empty or missing" % v)
-        if any(not (0 <= x < G.n) for x in bset):
-            bad.append("branch %d contains foreign vertices" % v)
-        branches[v] = bset
-    if bad:
-        return False, bad
-
-    for u, v in itertools.combinations(sorted(branches), 2):
-        if branches[u] & branches[v]:
-            bad.append("branches %d and %d overlap" % (u, v))
-
-    # per pattern vertex, the masks of its in-heads and out-tails
-    heads, tails = dict.fromkeys(branches, 0), dict.fromkeys(branches, 0)
-    for e in sorted(H.edges):
-        img = model.edge_image.get(e)
-        if img is None:
-            bad.append("edge image missing for %s" % (e,))
-            continue
-        x, y = img
-        if not G.has_edge(x, y):
-            bad.append("image %s of %s is not a host edge" % (img, e))
-            continue
-        tails[e[0]] |= 1 << x
-        heads[e[1]] |= 1 << y
-        if x not in branches[e[0]]:
-            bad.append("image of %s does not start in branch %d" % (e, e[0]))
-        if y not in branches[e[1]]:
-            bad.append("image of %s does not end in branch %d" % (e, e[1]))
-    if bad:
-        return False, bad
-
-    adj = adjacency_masks(G)
-    for v in H.vertices():
-        bset = branches[v]
-        in_set, out_set = list(mask_bits(heads[v])), list(mask_bits(tails[v]))
-        reach = _branch_reach(adj, sum(1 << x for x in bset), limit)
-        for a, b in _unlinked(reach, in_set, out_set):
-            bad.append("branch %d: no path %s -> %s within depth" % (v, a, b))
-
-        s = model.source.get(v)
-        if s is not None:
-            if s not in bset:
-                bad.append("source of %d outside branch" % v)
-            elif any(_unlinked(reach, [s], out_set)):
-                bad.append("source of %d misses part of out set" % v)
-        elif _first_source(reach, out_set) is None:
-            bad.append("branch %d has no valid source" % v)
-
-        t = model.sink.get(v)
-        if t is not None:
-            if t not in bset:
-                bad.append("sink of %d outside branch" % v)
-            elif any(_unlinked(reach, in_set, [t])):
-                bad.append("sink of %d not reached from part of in set" % v)
-        elif _first_sink(reach, in_set) is None:
-            bad.append("branch %d has no valid sink" % v)
-
-    return not bad, bad
+# verify_model is not called here. It stays importable from minors because
+# the benchmark in perfbench/ reads it there (tracer.WRAPPED["minors"]).
+from .verify import DirectedModel, verified, verify_model  # noqa: F401
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,10 @@ from .digraph import BudgetExhausted, GraphError, bfs_dist, mask_bits
 # compute_scattered and is_scattered are not used here. They stay
 # importable from quasiwide because the benchmark in perfbench/ reads
 # them there (workloads.py, and tracer.WRAPPED["quasiwide"]).
-from .scattered import ScatteredWitness, compute_scattered, is_scattered, without_vertices  # noqa: F401
+from .scattered import compute_scattered, without_vertices  # noqa: F401
+from .verify import (  # noqa: F401
+    DirectedModel, ScatteredWitness, crown, is_scattered, verified, verify_model,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +576,6 @@ def crown_to_model(G, cb, cc, r):
     """Depth-r model of the crown pattern in the ground digraph:
     connector branches are singletons; a principal's branch is the union
     of the labels on its crown edges (walks back to the principal)."""
-    from .generators import crown
-    from .minors import DirectedModel, verify_model
-
     q = cc.order
     pattern, _ = crown(q)
     branch = {i: {b} for i, b in enumerate(cc.principals)}
@@ -634,8 +634,6 @@ def iterate_dichotomy(G, W, target_r, m, q):
     guaranteed thresholds shrink the set round over round), backing off
     toward m when the pools cannot support the surplus.
     """
-    from .minors import DirectedModel, verified
-
     if m < 1:
         raise GraphError("target size must be positive")
     W = sorted(set(W))

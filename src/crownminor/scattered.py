@@ -5,65 +5,24 @@ G - S reaches two members of U by directed paths of length at most d,
 that is, when the members' d-in-balls in G - S are pairwise disjoint.
 Directed uniform quasi-wideness asks for a large such U after deleting
 a bounded S, and the domination solvers branch on exactly that. This
-module holds the test (`is_scattered`, on the mask kernel
-`disjoint_balls`), the verified witness record (`ScatteredWitness`),
-the bounded search for one (`compute_scattered`), the probe behind it,
-which the solvers call too (`deletion_set`, over the prefix walk
-`common_ancestor_walk`), and the vertex deletion the dichotomy uses
-(`without_vertices`). The crown-or-scattered dichotomy, behind the
-equivalence of nowhere crownful and directed uniformly quasi-wide
-classes, lives in `quasiwide`, so that the solvers and the `scatter`
-command never load it.
+module holds the bounded search for one (`compute_scattered`), the
+probe behind it, which the solvers call too (`deletion_set`, over the
+prefix walk `common_ancestor_walk`), and the vertex deletion the
+dichotomy uses (`without_vertices`); the test (`is_scattered`, on the
+mask kernel `disjoint_balls`) and the witness record
+(`ScatteredWitness`) live in `verify`. The crown-or-scattered
+dichotomy, behind the equivalence of nowhere crownful and directed
+uniformly quasi-wide classes, lives in `quasiwide`, so that the solvers
+and the `scatter` command never load it.
 """
 
 import itertools
-from collections import namedtuple
 
 from .digraph import Digraph, GraphError, adjacency_masks, mask_bits, reach_mask
+from .verify import ScatteredWitness, disjoint_balls
 
 # the cap compute_scattered passes to deletion_set
 PROBE_CAP = 14
-
-
-def is_scattered(G, U, d, deleted=()):
-    """True iff no vertex of G - deleted has two distinct members of U in
-    its d-out-neighborhood (computed in G - deleted), that is, iff the
-    members' d-in-balls in G - deleted are pairwise disjoint. Raises
-    GraphError for a member or deleted id outside G."""
-    if d < 0:
-        raise GraphError("radius must be nonnegative")
-    U = list(U)
-    if len(set(U)) != len(U):
-        raise GraphError("scattered candidates must be distinct")
-    dead = frozenset(deleted)
-    for v in itertools.chain(U, dead):
-        G.check_vertex(v)
-    alive = ((1 << G.n) - 1) & ~sum(1 << v for v in dead)
-    return disjoint_balls(adjacency_masks(G, "in"), U, alive, d)
-
-
-def disjoint_balls(adj, members, alive, d):
-    """The kernel of is_scattered: every vertex id in members lies in the
-    vertex mask alive, and their d-balls in G[alive] are pairwise
-    disjoint, for adj = adjacency_masks(G, "in") or the closed in-ball
-    masks of G."""
-    covered = 0
-    for u in members:
-        ball = reach_mask(adj, u, alive, d)
-        if not ball or ball & covered:
-            return False
-        covered |= ball
-    return True
-
-
-class ScatteredWitness(namedtuple("ScatteredWitness", "graph deleted members radius")):
-    """members, a tuple, is radius-scattered in the Digraph graph minus
-    the tuple deleted."""
-
-    __slots__ = ()
-
-    def verify(self):
-        return is_scattered(self.graph, self.members, self.radius, self.deleted)
 
 
 def compute_scattered(G, W, d, m, s_budget):

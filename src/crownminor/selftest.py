@@ -8,7 +8,7 @@ suite lives in the test directory.
 
 import random
 
-from .digraph import Digraph, count_alternations, is_dag, underlying_undirected
+from .digraph import BudgetExhausted, Digraph, count_alternations, is_dag, underlying_undirected
 from .generators import (
     acyclic_tournament,
     crown,
@@ -33,17 +33,8 @@ from .minors import (
     shallow_minor_check,
     subgraph_check,
     topological_minor_check,
-    verify_model,
 )
-from .quasiwide import (
-    BudgetExhausted,
-    ScatteredWitness,
-    clique_threshold,
-    dichotomy_step,
-    is_scattered,
-    ramsey_upper,
-    uniform_level_threshold,
-)
+from .quasiwide import clique_threshold, dichotomy_step, ramsey_upper, uniform_level_threshold
 from .solvers import (
     DominationInstance,
     brute_force_solve,
@@ -51,8 +42,8 @@ from .solvers import (
     dominating_outbranching,
     independent_dominating_set,
     independent_set,
-    verify_outbranching,
 )
+from .verify import ScatteredWitness, is_scattered, verify_model, verify_outbranching
 from .witnessdoc import WitnessFormatError, emit_model, parse_witness
 
 

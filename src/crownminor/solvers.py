@@ -14,6 +14,7 @@ from collections import namedtuple
 
 from .digraph import GraphError, adjacency_masks, ball_masks, bfs_dist, mask_bits, reach_mask
 from .scattered import deletion_set
+from .verify import verify_dominating, verify_independent, verify_outbranching
 
 
 class DominationInstance(namedtuple("DominationInstance", "graph k d", defaults=(1,))):
@@ -100,59 +101,6 @@ def _first_subset(cand, sizes, clash, cover, want, accept):
         if got is not None:
             return got
     return None
-
-
-# ---------------------------------------------------------------------------
-# verifiers
-
-
-def verify_dominating(G, D, d=1):
-    """D names no vertex twice and every vertex lies inside the
-    d-out-neighborhood of D. Raises GraphError for an id outside G."""
-    D = list(D)
-    covered = set()
-    for v in D:
-        covered.update(bfs_dist(G, v, max_depth=d))
-    return len(set(D)) == len(D) and len(covered) == G.n
-
-
-def verify_independent(G, D):
-    """No edge in either direction inside D. Raises GraphError for an id
-    outside G."""
-    D = list(D)
-    for v in D:
-        G.check_vertex(v)
-    for a, b in itertools.combinations(D, 2):
-        if G.has_edge(a, b) or G.has_edge(b, a):
-            return False
-    return len(set(D)) == len(D)
-
-
-def verify_outbranching(G, vertices, parent):
-    """parent maps each vertex to its tree parent (None at the root);
-    checks that no vertex is named twice, one root, edges present, and
-    every vertex hanging under the root: one reach sweep from it over
-    the child masks of the parent map covers them all. Raises GraphError
-    for an id outside G."""
-    vertices = list(vertices)
-    vs = set(vertices)
-    for v in vs:
-        G.check_vertex(v)
-    if len(vs) != len(vertices) or set(parent) != vs or not vs:
-        return False
-    roots = [v for v in vs if parent[v] is None]
-    if len(roots) != 1:
-        return False
-    children = [0] * G.n
-    for v in vs:
-        p = parent[v]
-        if p is None:
-            continue
-        if p not in vs or not G.has_edge(p, v):
-            return False
-        children[p] |= 1 << v
-    inside = sum(1 << v for v in vs)
-    return reach_mask(children, roots[0], inside) == inside
 
 
 def spanning_outtree(G, D):
@@ -532,7 +480,8 @@ def independent_set(G, k, d=1):
     itertools.combinations over the sorted vertices, or proves that
     there is none without visiting the subsets it cuts. The search is
     the whole method, not a fallback, so `exhausted` stays False. The
-    answer is checked with one bounded BFS per member."""
+    answer is checked by verify_independent at d, one bounded BFS per
+    member."""
     _need_k(k)
     if d < 1:
         raise GraphError("need d >= 1, got %d" % d)
@@ -544,8 +493,6 @@ def independent_set(G, k, d=1):
     got = _first_subset((1 << G.n) - 1, (k,), clash, clash, 0, lambda m: tuple(mask_bits(m)))
     if got is None:
         return SolveOutcome(False)
-    members = set(got)
-    near = (members.intersection(bfs_dist(G, v, max_depth=d)) for v in got)
-    if len(members) != k or any(len(mine) > 1 for mine in near):
+    if len(got) != k or not verify_independent(G, got, d):
         raise RuntimeError("internal: independent set has two members within distance d")
     return SolveOutcome(True, got)

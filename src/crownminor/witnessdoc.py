@@ -17,10 +17,15 @@ have, a wrong number of words, a missing or stray colon, a number not
 written as `%d` writes it, an id named twice in one list and a
 repeated field.
 
-The layers a document's payload lives in (minors, scattered, solvers)
-are imported by the emitter or reader that needs them, so that a
-command loads only its own.
+Every check lives in `verify`, so reading a document back loads no
+engine module. `_set_problem` is the acceptance rule of the vertex-set
+kinds, for the emitters' `verified` line and the reader's error alike.
 """
+
+from .verify import (
+    DirectedModel, ScatteredWitness, crown, verify_dominating, verify_independent, verify_model,
+    verify_outbranching,
+)
 
 
 class WitnessFormatError(ValueError):
@@ -38,10 +43,13 @@ def _opt(word):
     return None if word == "none" else _int(word)
 
 
-def _flag(word):
-    if word not in ("true", "false"):
-        raise WitnessFormatError("verified is true or false, not %r" % word)
-    return word == "true"
+def _flag(key):
+    """The parser of the true-or-false field `key`."""
+    def parse(word):
+        if word not in ("true", "false"):
+            raise WitnessFormatError("%s is true or false, not %r" % (key, word))
+        return word == "true"
+    return parse
 
 
 def _ids(text):
@@ -60,12 +68,12 @@ FIELDS = {
               "edge": ((_int, _int), _ids), "source": ((_int,), _int),
               "sink": ((_int,), _int)},
     "scattered": {"d": ((), _int), "S": ((), _ids), "U": ((), _ids)},
-    "dominating": {"d": ((), _int), **_SET},
+    "dominating": {"d": ((), _int), **_SET, "independent": ((), _flag("independent"))},
     "outbranching": {**_SET, "parent": ((_int,), _opt)},
-    "independent": _SET,
+    "independent": {"d": ((), _int), **_SET},
 }
 FIELDS["crown"] = FIELDS["model"]
-FIELDS = {kind: {**keys, "verified": ((), _flag)} for kind, keys in FIELDS.items()}
+FIELDS = {kind: {**keys, "verified": ((), _flag("verified"))} for kind, keys in FIELDS.items()}
 
 
 def _line(kind, key, *words):
@@ -88,8 +96,6 @@ def _document(kind, ok, lines):
 
 
 def emit_model(model, kind="model", params=()):
-    from .minors import verify_model
-
     lines = [("param", key, val) for key, val in params] + [("depth", model.depth)]
     lines += [("branch", v, sorted(model.branch[v])) for v in sorted(model.branch)]
     lines += [("edge", *e, model.edge_image[e]) for e in sorted(model.edge_image)]
@@ -102,22 +108,38 @@ def emit_scattered(w):
     return _document("scattered", w.verify(), [("d", w.radius), ("S", w.deleted), ("U", w.members)])
 
 
-def emit_vertex_set(kind, G, vertices, d=None):
-    from .solvers import verify_dominating, verify_independent
+def _set_problem(kind, G, D, d=1, independent=False, parent=None):
+    """Why the vertex set D of a `kind` document fails against G, or None:
+    a dominating set dominates within d (and is independent if flagged),
+    an independent set has no member within distance d of another, and
+    an out-branching is a tree under parent that dominates G too."""
+    if kind == "outbranching":
+        if not verify_outbranching(G, D, parent):
+            return "outbranching witness does not verify"
+        if not verify_dominating(G, D, 1):
+            return "outbranching witness does not dominate"
+    elif kind == "dominating":
+        if d < 0 or not verify_dominating(G, D, d):
+            return "dominating witness does not verify at d = %d" % d
+        if independent and not verify_independent(G, D):
+            return "dominating witness is not independent"
+    elif d < 0 or not verify_independent(G, D, d):
+        return "independent witness does not verify"
+    return None
 
-    if kind == "dominating":
-        ok = verify_dominating(G, vertices, 1 if d is None else d)
-    elif kind == "independent":
-        ok = verify_independent(G, vertices)
-    else:
+
+def emit_vertex_set(kind, G, vertices, d=None, independent=False):
+    """A dominating or independent document; a `d` line when d is given,
+    and for a dominating set an `independent true` line if independent."""
+    if kind not in ("dominating", "independent"):
         raise WitnessFormatError("unknown vertex-set kind %r" % kind)
-    return _document(kind, ok, ([] if d is None else [("d", d)]) + [("D", vertices)])
+    ok = _set_problem(kind, G, vertices, 1 if d is None else d, independent) is None
+    lines = ([] if d is None else [("d", d)]) + [("D", vertices)]
+    return _document(kind, ok, lines + ([("independent", "true")] if independent else []))
 
 
 def emit_outbranching(G, vertices, parent):
-    from .solvers import verify_dominating, verify_outbranching
-
-    ok = verify_outbranching(G, vertices, parent) and verify_dominating(G, vertices, 1)
+    ok = _set_problem("outbranching", G, vertices, parent=parent) is None
     lines = [("D", sorted(vertices))] + [("parent", v, parent[v]) for v in sorted(parent)]
     return _document("outbranching", ok, lines)
 
@@ -168,9 +190,7 @@ def parse_witness(text, host=None, pattern=None):
     a line breaks the grammar above, an id lies outside the graph, a
     vertex list names a vertex twice, two lines set one field (a second
     `d` line, or two `branch` lines for one vertex), or the payload does
-    not verify (an out-branching must also dominate the graph, and a
-    dominating set must dominate within its `d`, 1 when the document
-    has no `d` line)."""
+    not verify (for the vertex-set kinds, by `_set_problem`)."""
     try:
         kind, fields = _read(text)
         if host is None:
@@ -178,29 +198,16 @@ def parse_witness(text, host=None, pattern=None):
         if kind in ("model", "crown"):
             return _model(kind, fields, host, pattern)
         if kind == "scattered":
-            from .scattered import ScatteredWitness
-
             w = ScatteredWitness(host, *_need(kind, fields, "S", "U", "d"))
             if not w.verify():
                 raise WitnessFormatError("scattered witness does not verify")
             return w
-        from .solvers import verify_dominating, verify_independent, verify_outbranching
-
         (D,) = _need(kind, fields, "D")
-        if kind == "dominating":
-            d = fields["d"].get((), 1)
-            if d < 0 or not verify_dominating(host, D, d):
-                raise WitnessFormatError("dominating witness does not verify at d = %d" % d)
-        elif kind == "independent":
-            if not verify_independent(host, D):
-                raise WitnessFormatError("independent witness does not verify")
-        else:
-            if not verify_outbranching(host, D, fields["parent"]):
-                raise WitnessFormatError("outbranching witness does not verify")
-            if not verify_dominating(host, D, 1):
-                raise WitnessFormatError("outbranching witness does not dominate")
-            return D, fields["parent"]
-        return D
+        given = {key: fields[key][()] for key in ("d", "independent") if () in fields.get(key, {})}
+        problem = _set_problem(kind, host, D, parent=fields.get("parent"), **given)
+        if problem:
+            raise WitnessFormatError(problem)
+        return (D, fields["parent"]) if kind == "outbranching" else D
     except WitnessFormatError:
         raise
     except ValueError as err:
@@ -209,11 +216,7 @@ def parse_witness(text, host=None, pattern=None):
 
 
 def _model(kind, fields, host, pattern):
-    from .minors import DirectedModel, verify_model
-
     if kind == "crown":
-        from .generators import crown
-
         order = _int(fields["param"].get("order", "0"))
         if order < 1 or order * (order + 1) // 2 > host.n:
             raise WitnessFormatError("crown document lacks an order that fits the host")

@@ -20,7 +20,12 @@ from crownminor.generators import (
 from crownminor.graphio import GraphFormatError, emit_graph, load_graph, parse_graph, save_graph
 from crownminor.minors import DirectedModel, general_minor_check, shallow_minor_check
 from crownminor.quasiwide import ScatteredWitness, compute_scattered, dichotomy_step
-from crownminor.solvers import d_dominating_set, dominating_outbranching, independent_set
+from crownminor.solvers import (
+    d_dominating_set,
+    dominating_outbranching,
+    independent_dominating_set,
+    independent_set,
+)
 from crownminor.witnessdoc import (
     WitnessFormatError,
     emit_model,
@@ -135,6 +140,7 @@ def test_model_document_roundtrip_and_tamper():
 
 
 PATH3 = Digraph(3, [(0, 1), (1, 2)])
+PATH5 = Digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
 
 @pytest.mark.parametrize(
@@ -250,12 +256,22 @@ def test_outbranching_that_does_not_dominate_fails_to_load():
          "outbranching witness does not dominate"),
         ("kind dominating\nD: 2\nend\n", (PATH3, None),
          "dominating witness does not verify at d = 1"),
+        ("kind independent\nd 2\nD: 0 2\nend\n", (PATH3, None),
+         "independent witness does not verify"),
+        ("kind independent\nd -1\nD: 0 2\nend\n", (PATH3, None),
+         "independent witness does not verify"),
+        ("kind dominating\nD: 0 1\nindependent true\nend\n", (PATH3, None),
+         "dominating witness is not independent"),
+        ("kind dominating\nD: 0 1\nindependent yes\nend\n", (PATH3, None),
+         "independent is true or false, not 'yes'"),
         (EDGE_IN_PATH3.replace("end\n", "branch 5: 2\nend\n"), (PATH3, EDGE),
          "model does not verify: branch of 5, which is not a pattern vertex"),
     ],
     ids=["unterminated", "unknown-kind", "no-U", "no-D", "no-host", "no-pattern",
          "crown-too-large", "crown-no-order", "scattered", "independent", "outbranching",
-         "outbranching-not-dominating", "dominating", "stray-branch"],
+         "outbranching-not-dominating", "dominating", "independent-at-d2",
+         "independent-negative-d", "dominating-dependent", "independent-flag-word",
+         "stray-branch"],
 )
 def test_witness_that_fails_a_semantic_check_names_it(doc, graphs, message):
     host, pattern = graphs
@@ -318,8 +334,12 @@ def test_witness_lines_off_the_grammar_fail_to_load(good, line, bad, host):
 def test_vertex_set_emitter_checks_d_at_its_radius():
     assert "verified true" in emit_vertex_set("dominating", EDGE, (0,), d=1)
     assert "verified false" in emit_vertex_set("dominating", EDGE, (0,), d=0)
-    with pytest.raises(WitnessFormatError, match="no d line"):
-        emit_vertex_set("independent", EDGE, (0,), d=1)
+    # 0 and 2 are one edge apart in neither direction, but 0 reaches 2
+    # in two steps
+    assert "verified true" in emit_vertex_set("independent", PATH3, (0, 2), d=1)
+    assert "verified false" in emit_vertex_set("independent", PATH3, (0, 2), d=2)
+    with pytest.raises(WitnessFormatError, match="no independent line"):
+        emit_vertex_set("independent", EDGE, (0,), d=1, independent=True)
 
 
 def test_emitters_do_not_attest_a_set_that_repeats_an_id():
@@ -394,13 +414,14 @@ def test_scattered_documents_round_trip():
 
 
 @pytest.mark.parametrize("kind,d", [("dominating", None), ("dominating", 1),
-                                    ("dominating", 2), ("independent", None)])
+                                    ("dominating", 2), ("independent", None),
+                                    ("independent", 2)])
 def test_vertex_set_documents_round_trip(kind, d):
     loaded = 0
     for seed, G, _ in _small_graphs():
         for k in (1, 2, 3):
             if kind == "independent":
-                out = independent_set(G, k)
+                out = independent_set(G, k, 1 if d is None else d)
             else:
                 out = d_dominating_set(G, k, 1 if d is None else d)
             if not out.feasible:
@@ -410,6 +431,34 @@ def test_vertex_set_documents_round_trip(kind, d):
             back = parse_witness(doc, host=G)
             assert back == tuple(out.witness)
             assert emit_vertex_set(kind, G, back, d=d) == doc
+            loaded += 1
+    assert loaded >= 10
+
+
+def test_only_a_flagged_dominating_document_attests_independence():
+    # {0, 1} dominates the path 0 -> 1 -> 2 but holds the edge 0 -> 1
+    dependent = "kind dominating\nD: 0 1\n%send\n"
+    assert parse_witness(dependent % "", host=PATH3) == (0, 1)
+    assert parse_witness(dependent % "independent false\n", host=PATH3) == (0, 1)
+    with pytest.raises(WitnessFormatError, match="not independent"):
+        parse_witness(dependent % "independent true\n", host=PATH3)
+    assert "verified false" in emit_vertex_set("dominating", PATH3, (0, 1), independent=True)
+    assert "verified true" in emit_vertex_set("dominating", PATH3, (0, 2), independent=True)
+
+
+def test_independent_dominating_documents_round_trip():
+    # solve ids writes `independent true`, which the reader re-checks
+    loaded = 0
+    for seed, G, _ in _small_graphs():
+        for k in (1, 2, 3):
+            out = independent_dominating_set(G, k)
+            if not out.feasible:
+                continue
+            doc = emit_vertex_set("dominating", G, out.witness, d=1, independent=True)
+            assert "\nindependent true\n" in doc and "verified true" in doc
+            back = parse_witness(doc, host=G)
+            assert back == tuple(out.witness)
+            assert emit_vertex_set("dominating", G, back, d=1, independent=True) == doc
             loaded += 1
     assert loaded >= 10
 
@@ -724,6 +773,27 @@ def test_solve_commands(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("oracle", [False, True])
+def test_solve_documents_attest_what_was_asked(capsys, tmp_path, oracle):
+    # ids documents say the set is independent, and is documents carry d
+    from crownminor.graphio import save_graph
+
+    g, path5 = tmp_path / "g.graph", tmp_path / "path5.graph"
+    save_graph(str(g), crown(3)[0])
+    save_graph(str(path5), PATH5)
+    extra = ["--oracle"] if oracle else []
+    code, out, _ = run_cli(capsys, "--format", "structured", "solve", "ids", str(g),
+                           "--k", "3", *extra)
+    assert code == 0
+    assert "\nd 1\n" in out and "\nindependent true\n" in out
+    assert parse_witness(out, host=crown(3)[0]) == (3, 4, 5)
+    code, out, _ = run_cli(capsys, "--format", "structured", "solve", "is", str(path5),
+                           "--k", "2", "--d", "2", *extra)
+    assert code == 0
+    assert "\nd 2\n" in out
+    assert parse_witness(out, host=PATH5) == (0, 3)
+
+
 def test_solve_oracle_flag_agrees(capsys, tmp_path):
     from crownminor.graphio import save_graph
 
@@ -1008,24 +1078,26 @@ _DOC = {"witnessdoc"}
 
 @pytest.mark.parametrize("argv,layers", [
     ((), None),
-    (("generate", "crown", "3"), {"generators", "rng"}),
-    (("minor", "{pattern}", "{crown}"), {"minors"} | _DOC),
-    (("minor", "--mode", "butterfly", "{pattern}", "{crown}"), {"minors"}),
-    (("grad", "{crown}", "--r", "1"), {"minors", "density"}),
-    (("scatter", "{reversed}", "--d", "1", "--m", "4", "--s-budget", "0"), {"scattered"} | _DOC),
+    (("generate", "crown", "3"), {"generators", "rng", "verify"}),
+    (("minor", "{pattern}", "{crown}"), {"minors", "verify"} | _DOC),
+    (("minor", "--mode", "butterfly", "{pattern}", "{crown}"), {"minors", "verify"}),
+    (("grad", "{crown}", "--r", "1"), {"minors", "density", "verify"}),
+    (("scatter", "{reversed}", "--d", "1", "--m", "4", "--s-budget", "0"),
+     {"scattered", "verify"} | _DOC),
     (("dichotomy", "{crown}", "--r", "0", "--q", "3", "--p", "2"),
-     {"quasiwide", "scattered", "minors", "generators", "rng"} | _DOC),
+     {"quasiwide", "scattered", "verify"} | _DOC),
     (("dichotomy", "{reversed}", "--r", "1", "--q", "2", "--p", "2", "--i-set", "0 1 2 3"),
-     {"quasiwide", "scattered"} | _DOC),
-    (("solve", "ds", "{crown}", "--k", "3"), {"scattered", "solvers"} | _DOC),
-    (("solve", "dob", "{pattern}", "--k", "1"), {"scattered", "solvers"} | _DOC),
+     {"quasiwide", "scattered", "verify"} | _DOC),
+    (("solve", "ds", "{crown}", "--k", "3"), {"scattered", "solvers", "verify"} | _DOC),
+    (("solve", "dob", "{pattern}", "--k", "1"), {"scattered", "solvers", "verify"} | _DOC),
 ], ids=["import", "generate", "minor", "minor-butterfly", "grad", "scatter", "dichotomy-crown",
         "dichotomy-scattered", "solve", "solve-dob"])
 def test_command_loads_only_its_layers(tmp_path, argv, layers):
     # with bytecode caching off every process compiles each module it
     # loads, so a layer a command does not run must stay unloaded; grad
     # alone loads density, solve and scatter never load the dichotomy
-    # (quasiwide), and only a command that writes a document loads
+    # (quasiwide), a crown outcome loads no minor search (minors) or
+    # generator, and only a command that writes a document loads
     # witnessdoc. The result records are namedtuples, so no command pays
     # for importing dataclasses either.
     from crownminor.graphio import save_graph

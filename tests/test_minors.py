@@ -909,17 +909,17 @@ def test_grad_search_builds_few_reach_tables(monkeypatch):
     # grad builds the reach table of each block it examines once, with
     # one reach_mask call per member, and only for families its bounds
     # let through; the exhaustive family sweep made 136,056 BFS calls on
-    # each of these hosts
-    import crownminor.minors
+    # each of these hosts; the tables are built by verify._branch_reach
+    import crownminor.verify
 
     calls = [0]
-    reach = crownminor.minors.reach_mask
+    reach = crownminor.verify.reach_mask
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return reach(*args, **kwargs)
 
-    monkeypatch.setattr(crownminor.minors, "reach_mask", counted)
+    monkeypatch.setattr(crownminor.verify, "reach_mask", counted)
     for seed in (1, 2, 3):
         calls[0] = 0
         grad(random_digraph(random.Random(seed), 8, 0.3), 1)

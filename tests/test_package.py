@@ -13,8 +13,10 @@ import pytest
 
 import crownminor
 
-SUBMODULES = ("minors", "solvers", "quasiwide", "scattered", "generators", "graphio", "digraph")
-# moved out of quasiwide, which still re-exports them
+SUBMODULES = ("minors", "solvers", "quasiwide", "scattered", "generators", "graphio", "digraph",
+              "verify")
+# moved out of quasiwide into scattered and verify; quasiwide still
+# re-exports them
 SCATTERED = ("ScatteredWitness", "compute_scattered", "is_scattered", "without_vertices")
 
 
@@ -43,12 +45,27 @@ def test_budget_exhausted_is_one_class_in_both_layers():
 def test_scattered_names_are_one_object_in_every_namespace(name):
     # the benchmark's tracer replaces a function wherever it finds the
     # same object, so a copy in one namespace would escape it
-    from crownminor import quasiwide, scattered
+    from crownminor import quasiwide, scattered, verify
 
-    obj = getattr(scattered, name)
+    home = verify if hasattr(verify, name) else scattered
+    obj = getattr(home, name)
     assert getattr(quasiwide, name) is obj
+    assert getattr(scattered, name, obj) is obj
     if name in crownminor.__all__:
         assert getattr(crownminor, name) is obj
+
+
+def test_every_check_is_one_object_in_every_namespace():
+    # the checks moved to verify; an engine that still holds one of its
+    # names (minors.verify_model, generators.crown, ...) holds verify's
+    # object, so the tracer wraps every call path
+    from crownminor import verify
+
+    names = [n for n, obj in vars(verify).items()
+             if getattr(obj, "__module__", None) == verify.__name__]
+    for module in SUBMODULES + ("cli", "density", "selftest", "witnessdoc"):
+        ns = vars(importlib.import_module("crownminor." + module))
+        assert [n for n in names if n in ns and ns[n] is not getattr(verify, n)] == []
 
 
 def test_compute_scattered_does_not_load_the_dichotomy():
@@ -56,7 +73,68 @@ def test_compute_scattered_does_not_load_the_dichotomy():
             "import crownminor\n"
             "crownminor.compute_scattered\n"
             "print(*sorted(m for m in sys.modules if m.startswith('crownminor.')))\n")
-    assert fresh_python(code) == ["crownminor.digraph", "crownminor.scattered"]
+    assert fresh_python(code) == ["crownminor.digraph", "crownminor.scattered",
+                                  "crownminor.verify"]
+
+
+def test_verify_imports_only_digraph_and_the_standard_library():
+    # the trust base stays small and apart from the engines it checks
+    path = pathlib.Path(crownminor.__file__).parent / "verify.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    local = [name for name in imported if name.startswith(".")]
+    assert local == [".digraph"]
+    assert [name for name in imported if not name.startswith(".")
+            and name.partition(".")[0] not in sys.stdlib_module_names] == []
+
+
+# the path 0 -> 1 -> 2 as (n, edges)
+PATH3 = (3, [(0, 1), (1, 2)])
+
+
+def _one_document_per_kind():
+    """kind -> (document text, (host, pattern)), each graph as (n, edges)."""
+    from crownminor.digraph import Digraph
+    from crownminor.minors import general_minor_check
+    from crownminor.quasiwide import dichotomy_step
+    from crownminor.verify import ScatteredWitness, crown
+    from crownminor.witnessdoc import (
+        emit_model, emit_outbranching, emit_scattered, emit_vertex_set,
+    )
+
+    edge, path = Digraph(2, [(0, 1)]), Digraph(*PATH3)
+    crown3, principals = crown(3)
+    crown_model = dichotomy_step(crown3, principals, 0, p=2, q=3)
+    return {
+        "model": (emit_model(general_minor_check(edge, path)), (PATH3, (2, [(0, 1)]))),
+        "crown": (emit_model(crown_model, kind="crown", params=[("order", 3)]),
+                  ((crown3.n, sorted(crown3.edges)), None)),
+        "scattered": (emit_scattered(ScatteredWitness(path, (), (0,), 1)), (PATH3, None)),
+        "dominating": (emit_vertex_set("dominating", path, (0, 2), d=1, independent=True),
+                       (PATH3, None)),
+        "independent": (emit_vertex_set("independent", path, (0, 2), d=1), (PATH3, None)),
+        "outbranching": (emit_outbranching(path, (0, 1), {0: None, 1: 0}), (PATH3, None)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["model", "crown", "scattered", "dominating", "independent",
+                                  "outbranching"])
+def test_reading_a_document_loads_no_engine(kind):
+    doc, (host, pattern) = _one_document_per_kind()[kind]
+    assert doc.startswith("kind %s\n" % kind) and "verified true" in doc
+    code = ("import sys\n"
+            "from crownminor.digraph import Digraph\n"
+            "from crownminor.witnessdoc import parse_witness\n"
+            "host, pattern = %r\n"
+            "parse_witness(%r, host=Digraph(*host), pattern=pattern and Digraph(*pattern))\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('crownminor.')))\n"
+            % ((host, pattern), doc))
+    assert fresh_python(code) == ["crownminor.digraph", "crownminor.verify",
+                                  "crownminor.witnessdoc"]
 
 
 def test_submodules_resolve_after_a_bare_import():

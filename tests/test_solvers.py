@@ -728,10 +728,11 @@ def test_scattered_branching_is_sound():
 
 def count_bfs_calls(monkeypatch):
     """A one-element list that counts every bfs_dist call made through
-    the digraph, solvers and quasiwide modules from now on."""
+    the digraph, solvers, quasiwide and verify modules from now on."""
     import crownminor.digraph
     import crownminor.quasiwide
     import crownminor.solvers
+    import crownminor.verify
 
     calls = [0]
     bfs = crownminor.digraph.bfs_dist
@@ -740,7 +741,7 @@ def count_bfs_calls(monkeypatch):
         calls[0] += 1
         return bfs(*args, **kwargs)
 
-    for mod in (crownminor.digraph, crownminor.solvers, crownminor.quasiwide):
+    for mod in (crownminor.digraph, crownminor.solvers, crownminor.quasiwide, crownminor.verify):
         monkeypatch.setattr(mod, "bfs_dist", counted)
     return calls
 
