@@ -16,7 +16,7 @@ _EXPORTS = {
     "density": (),
     "digraph": (
         "BudgetExhausted", "Digraph", "GraphError", "UndirectedGraph", "bidirect",
-        "count_alternations", "in_neighborhood", "is_dag", "is_directed_bipartite",
+        "count_alternations", "crown", "in_neighborhood", "is_dag", "is_directed_bipartite",
         "out_neighborhood", "set_neighborhood", "topological_order", "underlying_undirected",
     ),
     "generators": (
@@ -42,7 +42,7 @@ _EXPORTS = {
         "directed_steiner_outtree", "dominating_outbranching", "independent_dominating_set",
         "independent_set",
     ),
-    "verify": ("DirectedModel", "ScatteredWitness", "crown", "is_scattered", "verify_model"),
+    "verify": ("DirectedModel", "ScatteredWitness", "is_scattered", "verify_model"),
     "witnessdoc": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,4 +1,9 @@
-"""Core directed-graph type, neighborhoods and structural predicates."""
+"""Core directed-graph type, neighborhoods, structural predicates and the
+crown pattern, which the generators, the dichotomy and the witness
+reader all build without loading each other."""
+
+import itertools
+import math
 
 
 class GraphError(ValueError):
@@ -301,6 +306,20 @@ def bidirect(H):
         es.append((u, v))
         es.append((v, u))
     return Digraph(H.n, es)
+
+
+def crown(q):
+    """Crown of order q: sinks v_1..v_q (ids 0..q-1) plus one source
+    u_{i,j} per pair i < j (ids q.. in lexicographic pair order), with
+    edges u_{i,j} -> v_i and u_{i,j} -> v_j.
+
+    Returns (graph, principal_vertices).
+    """
+    if q < 1:
+        raise GraphError("crown order must be positive")
+    pairs = itertools.combinations(range(q), 2)
+    edges = [(u, v) for u, pair in enumerate(pairs, q) for v in pair]
+    return Digraph(q + math.comb(q, 2), edges), tuple(range(q))
 
 
 def topological_order(G):

@@ -8,9 +8,8 @@ probability.
 
 import math
 
-from .digraph import Digraph, GraphError, count_alternations
+from .digraph import Digraph, GraphError, count_alternations, crown
 from .rng import SplitMix64
-from .verify import crown
 
 
 def reversed_crown(q):
@@ -220,8 +219,10 @@ def crown_pattern_probability(n, d, q):
     """
     from fractions import Fraction
 
-    if q < 1 or n < 1 or d < 0:
-        raise GraphError("need q >= 1, n >= 1, d >= 0")
+    if q < 1 or n < 1:
+        raise GraphError("need q >= 1, n >= 1")
+    if d < 0 or d > n:
+        raise GraphError("need 0 <= d <= n")  # as random_bipartite_outregular
     pairs = math.comb(q, 2)
     if d < 2:
         per_pair = Fraction(0)

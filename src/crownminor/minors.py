@@ -4,8 +4,9 @@ Covers: directed-minor checking on any host, acyclic or not, shallow
 depth-r checking and butterfly-minor checking, all by one loop that
 guesses edge images and routes the connecting paths with one
 backtracking path router, which also finds disjoint paths in DAGs and
-the paths of topological minors; and the greatest reduced average
-density (grad), whose searches live in `density`.
+the paths of topological minors between the vertices that the one
+placement matcher places; and the greatest reduced average density
+(grad), whose searches live in `density`.
 
 Vertex sets are int masks from the guess to the model: each owner's
 host vertices are one mask, which the router extends with its paths and
@@ -159,7 +160,8 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
     """
     edge_order = sorted(H.edges)
     index = {e: i for i, e in enumerate(edge_order)}
-    autos = {tuple(m[v] for v in H.vertices()) for m in _injective_maps(H, H, True)}
+    h_adj = adjacency_masks(H, "out"), adjacency_masks(H, "in")
+    autos = {tuple(m[v] for v in H.vertices()) for m in _injective_maps(H, H, *h_adj)}
     # each automorphism as the permutation of edge positions it induces
     perms = {tuple(index[(a[u], a[v])] for u, v in edge_order) for a in autos}
     perms.discard(tuple(range(len(edge_order))))
@@ -477,21 +479,22 @@ def _route(G, reqs, own, max_len, shared=0):
     return paths if rec(0, taken) else None
 
 
-def _injective_maps(H, G, induced):
+def _injective_maps(H, G, out_m, in_m):
     """Yield every injective map of V(H) into V(G), as a dict, that sends
-    edges of H to edges of G; with induced=True it must also send
-    non-edges to non-edges. Pattern vertices are placed by decreasing
-    degree, host candidates tried in increasing id and pruned by in- and
-    out-degree (equal when induced, at least the pattern's otherwise).
+    each pattern edge to a host pair (x, y) with y in out_m[x], for masks
+    that hold one relation from both sides (y in out_m[x] iff x in
+    in_m[y]). Pattern vertices are placed by decreasing degree, then id;
+    a vertex's candidates are one mask, the unused hosts in out_m of the
+    images of its placed in-neighbours and in in_m of those of its placed
+    out-neighbours, tried in increasing id and pruned by in- and
+    out-degree (at least the pattern's).
 
-    A vertex's candidates are one mask: the unused hosts inside the
-    out-masks of the images of its placed in-neighbours and the in-masks
-    of those of its placed out-neighbours. When induced, a candidate's
-    own masks must meet the images so far in exactly those images."""
+    With G's adjacency masks the maps send edges to edges. With H's own
+    they are H's automorphisms: a bijection that keeps every edge keeps
+    every non-edge too."""
     # degrees read once per call, not through in_adj at every candidate
     hin, hout = [len(a) for a in H.in_adj], [len(a) for a in H.out_adj]
     gin, gout = [len(a) for a in G.in_adj], [len(a) for a in G.out_adj]
-    g_out, g_in = adjacency_masks(G, "out"), adjacency_masks(G, "in")
     order = sorted(H.vertices(), key=lambda v: (-(hin[v] + hout[v]), v))
     full = (1 << G.n) - 1
     mapping = {}
@@ -503,25 +506,16 @@ def _injective_maps(H, G, induced):
         v = order[idx]
         hi, ho = hin[v], hout[v]
         cands = full & ~used
-        ins = outs = 0
         for u in H.in_adj[v]:
-            x = mapping.get(u)
-            if x is not None:
-                ins |= 1 << x
-                cands &= g_out[x]
+            if u in mapping:
+                cands &= out_m[mapping[u]]
         for u in H.out_adj[v]:
-            x = mapping.get(u)
-            if x is not None:
-                outs |= 1 << x
-                cands &= g_in[x]
+            if u in mapping:
+                cands &= in_m[mapping[u]]
         for cand in mask_bits(cands):
-            gi, go = gin[cand], gout[cand]
-            if (gi != hi or go != ho) if induced else (gi < hi or go < ho):
-                continue
-            if induced and (g_in[cand] & used != ins or g_out[cand] & used != outs):
-                continue
-            mapping[v] = cand
-            yield from rec(idx + 1, used | 1 << cand)
+            if gin[cand] >= hi and gout[cand] >= ho:
+                mapping[v] = cand
+                yield from rec(idx + 1, used | 1 << cand)
         mapping.pop(v, None)
 
     return rec(0, 0)
@@ -530,7 +524,7 @@ def _injective_maps(H, G, induced):
 def subgraph_check(H, G):
     """Injective map of V(H) into V(G) preserving edges (not induced), or
     None. Exhaustive backtracking with degree pruning."""
-    return next(_injective_maps(H, G, False), None)
+    return next(_injective_maps(H, G, adjacency_masks(G, "out"), adjacency_masks(G, "in")), None)
 
 
 # ---------------------------------------------------------------------------
@@ -611,41 +605,37 @@ def is_butterfly_minor(H, G):
 SubdivisionWitness = namedtuple("SubdivisionWitness", "host pattern placement paths")
 
 
+class _ReachMasks(dict):
+    """G's reach masks in one direction, each swept on its first read: a
+    full table (`ball_masks(G, G.n)`) takes n rounds on an n-vertex path."""
+
+    def __init__(self, G, direction):
+        self.adj, self.full = adjacency_masks(G, direction), (1 << G.n) - 1
+
+    def __missing__(self, x):
+        got = self[x] = reach_mask(self.adj, x, self.full)
+        return got
+
+
 def topological_minor_check(H, G):
     """Search for a subdivision of H inside G: an injective placement of
     the pattern vertices plus internally disjoint directed paths, one per
     pattern edge. Desk-scale backtracking; returns a witness or None.
 
-    Each placement is completed by one `_route` call with one owner per
-    pattern edge, so paths of different edges share no inner vertex;
-    the placed vertices end the paths of several edges and lie inside
-    none, so they are shared ends."""
-    hvs = sorted(H.vertices(), key=lambda v: (-(H.in_degree(v) + H.out_degree(v)), v))
+    Placements come from `_injective_maps` over G's reach masks, so each
+    pattern edge joins two host vertices with a path between them; no
+    other placement can route. Each placement is completed by one
+    `_route` call with one owner per pattern edge, so paths of different
+    edges share no inner vertex; the placed vertices end the paths of
+    several edges and lie inside none, so they are shared ends."""
     edge_order = sorted(H.edges)
-
-    placement = {}
-
-    def place(idx, used):
-        if idx == len(hvs):
-            reqs = [(e, placement[e[0]], placement[e[1]]) for e in edge_order]
-            routed = _route(G, reqs, dict.fromkeys(edge_order, 0), None, used)
-            if routed is None:
-                return None
-            return SubdivisionWitness(G, H, dict(placement), dict(zip(edge_order, routed)))
-        v = hvs[idx]
-        for cand in G.vertices():
-            if used >> cand & 1:
-                continue
-            if G.out_degree(cand) < H.out_degree(v) or G.in_degree(cand) < H.in_degree(v):
-                continue
-            placement[v] = cand
-            got = place(idx + 1, used | 1 << cand)
-            if got is not None:
-                return got
-            del placement[v]
-        return None
-
-    return place(0, 0)
+    for placement in _injective_maps(H, G, _ReachMasks(G, "out"), _ReachMasks(G, "in")):
+        placed = sum(1 << x for x in placement.values())
+        reqs = [(e, placement[e[0]], placement[e[1]]) for e in edge_order]
+        routed = _route(G, reqs, dict.fromkeys(edge_order, 0), None, placed)
+        if routed is not None:
+            return SubdivisionWitness(G, H, placement, dict(zip(edge_order, routed)))
+    return None
 
 
 def subdivision_to_model(w):

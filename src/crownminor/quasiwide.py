@@ -21,14 +21,14 @@ import itertools
 import math
 from collections import namedtuple
 
-from .digraph import BudgetExhausted, GraphError, bfs_dist, mask_bits
+from .digraph import BudgetExhausted, GraphError, bfs_dist, crown, mask_bits
 
 # compute_scattered and is_scattered are not used here. They stay
 # importable from quasiwide because the benchmark in perfbench/ reads
 # them there (workloads.py, and tracer.WRAPPED["quasiwide"]).
 from .scattered import compute_scattered, without_vertices  # noqa: F401
 from .verify import (  # noqa: F401
-    DirectedModel, ScatteredWitness, crown, is_scattered, verified, verify_model,
+    DirectedModel, ScatteredWitness, is_scattered, verified, verify_model,
 )
 
 

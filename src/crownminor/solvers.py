@@ -359,8 +359,6 @@ def directed_steiner_outtree(G, terminals):
     def collect(mask, v):
         verts.add(v)
         kind = choice[mask][v]
-        if kind is None:
-            return
         tag = kind[0]
         if tag == "leaf":
             parent = bfs_dist(G, v, parents=True)

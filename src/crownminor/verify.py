@@ -1,30 +1,15 @@
 """The trust base: the witness records and every check an answer or a
-witness document must pass, from the crown pattern and model check to
-the scattered-set and domination checks. The engines run their final
-self-checks here and `witnessdoc` re-verifies every document here; this
-module imports nothing of the package but `digraph`, so reading a
-document back loads no engine.
+witness document must pass, from the model check to the scattered-set
+and domination checks. The engines run their final self-checks here
+and `witnessdoc` re-verifies every document here; this module imports
+nothing of the package but `digraph`, so reading a document back loads
+no engine.
 """
 
 import itertools
-import math
 from collections import namedtuple
 
-from .digraph import Digraph, GraphError, adjacency_masks, bfs_dist, mask_bits, reach_mask
-
-
-def crown(q):
-    """Crown of order q: sinks v_1..v_q (ids 0..q-1) plus one source
-    u_{i,j} per pair i < j (ids q.. in lexicographic pair order), with
-    edges u_{i,j} -> v_i and u_{i,j} -> v_j.
-
-    Returns (graph, principal_vertices).
-    """
-    if q < 1:
-        raise GraphError("crown order must be positive")
-    pairs = itertools.combinations(range(q), 2)
-    edges = [(u, v) for u, pair in enumerate(pairs, q) for v in pair]
-    return Digraph(q + math.comb(q, 2), edges), tuple(range(q))
+from .digraph import GraphError, adjacency_masks, bfs_dist, mask_bits, reach_mask
 
 
 class DirectedModel(namedtuple(

@@ -22,8 +22,9 @@ engine module. `_set_problem` is the acceptance rule of the vertex-set
 kinds, for the emitters' `verified` line and the reader's error alike.
 """
 
+from .digraph import crown
 from .verify import (
-    DirectedModel, ScatteredWitness, crown, verify_dominating, verify_independent, verify_model,
+    DirectedModel, ScatteredWitness, verify_dominating, verify_independent, verify_model,
     verify_outbranching,
 )
 

@@ -1078,7 +1078,7 @@ _DOC = {"witnessdoc"}
 
 @pytest.mark.parametrize("argv,layers", [
     ((), None),
-    (("generate", "crown", "3"), {"generators", "rng", "verify"}),
+    (("generate", "crown", "3"), {"generators", "rng"}),
     (("minor", "{pattern}", "{crown}"), {"minors", "verify"} | _DOC),
     (("minor", "--mode", "butterfly", "{pattern}", "{crown}"), {"minors", "verify"}),
     (("grad", "{crown}", "--r", "1"), {"minors", "density", "verify"}),

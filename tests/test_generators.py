@@ -352,6 +352,16 @@ def test_crown_pattern_probability_values():
             assert exact == Fraction(d * (d - 1), n * (n - 1))
 
 
+@pytest.mark.parametrize("n,d,q", [(3, 5, 2), (2, 3, 1), (1, 2, 2)])
+def test_crown_pattern_probability_rejects_a_degree_above_n(n, d, q):
+    # the random model draws d of n targets, so a d above n has no
+    # probability: both reject it alike, before any arithmetic
+    with pytest.raises(GraphError, match=r"need 0 <= d <= n"):
+        crown_pattern_probability(n, d, q)
+    with pytest.raises(GraphError, match=r"need 0 <= d <= n"):
+        random_bipartite_outregular(n, d, 0)
+
+
 def test_crown_pattern_probability_bound_dominates():
     for n in range(3, 21):
         for d in range(0, (n - 1) // 2 + 1):

@@ -867,6 +867,49 @@ def test_topological_minor_matches_subdivision_oracle():
     assert 100 <= hits <= 370
 
 
+def test_topological_outcomes_are_pinned():
+    # a fixed battery of random (pattern, host) pairs with hosts of up to
+    # 9 vertices, plus crown(3) in 4x4 to 6x6 oriented grids: the hash of
+    # every witness's placement and paths, as the placement search found
+    # them before it filtered candidates by reach
+    rng = random.Random(0x70B)
+    outcomes = []
+    for i in range(300):
+        G = (random_dag if i % 3 == 0 else random_digraph)(
+            rng, rng.randint(3, 9), rng.choice([0.25, 0.4]))
+        H = random_digraph(rng, rng.randint(1, min(4, G.n)), rng.choice([0.3, 0.5]))
+        outcomes.append(topological_minor_check(H, G))
+    S3, _ = crown(3)
+    outcomes += [topological_minor_check(S3, oriented_grid(s, s, seed=1)) for s in (4, 5, 6)]
+    pinned = [None if w is None else (sorted(w.placement.items()), sorted(w.paths.items()))
+              for w in outcomes]
+    assert 100 < sum(w is not None for w in pinned) < len(pinned)
+    assert all(w is not None for w in pinned[-2:])
+    digest = hashlib.sha256(repr(pinned).encode()).hexdigest()
+    assert digest == "c84dd78b3f262a6a58761022e3acbddbf8c1bd585347ce46790b5058f304f42c"
+
+
+def test_crown_in_grids_routes_few_placements(monkeypatch):
+    """Work guard: crown(3) in the 5x5, 6x6 and 7x7 oriented grids. A
+    placement whose pattern edge joins two host vertices with no path
+    between them never reaches the router; with every degree-feasible
+    placement routed, the three searches made 52,766 `_route` calls."""
+    import crownminor.minors as minors
+
+    calls = [0]
+    route = minors._route
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return route(*args, **kwargs)
+
+    monkeypatch.setattr(minors, "_route", counted)
+    S3, _ = crown(3)
+    for s in (5, 6, 7):
+        assert topological_minor_check(S3, oriented_grid(s, s, seed=1)) is not None
+    assert calls[0] <= 1000
+
+
 # --- grad -------------------------------------------------------------------
 
 

@@ -57,8 +57,8 @@ def test_scattered_names_are_one_object_in_every_namespace(name):
 
 def test_every_check_is_one_object_in_every_namespace():
     # the checks moved to verify; an engine that still holds one of its
-    # names (minors.verify_model, generators.crown, ...) holds verify's
-    # object, so the tracer wraps every call path
+    # names (minors.verify_model, quasiwide.is_scattered, ...) holds
+    # verify's object, so the tracer wraps every call path
     from crownminor import verify
 
     names = [n for n, obj in vars(verify).items()
@@ -66,6 +66,16 @@ def test_every_check_is_one_object_in_every_namespace():
     for module in SUBMODULES + ("cli", "density", "selftest", "witnessdoc"):
         ns = vars(importlib.import_module("crownminor." + module))
         assert [n for n in names if n in ns and ns[n] is not getattr(verify, n)] == []
+
+
+def test_crown_is_one_object_in_every_namespace():
+    # the tracer wraps generators.crown; the crown that quasiwide and
+    # witnessdoc build their patterns with must be that same object
+    from crownminor import digraph
+
+    for module in ("generators", "quasiwide", "witnessdoc"):
+        assert importlib.import_module("crownminor." + module).crown is digraph.crown
+    assert crownminor.crown is digraph.crown
 
 
 def test_compute_scattered_does_not_load_the_dichotomy():
@@ -98,10 +108,10 @@ PATH3 = (3, [(0, 1), (1, 2)])
 
 def _one_document_per_kind():
     """kind -> (document text, (host, pattern)), each graph as (n, edges)."""
-    from crownminor.digraph import Digraph
+    from crownminor.digraph import Digraph, crown
     from crownminor.minors import general_minor_check
     from crownminor.quasiwide import dichotomy_step
-    from crownminor.verify import ScatteredWitness, crown
+    from crownminor.verify import ScatteredWitness
     from crownminor.witnessdoc import (
         emit_model, emit_outbranching, emit_scattered, emit_vertex_set,
     )
