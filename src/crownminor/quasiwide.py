@@ -33,8 +33,11 @@ from .verify import (  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
-# bound functions (exact integers; they explode quickly and are used as
-# reference values only -- the extractors never evaluate them)
+# bound functions (exact integers; they explode quickly). The extractors
+# evaluate them only at small orders: uniform_level_crown takes
+# 2 * clique_threshold(q) as its round limit for q <= 4, and
+# bipartite_trichotomy takes uniform_level_threshold(q, n) as its bucket
+# goal for q <= 3; above those orders they run without a limit or goal.
 
 
 def ramsey_upper(n):
@@ -192,24 +195,13 @@ def label_avoiding_clique(vertices, gamma, n):
         if len(same) >= need:
             return sorted(same)[:need]
         other = _max_clique(rest, lambda x, y: g(x, y) != v)
-        kept = []
-        kept_set = set()
-        avail = list(other)
-        while avail:
-            pick = None
-            for u in avail:
+        kept, dropped = [], set()
+        for u in other:
+            if u not in dropped:
                 partner = g(v, u)
-                if partner not in kept_set:
-                    pick = u
-                    break
-            if pick is None:
-                break
-            kept.append(pick)
-            kept_set.add(pick)
-            avail.remove(pick)
-            partner = g(v, pick)
-            if partner in avail:
-                avail.remove(partner)
+                if partner not in kept:
+                    kept.append(u)
+                    dropped.add(partner)
         inner = rec(kept, need - 1)
         return [v] + inner
 
@@ -471,6 +463,11 @@ def scattered_or_crown(cb, p, q):
     every kept vertex covers fully, which is a crown; otherwise the
     trichotomy runs on the residual structure: the unkept A-vertices
     over the pool.
+
+    Cover ties go to the A-vertex whose repr sorts first, so vertex 10
+    wins over vertex 9. That order stays because the pinned dichotomy
+    outcomes in the tests were recorded with it; integer order picks
+    other crowns and scattered sets.
     """
     if q < 1 or p < 1:
         raise GraphError("need p, q >= 1")

@@ -10,9 +10,9 @@ import random
 
 from .digraph import BudgetExhausted, Digraph, count_alternations, is_dag, underlying_undirected
 from .generators import (
-    acyclic_tournament,
     crown,
     crown_pattern_probability,
+    embed_acyclic_tournament,
     extract_grid_alternating_path,
     oriented_grid,
     random_bipartite_outregular,
@@ -215,8 +215,6 @@ def run_selftest(scale="small"):
         rng = random.Random(111)
         for n in (1, 2, 3):
             T = random_tournament(2 ** n, rng.randrange(1 << 30))
-            from .generators import embed_acyclic_tournament
-
             assert embed_acyclic_tournament(T, n) is not None
         exact, bound = crown_pattern_probability(8, 3, 2)
         assert 0 < exact <= bound

@@ -302,77 +302,60 @@ def d_dominating_set(G, k, d=1):
 
 
 def directed_steiner_outtree(G, terminals):
-    """Minimum-vertex out-tree containing all terminals, by dynamic
-    programming over (vertex, terminal subset) with subtree merges at a
-    shared root and single-edge extensions. Returns (vertices, parent)
-    or None when no out-tree holds them all."""
+    """Minimum-vertex out-tree containing all terminals, by the
+    Dreyfus-Wagner dynamic program over (terminal subset, root): each
+    terminal starts as a one-vertex tree, each subset's row first merges
+    two smaller trees at a shared root, then its roots step back along
+    in-edges, cheapest first (Dijkstra on unit steps). Returns
+    (vertices, parent) or None when no out-tree holds them all."""
+    import heapq
+
     terms = sorted(set(terminals))
     if not terms:
         raise GraphError("need at least one terminal")
-    tidx = {t: i for i, t in enumerate(terms)}
     full = (1 << len(terms)) - 1
 
     INF = float("inf")
     cost = [[INF] * G.n for _ in range(full + 1)]
+    # per (subset, root): a split submask, ~u for a step on to u, or
+    # None at a terminal's own one-vertex tree
     choice = [[None] * G.n for _ in range(full + 1)]
-    for t in terms:
-        m = 1 << tidx[t]
-        # distances into t, one BFS against the edges
-        for v, dd in bfs_dist(G, t, direction="in").items():
-            cost[m][v] = dd + 1
-            choice[m][v] = ("leaf", t)
+    for i, t in enumerate(terms):
+        G.check_vertex(t)
+        cost[1 << i][t] = 1
 
     for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0:
-            continue
+        row, pick = cost[mask], choice[mask]
         low = mask & -mask
         sub = (mask - 1) & mask
         while sub:
             if sub & low:
-                rest = mask ^ sub
-                for v in G.vertices():
-                    a, b = cost[sub][v], cost[rest][v]
-                    if a + b - 1 < cost[mask][v]:
-                        cost[mask][v] = a + b - 1
-                        choice[mask][v] = ("split", sub)
+                for v, (a, b) in enumerate(zip(cost[sub], cost[mask ^ sub])):
+                    if a + b - 1 < row[v]:
+                        row[v] = a + b - 1
+                        pick[v] = sub
             sub = (sub - 1) & mask
-        # propagate along edges until stable (unit increments)
-        changed = True
-        while changed:
-            changed = False
-            for v in G.vertices():
-                for u in G.successors(v):
-                    if cost[mask][u] + 1 < cost[mask][v]:
-                        cost[mask][v] = cost[mask][u] + 1
-                        choice[mask][v] = ("step", u)
-                        changed = True
+        heap = sorted((c, v) for v, c in enumerate(row) if c < INF)
+        while heap:
+            c, u = heapq.heappop(heap)
+            if c == row[u]:
+                for v in G.predecessors(u):
+                    if c + 1 < row[v]:
+                        row[v] = c + 1
+                        pick[v] = ~u
+                        heapq.heappush(heap, (c + 1, v))
 
-    best_root, best_cost = None, INF
-    for v in G.vertices():
-        if cost[full][v] < best_cost:
-            best_root, best_cost = v, cost[full][v]
-    if best_root is None:
+    root = min(G.vertices(), key=cost[full].__getitem__)
+    if cost[full][root] == INF:
         return None
-
     verts = set()
-
-    def collect(mask, v):
+    stack = [(full, root)]
+    while stack:
+        mask, v = stack.pop()
         verts.add(v)
-        kind = choice[mask][v]
-        tag = kind[0]
-        if tag == "leaf":
-            parent = bfs_dist(G, v, parents=True)
-            x = kind[1]
-            while x != v:
-                verts.add(x)
-                x = parent[x]
-        elif tag == "split":
-            collect(kind[1], v)
-            collect(mask ^ kind[1], v)
-        else:
-            collect(mask, kind[1])
-
-    collect(full, best_root)
+        how = choice[mask][v]
+        if how is not None:
+            stack += [(how, v), (mask ^ how, v)] if how > 0 else [(mask, ~how)]
     parent = spanning_outtree(G, verts)
     if parent is None or not set(terms) <= verts:
         raise RuntimeError("internal: Steiner reconstruction failed")

@@ -14,6 +14,8 @@ requests before each guess carried its branch ends, and
 ran on vertex masks, and
 `scattered_by_sweep` and `controlled_bipartite_by_table`, which ran one
 BFS per host vertex where the library now runs one per member, and
+`label_avoiding_clique_by_rescan`, the clique extraction before its
+partner strip went in one forward pass, and
 `full_copy_sample`, the generators' sampler before it went O(k), and
 `randrange_sample`, the O(k) sampler before its draws were inlined,
 both on `randrange`, the generator's former bounded draw, and
@@ -50,11 +52,13 @@ import math
 from collections import deque
 from fractions import Fraction
 
-from crownminor.digraph import Digraph, GraphError, adjacency_masks, bfs_dist, mask_bits, reach_mask
+from crownminor.digraph import (
+    BudgetExhausted, Digraph, GraphError, adjacency_masks, bfs_dist, mask_bits, reach_mask,
+)
 from crownminor.generators import oriented_grid, random_dag, random_digraph  # noqa: F401
 from crownminor.graphio import GraphFormatError
 from crownminor.minors import butterfly_contract, legal_butterfly_contractions
-from crownminor.quasiwide import ControlledBipartite, uniform_level_threshold
+from crownminor.quasiwide import ControlledBipartite, _max_clique, uniform_level_threshold
 from crownminor.rng import _GAMMA, _MASK, SplitMix64, _mix
 
 
@@ -824,6 +828,56 @@ def controlled_bipartite_violations(cb):
             bad.append("base/level mismatch at %s" % (a,))
     return bad
 
+
+
+def label_avoiding_clique_by_rescan(vertices, gamma, n):
+    """label_avoiding_clique's former body, whose partner strip rescanned
+    the available vertices from the start after every pick."""
+    verts = sorted(vertices)
+    if n < 1:
+        raise GraphError("clique target must be positive")
+
+    def g(u, w):
+        got = gamma.get(frozenset((u, w)))
+        if got is not None and got in (u, w):
+            raise GraphError("edge label must avoid its endpoints")
+        return got
+
+    def rec(pool, need):
+        if need == 1:
+            if not pool:
+                raise BudgetExhausted("clique pool empty")
+            return [pool[0]]
+        if len(pool) < need:
+            raise BudgetExhausted("clique pool smaller than target")
+        v = pool[0]
+        rest = pool[1:]
+        same = _max_clique(rest, lambda x, y: g(x, y) == v)
+        if len(same) >= need:
+            return sorted(same)[:need]
+        other = _max_clique(rest, lambda x, y: g(x, y) != v)
+        kept = []
+        kept_set = set()
+        avail = list(other)
+        while avail:
+            pick = None
+            for u in avail:
+                partner = g(v, u)
+                if partner not in kept_set:
+                    pick = u
+                    break
+            if pick is None:
+                break
+            kept.append(pick)
+            kept_set.add(pick)
+            avail.remove(pick)
+            partner = g(v, pick)
+            if partner in avail:
+                avail.remove(partner)
+        inner = rec(kept, need - 1)
+        return [v] + inner
+
+    return sorted(rec(verts, n))
 
 # --- digraph construction and graph text ---------------------------------------
 

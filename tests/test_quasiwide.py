@@ -43,6 +43,7 @@ from oracles import (
     controlled_bipartite_violations,
     deletion_budget,
     dichotomy_threshold_steps,
+    label_avoiding_clique_by_rescan,
     random_digraph,
     trichotomy_threshold,
     wideness_threshold,
@@ -296,6 +297,31 @@ def test_clique_stops_when_no_vertex_is_pickable():
     got = label_avoiding_clique(range(3), gamma, 2)
     assert_label_avoiding(got, gamma, 2)
     assert got == [0, 1]
+
+
+def test_clique_one_pass_strip_matches_rescan():
+    # a vertex the former rescan passed over stayed passed over, as the
+    # kept set only grows, so one forward pass keeps the same vertices;
+    # answers and failure texts agree alike
+    def outcome(find, verts, gamma, n):
+        try:
+            return find(verts, gamma, n)
+        except (BudgetExhausted, GraphError) as exc:
+            return type(exc).__name__, str(exc)
+
+    rng = random.Random(1618)
+    for _ in range(400):
+        verts = rng.sample(range(12), rng.randint(1, 10))
+        gamma = {}
+        for u, w in itertools.combinations(verts, 2):
+            if rng.random() < 0.7:
+                gamma[frozenset((u, w))] = rng.choice([x for x in range(12) if x not in (u, w)])
+        if len(verts) > 1 and rng.random() < 0.05:
+            u, w = verts[:2]
+            gamma[frozenset((u, w))] = u
+        n = rng.randint(1, 5)
+        got = outcome(label_avoiding_clique, verts, gamma, n)
+        assert got == outcome(label_avoiding_clique_by_rescan, verts, gamma, n), (verts, gamma, n)
 
 
 def test_clique_rejects_labels_on_endpoints():

@@ -342,6 +342,19 @@ def test_steiner_disconnected_terminals():
     assert directed_steiner_outtree(G, (1, 3)) is None
 
 
+def test_steiner_deep_arm_is_rebuilt_without_recursion():
+    # root 0 with a leaf arm 0->1 and a long arm 0->2->...->L+1 that
+    # forks into two leaves; rebuilding the tree walks the whole arm,
+    # deeper than Python's recursion limit
+    L = 1200
+    edges = [(0, 1), (0, 2), (L + 1, L + 2), (L + 1, L + 3)]
+    edges += [(i, i + 1) for i in range(2, L + 1)]
+    G = Digraph(L + 4, edges)
+    verts, parent = directed_steiner_outtree(G, (1, L + 2, L + 3))
+    assert verts == tuple(range(L + 4))
+    assert verify_outbranching(G, verts, parent)
+
+
 def test_steiner_matches_exhaustive_minimum():
     rng = random.Random(2718)
     for _ in range(30):
@@ -764,12 +777,10 @@ def test_exhaustive_searches_do_not_run_a_bfs_per_subset(monkeypatch):
     assert calls[0] <= 4 * G.n
 
 
-def test_steiner_table_runs_one_bfs_per_terminal(monkeypatch):
-    # the Steiner table reads distances into terminals only, so one
-    # in-direction BFS per terminal fills it, and a call that finds no
-    # tree makes no other; a found tree adds at most one BFS per leaf
-    # and one for spanning_outtree. A BFS from every vertex
-    # would make more than n calls per Steiner call.
+def test_steiner_table_runs_no_bfs_of_its_own(monkeypatch):
+    # the Steiner table steps back along in-edges and records every
+    # step, so it runs no BFS to seed rows or to rebuild the tree; a
+    # found tree makes the one in spanning_outtree, a miss makes none
     calls = count_bfs_calls(monkeypatch)
     G = random_digraph(random.Random(3), 18, 0.15)
     # vertex 18 is isolated, so no tree holds it and another terminal
@@ -783,8 +794,8 @@ def test_steiner_table_runs_one_bfs_per_terminal(monkeypatch):
         got = directed_steiner_outtree(H, terminals)
         if got is None:
             missed += 1
-            assert calls[0] <= len(terminals), terminals
+            assert calls[0] == 0, terminals
         else:
             found += 1
-            assert calls[0] <= 2 * len(terminals) + len(got[0]), terminals
+            assert calls[0] <= 1, terminals
     assert found == 15 and missed == 3
