@@ -199,7 +199,7 @@ def densest_partition(G, r, best):
 
     left = (1 << n) - 1
     while left:
-        comp = reach_mask(nb, (left & -left).bit_length() - 1, left)
+        comp = reach_mask(nb, left & -left, left)
         left &= ~comp
         if comp & (comp - 1):
             place(comp, 0, sum((out_m[u] & comp).bit_count() for u in mask_bits(comp)))

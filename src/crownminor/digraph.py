@@ -222,13 +222,14 @@ def mask_bits(mask):
         mask ^= low
 
 
-def reach_mask(adj, v, within, max_depth=None):
-    """The reach-set kernel: the vertices v reaches by a path of at most
-    max_depth edges (any length when None) through the vertex mask
-    `within`, as an int bitmask, for adj = adjacency_masks(G, direction).
-    It is the key set of bfs_dist(G, v, max_depth, direction, within=...)
-    and v is in it iff v is in `within`."""
-    seen = frontier = within & 1 << v
+def reach_mask(adj, starts, within, max_depth=None):
+    """The reach-set kernel: the vertices some vertex of the mask `starts`
+    reaches by a path of at most max_depth edges (any length when None)
+    through the vertex mask `within`, as an int bitmask, for adj =
+    adjacency_masks(G, direction). A start outside `within` reaches
+    nothing; for starts = 1 << v it is the key set of bfs_dist(G, v,
+    max_depth, direction, within=...)."""
+    seen = frontier = within & starts
     limit = len(adj) if max_depth is None else max_depth
     while frontier and limit > 0:
         limit -= 1
@@ -286,12 +287,11 @@ def set_neighborhood(G, X, d, direction="out", avoid=None):
         raise GraphError("neighborhood radius must be nonnegative")
     # an avoided id outside G removes nothing
     alive = ((1 << G.n) - 1) & ~sum(1 << v for v in set(avoid or ()) if v >= 0)
-    adj = adjacency_masks(G, direction)
-    got = 0
+    starts = 0
     for x in X:
         G.check_vertex(x)
-        got |= reach_mask(adj, x, alive, d)
-    return tuple(mask_bits(got))
+        starts |= 1 << x
+    return tuple(mask_bits(reach_mask(adjacency_masks(G, direction), starts, alive, d)))
 
 
 def underlying_undirected(G):

@@ -156,8 +156,10 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
 
     Host vertex sets are int masks per pattern vertex v: `own[v]` (their
     union is `claimed`), `heads[v]` and `tails[v]`, the in-heads and
-    out-tails so far. Reach masks are memoised per call.
+    out-tails so far. Single-vertex reach masks are memoised per call.
     """
+    if H.n > G.n:
+        return  # disjoint nonempty branch sets need H.n host vertices
     edge_order = sorted(H.edges)
     index = {e: i for i, e in enumerate(edge_order)}
     h_adj = adjacency_masks(H, "out"), adjacency_masks(H, "in")
@@ -181,7 +183,7 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
         key = (x, usable, back)
         got = memo.get(key)
         if got is None:
-            got = memo[key] = reach_mask(adj[back], x, usable, depth)
+            got = memo[key] = reach_mask(adj[back], 1 << x, usable, depth)
         return got
 
     def common_end(anchors, usable, back):
@@ -190,19 +192,6 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
         got = usable
         for a in anchors:
             got &= reach(a, usable, back)
-        return got
-
-    def spread(starts, usable, back):
-        """The vertices some vertex of starts reaches (back: that reach
-        one) within depth through usable vertices. With no depth bound a
-        start already reached adds nothing."""
-        got = 0
-        while starts:
-            low = starts & -starts
-            got |= reach(low.bit_length() - 1, usable, back)
-            starts ^= low
-            if depth is None:
-                starts &= ~got
         return got
 
     def next_ends(v, claimed, back):
@@ -215,7 +204,8 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
         if near:
             return common_end(mask_bits(near), usable, back)
         if far:
-            return spread(common_end(mask_bits(far), usable, not back), usable, back)
+            starts = common_end(mask_bits(far), usable, not back)
+            return reach_mask(adj[back], starts, usable, depth)
         return usable
 
     def linked(xs, ys):
@@ -224,25 +214,16 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
             return any(adj[0][x] & ys for x in mask_bits(xs))
         return any(adj[1][y] & xs for y in mask_bits(ys))
 
-    def carried(waiting, touched, claimed):
+    def carried(waiting, claimed):
         """Each pattern edge (a, b) in `waiting` still has a host edge
         from where a's next out-tail may lie to where b's next in-head
-        may. Cheap parts of those sets are tried first: all free vertices
-        for a branch with no heads or tails, and the out-tails (in-heads)
-        of a `touched` branch, which just passed `feasible`."""
-        free = full & ~claimed
+        may."""
         tail_ends, head_ends = {}, {}
         for a, b in waiting:
-            xs = tails[a] if a in touched else 0 if heads[a] | tails[a] else free
-            ys = heads[b] if b in touched else 0 if heads[b] | tails[b] else free
-            if linked(xs, ys):
-                continue
-            if b not in head_ends:
-                head_ends[b] = next_ends(b, claimed, True)
-            if linked(xs, head_ends[b]):
-                continue
             if a not in tail_ends:
                 tail_ends[a] = next_ends(a, claimed, False)
+            if b not in head_ends:
+                head_ends[b] = next_ends(b, claimed, True)
             if not linked(tail_ends[a], head_ends[b]):
                 return False
         return True
@@ -271,7 +252,7 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
         if k == len(edge_order):
             yield from guess_ends(claimed)
             return
-        u, v = touched = edge_order[k]
+        u, v = edge_order[k]
         waiting = pending[k]
         own_u, own_v, tails_u, heads_v = own[u], own[v], tails[u], heads[v]
         free = full & ~claimed
@@ -287,7 +268,7 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
                 tails[u], heads[v] = tails_u | bx, heads_v | by
                 now = claimed | bx | by
                 if feasible(u, now) and feasible(v, now) and (
-                        not waiting or carried(waiting, touched, now)):
+                        not waiting or carried(waiting, now)):
                     yield from assign(k + 1, now)
         own[u], own[v], tails[u], heads[v] = own_u, own_v, tails_u, heads_v
 
@@ -377,8 +358,6 @@ def general_minor_check(H, G):
     images and the needed source/sink vertices, then route the
     connecting paths of every branch set, of any length. Every positive
     answer is a verified model; None means no model exists."""
-    if H.n > G.n:
-        return None
     return _guess_and_route(H, G, None)
 
 
@@ -492,6 +471,8 @@ def _injective_maps(H, G, out_m, in_m):
     With G's adjacency masks the maps send edges to edges. With H's own
     they are H's automorphisms: a bijection that keeps every edge keeps
     every non-edge too."""
+    if H.n > G.n:
+        return iter(())
     # degrees read once per call, not through in_adj at every candidate
     hin, hout = [len(a) for a in H.in_adj], [len(a) for a in H.out_adj]
     gin, gout = [len(a) for a in G.in_adj], [len(a) for a in G.out_adj]
@@ -580,8 +561,6 @@ def is_butterfly_minor(H, G):
     is routed by two owners, (v, "in") from each in-head to the root and
     (v, "out") from the root to each out-tail, so the two sides meet
     only at the root, a shared end."""
-    if H.n > G.n:
-        return None
     for image, root, _, _, ends in _enumerate_guesses(H, G, None, True):
         roots = sum(1 << x for x in root.values())
         reqs, own = [], {}
@@ -613,7 +592,7 @@ class _ReachMasks(dict):
         self.adj, self.full = adjacency_masks(G, direction), (1 << G.n) - 1
 
     def __missing__(self, x):
-        got = self[x] = reach_mask(self.adj, x, self.full)
+        got = self[x] = reach_mask(self.adj, 1 << x, self.full)
         return got
 
 

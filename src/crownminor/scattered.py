@@ -62,7 +62,7 @@ def deletion_set(adj, targets, passable, d, m, s_budget, cap):
     walk at every branching node, and their exhausted flag depends on
     their cap of 12."""
     probe = list(itertools.islice(mask_bits(targets), cap))
-    balls = [reach_mask(adj, u, passable, d) for u in probe]
+    balls = [reach_mask(adj, 1 << u, passable, d) for u in probe]
     got = common_ancestor_walk(probe, balls, m, s_budget)
     if got is not None and not disjoint_balls(adj, got[1], passable & ~got[0], d):
         raise RuntimeError("internal: common-ancestor deletion failed to scatter")

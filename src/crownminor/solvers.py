@@ -34,7 +34,7 @@ SolveOutcome = namedtuple("SolveOutcome", "feasible witness exhausted", defaults
 # W_CAP: independent_dominating_set and dominating_outbranching run
 # their exhaustive subset search, instead of branching, on an alive set
 # of at most max(BASE_CAP, k + 1) vertices and on a target set of at
-# most max(W_CAP, chosen + budget) vertices.
+# most max(W_CAP, budget) vertices.
 PROBE_CAP = 12
 BASE_CAP = 10
 W_CAP = 8
@@ -384,7 +384,7 @@ def _root(inside, out_adj, in_adj):
                 return None
             source = low.bit_length() - 1
     roots = mask_bits(inside) if source is None else (source,)
-    return next((v for v in roots if reach_mask(out_adj, v, inside) == inside), None)
+    return next((v for v in roots if reach_mask(out_adj, 1 << v, inside) == inside), None)
 
 
 def dominating_outbranching(G, k, scatter_budget=3):
@@ -392,12 +392,12 @@ def dominating_outbranching(G, k, scatter_budget=3):
     every vertex? Branches on the deletion set of a scattered witness
     (any solution must meet it), shrinking the target mask by the chosen
     vertex's closed out-neighborhood. A target set of at most
-    max(W_CAP, chosen + budget) vertices, or one with no scattered
-    witness, goes to the exhaustive subset search, which keeps the
-    answer exact at all sizes; only the second case marks the outcome
-    exhausted. The search roots each covering set with _root, so a set
-    with two in-sources costs no reach sweep, and one BFS from the root
-    it finds builds the parent map of the set it accepts."""
+    max(W_CAP, budget) vertices, or one with no scattered witness, goes
+    to the exhaustive subset search, which keeps the answer exact at all
+    sizes; only the second case marks the outcome exhausted. The search
+    roots each covering set with _root, so a set with two in-sources
+    costs no reach sweep, and one BFS from the root it finds builds the
+    parent map of the set it accepts."""
     _need_k(k)
     _need_budget(scatter_budget)
     fell_back = False
@@ -416,14 +416,15 @@ def dominating_outbranching(G, k, scatter_budget=3):
     def rec(W, us, j):
         # the vertex mask us plus at most j further vertices that
         # dominate the target mask W and span an out-tree, as
-        # (D, parent), or None
+        # (D, parent), or None. us dominates no target left in W, so
+        # j + 1 scattered targets force one of the j vertices still to
+        # come into the deletion set
         nonlocal fell_back
-        t = us.bit_count()
         cut = None
-        if W.bit_count() > max(W_CAP, t + j):
+        if W.bit_count() > max(W_CAP, j):
             if j == 0:
                 return None
-            cut = deletion_set(in_ball, W, full, 1, t + j + 1, scatter_budget, PROBE_CAP)
+            cut = deletion_set(in_ball, W, full, 1, j + 1, scatter_budget, PROBE_CAP)
             fell_back |= cut is None
         if cut is None:
             return _first_subset(full & ~us, range(j + 1), no_clash, closed, W,

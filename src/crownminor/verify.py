@@ -32,7 +32,7 @@ def _branch_reach(adj, bmask, depth):
     adjacency_masks(G): each member, in increasing order, mapped to the
     mask of members it reaches inside the branch by a path of at most
     `depth` edges (of any length when depth is None)."""
-    return {a: reach_mask(adj, a, bmask, depth) for a in mask_bits(bmask)}
+    return {a: reach_mask(adj, 1 << a, bmask, depth) for a in mask_bits(bmask)}
 
 
 def _unlinked(reach, ins, outs):
@@ -167,7 +167,7 @@ def disjoint_balls(adj, members, alive, d):
     masks of G."""
     covered = 0
     for u in members:
-        ball = reach_mask(adj, u, alive, d)
+        ball = reach_mask(adj, 1 << u, alive, d)
         if not ball or ball & covered:
             return False
         covered |= ball
@@ -234,4 +234,4 @@ def verify_outbranching(G, vertices, parent):
             return False
         children[p] |= 1 << v
     inside = sum(1 << v for v in vs)
-    return reach_mask(children, roots[0], inside) == inside
+    return reach_mask(children, 1 << roots[0], inside) == inside

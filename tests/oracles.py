@@ -898,7 +898,7 @@ def ball_masks_by_sweep(G, d, direction="out"):
     step ANDed with the full vertex mask."""
     adj = adjacency_masks(G, direction)
     full = (1 << G.n) - 1
-    return [reach_mask(adj, v, full, d) for v in G.vertices()]
+    return [reach_mask(adj, 1 << v, full, d) for v in G.vertices()]
 
 
 def emit_graph_by_sorted_edges(G, comments=()):

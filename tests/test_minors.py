@@ -606,6 +606,31 @@ def test_triangle_refuted_in_a_grid_with_few_reach_sweeps(monkeypatch):
     assert calls[0] <= 5000
 
 
+def test_pattern_larger_than_its_host_is_refused_before_any_search(monkeypatch):
+    """Work guard: branch sets (placed vertices) are disjoint and
+    nonempty, so no model has more pattern than host vertices. The guess
+    enumerator and the placement matcher refuse such a pair before they
+    walk a mask; without that, shallow_minor_check searched in factorial
+    time, and the topological and subgraph checks searched too."""
+    import crownminor.minors as minors
+
+    calls = [0]
+    bits = minors.mask_bits
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return bits(*args, **kwargs)
+
+    monkeypatch.setattr(minors, "mask_bits", counted)
+    H, G = Digraph(8), Digraph(7)
+    checks = [general_minor_check, dag_minor_check, is_butterfly_minor, topological_minor_check,
+              subgraph_check, lambda H, G: shallow_minor_check(H, G, 0),
+              lambda H, G: shallow_minor_check(H, G, 2)]
+    for check in checks:
+        assert check(H, G) is None
+    assert calls[0] == 0
+
+
 def test_router_fails_at_once_when_two_owners_need_one_end(monkeypatch):
     """Two requests of different owners end on the ladder's last vertex.
     Claiming ends before the search fails the query before any path is

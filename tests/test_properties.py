@@ -170,10 +170,17 @@ def test_reach_mask_matches_bfs_dist(G, data):
     src = data.draw(st.integers(0, G.n - 1))
     within = data.draw(st.frozensets(st.integers(0, G.n - 1)))
     depth = data.draw(st.sampled_from([None, 0, 1, 2, 3]))
+    # a start set sweeps to the union of its members' sweeps; members
+    # outside `within` reach nothing
+    starts = data.draw(st.frozensets(st.integers(0, G.n - 1)))
     mask = sum(1 << v for v in within)
     for direction in ("out", "in"):
-        got = reach_mask(adjacency_masks(G, direction), src, mask, depth)
+        adj = adjacency_masks(G, direction)
+        got = reach_mask(adj, 1 << src, mask, depth)
         want = bfs_dist(G, src, depth, direction, within=within)
+        assert list(mask_bits(got)) == sorted(want)
+        got = reach_mask(adj, sum(1 << v for v in starts), mask, depth)
+        want = set().union(*(bfs_dist(G, v, depth, direction, within=within) for v in starts))
         assert list(mask_bits(got)) == sorted(want)
 
 

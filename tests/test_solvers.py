@@ -467,6 +467,20 @@ def test_dob_agrees_with_oracle():
             assert dominates(G, D, 1, G.vertices())
 
 
+def test_dob_asks_the_lemma_for_one_member_more_than_its_budget():
+    # the chosen vertices dominate no target left, so j + 1 scattered
+    # targets force one of the j vertices still to come into the deletion
+    # set; asking for chosen + j + 1 members found no scattered set here
+    # and fell back to the exhaustive search
+    rng = random.Random(45)
+    n = rng.randint(8, 16)
+    p = rng.choice([0.1, 0.15, 0.2])
+    G = random_digraph(rng, n, p)
+    got = dominating_outbranching(G, 4)
+    assert not got.feasible and not got.exhausted
+    assert not brute_force_solve(DominationInstance(G, 4), "dob").feasible
+
+
 def test_dob_answers_a_budget_of_every_vertex_without_enumerating_partitions():
     # six sources: each must be chosen, as only it dominates itself, and
     # an out-tree holds at most one. A base case that split all 14
