@@ -150,13 +150,6 @@ def verify_controlled_crown(cb, cc):
     return True
 
 
-def cc2_condition(cb, cc):
-    """Sufficient criterion: no connector is based inside the principal
-    set. Implies the full label condition for A-side collisions."""
-    pr = set(cc.principals)
-    return all(cb.base.get(a) not in pr for a in cc.connectors)
-
-
 # ---------------------------------------------------------------------------
 # label-avoiding clique extraction
 
@@ -495,7 +488,7 @@ def scattered_or_crown(cb, p, q):
         if len(principals) < q:
             raise BudgetExhausted("peeled pool thinner than the crown order")
         cc = ControlledCrown(q, principals, tuple(kept))
-        if not cc2_condition(cb, cc) or not verify_controlled_crown(cb, cc):
+        if not verify_controlled_crown(cb, cc):
             raise BudgetExhausted("peeled crown failed verification")
         return cc
 

@@ -29,12 +29,12 @@ class DominationInstance(namedtuple("DominationInstance", "graph k d", defaults=
 SolveOutcome = namedtuple("SolveOutcome", "feasible witness exhausted", defaults=(None, False))
 
 
-# PROBE_CAP: the cap both branching solvers pass to deletion_set,
-# whose docstring says why it is not scattered.PROBE_CAP. BASE_CAP and
-# W_CAP: independent_dominating_set and dominating_outbranching run
-# their exhaustive subset search, instead of branching, on an alive set
-# of at most max(BASE_CAP, k + 1) vertices and on a target set of at
-# most max(W_CAP, budget) vertices.
+# PROBE_CAP: the cap _scatter_branch passes to deletion_set, whose
+# docstring says why it is not scattered.PROBE_CAP. BASE_CAP and W_CAP:
+# _scatter_branch runs the exhaustive subset search, instead of
+# branching, on at most max(BASE_CAP, budget + 1) targets for
+# independent_dominating_set and max(W_CAP, budget) targets for
+# dominating_outbranching.
 PROBE_CAP = 12
 BASE_CAP = 10
 W_CAP = 8
@@ -43,12 +43,6 @@ W_CAP = 8
 def _need_k(k):
     if k < 0:
         raise GraphError("need k >= 0, got %d" % k)
-
-
-def _need_budget(scatter_budget):
-    # checked on entry, not only where deletion_set is reached
-    if scatter_budget < 0:
-        raise GraphError("need scatter_budget >= 0, got %d" % scatter_budget)
 
 
 def _first_subset(cand, sizes, clash, cover, want, accept):
@@ -101,6 +95,46 @@ def _first_subset(cand, sizes, clash, cover, want, accept):
         if got is not None:
             return got
     return None
+
+
+def _scatter_branch(n, k, cap, extra, clash, closed, in_ball, scatter_budget, accept):
+    """The scattered-set branching of ids and dob. Returns (got,
+    fell_back): got is the first non-None accept(us) over vertex masks
+    us of at most k vertices whose closed balls cover all n and that
+    hold no u, w with w in clash[u], or None; fell_back is set when a
+    probe finds no scattered set.
+
+    State: targets W not yet dominated, allowed vertices cand, chosen
+    us, budget j. No chosen vertex is in the in-ball of a target left in
+    W, so if j + 1 of them are scattered in G[cand | W] minus a set C, a
+    solution must meet C. Above max(cap, j + extra) targets the search
+    asks deletion_set for C and includes each allowed vertex of it in
+    ascending order by _first_subset's rule (with j = 0 it ends);
+    otherwise, or with no C, _first_subset searches exhaustively."""
+    _need_k(k)
+    # checked on entry, not only where deletion_set is reached
+    if scatter_budget < 0:
+        raise GraphError("need scatter_budget >= 0, got %d" % scatter_budget)
+    fell_back = False
+
+    def rec(W, cand, us, j):
+        nonlocal fell_back
+        cut = None
+        if W.bit_count() > max(cap, j + extra):
+            if j == 0:
+                return None
+            cut = deletion_set(in_ball, W, cand | W, 1, j + 1, scatter_budget, PROBE_CAP)
+            fell_back |= cut is None
+        if cut is None:
+            return _first_subset(cand, range(j + 1), clash, closed, W, lambda m: accept(us | m))
+        for s in mask_bits(cut[0] & cand):
+            got = rec(W & ~closed[s], (cand ^ 1 << s) & ~clash[s], us | 1 << s, j - 1)
+            if got is not None:
+                return got
+        return None
+
+    full = (1 << n) - 1
+    return rec(full, full, 0, k), fell_back
 
 
 def spanning_outtree(G, D):
@@ -164,42 +198,17 @@ def brute_force_solve(instance, variant):
 
 
 def independent_dominating_set(G, k, scatter_budget=3):
-    """Branching solver: a verified 1-scattered set of size k+1 forces
-    every dominating set to meet its deletion set, so branch on those
-    vertices, removing the chosen vertex's closed out-neighborhood from
-    the alive mask and forbidding its closed in-neighborhood. Small or
-    scatter-less residuals go to the exhaustive subset search. Alive and
-    forbidden vertices are int masks, and every branch is read off ball
-    tables built once per call. Exact at all sizes."""
-    _need_k(k)
-    _need_budget(scatter_budget)
-    fell_back = False
+    """Branching solver (_scatter_branch): choosing a vertex removes its
+    closed out-neighborhood from the targets and its closed in- and
+    out-neighborhoods from the candidates. Exact at all sizes."""
     # computed once per call: closed 1-balls and edge neighborhoods
     closed, in_ball = ball_masks(G, 1), ball_masks(G, 1, "in")
     clash = [c | i for c, i in zip(closed, in_ball)]
-
-    def rec(alive, Y, k):
-        # an independent set of at most k vertices of alive - Y that
-        # dominates alive, as a list, or None
-        nonlocal fell_back
-        cut = None
-        if alive.bit_count() > max(BASE_CAP, k + 1):
-            cut = deletion_set(in_ball, alive, alive, 1, k + 1, scatter_budget, PROBE_CAP)
-            fell_back |= cut is None
-        if cut is None:
-            return _first_subset(alive & ~Y, range(k + 1), clash, closed, alive,
-                                 lambda m: list(mask_bits(m)))
-        # with k = 0 the walk returns C = 0, so no branch reaches k = -1
-        for s in mask_bits(cut[0] & ~Y):
-            sub = rec(alive & ~closed[s], Y | in_ball[s], k - 1)
-            if sub is not None:
-                return [s] + sub
-        return None
-
-    got = rec((1 << G.n) - 1, 0, k)
+    got, fell_back = _scatter_branch(G.n, k, BASE_CAP, 1, clash, closed, in_ball,
+                                     scatter_budget, lambda m: m)
     if got is None:
         return SolveOutcome(False, exhausted=fell_back)
-    D = tuple(sorted(got))
+    D = tuple(mask_bits(got))
     if not (verify_independent(G, D) and verify_dominating(G, D, 1)):
         raise RuntimeError("internal: branching produced an invalid witness")
     return SolveOutcome(True, D, exhausted=fell_back)
@@ -389,21 +398,13 @@ def _root(inside, out_adj, in_adj):
 
 def dominating_outbranching(G, k, scatter_budget=3):
     """Does some set of at most k vertices span an out-tree and dominate
-    every vertex? Branches on the deletion set of a scattered witness
-    (any solution must meet it), shrinking the target mask by the chosen
-    vertex's closed out-neighborhood. A target set of at most
-    max(W_CAP, budget) vertices, or one with no scattered witness, goes
-    to the exhaustive subset search, which keeps the answer exact at all
-    sizes; only the second case marks the outcome exhausted. The search
-    roots each covering set with _root, so a set with two in-sources
+    every vertex? Branching solver (_scatter_branch) with no clashes:
+    choosing a vertex removes its closed out-neighborhood from the
+    targets and only itself from the candidates. Exact at all sizes.
+    Each covering set is rooted with _root, so a set with two in-sources
     costs no reach sweep, and one BFS from the root it finds builds the
     parent map of the set it accepts."""
-    _need_k(k)
-    _need_budget(scatter_budget)
-    fell_back = False
-    full = (1 << G.n) - 1
     closed, in_ball = ball_masks(G, 1), ball_masks(G, 1, "in")
-    no_clash = [0] * G.n
 
     def spanned(inside):
         # (D, parent) if an out-tree spans the vertex mask inside
@@ -413,31 +414,8 @@ def dominating_outbranching(G, k, scatter_budget=3):
         D = tuple(mask_bits(inside))
         return D, bfs_dist(G, root, within=set(D), parents=True)
 
-    def rec(W, us, j):
-        # the vertex mask us plus at most j further vertices that
-        # dominate the target mask W and span an out-tree, as
-        # (D, parent), or None. us dominates no target left in W, so
-        # j + 1 scattered targets force one of the j vertices still to
-        # come into the deletion set
-        nonlocal fell_back
-        cut = None
-        if W.bit_count() > max(W_CAP, j):
-            if j == 0:
-                return None
-            cut = deletion_set(in_ball, W, full, 1, j + 1, scatter_budget, PROBE_CAP)
-            fell_back |= cut is None
-        if cut is None:
-            return _first_subset(full & ~us, range(j + 1), no_clash, closed, W,
-                                 lambda m: spanned(us | m))
-        for nxt in mask_bits(cut[0] & ~us):
-            got = rec(W & ~closed[nxt], us | 1 << nxt, j - 1)
-            if got is not None:
-                return got
-        return None
-
-    if G.n == 0:
-        return SolveOutcome(False)
-    got = rec(full, 0, k)
+    got, fell_back = _scatter_branch(G.n, k, W_CAP, 0, [0] * G.n, closed, in_ball,
+                                     scatter_budget, spanned)
     if got is None:
         return SolveOutcome(False, exhausted=fell_back)
     D, parent = got

@@ -2,6 +2,7 @@
 and every re-exported name and submodule resolves on first use."""
 
 import ast
+import collections
 import importlib
 import importlib.util
 import os
@@ -100,6 +101,17 @@ def test_verify_imports_only_digraph_and_the_standard_library():
     assert local == [".digraph"]
     assert [name for name in imported if not name.startswith(".")
             and name.partition(".")[0] not in sys.stdlib_module_names] == []
+
+
+def test_solvers_branch_on_scattered_sets_in_one_place():
+    # ids and dob share one branching driver: one probe for a scattered
+    # set, and one exhaustive search beside independent_set's
+    path = pathlib.Path(crownminor.__file__).parent / "solvers.py"
+    called = collections.Counter(
+        node.func.id for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    )
+    assert (called["deletion_set"], called["_first_subset"]) == (1, 2)
 
 
 # the path 0 -> 1 -> 2 as (n, edges)

@@ -22,7 +22,6 @@ from crownminor.quasiwide import (
     ScatteredWitness,
     bipartite_trichotomy,
     build_controlled_bipartite,
-    cc2_condition,
     clique_threshold,
     compute_scattered,
     dichotomy_step,
@@ -345,7 +344,6 @@ def test_uniform_level_crown_red_case():
     assert cc.principals == (0, 1, 2)
     assert set(cc.connectors) == {10, 11, 12}
     assert verify_controlled_crown(cb, cc)
-    assert cc2_condition(cb, cc)
 
 
 def test_uniform_level_crown_yellow_case():

@@ -574,6 +574,28 @@ def test_solver_outcomes_are_pinned(monkeypatch):
     assert digest == "9e800f8898d400d7a8703127d6f696c20efec6e3f676905705572f506e646efb"
 
 
+def test_branching_fallbacks_are_pinned():
+    # a fixed battery of random digraphs (n 6-26) with budgets up to 14,
+    # so that ids's exhaustive threshold max(BASE_CAP, k + 1) passes
+    # BASE_CAP: the hash of every verdict, witness and exhausted flag of
+    # ids and dob. The flag is what `solve` prints as fallback=; ids on
+    # the threshold max(BASE_CAP, k) gives another hash.
+    rng = random.Random(7)
+    outcomes = []
+    for _ in range(200):
+        n = rng.randint(6, 26)
+        G = random_digraph(rng, n, rng.uniform(0.05, 0.35))
+        k = rng.randint(0, 14)
+        for got in (independent_dominating_set(G, k), dominating_outbranching(G, k)):
+            w = got.witness
+            if w is not None and isinstance(w[-1], dict):
+                w = (w[0], sorted(w[1].items()))
+            outcomes.append((got.feasible, w, got.exhausted))
+    assert 0 < sum(e for _, _, e in outcomes) < len(outcomes)
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "400e493be8f339254f197badd3b67c1e59821e037ec2172829e2661cbd24e1e0"
+
+
 def test_ds_and_is_outcomes_are_pinned():
     # a fixed battery of random digraphs (n 1-24) and apex grids (sides
     # 4-12): the hash of every verdict and witness of ds (d 1-3) and is
