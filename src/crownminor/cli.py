@@ -85,8 +85,6 @@ def build_parser():
     solve.add_argument("--k", type=int, required=True)
     solve.add_argument("--d", type=int, default=1,
                        help="distance for dds and is; ds, ids and dob take only 1")
-    solve.add_argument("--scatter-budget", type=int,
-                       help="deletion budget for ids and dob (default 3)")
     solve.add_argument("--oracle", action="store_true", help="force the exhaustive solver")
     solve.add_argument("--witness")
 
@@ -272,12 +270,6 @@ def cmd_solve(args):
     d = args.d
     if variant in ("ds", "ids", "dob") and d != 1:
         raise UsageError("solve %s solves d = 1 only; --d applies to dds and is" % variant)
-    budget = args.scatter_budget
-    if budget is None:
-        budget = 3
-    elif variant not in ("ids", "dob"):
-        raise UsageError("solve %s has no scattered-set step; --scatter-budget applies"
-                         " to ids and dob" % variant)
     if args.oracle:
         inst = DominationInstance(G, args.k, d=d)
         oracle_variant = {"dds": "ds"}.get(variant, variant)
@@ -285,9 +277,9 @@ def cmd_solve(args):
     elif variant in ("ds", "dds"):
         out = d_dominating_set(G, args.k, d)
     elif variant == "ids":
-        out = independent_dominating_set(G, args.k, scatter_budget=budget)
+        out = independent_dominating_set(G, args.k)
     elif variant == "dob":
-        out = dominating_outbranching(G, args.k, scatter_budget=budget)
+        out = dominating_outbranching(G, args.k)
     else:
         out = independent_set(G, args.k, d=d)
 

@@ -273,9 +273,9 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
         own[u], own[v], tails[u], heads[v] = own_u, own_v, tails_u, heads_v
 
     def guess_ends(claimed):
-        # (v, ins, outs, maps): v needs a vertex that every vertex of ins
-        # reaches and that reaches every vertex of outs; the choice goes
-        # into each of the maps in `maps`
+        # (v, maps): v needs a vertex that each of its in-heads reaches and
+        # that reaches each of its out-tails (next_ends both ways); the
+        # choice goes into each of the maps in `maps`
         need = []
         source, sink, ends = {}, {}, {}
         for v in H.vertices():
@@ -290,32 +290,31 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
                 if fixed:
                     source[v] = sink[v] = fixed[0]
                 else:
-                    need.append((v, ins, outs, (source, sink)))
+                    need.append((v, (source, sink)))
                 continue
             if ins:
                 source[v] = ins[0]
             elif len(outs) == 1:
                 source[v] = outs[0]
             elif outs:
-                need.append((v, (), outs, (source,)))
+                need.append((v, (source,)))
             else:
-                need.append((v, (), (), (source, sink)))
+                need.append((v, (source, sink)))
             if outs:
                 sink[v] = outs[0]
             elif len(ins) == 1:
                 sink[v] = ins[0]
             elif ins:
-                need.append((v, ins, (), (sink,)))
+                need.append((v, (sink,)))
 
         def fill(j, claimed):
             if j == len(need):
                 yield (dict(zip(edge_order, image)), dict(source), dict(sink), dict(enumerate(own)),
                        ends)
                 return
-            v, ins, outs, maps = need[j]
+            v, maps = need[j]
             own_v = own[v]
-            usable = full & ~claimed | own_v
-            for cand in mask_bits(common_end(ins, usable, False) & common_end(outs, usable, True)):
+            for cand in mask_bits(next_ends(v, claimed, False) & next_ends(v, claimed, True)):
                 bit = 1 << cand
                 own[v] = own_v | bit
                 for chosen in maps:

@@ -30,12 +30,14 @@ SolveOutcome = namedtuple("SolveOutcome", "feasible witness exhausted", defaults
 
 
 # PROBE_CAP: the cap _scatter_branch passes to deletion_set, whose
-# docstring says why it is not scattered.PROBE_CAP. BASE_CAP and W_CAP:
-# _scatter_branch runs the exhaustive subset search, instead of
-# branching, on at most max(BASE_CAP, budget + 1) targets for
-# independent_dominating_set and max(W_CAP, budget) targets for
-# dominating_outbranching.
+# docstring says why it is not scattered.PROBE_CAP. SCATTER_BUDGET: the
+# most vertices a probe deletes, C(3,2), the dichotomy's deletion bound
+# at crown order 3. BASE_CAP and W_CAP: _scatter_branch runs the
+# exhaustive subset search, instead of branching, on at most
+# max(BASE_CAP, budget + 1) targets for independent_dominating_set and
+# max(W_CAP, budget) targets for dominating_outbranching.
 PROBE_CAP = 12
+SCATTER_BUDGET = 3
 BASE_CAP = 10
 W_CAP = 8
 
@@ -97,12 +99,12 @@ def _first_subset(cand, sizes, clash, cover, want, accept):
     return None
 
 
-def _scatter_branch(n, k, cap, extra, clash, closed, in_ball, scatter_budget, accept):
-    """The scattered-set branching of ids and dob. Returns (got,
-    fell_back): got is the first non-None accept(us) over vertex masks
-    us of at most k vertices whose closed balls cover all n and that
-    hold no u, w with w in clash[u], or None; fell_back is set when a
-    probe finds no scattered set.
+def _scatter_branch(k, cap, extra, clash, closed, in_ball, accept):
+    """The scattered-set branching of ids and dob. Returns a SolveOutcome
+    whose witness is the first non-None accept(us) over vertex masks us
+    of at most k vertices whose closed balls cover all len(closed)
+    vertices and that hold no u, w with w in clash[u], or None; it is
+    exhausted when a probe finds no scattered set.
 
     State: targets W not yet dominated, allowed vertices cand, chosen
     us, budget j. No chosen vertex is in the in-ball of a target left in
@@ -112,9 +114,6 @@ def _scatter_branch(n, k, cap, extra, clash, closed, in_ball, scatter_budget, ac
     ascending order by _first_subset's rule (with j = 0 it ends);
     otherwise, or with no C, _first_subset searches exhaustively."""
     _need_k(k)
-    # checked on entry, not only where deletion_set is reached
-    if scatter_budget < 0:
-        raise GraphError("need scatter_budget >= 0, got %d" % scatter_budget)
     fell_back = False
 
     def rec(W, cand, us, j):
@@ -123,7 +122,7 @@ def _scatter_branch(n, k, cap, extra, clash, closed, in_ball, scatter_budget, ac
         if W.bit_count() > max(cap, j + extra):
             if j == 0:
                 return None
-            cut = deletion_set(in_ball, W, cand | W, 1, j + 1, scatter_budget, PROBE_CAP)
+            cut = deletion_set(in_ball, W, cand | W, 1, j + 1, SCATTER_BUDGET, PROBE_CAP)
             fell_back |= cut is None
         if cut is None:
             return _first_subset(cand, range(j + 1), clash, closed, W, lambda m: accept(us | m))
@@ -133,8 +132,9 @@ def _scatter_branch(n, k, cap, extra, clash, closed, in_ball, scatter_budget, ac
                 return got
         return None
 
-    full = (1 << n) - 1
-    return rec(full, full, 0, k), fell_back
+    full = (1 << len(closed)) - 1
+    got = rec(full, full, 0, k)
+    return SolveOutcome(got is not None, got, fell_back)
 
 
 def spanning_outtree(G, D):
@@ -197,21 +197,18 @@ def brute_force_solve(instance, variant):
 # independent dominating set
 
 
-def independent_dominating_set(G, k, scatter_budget=3):
+def independent_dominating_set(G, k):
     """Branching solver (_scatter_branch): choosing a vertex removes its
     closed out-neighborhood from the targets and its closed in- and
     out-neighborhoods from the candidates. Exact at all sizes."""
     # computed once per call: closed 1-balls and edge neighborhoods
     closed, in_ball = ball_masks(G, 1), ball_masks(G, 1, "in")
     clash = [c | i for c, i in zip(closed, in_ball)]
-    got, fell_back = _scatter_branch(G.n, k, BASE_CAP, 1, clash, closed, in_ball,
-                                     scatter_budget, lambda m: m)
-    if got is None:
-        return SolveOutcome(False, exhausted=fell_back)
-    D = tuple(mask_bits(got))
-    if not (verify_independent(G, D) and verify_dominating(G, D, 1)):
+    out = _scatter_branch(k, BASE_CAP, 1, clash, closed, in_ball, lambda m: tuple(mask_bits(m)))
+    D = out.witness
+    if out.feasible and not (verify_independent(G, D) and verify_dominating(G, D, 1)):
         raise RuntimeError("internal: branching produced an invalid witness")
-    return SolveOutcome(True, D, exhausted=fell_back)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +393,7 @@ def _root(inside, out_adj, in_adj):
     return next((v for v in roots if reach_mask(out_adj, 1 << v, inside) == inside), None)
 
 
-def dominating_outbranching(G, k, scatter_budget=3):
+def dominating_outbranching(G, k):
     """Does some set of at most k vertices span an out-tree and dominate
     every vertex? Branching solver (_scatter_branch) with no clashes:
     choosing a vertex removes its closed out-neighborhood from the
@@ -414,18 +411,14 @@ def dominating_outbranching(G, k, scatter_budget=3):
         D = tuple(mask_bits(inside))
         return D, bfs_dist(G, root, within=set(D), parents=True)
 
-    got, fell_back = _scatter_branch(G.n, k, W_CAP, 0, [0] * G.n, closed, in_ball,
-                                     scatter_budget, spanned)
-    if got is None:
-        return SolveOutcome(False, exhausted=fell_back)
-    D, parent = got
-    if not (
-        verify_outbranching(G, D, parent)
-        and verify_dominating(G, D, 1)
-        and len(D) <= k
+    out = _scatter_branch(k, W_CAP, 0, [0] * G.n, closed, in_ball, spanned)
+    if out.feasible and not (
+        verify_outbranching(G, *out.witness)
+        and verify_dominating(G, out.witness[0], 1)
+        and len(out.witness[0]) <= k
     ):
         raise RuntimeError("internal: out-branching witness invalid")
-    return SolveOutcome(True, (D, parent), exhausted=fell_back)
+    return out
 
 
 # ---------------------------------------------------------------------------

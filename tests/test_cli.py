@@ -980,8 +980,6 @@ def test_graph_file_that_is_not_utf8_is_input_error(capsys, tmp_path):
     "command,options",
     [
         (["scatter"], ["--d", "1", "--m", "2", "--s-budget", "-1"]),
-        (["solve", "ids"], ["--k", "1", "--scatter-budget", "-1"]),
-        (["solve", "dob"], ["--k", "1", "--scatter-budget", "-1"]),
     ],
 )
 def test_negative_deletion_budget_is_input_error(capsys, tmp_path, command, options):
@@ -994,9 +992,10 @@ def test_negative_deletion_budget_is_input_error(capsys, tmp_path, command, opti
     assert "budget >= 0, got -1" in err
 
 
-@pytest.mark.parametrize("variant", ["is", "ds", "dds"])
-def test_scatter_budget_outside_ids_and_dob_is_usage_error(capsys, tmp_path, variant):
-    # these variants run no scattered-set step, so a budget would be ignored
+@pytest.mark.parametrize("variant", ["ds", "ids", "dds", "dob", "is"])
+def test_scatter_budget_flag_is_usage_error_everywhere(capsys, tmp_path, variant):
+    # the deletion budget is the constant solvers.SCATTER_BUDGET, so no
+    # variant takes the flag
     from crownminor.graphio import save_graph
 
     g = tmp_path / "g.graph"

@@ -105,13 +105,19 @@ def test_verify_imports_only_digraph_and_the_standard_library():
 
 def test_solvers_branch_on_scattered_sets_in_one_place():
     # ids and dob share one branching driver: one probe for a scattered
-    # set, and one exhaustive search beside independent_set's
+    # set, with the constant deletion budget, and one exhaustive search
+    # beside independent_set's
     path = pathlib.Path(crownminor.__file__).parent / "solvers.py"
-    called = collections.Counter(
-        node.func.id for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-    )
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    calls = [node for node in nodes
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    called = collections.Counter(node.func.id for node in calls)
     assert (called["deletion_set"], called["_first_subset"]) == (1, 2)
+    probe, = (node for node in calls if node.func.id == "deletion_set")
+    assert any(isinstance(arg, ast.Name) and arg.id == "SCATTER_BUDGET" for arg in probe.args)
+    params = {arg.arg for node in nodes if isinstance(node, ast.FunctionDef)
+              for arg in node.args.args + node.args.kwonlyargs}
+    assert "scatter_budget" not in params
 
 
 # the path 0 -> 1 -> 2 as (n, edges)

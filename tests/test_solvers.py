@@ -733,16 +733,6 @@ def test_solvers_monotone_in_k():
             assert all(b or not a for a, b in zip(feas, feas[1:]))
 
 
-@pytest.mark.parametrize("solver", [independent_dominating_set, dominating_outbranching])
-def test_negative_scatter_budget_is_rejected_on_entry(solver):
-    # rejected on hosts too small to reach deletion_set as well as on
-    # one that reaches it
-    big = random_digraph(random.Random(7), 16, 0.2)
-    for G in (Digraph(0), dipath(3), big):
-        with pytest.raises(GraphError):
-            solver(G, 1, scatter_budget=-1)
-
-
 @pytest.mark.parametrize("d", [0, -3])
 def test_independent_set_rejects_distance_below_one(d):
     # as d_dominating_set does; below 1 the radius has no meaning
