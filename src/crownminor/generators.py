@@ -155,7 +155,7 @@ _SNAKE = ((0, 1), (0, 2), (0, 3), (1, 3), (1, 2), (1, 1))
 _HOOK = ((0, 1), (0, 2), (1, 2), (1, 3))
 
 
-def extract_grid_alternating_path(G, l=None):
+def extract_grid_alternating_path(G):
     """A path of the underlying grid from cell (1,1) to row 2l (column 1
     or 3) whose orientation shows at least l alternations.
 
@@ -167,10 +167,7 @@ def extract_grid_alternating_path(G, l=None):
     Joining the pieces keeps the alternations inside each, so the spine
     has at least l.
     """
-    if l is None:
-        l = G.n // 6
-    elif l < 1:
-        raise GraphError("l must be positive, got %d" % l)
+    l = G.n // 6
     if l < 1 or G.n != 6 * l:
         raise GraphError("host is not a 2l x 3 grid orientation")
     expected = set(grid_undirected_edges(2 * l, 3))

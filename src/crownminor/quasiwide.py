@@ -45,8 +45,6 @@ def ramsey_upper(n):
     2-coloring of K_m (central binomial bound)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n == 1:
-        return 1
     return math.comb(2 * n - 2, n - 1)
 
 
@@ -288,7 +286,6 @@ def uniform_level_crown(cb, q):
     attempts = [("red", red), ("yellow", yellow)]
     if len(yellow) > len(red):
         attempts.reverse()
-    last_err = None
     for kind, group in attempts:
         if len(group) < q:
             last_err = BudgetExhausted("%s pivot pool too small" % kind)
@@ -296,13 +293,14 @@ def uniform_level_crown(cb, q):
         try:
             gamma = _pivot_labels(cb, group, recorded, kind, c)
             body = label_avoiding_clique(group, gamma, q)
-            cc = _assemble_crown(recorded, body, q)
+            connectors = (recorded[frozenset(pair)] for pair in itertools.combinations(body, 2))
+            cc = ControlledCrown(q, tuple(body), tuple(connectors))
             if not verify_controlled_crown(cb, cc):
                 raise BudgetExhausted("extracted crown failed the label check")
             return cc
         except BudgetExhausted as err:
             last_err = err
-    raise last_err if last_err else BudgetExhausted("no pivot pool formed")
+    raise last_err
 
 
 def _pivot_labels(cb, group, recorded, kind, c):
@@ -311,19 +309,14 @@ def _pivot_labels(cb, group, recorded, kind, c):
     gamma = {}
     for u, w in itertools.combinations(sorted(group), 2):
         key = frozenset((u, w))
-        conn = recorded.get(key)
-        if conn is None:
-            raise BudgetExhausted("pivot pair (%s, %s) has no recorded connector" % (u, w))
+        # every round's pool keeps only vertices its pivot recorded a
+        # connector with, and pools only shrink: any two pivots have one
+        conn = recorded[key]
         if kind == "red":
             gamma[key] = cb.base.get(conn)
             continue
         bs = cb.base.get(conn)
-        if bs == u:
-            far = w
-        elif bs == w:
-            far = u
-        else:
-            raise BudgetExhausted("yellow connector lost its base")
+        far = w if bs == u else u
         z = None
         for x in cb.eta[(conn, far)]:
             if cb.level.get(x) == c:
@@ -338,17 +331,6 @@ def _pivot_labels(cb, group, recorded, kind, c):
                     label = partner
         gamma[key] = label
     return gamma
-
-
-def _assemble_crown(recorded, body, q):
-    body = sorted(body)
-    connectors = []
-    for i, j in itertools.combinations(range(q), 2):
-        conn = recorded.get(frozenset((body[i], body[j])))
-        if conn is None:
-            raise BudgetExhausted("crown pair lost its connector")
-        connectors.append(conn)
-    return ControlledCrown(q, tuple(body), tuple(connectors))
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +482,7 @@ def scattered_or_crown(cb, p, q):
         if not whole.one_scattered(sum(1 << b for b in res.members)):
             raise RuntimeError("internal: scattered set not scattered after deletion")
         return BipartiteScattered(tuple(kept), res.members)
-    if not verify_controlled_crown(cb, res):
-        raise BudgetExhausted("residual crown failed verification in the full structure")
+    # a crown that verified in a restriction of cb verifies in cb
     return res
 
 
@@ -634,7 +615,6 @@ def iterate_dichotomy(G, W, target_r, m, q):
     for i in range(target_r):
         Gi = without_vertices(G, deleted)
         p_hi = min(len(members), m + 2 * (target_r - 1 - i))
-        res = None
         for p_try in range(p_hi, m - 1, -1):
             try:
                 res = dichotomy_step(Gi, members, i, p_try, q)

@@ -86,7 +86,7 @@ def run_selftest(scale="small"):
         for bits in range(0, 128, 1 if scale == "full" else 5):
             choices = [(bits >> i) & 1 == 1 for i in range(7)]
             G = oriented_grid(2, 3, choices=choices)
-            path = extract_grid_alternating_path(G, l=1)
+            path = extract_grid_alternating_path(G)
             assert count_alternations(G, path) >= 1
             count += 1
         rng = random.Random(77)

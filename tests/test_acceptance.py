@@ -292,7 +292,7 @@ def test_c07_grid_alternating_paths():
     for bits in range(128):
         choices = [(bits >> i) & 1 == 1 for i in range(7)]
         G = oriented_grid(2, 3, choices=choices)
-        path = extract_grid_alternating_path(G, l=1)
+        path = extract_grid_alternating_path(G)
         assert path[0] == 0
         assert path[-1] // 3 == 1
         assert count_alternations(G, path) >= 1

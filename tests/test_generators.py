@@ -138,7 +138,7 @@ def test_grid_extraction_exhaustive_l1():
     for bits in range(128):
         choices = [(bits >> i) & 1 == 1 for i in range(7)]
         G = oriented_grid(2, 3, choices=choices)
-        path = extract_grid_alternating_path(G, l=1)
+        path = extract_grid_alternating_path(G)
         assert path[0] == grid_vertex(2, 3, 1, 1)
         assert path[-1] in (grid_vertex(2, 3, 2, 1), grid_vertex(2, 3, 2, 3))
         assert count_alternations(G, path) >= 1
@@ -159,7 +159,7 @@ def test_grid_extraction_fully_forward_snake_forces_hook():
             choices.append(True)
     G = oriented_grid(l1, l2, choices=choices)
     assert count_alternations(G, ids) == 0
-    path = extract_grid_alternating_path(G, l=1)
+    path = extract_grid_alternating_path(G)
     assert path[-1] == grid_vertex(l1, l2, 2, 3)  # the hook endpoint
     assert count_alternations(G, path) >= 1
 
@@ -178,11 +178,10 @@ def test_grid_extraction_random_larger():
 def test_grid_extraction_rejects_non_grid():
     with pytest.raises(GraphError):
         extract_grid_alternating_path(crown(3)[0])
-    # a 2 x 3 grid plus an isolated vertex is no grid, whether l is given
+    # a 2 x 3 grid plus an isolated vertex is no grid
     padded = Digraph(7, oriented_grid(2, 3, seed=3).edges)
-    for l in (None, 1):
-        with pytest.raises(GraphError, match="^host is not a 2l x 3 grid orientation$"):
-            extract_grid_alternating_path(padded, l)
+    with pytest.raises(GraphError, match="^host is not a 2l x 3 grid orientation$"):
+        extract_grid_alternating_path(padded)
 
 
 def assert_grid_spine(G, l, path):
@@ -225,13 +224,6 @@ def test_grid_extraction_scales_to_a_thousand_row_pairs():
     l = 1000
     G = oriented_grid(2 * l, 3, seed=1000)
     assert_grid_spine(G, l, extract_grid_alternating_path(G))
-
-
-@pytest.mark.parametrize("l", [0, -1, -6])
-def test_grid_extraction_rejects_a_nonpositive_l(l):
-    G = oriented_grid(2, 3, seed=0)
-    with pytest.raises(GraphError, match="^l must be positive, got %d$" % l):
-        extract_grid_alternating_path(G, l=l)
 
 
 def test_grid_extraction_contract_sweep():

@@ -120,6 +120,34 @@ def test_solvers_branch_on_scattered_sets_in_one_place():
     assert "scatter_budget" not in params
 
 
+def test_dichotomy_raises_budget_exhausted_only_where_an_input_reaches():
+    # each exit is a pool that can run dry or a crown check that can
+    # fail, and test_quasiwide has an input that reaches it
+    path = pathlib.Path(crownminor.__file__).parent / "quasiwide.py"
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+    texts = []
+    for node in nodes:
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "BudgetExhausted":
+            text, = node.args
+            if isinstance(text, ast.BinOp):
+                text = text.left
+            texts.append(text.value)
+    assert sorted(texts) == sorted([
+        "clique pool empty",
+        "clique pool smaller than target",
+        "no principals available",
+        "%s pivot pool too small",
+        "extracted crown failed the label check",
+        "trichotomy stalled: %d scattered of %d, largest bucket %d",
+        "peeled pool thinner than the crown order",
+        "peeled crown failed verification",
+        "crown edge degenerates to its own principal",
+        "crown model failed verification: %s",
+    ])
+    assert "_assemble_crown" not in {node.name for node in nodes
+                                     if isinstance(node, ast.FunctionDef)}
+
+
 # the path 0 -> 1 -> 2 as (n, edges)
 PATH3 = (3, [(0, 1), (1, 2)])
 

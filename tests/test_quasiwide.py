@@ -24,6 +24,7 @@ from crownminor.quasiwide import (
     build_controlled_bipartite,
     clique_threshold,
     compute_scattered,
+    crown_to_model,
     dichotomy_step,
     is_scattered,
     iterate_dichotomy,
@@ -729,3 +730,54 @@ def test_dichotomy_outcomes_are_pinned():
     assert {o[0] for o in outcomes} == {"scattered", "crown", "exhausted"}
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
     assert digest == "fc422f1ba73a275ecc1c17bd7c4f2d6c17ee35e12542722a311f3ef986f89a5a"
+
+
+# --- budget exits -------------------------------------------------------------------
+
+
+def test_every_budget_exit_has_an_input_that_reaches_it():
+    # one input per BudgetExhausted exit of quasiwide; test_package pins
+    # the exits' message texts to these ten
+    two_ends = {2: None, 0: 0, 1: 1}
+    one_level = {2: 1, 0: 0, 1: 0}
+
+    def crown_edge_labelled(label):
+        cb = ControlledBipartite([2], [0, 1], {(2, 0), (2, 1)}, two_ends, one_level,
+                                 {(2, 0): label, (2, 1): (1,)}, 0)
+        return crown_to_model(Digraph(3, [(2, 0), (2, 1)]), cb, ControlledCrown(2, (0, 1), (2,)), 0)
+
+    # pivots 0 and 1 go yellow and 2 and 3 red; each pair's crown has a
+    # label on a crown edge that meets its other principal
+    both_colours = synthetic_cb(
+        {10: ((0, 1), 0), 11: ((0, 2), 0), 12: ((0, 3), 0), 13: ((1, 2), 1), 14: ((1, 3), 1),
+         15: ((2, 3), None)},
+        4, extra_eta={(10, 0): (1, 0), (15, 2): (3, 2)},
+    )
+    # the peel keeps 10 and takes principals 0 and 1, and the label of
+    # (10, 0) runs through 1
+    peeled = ControlledBipartite(
+        [10], [0, 1, 2], {(10, 0), (10, 1), (10, 2)}, {10: None, 0: 0, 1: 1, 2: 2},
+        {10: 1, 0: 0, 1: 0, 2: 0}, {(10, 0): (1, 0), (10, 1): (1,), (10, 2): (2,)}, 1,
+    )
+    one_pair = synthetic_cb({10: ((0, 1), None)}, 2, r=0)
+    cases = [
+        (lambda: label_avoiding_clique([], {}, 1), "clique pool empty"),
+        (lambda: label_avoiding_clique(range(2), {}, 3), "clique pool smaller than target"),
+        (lambda: uniform_level_crown(
+            ControlledBipartite([10], [], set(), {10: None}, {10: 1}, {}, 0), 1),
+         "no principals available"),
+        (lambda: uniform_level_crown(one_pair, 3), "yellow pivot pool too small"),
+        (lambda: uniform_level_crown(both_colours, 2), "extracted crown failed the label check"),
+        (lambda: bipartite_trichotomy(one_pair, 2, 3),
+         "trichotomy stalled: 1 scattered of 2, largest bucket 2"),
+        (lambda: dichotomy_step(crown(3)[0], [], 0, 1, 1),
+         "peeled pool thinner than the crown order"),
+        (lambda: scattered_or_crown(peeled, 2, 2), "peeled crown failed verification"),
+        (lambda: crown_edge_labelled(()), "crown edge degenerates to its own principal"),
+        (lambda: crown_edge_labelled((1, 0)),
+         "crown model failed verification: branches 0 and 1 overlap"),
+    ]
+    for run, text in cases:
+        with pytest.raises(BudgetExhausted) as info:
+            run()
+        assert str(info.value) == text
