@@ -282,9 +282,11 @@ def in_neighborhood(G, v, d, avoid=None):
 
 def set_neighborhood(G, X, d, direction="out", avoid=None):
     """Union of the d-neighborhoods of all vertices in X, in G minus
-    `avoid`."""
+    `avoid`, along out-edges or, with direction "in", in-edges."""
     if d < 0:
         raise GraphError("neighborhood radius must be nonnegative")
+    if direction not in ("out", "in"):
+        raise GraphError("direction is 'out' or 'in', not %r" % (direction,))
     # an avoided id outside G removes nothing
     alive = ((1 << G.n) - 1) & ~sum(1 << v for v in set(avoid or ()) if v >= 0)
     starts = 0

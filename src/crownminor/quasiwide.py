@@ -580,18 +580,31 @@ def dichotomy_step(G, I, r, p, q):
     """Either a depth-r crown model of order q in G, or an (r+1)-scattered
     subset of I of size p after deleting at most C(q,2) vertices. Both
     outcomes are verified before being returned."""
+    return _step(G, I, r, (p,), q)
+
+
+def _step(G, I, r, sizes, q):
+    """dichotomy_step at the first size p in sizes whose step raises no
+    BudgetExhausted; the last size's error propagates. The control
+    structure depends only on G, I and r, so it is built once for all
+    of them."""
     cb = build_controlled_bipartite(G, I, r)
-    res = scattered_or_crown(cb, p, q)
-    if isinstance(res, BipartiteScattered):
-        S = tuple(sorted(res.deleted))
-        U = tuple(sorted(res.members))
-        w = ScatteredWitness(G, S, U, r + 1)
-        if not w.verify():
-            raise RuntimeError("internal: scattered outcome failed on the ground graph")
-        if len(S) > math.comb(q, 2):
-            raise RuntimeError("internal: deletion set exceeded its bound")
-        return w
-    return crown_to_model(G, cb, res, r)
+    for p in sizes:
+        try:
+            res = scattered_or_crown(cb, p, q)
+            if not isinstance(res, BipartiteScattered):
+                return crown_to_model(G, cb, res, r)
+            break
+        except BudgetExhausted:
+            if p == sizes[-1]:
+                raise
+    S = tuple(sorted(res.deleted))
+    w = ScatteredWitness(G, S, tuple(sorted(res.members)), r + 1)
+    if not w.verify():
+        raise RuntimeError("internal: scattered outcome failed on the ground graph")
+    if len(S) > math.comb(q, 2):
+        raise RuntimeError("internal: deletion set exceeded its bound")
+    return w
 
 
 def iterate_dichotomy(G, W, target_r, m, q):
@@ -615,13 +628,7 @@ def iterate_dichotomy(G, W, target_r, m, q):
     for i in range(target_r):
         Gi = without_vertices(G, deleted)
         p_hi = min(len(members), m + 2 * (target_r - 1 - i))
-        for p_try in range(p_hi, m - 1, -1):
-            try:
-                res = dichotomy_step(Gi, members, i, p_try, q)
-                break
-            except BudgetExhausted:
-                if p_try == m:
-                    raise
+        res = _step(Gi, members, i, range(p_hi, m - 1, -1), q)
         if isinstance(res, DirectedModel):
             return verified(res._replace(host=G), "crown did not lift to the full graph")
         deleted.update(res.deleted)

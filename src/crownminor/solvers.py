@@ -4,9 +4,9 @@ Each solver follows the scattered-set branching scheme where it applies
 and finishes with exhaustive search below desk-scale thresholds or where
 no scattered set is found, so the answers stay exact at every size we
 can run. The exhaustive steps share one pruned bitmask subset search,
-_first_subset. Every feasible outcome carries a witness that passes the
-matching verifier. directed_steiner_outtree is a standalone entry point;
-no solver calls it.
+_first_subset. Every feasible outcome carries a witness that passes
+verify.vertex_set_problem within the solver's size bound.
+directed_steiner_outtree is a standalone entry point; no solver calls it.
 """
 
 import itertools
@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from .digraph import GraphError, adjacency_masks, ball_masks, bfs_dist, mask_bits, reach_mask
 from .scattered import deletion_set
-from .verify import verify_dominating, verify_independent, verify_outbranching
+from .verify import verify_dominating, vertex_set_problem
 
 
 class DominationInstance(namedtuple("DominationInstance", "graph k d", defaults=(1,))):
@@ -176,11 +176,8 @@ def brute_force_solve(instance, variant):
         return SolveOutcome(False, exhausted=True)
     for size in range(0, k + 1):
         for combo in itertools.combinations(G.vertices(), size):
-            if variant == "ds":
-                if verify_dominating(G, combo, d):
-                    return SolveOutcome(True, tuple(combo), exhausted=True)
-            elif variant == "ids":
-                if verify_dominating(G, combo, d) and verify_independent(G, combo):
+            if variant in ("ds", "ids"):
+                if not vertex_set_problem("dominating", G, combo, d, independent=variant == "ids"):
                     return SolveOutcome(True, tuple(combo), exhausted=True)
             elif variant == "dob":
                 if not verify_dominating(G, combo, 1):
@@ -206,7 +203,7 @@ def independent_dominating_set(G, k):
     clash = [c | i for c, i in zip(closed, in_ball)]
     out = _scatter_branch(k, BASE_CAP, 1, clash, closed, in_ball, lambda m: tuple(mask_bits(m)))
     D = out.witness
-    if out.feasible and not (verify_independent(G, D) and verify_dominating(G, D, 1)):
+    if out.feasible and (len(D) > k or vertex_set_problem("dominating", G, D, independent=True)):
         raise RuntimeError("internal: branching produced an invalid witness")
     return out
 
@@ -298,8 +295,8 @@ def d_dominating_set(G, k, d=1):
     if got is None:
         return SolveOutcome(False)
     D = tuple(sorted(got))
-    if not verify_dominating(G, D, d):
-        raise RuntimeError("internal: reduced cover does not dominate")
+    if len(D) > k or vertex_set_problem("dominating", G, D, d):
+        raise RuntimeError("internal: reduced cover is no dominating set of at most k vertices")
     return SolveOutcome(True, D)
 
 
@@ -412,12 +409,10 @@ def dominating_outbranching(G, k):
         return D, bfs_dist(G, root, within=set(D), parents=True)
 
     out = _scatter_branch(k, W_CAP, 0, [0] * G.n, closed, in_ball, spanned)
-    if out.feasible and not (
-        verify_outbranching(G, *out.witness)
-        and verify_dominating(G, out.witness[0], 1)
-        and len(out.witness[0]) <= k
-    ):
-        raise RuntimeError("internal: out-branching witness invalid")
+    if out.feasible:
+        D, parent = out.witness
+        if len(D) > k or vertex_set_problem("outbranching", G, D, parent=parent):
+            raise RuntimeError("internal: out-branching witness invalid")
     return out
 
 
@@ -433,7 +428,7 @@ def independent_set(G, k, d=1):
     itertools.combinations over the sorted vertices, or proves that
     there is none without visiting the subsets it cuts. The search is
     the whole method, not a fallback, so `exhausted` stays False. The
-    answer is checked by verify_independent at d, one bounded BFS per
+    answer is checked by vertex_set_problem at d, one bounded BFS per
     member."""
     _need_k(k)
     if d < 1:
@@ -446,6 +441,6 @@ def independent_set(G, k, d=1):
     got = _first_subset((1 << G.n) - 1, (k,), clash, clash, 0, lambda m: tuple(mask_bits(m)))
     if got is None:
         return SolveOutcome(False)
-    if len(got) != k or not verify_independent(G, got, d):
+    if len(got) != k or vertex_set_problem("independent", G, got, d):
         raise RuntimeError("internal: independent set has two members within distance d")
     return SolveOutcome(True, got)

@@ -3,7 +3,8 @@ witness document must pass, from the model check to the scattered-set
 and domination checks. The engines run their final self-checks here
 and `witnessdoc` re-verifies every document here; this module imports
 nothing of the package but `digraph`, so reading a document back loads
-no engine.
+no engine. `vertex_set_problem` is the one acceptance rule of each
+vertex-set answer, for the solvers, their oracle and the documents alike.
 """
 
 import itertools
@@ -235,3 +236,24 @@ def verify_outbranching(G, vertices, parent):
         children[p] |= 1 << v
     inside = sum(1 << v for v in vs)
     return reach_mask(children, 1 << roots[0], inside) == inside
+
+
+def vertex_set_problem(kind, G, D, d=1, independent=False, parent=None):
+    """Why the vertex set D fails as a `kind` answer in G, or None: a
+    "dominating" set dominates within d (and is independent if flagged),
+    an "independent" set has no member within distance d of another,
+    and an "outbranching" is a tree under parent that dominates G too.
+    The size bound is the caller's. Raises GraphError for an id outside G."""
+    if kind == "outbranching":
+        if not verify_outbranching(G, D, parent):
+            return "outbranching witness does not verify"
+        if not verify_dominating(G, D, 1):
+            return "outbranching witness does not dominate"
+    elif kind == "dominating":
+        if d < 0 or not verify_dominating(G, D, d):
+            return "dominating witness does not verify at d = %d" % d
+        if independent and not verify_independent(G, D):
+            return "dominating witness is not independent"
+    elif d < 0 or not verify_independent(G, D, d):
+        return "independent witness does not verify"
+    return None

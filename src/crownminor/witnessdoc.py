@@ -18,15 +18,13 @@ written as `%d` writes it, an id named twice in one list and a
 repeated field.
 
 Every check lives in `verify`, so reading a document back loads no
-engine module. `_set_problem` is the acceptance rule of the vertex-set
-kinds, for the emitters' `verified` line and the reader's error alike.
+engine module. `verify.vertex_set_problem` is the acceptance rule of
+the vertex-set kinds, for the emitters' `verified` line and the
+reader's error alike, as it is for the solvers' self-checks.
 """
 
 from .digraph import crown
-from .verify import (
-    DirectedModel, ScatteredWitness, verify_dominating, verify_independent, verify_model,
-    verify_outbranching,
-)
+from .verify import DirectedModel, ScatteredWitness, verify_model, vertex_set_problem
 
 
 class WitnessFormatError(ValueError):
@@ -109,38 +107,18 @@ def emit_scattered(w):
     return _document("scattered", w.verify(), [("d", w.radius), ("S", w.deleted), ("U", w.members)])
 
 
-def _set_problem(kind, G, D, d=1, independent=False, parent=None):
-    """Why the vertex set D of a `kind` document fails against G, or None:
-    a dominating set dominates within d (and is independent if flagged),
-    an independent set has no member within distance d of another, and
-    an out-branching is a tree under parent that dominates G too."""
-    if kind == "outbranching":
-        if not verify_outbranching(G, D, parent):
-            return "outbranching witness does not verify"
-        if not verify_dominating(G, D, 1):
-            return "outbranching witness does not dominate"
-    elif kind == "dominating":
-        if d < 0 or not verify_dominating(G, D, d):
-            return "dominating witness does not verify at d = %d" % d
-        if independent and not verify_independent(G, D):
-            return "dominating witness is not independent"
-    elif d < 0 or not verify_independent(G, D, d):
-        return "independent witness does not verify"
-    return None
-
-
 def emit_vertex_set(kind, G, vertices, d=None, independent=False):
     """A dominating or independent document; a `d` line when d is given,
     and for a dominating set an `independent true` line if independent."""
     if kind not in ("dominating", "independent"):
         raise WitnessFormatError("unknown vertex-set kind %r" % kind)
-    ok = _set_problem(kind, G, vertices, 1 if d is None else d, independent) is None
+    ok = vertex_set_problem(kind, G, vertices, 1 if d is None else d, independent) is None
     lines = ([] if d is None else [("d", d)]) + [("D", vertices)]
     return _document(kind, ok, lines + ([("independent", "true")] if independent else []))
 
 
 def emit_outbranching(G, vertices, parent):
-    ok = _set_problem("outbranching", G, vertices, parent=parent) is None
+    ok = vertex_set_problem("outbranching", G, vertices, parent=parent) is None
     lines = [("D", sorted(vertices))] + [("parent", v, parent[v]) for v in sorted(parent)]
     return _document("outbranching", ok, lines)
 
@@ -191,7 +169,7 @@ def parse_witness(text, host=None, pattern=None):
     a line breaks the grammar above, an id lies outside the graph, a
     vertex list names a vertex twice, two lines set one field (a second
     `d` line, or two `branch` lines for one vertex), or the payload does
-    not verify (for the vertex-set kinds, by `_set_problem`)."""
+    not verify (for the vertex-set kinds, by `verify.vertex_set_problem`)."""
     try:
         kind, fields = _read(text)
         if host is None:
@@ -205,7 +183,7 @@ def parse_witness(text, host=None, pattern=None):
             return w
         (D,) = _need(kind, fields, "D")
         given = {key: fields[key][()] for key in ("d", "independent") if () in fields.get(key, {})}
-        problem = _set_problem(kind, host, D, parent=fields.get("parent"), **given)
+        problem = vertex_set_problem(kind, host, D, parent=fields.get("parent"), **given)
         if problem:
             raise WitnessFormatError(problem)
         return (D, fields["parent"]) if kind == "outbranching" else D

@@ -70,9 +70,8 @@ from crownminor.solvers import (
     find_irrelevant_vertex,
     independent_dominating_set,
     independent_set,
-    verify_independent,
-    verify_outbranching,
 )
+from crownminor.verify import verify_outbranching
 
 from oracles import (
     brute_directed_minor,

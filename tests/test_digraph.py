@@ -205,6 +205,15 @@ def test_negative_radius_is_rejected():
         set_neighborhood(G, [0], -1)
 
 
+def test_set_neighborhood_takes_only_out_or_in():
+    path = Digraph(3, [(0, 1), (1, 2)])
+    assert set_neighborhood(path, [1], 1, "out") == (1, 2)
+    assert set_neighborhood(path, [1], 1, "in") == (0, 1)
+    for direction in ("both", "OUT", "", None):
+        with pytest.raises(GraphError):
+            set_neighborhood(path, [1], 1, direction)
+
+
 def test_underlying_undirected_collapses_bidirected_pairs():
     G = Digraph(2, [(0, 1), (1, 0)])
     und = underlying_undirected(G)

@@ -120,6 +120,27 @@ def test_solvers_branch_on_scattered_sets_in_one_place():
     assert "scatter_budget" not in params
 
 
+def test_every_vertex_set_answer_is_accepted_by_one_rule():
+    # verify.vertex_set_problem is the one rule: witnessdoc keeps no copy
+    # of it, and every solver's self-check and the oracle call it
+    package = pathlib.Path(crownminor.__file__).parent
+
+    def called_names(tree):
+        return {node.func.id for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+    witnessdoc = ast.parse((package / "witnessdoc.py").read_text())
+    assert "_set_problem" not in {node.name for node in ast.walk(witnessdoc)
+                                  if isinstance(node, ast.FunctionDef)}
+    verifiers = {"verify_dominating", "verify_independent", "verify_outbranching"}
+    assert called_names(witnessdoc) & verifiers == set()
+    solvers = ast.parse((package / "solvers.py").read_text()).body
+    checked = {node.name for node in solvers if isinstance(node, ast.FunctionDef)
+               and "vertex_set_problem" in called_names(node)}
+    assert checked == {"d_dominating_set", "independent_dominating_set",
+                       "dominating_outbranching", "independent_set", "brute_force_solve"}
+
+
 def test_dichotomy_raises_budget_exhausted_only_where_an_input_reaches():
     # each exit is a pool that can run dry or a crown check that can
     # fail, and test_quasiwide has an input that reaches it

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from crownminor import quasiwide
 from crownminor.digraph import Digraph, GraphError, bfs_dist
 from crownminor.generators import (
     crown,
@@ -578,6 +579,24 @@ def test_iterate_dichotomy_grid_orientation():
     else:
         ok, bad = verify_model(got)
         assert ok, bad
+
+
+def test_iterate_dichotomy_builds_one_control_structure_per_round(monkeypatch):
+    # the benchmark's scatter/110 host: the first round backs off from
+    # p = 6 to p = 4, and each try reads the one structure of its round
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return build(*args)
+
+    build = quasiwide.build_controlled_bipartite
+    monkeypatch.setattr(quasiwide, "build_controlled_bipartite", counting)
+    G = oriented_grid(8, 8, seed=616060819)
+    with pytest.raises(BudgetExhausted, match="trichotomy stalled: 3 scattered of 4, "
+                                              "largest bucket 1"):
+        iterate_dichotomy(G, range(64), 2, 4, 3)
+    assert calls == [0]
 
 
 def test_without_vertices_keeps_ids():

@@ -26,10 +26,8 @@ from crownminor.solvers import (
     independent_dominating_set,
     independent_set,
     spanning_outtree,
-    verify_dominating,
-    verify_independent,
-    verify_outbranching,
 )
+from crownminor.verify import verify_dominating, verify_independent, verify_outbranching
 
 from oracles import (
     apex_grid,
@@ -169,6 +167,15 @@ def test_ids_on_crown():
 def test_ids_single_vertex():
     G = Digraph(1, [])
     assert independent_dominating_set(G, 1).feasible
+
+
+def test_ids_witness_is_held_to_the_budget(monkeypatch):
+    # three isolated vertices dominate and are independent, but they are
+    # one more than k = 2 allows: an internal error, not an answer
+    oversized = solvers.SolveOutcome(True, (0, 1, 2))
+    monkeypatch.setattr(solvers, "_scatter_branch", lambda *args: oversized)
+    with pytest.raises(RuntimeError, match="internal"):
+        independent_dominating_set(Digraph(3), 2)
 
 
 def test_ids_agrees_with_oracle():
