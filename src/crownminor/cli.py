@@ -62,7 +62,8 @@ def build_parser():
     minor.add_argument("--depth", type=int, default=None, help="path bound for --mode shallow")
     minor.add_argument("pattern")
     minor.add_argument("host")
-    minor.add_argument("--witness", help="write the witness document here")
+    minor.add_argument("--witness",
+                       help="write the witness document here (not with --mode butterfly)")
 
     sc = sub.add_parser("scatter", help="scattered set extraction")
     sc.add_argument("graph")
@@ -174,6 +175,9 @@ def cmd_minor(args):
     mode = args.mode
     if args.depth is not None and mode != "shallow":
         raise UsageError("--depth applies to --mode shallow only")
+    if args.witness is not None and mode == "butterfly":
+        # is_butterfly_minor's tree-like model has no witness document yet
+        raise UsageError("--witness does not apply to --mode butterfly")
     from .minors import (
         general_minor_check,
         is_butterfly_minor,

@@ -8,6 +8,13 @@ the paths of topological minors between the vertices that the one
 placement matcher places; and the greatest reduced average density
 (grad), whose searches live in `density`.
 
+The guess loop's pattern-only tables (edge order, automorphisms as edge
+permutations, look-ahead lists) are memoised in `_pattern_tables`, keyed
+by the pattern's value (`Digraph` hashes and compares by its vertex count
+and edges) and bounded at 64 patterns. A process that asks one pattern,
+such as crown(q), against many hosts builds them once; a one-shot CLI
+call builds them once anyway and gains nothing.
+
 Vertex sets are int masks from the guess to the model: each owner's
 host vertices are one mask, which the router extends with its paths and
 `_assemble` reads as the branch set. The router's callers own every
@@ -18,6 +25,7 @@ several owners but lies inside none.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .digraph import (
     Digraph,
@@ -113,6 +121,33 @@ def dag_disjoint_paths_bounded(G, pairs, partition, r):
 # guess enumeration shared by the minor checkers
 
 
+@lru_cache(maxsize=64)
+def _pattern_tables(H):
+    """The tables of `_enumerate_guesses` that depend on the pattern H
+    alone, as (edge_order, perms, pending), tuples all the way down so
+    that no caller can change a shared entry:
+
+    - edge_order: H's edges in lexicographic order;
+    - perms: each automorphism of H but the identity, found by
+      `_injective_maps` on H's own masks, as the permutation of edge
+      positions it induces, in sorted order (`least` only asks whether
+      some permutation maps a prefix lower, so the order is free);
+    - pending[k]: the edges after edge k + 1 with an end at an end of
+      edge k (step k + 1 tries the images of edge k + 1 anyway).
+
+    Memoised by value for up to 64 patterns: `Digraph` is immutable and
+    hashes and compares by (n, edges), so equal patterns built
+    separately, such as two `crown(q)` calls, share one entry."""
+    edge_order = tuple(sorted(H.edges))
+    index = {e: i for i, e in enumerate(edge_order)}
+    autos = _injective_maps(H, H, adjacency_masks(H, "out"), adjacency_masks(H, "in"))
+    perms = {tuple(index[(a[u], a[v])] for u, v in edge_order) for a in autos}
+    perms.discard(tuple(range(len(edge_order))))
+    pending = tuple(tuple((a, b) for a, b in edge_order[k + 2:] if a in (u, v) or b in (u, v))
+                    for k, (u, v) in enumerate(edge_order))
+    return edge_order, tuple(sorted(perms)), pending
+
+
 def _enumerate_guesses(H, G, depth=None, tree=False):
     """Yield (edge_image, source, sink, own, ends) tuples, where own maps
     each pattern vertex to the mask of host vertices the guess gives it,
@@ -157,20 +192,13 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
     Host vertex sets are int masks per pattern vertex v: `own[v]` (their
     union is `claimed`), `heads[v]` and `tails[v]`, the in-heads and
     out-tails so far. Single-vertex reach masks are memoised per call.
+    The tables that depend on H alone come from `_pattern_tables`, so one
+    pattern asked against many hosts and depths finds its automorphisms
+    once.
     """
     if H.n > G.n:
         return  # disjoint nonempty branch sets need H.n host vertices
-    edge_order = sorted(H.edges)
-    index = {e: i for i, e in enumerate(edge_order)}
-    h_adj = adjacency_masks(H, "out"), adjacency_masks(H, "in")
-    autos = {tuple(m[v] for v in H.vertices()) for m in _injective_maps(H, H, *h_adj)}
-    # each automorphism as the permutation of edge positions it induces
-    perms = {tuple(index[(a[u], a[v])] for u, v in edge_order) for a in autos}
-    perms.discard(tuple(range(len(edge_order))))
-    # pending[k]: the pattern edges after edge k + 1 with an end at an end
-    # of edge k (step k + 1 tries the images of edge k + 1 anyway)
-    pending = [[(a, b) for a, b in edge_order[k + 2:] if a == u or a == v or b == u or b == v]
-               for k, (u, v) in enumerate(edge_order)]
+    edge_order, perms, pending = _pattern_tables(H)
     adj = (adjacency_masks(G, "out"), adjacency_masks(G, "in"))  # by `back`
     full = (1 << G.n) - 1
     image = [None] * len(edge_order)

@@ -651,6 +651,24 @@ def test_minor_butterfly_exit_codes(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("fmt", ["human", "structured"])
+def test_minor_butterfly_witness_is_usage_error(capsys, tmp_path, fmt):
+    # butterfly answers have no witness document, so a --witness path
+    # that would be left unwritten is refused before any search
+    from crownminor.graphio import save_graph
+
+    pat = tmp_path / "pat.graph"
+    host = tmp_path / "host.graph"
+    doc = tmp_path / "w.txt"
+    save_graph(str(pat), crown(2)[0])
+    save_graph(str(host), crown(3)[0])
+    code, out, err = run_cli(capsys, "--format", fmt, "minor", "--mode", "butterfly",
+                             "--witness", str(doc), str(pat), str(host))
+    assert code == 3
+    assert out == "" and err.startswith("usage error:")
+    assert not doc.exists()
+
+
 def test_scatter_command(capsys, tmp_path):
     from crownminor.graphio import save_graph
 

@@ -585,6 +585,36 @@ def test_crown_in_dag_prunes_guesses_whose_branch_cannot_meet(monkeypatch):
     assert 0 < calls[0] <= 10
 
 
+def test_pattern_tables_are_built_once_per_pattern_value(monkeypatch):
+    """Work guard: the guess enumerator finds a pattern's automorphisms
+    once per pattern value, not once per check, even when each check
+    gets its own equal copy of the pattern; the shared tables are tuples
+    all the way down, so no caller can change them."""
+    import crownminor.minors as minors
+
+    calls = []
+    injective_maps = minors._injective_maps
+
+    def counting(H, G, *masks):
+        calls.append((H, G))
+        return injective_maps(H, G, *masks)
+
+    monkeypatch.setattr(minors, "_injective_maps", counting)
+    minors._pattern_tables.cache_clear()
+    host = crown(4)[0]
+    assert shallow_minor_check(crown(3)[0], host, 0) is not None
+    assert shallow_minor_check(crown(3)[0], host, 1) is not None
+    assert dag_minor_check(crown(3)[0], host) is not None
+    H = crown(3)[0]
+    assert sum(A == H and B == H for A, B in calls) == 1
+
+    def tuples_all_the_way_down(x):
+        return isinstance(x, int) or isinstance(x, tuple) and all(map(tuples_all_the_way_down, x))
+
+    tables = minors._pattern_tables(H)
+    assert isinstance(tables, tuple) and tuples_all_the_way_down(tables)
+
+
 def test_triangle_refuted_in_a_grid_with_few_reach_sweeps(monkeypatch):
     """Work guard: bidirected K3 has no depth-1 model in this grid. A
     prefix dies once a later pattern edge at a touched branch has no host

@@ -57,6 +57,7 @@ from crownminor.minors import (
     _branch_requests,
     _enumerate_guesses,
     _injective_maps,
+    _pattern_tables,
     dag_disjoint_paths,
     dag_disjoint_paths_bounded,
     general_minor_check,
@@ -304,8 +305,14 @@ def test_mask_maps_match_the_pairwise_maps(H, G):
 def test_guess_ends_and_requests_match_the_edge_scan(H, G, depth, tree):
     # each guess's branch ends are the in-heads and out-tails a scan of
     # its edge image finds, and its requests are the scan's, in order
-    for image, source, sink, _, ends in itertools.islice(
-            _enumerate_guesses(H, G, depth, tree), 200):
+    _pattern_tables.cache_clear()
+    cold = list(itertools.islice(_enumerate_guesses(H, G, depth, tree), 200))
+    # the same guesses from pattern tables built for an equal copy of H
+    _pattern_tables.cache_clear()
+    _pattern_tables(Digraph(H.n, H.edges))
+    assert list(itertools.islice(_enumerate_guesses(H, G, depth, tree), 200)) == cold
+    assert _pattern_tables.cache_info().misses == 1
+    for image, source, sink, _, ends in cold:
         assert ends == {v: in_out_by_scan(H, image, v) for v in H.vertices()}
         assert _branch_requests(ends, source, sink) == branch_requests_by_scan(
             H, image, source, sink)
