@@ -128,20 +128,27 @@ def _pattern_tables(H):
     that no caller can change a shared entry:
 
     - edge_order: H's edges in lexicographic order;
-    - perms: each automorphism of H but the identity, found by
-      `_injective_maps` on H's own masks, as the permutation of edge
-      positions it induces, in sorted order (`least` only asks whether
-      some permutation maps a prefix lower, so the order is free);
+    - perms: each automorphism of H but the identity, as the permutation
+      of edge positions it induces, in sorted order (`least` only asks
+      whether some permutation maps a prefix lower, so the order is
+      free). `_injective_maps` finds them on `core`'s own masks, H's
+      non-isolated vertices relabelled in order: every order of the
+      isolated ones induces the same permutation, and an order-keeping
+      relabelling keeps the edge positions;
     - pending[k]: the edges after edge k + 1 with an end at an end of
-      edge k (step k + 1 tries the images of edge k + 1 anyway).
+      edge k (step k + 1 draws the image of edge k + 1 from its ends'
+      domains anyway).
 
     Memoised by value for up to 64 patterns: `Digraph` is immutable and
     hashes and compares by (n, edges), so equal patterns built
     separately, such as two `crown(q)` calls, share one entry."""
     edge_order = tuple(sorted(H.edges))
-    index = {e: i for i, e in enumerate(edge_order)}
-    autos = _injective_maps(H, H, adjacency_masks(H, "out"), adjacency_masks(H, "in"))
-    perms = {tuple(index[(a[u], a[v])] for u, v in edge_order) for a in autos}
+    at = {v: i for i, v in enumerate(sorted({v for e in edge_order for v in e}))}
+    core_order = [(at[u], at[v]) for u, v in edge_order]
+    index = {e: i for i, e in enumerate(core_order)}
+    core = Digraph(len(at), core_order)
+    autos = _injective_maps(core, core, adjacency_masks(core, "out"), adjacency_masks(core, "in"))
+    perms = {tuple(index[(a[u], a[v])] for u, v in core_order) for a in autos}
     perms.discard(tuple(range(len(edge_order))))
     pending = tuple(tuple((a, b) for a, b in edge_order[k + 2:] if a in (u, v) or b in (u, v))
                     for k, (u, v) in enumerate(edge_order))
@@ -186,8 +193,17 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
     b's in-heads. The step that places (a, b) runs both ends through the
     test above, which its image can pass only on these terms, on usable
     sets no larger than now. So a cut prefix yields no guess, and the
-    stream is the same as without this cut. The edge right after the
-    step is left out: the next step tries its images anyway.
+    stream is the same as without this cut.
+
+    The same two sets are the domains each step draws its own image
+    from: for pattern edge (u, v), x runs over where u's next out-tail
+    may lie and y over x's out-neighbours where v's next in-head may
+    lie, both worked out once per search node. Placing (x, y) only
+    shrinks the usable sets, and reach within them is monotone, so an
+    image outside the domains fails the test above for u or v. No guess
+    is lost, and the images left are tried in the same lexicographic
+    order. The edge right after a step is therefore left out of its
+    look-ahead: the next step's domains ask the same question.
 
     Host vertex sets are int masks per pattern vertex v: `own[v]` (their
     union is `claimed`), `heads[v]` and `tails[v]`, the in-heads and
@@ -283,11 +299,11 @@ def _enumerate_guesses(H, G, depth=None, tree=False):
         u, v = edge_order[k]
         waiting = pending[k]
         own_u, own_v, tails_u, heads_v = own[u], own[v], tails[u], heads[v]
-        free = full & ~claimed
-        # host edges in lexicographic order, tail usable by u, head by v
-        for x in mask_bits(free | own_u):
+        # host edges in lexicographic order, drawn from the ends' domains
+        head_domain = next_ends(v, claimed, True)
+        for x in mask_bits(next_ends(u, claimed, False)):
             bx = 1 << x
-            for y in mask_bits(adj[0][x] & (free | own_v)):
+            for y in mask_bits(adj[0][x] & head_domain):
                 by = 1 << y
                 image[k] = (x, y)
                 if not least(k + 1):

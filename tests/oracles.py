@@ -295,8 +295,10 @@ def reference_guesses(H, G, depth=None):
     automorphisms; source and sink candidates only by whole-host reach.
     The automorphisms come from `injective_maps_by_pairs`, so the
     library's mask search is not its own reference. The library's cut of
-    prefixes whose pending pattern edges have no host edge left drops no
-    guess, so it has no counterpart here.
+    prefixes whose pending pattern edges have no host edge left, and its
+    draw of each edge image from where its tail's branch may take its
+    next out-tail and its head's branch its next in-head, drop no guess,
+    so they have no counterpart here.
     """
     edge_order = sorted(H.edges)
     host_edges = sorted(G.edges)

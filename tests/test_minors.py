@@ -32,6 +32,7 @@ from oracles import (
     brute_topological_minor,
     butterfly_minor_by_contraction,
     digraph_isomorphic,
+    injective_maps_by_pairs,
     is_tree_like_model,
     ladder,
     random_dag,
@@ -562,6 +563,28 @@ def test_minor_outcomes_are_pinned():
     assert digest == "bc9a894d1e72d3b4ef0d37e19359260290bfe520bd47e482263630dbe001e6dc"
 
 
+def test_guess_stream_is_pinned():
+    # the guess stream itself, not only the first guess that routes: the
+    # hash of up to 300 guesses per pair of a fixed random battery, at
+    # depths None to 2 and in tree (butterfly) mode, recorded before the
+    # enumerator drew edge images from their ends' domains
+    import crownminor.minors as minors
+
+    rng = random.Random(0x40)
+    streams = []
+    for i in range(200):
+        G = random_digraph(rng, rng.randint(3, 9), rng.choice([0.25, 0.4]))
+        H = random_digraph(rng, rng.randint(1, min(5, G.n)), 0.5)
+        depth, tree = (None, True) if i % 4 == 3 else (rng.choice([None, 0, 1, 2]), False)
+        stream = itertools.islice(minors._enumerate_guesses(H, G, depth, tree), 300)
+        streams.append([(sorted(image.items()), sorted(source.items()), sorted(sink.items()),
+                         sorted(own.items()), sorted(ends.items()))
+                        for image, source, sink, own, ends in stream])
+    assert sum(map(len, streams)) > 5000 and sum(not s for s in streams) > 10
+    digest = hashlib.sha256(repr(streams).encode()).hexdigest()
+    assert digest == "5a015cd4e08472aacc8b3bd053df2786a0526be93c6355552f0a2d2eb3de526d"
+
+
 def test_crown_in_dag_prunes_guesses_whose_branch_cannot_meet(monkeypatch):
     """Work guard: on this host the unpruned stream tries 6,077 guesses
     before one routes; the pruned one needs at most a handful and finds
@@ -615,6 +638,48 @@ def test_pattern_tables_are_built_once_per_pattern_value(monkeypatch):
     assert isinstance(tables, tuple) and tuples_all_the_way_down(tables)
 
 
+def test_pattern_tables_leave_isolated_vertices_out_of_the_automorphism_search(monkeypatch):
+    """Work guard: every order of a pattern's isolated vertices induces the
+    same edge permutation, so the automorphism search skips them; placing
+    them took 9! maps for one edge among 11 vertices."""
+    import crownminor.minors as minors
+
+    calls = [0]
+    bits = minors.mask_bits
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return bits(*args, **kwargs)
+
+    monkeypatch.setattr(minors, "mask_bits", counted)
+    minors._pattern_tables.cache_clear()
+    assert minors._pattern_tables(Digraph(11, [(0, 1)])) == (((0, 1),), (), ((),))
+    assert calls[0] <= 100
+
+
+def test_pattern_table_perms_match_the_pair_search_with_isolated_vertices():
+    """The edge permutations of the automorphisms found on a pattern's
+    non-isolated vertices are those of every automorphism of the whole
+    pattern, found by the pair-testing reference search."""
+    import crownminor.minors as minors
+
+    rng = random.Random(0x150)
+    moved = 0
+    for _ in range(200):
+        core = random_digraph(rng, rng.randint(1, 5), 0.5)
+        n = core.n + rng.randint(0, 3)
+        at = sorted(rng.sample(range(n), core.n))
+        H = Digraph(n, [(at[u], at[v]) for u, v in core.edges])
+        edge_order = sorted(H.edges)
+        index = {e: i for i, e in enumerate(edge_order)}
+        want = {tuple(index[(a[u], a[v])] for u, v in edge_order)
+                for a in injective_maps_by_pairs(H, H, True)}
+        want.discard(tuple(range(len(edge_order))))
+        assert minors._pattern_tables(H)[1] == tuple(sorted(want))
+        moved += bool(want)
+    assert moved >= 20
+
+
 def test_triangle_refuted_in_a_grid_with_few_reach_sweeps(monkeypatch):
     """Work guard: bidirected K3 has no depth-1 model in this grid. A
     prefix dies once a later pattern edge at a touched branch has no host
@@ -634,6 +699,28 @@ def test_triangle_refuted_in_a_grid_with_few_reach_sweeps(monkeypatch):
     K3 = bidirect(underlying_undirected(acyclic_tournament(3)))
     assert shallow_minor_check(K3, oriented_grid(8, 8, seed=1), 1) is None
     assert calls[0] <= 5000
+
+
+@pytest.mark.parametrize("side,r,bound", [(20, 0, 20_000), (6, 1, 300_000)])
+def test_crown4_refuted_in_a_grid_with_few_reach_sweeps(monkeypatch, side, r, bound):
+    """Work guard: crown(4) has no depth-r model in these grids. Each edge
+    image is drawn from where its tail's branch may take its next
+    out-tail and its head's branch its next in-head, so no image is
+    placed only to fail the branch test; trying every free host edge,
+    the refutations made 543,589 (20x20, r = 0) and 737,993 (6x6, r = 1)
+    reach_mask calls."""
+    import crownminor.minors as minors
+
+    calls = [0]
+    reach = minors.reach_mask
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return reach(*args, **kwargs)
+
+    monkeypatch.setattr(minors, "reach_mask", counted)
+    assert shallow_minor_check(crown(4)[0], oriented_grid(side, side, seed=1), r) is None
+    assert calls[0] <= bound
 
 
 def test_pattern_larger_than_its_host_is_refused_before_any_search(monkeypatch):
