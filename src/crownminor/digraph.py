@@ -1,6 +1,17 @@
 """Core directed-graph type, neighborhoods, structural predicates and the
 crown pattern, which the generators, the dichotomy and the witness
-reader all build without loading each other."""
+reader all build without loading each other.
+
+Adjacency masks come in two forms, split by the traffic they serve. A
+search that reads every vertex many times (the minor checkers, `grad`,
+the solvers' tables) takes `adjacency_masks`, an eager tuple kept on the
+graph: subscripting a tuple is faster than subscripting a dict subclass
+in its hot loops. A question about a few balls (`is_scattered`,
+`compute_scattered`) takes `LazyMasks`, which builds a vertex's mask on
+its first read and so pays only for the vertices its sweeps visit. Such
+a question always passes `reach_mask` a depth: the lazy table has no
+length to bound an open sweep.
+"""
 
 import itertools
 import math
@@ -214,6 +225,23 @@ def adjacency_masks(G, direction="out"):
     return masks
 
 
+class LazyMasks(dict):
+    """Each vertex's neighbours in nbrs (G.out_adj or G.in_adj) as an int
+    bitmask, built on the first read of that vertex and kept in this
+    table, not on G: a probe that sweeps a few balls builds only the
+    masks it reads."""
+
+    def __init__(self, nbrs):
+        self.nbrs = nbrs
+
+    def __missing__(self, v):
+        mask = 0
+        for w in self.nbrs[v]:
+            mask |= 1 << w
+        self[v] = mask
+        return mask
+
+
 def mask_bits(mask):
     """The vertex ids in an int mask, in increasing order."""
     while mask:
@@ -226,8 +254,9 @@ def reach_mask(adj, starts, within, max_depth=None):
     """The reach-set kernel: the vertices some vertex of the mask `starts`
     reaches by a path of at most max_depth edges (any length when None)
     through the vertex mask `within`, as an int bitmask, for adj =
-    adjacency_masks(G, direction). A start outside `within` reaches
-    nothing; for starts = 1 << v it is the key set of bfs_dist(G, v,
+    adjacency_masks(G, direction), or a LazyMasks table with a
+    max_depth (a depth of None reads len(adj)). A start outside `within`
+    reaches nothing; for starts = 1 << v it is the key set of bfs_dist(G, v,
     max_depth, direction, within=...)."""
     seen = frontier = within & starts
     limit = len(adj) if max_depth is None else max_depth

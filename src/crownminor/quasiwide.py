@@ -100,9 +100,15 @@ class ControlledBipartite:
             self.pred[b] |= 1 << a
 
     def one_scattered(self, members):
-        """No A-vertex sees two of `members`, a mask of B-vertices, among
-        its successors."""
-        return all((s & members).bit_count() < 2 for s in self.succ.values())
+        """No A-vertex sees two of `members`, a mask of B-vertices of this
+        structure, among its successors: no member's predecessor mask
+        meets those of the members before it."""
+        covered = 0
+        for b in mask_bits(members):
+            if self.pred[b] & covered:
+                return False
+            covered |= self.pred[b]
+        return True
 
     def restrict(self, a_keep, b_keep):
         """The sub-structure induced by the A-vertices in the mask a_keep
@@ -448,7 +454,7 @@ def scattered_or_crown(cb, p, q):
         raise GraphError("need p, q >= 1")
     rounds = math.comb(q, 2)
     kept = []
-    pool = every_b = sum(1 << b for b in cb.b_nodes)
+    pool = sum(1 << b for b in cb.b_nodes)
     while len(kept) < rounds:
         best = None
         for a in cb.a_nodes:
@@ -478,8 +484,8 @@ def scattered_or_crown(cb, p, q):
     res = bipartite_trichotomy(cb.restrict(alive, pool), p, q)
     if isinstance(res, BipartiteScattered):
         # scatteredness must survive in the whole structure minus deletions
-        whole = cb.restrict(alive, every_b)
-        if not whole.one_scattered(sum(1 << b for b in res.members)):
+        members = sum(1 << b for b in res.members)
+        if not cb.restrict(alive, members).one_scattered(members):
             raise RuntimeError("internal: scattered set not scattered after deletion")
         return BipartiteScattered(tuple(kept), res.members)
     # a crown that verified in a restriction of cb verifies in cb
@@ -494,7 +500,13 @@ def build_controlled_bipartite(G, I, r):
     """The control structure over ground digraph G for an r-scattered
     set I: B is I; every vertex reaching two members within r+1 steps
     joins A; each such reach fixes one shortest path, recorded as the
-    edge label; bases point at the unique member within r steps."""
+    edge label; bases point at the unique member within r steps.
+
+    One reverse BFS per member gives the levels and the reaches. They
+    fix the label of a member u at most one step from the A-vertex v:
+    () when v is u, (u,) when v -> u is an edge. Only an A-vertex with a
+    member two or more steps away runs a forward BFS, whose parents give
+    those members' labels: the FIFO breadth-first path from v."""
     if r < 0:
         raise GraphError("radius must be nonnegative")
     I = sorted(I)
@@ -521,14 +533,20 @@ def build_controlled_bipartite(G, I, r):
         if len(reach) < 2:
             continue
         a_nodes.append(v)
-        parents = bfs_dist(G, v, max_depth=r + 1, parents=True)
+        parents = None
         for u in reach:
-            tail = []  # the path from v to u without v, gathered from u back
-            x = u
-            while x != v:
-                tail.append(x)
-                x = parents[x]
-            tail.reverse()
+            dd = into[u][v]
+            if dd > 1:
+                if parents is None:
+                    parents = bfs_dist(G, v, max_depth=r + 1, parents=True)
+                tail = []  # the path from v to u without v, gathered from u back
+                x = u
+                while x != v:
+                    tail.append(x)
+                    x = parents[x]
+                tail = tuple(reversed(tail))
+            else:
+                tail = (u,) if dd else ()
             edges.add((v, u))
             eta[(v, u)] = tail
             seen.update(tail)

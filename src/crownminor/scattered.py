@@ -18,7 +18,7 @@ and the `scatter` command never load it.
 
 import itertools
 
-from .digraph import Digraph, GraphError, adjacency_masks, mask_bits, reach_mask
+from .digraph import Digraph, GraphError, LazyMasks, mask_bits, reach_mask
 from .verify import ScatteredWitness, disjoint_balls
 
 # the cap compute_scattered passes to deletion_set
@@ -29,7 +29,8 @@ def compute_scattered(G, W, d, m, s_budget):
     """Search for S (|S| <= s_budget) and U in W (|U| = m) with U
     d-scattered in G - S, via the common-ancestor construction of
     deletion_set over the first PROBE_CAP elements of W. Returns a
-    verified witness or None.
+    verified witness or None. The in-masks come from a LazyMasks table:
+    only the vertices the probed balls visit get one.
     """
     if d < 0:
         raise GraphError("radius must be nonnegative")
@@ -43,7 +44,7 @@ def compute_scattered(G, W, d, m, s_budget):
     # W is sorted and not empty, so its ends bound every id in it
     G.check_vertex(W[0])
     G.check_vertex(W[-1])
-    adj, targets = adjacency_masks(G, "in"), sum(1 << w for w in W[:PROBE_CAP])
+    adj, targets = LazyMasks(G.in_adj), sum(1 << w for w in W[:PROBE_CAP])
     got = deletion_set(adj, targets, (1 << G.n) - 1, d, m, s_budget, PROBE_CAP)
     if got is None:
         return None

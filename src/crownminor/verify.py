@@ -10,7 +10,7 @@ vertex-set answer, for the solvers, their oracle and the documents alike.
 import itertools
 from collections import namedtuple
 
-from .digraph import GraphError, adjacency_masks, bfs_dist, mask_bits, reach_mask
+from .digraph import GraphError, LazyMasks, adjacency_masks, bfs_dist, mask_bits, reach_mask
 
 
 class DirectedModel(namedtuple(
@@ -145,10 +145,13 @@ def verify_model(model):
 
 
 def is_scattered(G, U, d, deleted=()):
-    """True iff no vertex of G - deleted has two distinct members of U in
-    its d-out-neighborhood (computed in G - deleted), that is, iff the
-    members' d-in-balls in G - deleted are pairwise disjoint. Raises
-    GraphError for a member or deleted id outside G."""
+    """True iff every member of U lies in G - deleted and no vertex of
+    G - deleted has two distinct members of U in its d-out-neighborhood
+    (computed in G - deleted), that is, iff the members' d-in-balls in
+    G - deleted are pairwise disjoint. A deleted member makes it False,
+    as disjoint_balls requires every member to be alive. Raises
+    GraphError for a member or deleted id outside G. The in-masks come
+    from a LazyMasks table: only the vertices the balls visit get one."""
     if d < 0:
         raise GraphError("radius must be nonnegative")
     U = list(U)
@@ -158,14 +161,14 @@ def is_scattered(G, U, d, deleted=()):
     for v in itertools.chain(U, dead):
         G.check_vertex(v)
     alive = ((1 << G.n) - 1) & ~sum(1 << v for v in dead)
-    return disjoint_balls(adjacency_masks(G, "in"), U, alive, d)
+    return disjoint_balls(LazyMasks(G.in_adj), U, alive, d)
 
 
 def disjoint_balls(adj, members, alive, d):
     """The kernel of is_scattered: every vertex id in members lies in the
     vertex mask alive, and their d-balls in G[alive] are pairwise
-    disjoint, for adj = adjacency_masks(G, "in") or the closed in-ball
-    masks of G."""
+    disjoint, for adj = adjacency_masks(G, "in"), LazyMasks(G.in_adj) or
+    the closed in-ball masks of G."""
     covered = 0
     for u in members:
         ball = reach_mask(adj, 1 << u, alive, d)

@@ -249,6 +249,9 @@ def test_outbranching_that_does_not_dominate_fails_to_load():
         ("kind crown\nend\n", (PATH3, None), "crown document lacks an order that fits the host"),
         ("kind scattered\nd 1\nS: \nU: 0 1\nend\n", (PATH3, None),
          "scattered witness does not verify"),
+        # {0, 2} is 1-scattered in PATH3, but a deleted member is not
+        ("kind scattered\nd 1\nS: 0\nU: 0 2\nend\n", (PATH3, None),
+         "scattered witness does not verify"),
         ("kind independent\nD: 0 1\nend\n", (PATH3, None), "independent witness does not verify"),
         ("kind outbranching\nD: 0 2\nparent 0 none\nparent 2 0\nend\n", (PATH3, None),
          "outbranching witness does not verify"),
@@ -268,7 +271,8 @@ def test_outbranching_that_does_not_dominate_fails_to_load():
          "model does not verify: branch of 5, which is not a pattern vertex"),
     ],
     ids=["unterminated", "unknown-kind", "no-U", "no-D", "no-host", "no-pattern",
-         "crown-too-large", "crown-no-order", "scattered", "independent", "outbranching",
+         "crown-too-large", "crown-no-order", "scattered", "scattered-member-deleted",
+         "independent", "outbranching",
          "outbranching-not-dominating", "dominating", "independent-at-d2",
          "independent-negative-d", "dominating-dependent", "independent-flag-word",
          "stray-branch"],

@@ -14,6 +14,7 @@ from crownminor.generators import (
     random_tournament,
     reversed_crown,
 )
+from crownminor.graphio import emit_graph, parse_graph
 from crownminor.minors import DirectedModel, verify_model
 from crownminor.quasiwide import (
     BipartiteScattered,
@@ -86,6 +87,20 @@ def test_scattered_respects_deletions():
     S3, principals = crown(3)
     assert is_scattered(S3, principals, 1, deleted=(3, 4, 5))
     assert not is_scattered(S3, principals, 1, deleted=(3,))
+    # a deleted member is never scattered, even alone
+    assert is_scattered(Digraph(3, [(0, 1)]), [0], 1)
+    assert not is_scattered(Digraph(3, [(0, 1)]), [0], 1, deleted=[0])
+
+
+def test_scattered_probes_build_no_graph_mask_table():
+    # a probe about a few balls reads in-masks for the vertices its balls
+    # visit only, and leaves G's whole-graph adjacency tables unbuilt
+    G = parse_graph(emit_graph(random_bipartite_outregular(1000, 3, 5)))
+    shared = set(G.in_adj[1000]) & set(G.in_adj[1001])
+    assert is_scattered(G, [1000, 1001], 1) == (not shared)
+    w = compute_scattered(G, range(1000, 2000), 1, 3, 2)
+    assert w is not None and w.verify()
+    assert G._in_masks is None and G._out_masks is None
 
 
 def test_compute_scattered_reversed_crown():
@@ -251,6 +266,57 @@ def test_build_controlled_bipartite_random_invariants():
         cb = build_controlled_bipartite(G, I, r)
         bad = controlled_bipartite_violations(cb)
         assert not bad, bad
+
+
+def _forward_bfs_calls(monkeypatch):
+    calls = []
+
+    def counting(G, src, *args, **kw):
+        if kw.get("parents"):
+            calls.append(src)
+        return bfs_dist(G, src, *args, **kw)
+
+    monkeypatch.setattr(quasiwide, "bfs_dist", counting)
+    return calls
+
+
+def test_build_controlled_bipartite_runs_no_forward_bfs_at_radius_zero(monkeypatch):
+    # every member of an A-vertex is one step away: the reverse sweeps fix
+    # each label, where one forward BFS per A-vertex did before
+    calls = _forward_bfs_calls(monkeypatch)
+    G = random_bipartite_outregular(300, 5, 17)
+    cb = build_controlled_bipartite(G, range(300, 600), 0)
+    assert len(cb.a_nodes) == 300 and calls == []
+    assert all(tail == (b,) for (a, b), tail in cb.eta.items())
+
+
+def test_build_controlled_bipartite_runs_one_forward_bfs_per_far_a_vertex(monkeypatch):
+    # I is 1-scattered, so no vertex has two members within one step and
+    # every A-vertex has one two steps away: one forward BFS each, no more
+    calls = _forward_bfs_calls(monkeypatch)
+    G = oriented_grid(8, 8, seed=616060819)
+    I = greedy_scattered(G, 1)
+    cb = build_controlled_bipartite(G, I, 1)
+    far = [a for a in cb.a_nodes
+           if any(bfs_dist(G, a, max_depth=2).get(b, 0) == 2 for b in I if (a, b) in cb.eta)]
+    assert calls == far == list(cb.a_nodes) and far
+
+
+def test_one_scattered_matches_the_edge_pair_definition():
+    rng = random.Random(911)
+    for _ in range(300):
+        na, nb = rng.randint(1, 10), rng.randint(1, 10)
+        # ids may appear on both sides
+        a_nodes, b_nodes = range(na), range(rng.randint(0, 5), nb + 5)
+        edges = {(a, b) for a in a_nodes for b in b_nodes if rng.random() < 0.25}
+        cb = ControlledBipartite(a_nodes, b_nodes, edges, {}, {}, {}, 0)
+        deleted = {a for a in a_nodes if rng.random() < 0.3}
+        alive = sum(1 << a for a in a_nodes if a not in deleted)
+        members = {b for b in b_nodes if rng.random() < 0.4}
+        mask = sum(1 << b for b in members)
+        assert cb.one_scattered(mask) == bipartite_one_scattered(cb, members)
+        assert cb.restrict(alive, mask).one_scattered(mask) == \
+            bipartite_one_scattered(cb, members, deleted)
 
 
 # --- label-avoiding clique -----------------------------------------------------
