@@ -481,11 +481,13 @@ def scattered_or_crown(cb, p, q):
         return cc
 
     alive = sum(1 << a for a in cb.a_nodes if a not in kept)
-    res = bipartite_trichotomy(cb.restrict(alive, pool), p, q)
+    sub = cb.restrict(alive, pool)
+    res = bipartite_trichotomy(sub, p, q)
     if isinstance(res, BipartiteScattered):
-        # scatteredness must survive in the whole structure minus deletions
+        # scatteredness must survive in cb minus deletions; sub.pred[b] is
+        # cb.pred[b] & alive, so this check needs the members to lie in sub
         members = sum(1 << b for b in res.members)
-        if not cb.restrict(alive, members).one_scattered(members):
+        if not sub.one_scattered(members):
             raise RuntimeError("internal: scattered set not scattered after deletion")
         return BipartiteScattered(tuple(kept), res.members)
     # a crown that verified in a restriction of cb verifies in cb
@@ -502,11 +504,12 @@ def build_controlled_bipartite(G, I, r):
     joins A; each such reach fixes one shortest path, recorded as the
     edge label; bases point at the unique member within r steps.
 
-    One reverse BFS per member gives the levels and the reaches. They
-    fix the label of a member u at most one step from the A-vertex v:
-    () when v is u, (u,) when v -> u is an edge. Only an A-vertex with a
-    member two or more steps away runs a forward BFS, whose parents give
-    those members' labels: the FIFO breadth-first path from v."""
+    One reverse BFS per member gives the levels, the reaches and every
+    label. The label of member u at A-vertex v is the FIFO breadth-first
+    path from v to u: that sweep takes each level over sorted out-lists,
+    so the path is the lexicographically least shortest one. It is read
+    off u's distances: from v, step to the least out-neighbour one step
+    nearer to u until u is reached (() when v is u, (u,) at one step)."""
     if r < 0:
         raise GraphError("radius must be nonnegative")
     I = sorted(I)
@@ -525,7 +528,6 @@ def build_controlled_bipartite(G, I, r):
                 near[w] = u
 
     a_nodes = []
-    edges = set()
     eta = {}
     seen = set()
     for v in sorted(reached):
@@ -533,21 +535,17 @@ def build_controlled_bipartite(G, I, r):
         if len(reach) < 2:
             continue
         a_nodes.append(v)
-        parents = None
         for u in reach:
-            dd = into[u][v]
+            dist = into[u]
+            dd = dist[v]
             if dd > 1:
-                if parents is None:
-                    parents = bfs_dist(G, v, max_depth=r + 1, parents=True)
-                tail = []  # the path from v to u without v, gathered from u back
-                x = u
-                while x != v:
+                x, tail = v, []
+                for k in range(dd - 1, -1, -1):  # the least out-neighbour k steps from u
+                    x = next(y for y in G.out_adj[x] if dist.get(y) == k)
                     tail.append(x)
-                    x = parents[x]
-                tail = tuple(reversed(tail))
+                tail = tuple(tail)
             else:
                 tail = (u,) if dd else ()
-            edges.add((v, u))
             eta[(v, u)] = tail
             seen.update(tail)
     seen.update(a_nodes)
@@ -558,7 +556,7 @@ def build_controlled_bipartite(G, I, r):
         b = near.get(w)
         base[w] = b
         level[w] = into[b][w] if b is not None else r + 1
-    return ControlledBipartite(a_nodes, I, edges, base, level, eta, r)
+    return ControlledBipartite(a_nodes, I, eta, base, level, eta, r)  # eta's keys are the edges
 
 
 def crown_to_model(G, cb, cc, r):

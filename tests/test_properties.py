@@ -35,6 +35,7 @@ from crownminor.digraph import (
     reach_mask,
     set_neighborhood,
 )
+from crownminor.generators import oriented_grid, random_bipartite_outregular, random_tournament
 from crownminor.graphio import GraphFormatError, emit_graph, parse_graph
 from crownminor.rng import SplitMix64
 from crownminor.quasiwide import (
@@ -437,6 +438,34 @@ def test_controlled_bipartite_matches_distance_table(G, data):
     assert vars(got) == vars(want)
     for field in ("base", "level", "eta"):
         assert list(getattr(got, field).items()) == list(getattr(want, field).items())
+
+
+def test_controlled_bipartite_matches_distance_table_up_to_radius_four():
+    # the drawn test above stops at r = 2; this one holds labels of r or
+    # more steps at every r from 2 to 4, on host families the dichotomy
+    # runs on
+    rng = random.Random(42)
+    hosts = []
+    for _ in range(8):
+        hosts.append(oriented_grid(rng.randint(4, 12), rng.randint(4, 12),
+                                   seed=rng.getrandbits(30)))
+        hosts.append(random_bipartite_outregular(rng.randint(10, 40), rng.randint(1, 2),
+                                                 rng.getrandbits(30)))
+        hosts.append(random_tournament(rng.randint(3, 10), rng.getrandbits(30)))
+    long_tails = [0] * 5
+    for G in hosts:
+        for r in range(5):
+            I = []
+            for v in rng.sample(range(G.n), G.n):
+                if scattered_by_sweep(G, I + [v], r):
+                    I.append(v)
+            got = build_controlled_bipartite(G, I, r)
+            want = controlled_bipartite_by_table(G, I, r)
+            assert vars(got) == vars(want)
+            for field in ("base", "level", "eta"):
+                assert list(getattr(got, field).items()) == list(getattr(want, field).items())
+            long_tails[r] += sum(len(tail) >= r for tail in got.eta.values())
+    assert all(long_tails[2:]), long_tails
 
 
 # Fixed-seed checks that the construction and text path, which sort each

@@ -281,8 +281,7 @@ def _forward_bfs_calls(monkeypatch):
 
 
 def test_build_controlled_bipartite_runs_no_forward_bfs_at_radius_zero(monkeypatch):
-    # every member of an A-vertex is one step away: the reverse sweeps fix
-    # each label, where one forward BFS per A-vertex did before
+    # every member of an A-vertex is one step away
     calls = _forward_bfs_calls(monkeypatch)
     G = random_bipartite_outregular(300, 5, 17)
     cb = build_controlled_bipartite(G, range(300, 600), 0)
@@ -290,16 +289,18 @@ def test_build_controlled_bipartite_runs_no_forward_bfs_at_radius_zero(monkeypat
     assert all(tail == (b,) for (a, b), tail in cb.eta.items())
 
 
-def test_build_controlled_bipartite_runs_one_forward_bfs_per_far_a_vertex(monkeypatch):
-    # I is 1-scattered, so no vertex has two members within one step and
-    # every A-vertex has one two steps away: one forward BFS each, no more
+def test_build_controlled_bipartite_runs_no_forward_bfs_at_radius_one_and_two(monkeypatch):
+    # I is r-scattered, so at r >= 1 every A-vertex has a member two or
+    # more steps away; those labels too come from the members' reverse sweeps
     calls = _forward_bfs_calls(monkeypatch)
     G = oriented_grid(8, 8, seed=616060819)
-    I = greedy_scattered(G, 1)
-    cb = build_controlled_bipartite(G, I, 1)
-    far = [a for a in cb.a_nodes
-           if any(bfs_dist(G, a, max_depth=2).get(b, 0) == 2 for b in I if (a, b) in cb.eta)]
-    assert calls == far == list(cb.a_nodes) and far
+    for r in (1, 2):
+        I = greedy_scattered(G, r)
+        cb = build_controlled_bipartite(G, I, r)
+        far = [a for a in cb.a_nodes
+               if any(bfs_dist(G, a, max_depth=r + 1).get(b, 0) >= 2 for b in cb.b_nodes
+                      if (a, b) in cb.eta)]
+        assert calls == [] and far == list(cb.a_nodes) and far
 
 
 def test_one_scattered_matches_the_edge_pair_definition():
@@ -550,6 +551,26 @@ def test_peeling_random_outcomes_verify():
             assert len(got.deleted) <= 1  # C(2,2)
         else:
             assert verify_controlled_crown(cb, got)
+
+
+def test_scattered_outcome_restricts_the_structure_once(monkeypatch):
+    # 10 covers every member and is peeled; 11 and 12 each see two members,
+    # so the trichotomy takes 0, 2 and 4 without forming a bucket
+    edges = {(10, b) for b in range(6)} | {(11, 0), (11, 1), (12, 2), (12, 3)}
+    cb = ControlledBipartite(
+        [10, 11, 12], range(6), edges, {}, {a: 1 for a in (10, 11, 12)}, {}, 0,
+    )
+    calls = []
+    restrict = ControlledBipartite.restrict
+
+    def counting(self, a_keep, b_keep):
+        calls.append((a_keep, b_keep))
+        return restrict(self, a_keep, b_keep)
+
+    monkeypatch.setattr(ControlledBipartite, "restrict", counting)
+    got = scattered_or_crown(cb, p=3, q=3)
+    assert got == BipartiteScattered((10,), (0, 2, 4))
+    assert calls == [(1 << 11 | 1 << 12, 0b111111)]
 
 
 # --- the dichotomy on digraphs ---------------------------------------------------
