@@ -484,11 +484,9 @@ def scattered_or_crown(cb, p, q):
     sub = cb.restrict(alive, pool)
     res = bipartite_trichotomy(sub, p, q)
     if isinstance(res, BipartiteScattered):
-        # scatteredness must survive in cb minus deletions; sub.pred[b] is
-        # cb.pred[b] & alive, so this check needs the members to lie in sub
-        members = sum(1 << b for b in res.members)
-        if not sub.one_scattered(members):
-            raise RuntimeError("internal: scattered set not scattered after deletion")
+        # the trichotomy checked the members on sub, whose pred[b] is
+        # cb.pred[b] & alive: they are scattered in cb minus the kept
+        # A-vertices, and _step verifies the witness on the ground graph
         return BipartiteScattered(tuple(kept), res.members)
     # a crown that verified in a restriction of cb verifies in cb
     return res

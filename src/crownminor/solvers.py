@@ -63,7 +63,9 @@ def _first_subset(cand, sizes, clash, cover, want, accept):
     place covers at most most[v] of its vertices and that is too few.
     Clashes are symmetric, so every cut branch holds only subsets that
     clash or miss want, and the order is kept. want = 0 turns the cover
-    cuts off."""
+    cuts off. The last open place is one scan of the candidates under
+    the same cuts, with no call per candidate: accept sees a candidate
+    only if its mask covers the rest of want."""
     top = cand.bit_length()
     # over the candidates >= v: the union of their masks inside want,
     # and the most vertices of want one of them covers
@@ -81,15 +83,20 @@ def _first_subset(cand, sizes, clash, cover, want, accept):
         if need == 0:
             return None if left else accept(picked)
         missing = left.bit_count()
-        while cand.bit_count() >= need:
+        count = cand.bit_count()
+        while count >= need:
             low = cand & -cand
             v = low.bit_length() - 1
             if left & ~suffix[v] or need * most[v] < missing:
                 return None
-            got = rec((cand ^ low) & ~clash[v], need - 1, covered | cover[v], picked | low)
+            if need > 1:
+                got = rec((cand ^ low) & ~clash[v], need - 1, covered | cover[v], picked | low)
+            else:
+                got = None if left & ~cover[v] else accept(picked | low)
             if got is not None:
                 return got
             cand ^= low
+            count -= 1
         return None
 
     for size in sizes:
@@ -257,7 +264,11 @@ def d_dominating_set(G, k, d=1):
     target irrelevant, so each next one found lies later in the order.
     The cover branches on the open target in the fewest traces, the
     smallest id among ties, over the traces that hold it in order of
-    their first dominator."""
+    their first dominator. Each trace is kept as the mask of its first
+    dominators, so a target's traces are its in-ball ANDed with that
+    mask, and the targets are grouped into one mask per trace count.
+    The last choice is one scan of the pivot's traces for one that
+    holds every open target."""
     if k < 0 or d < 1:
         raise GraphError("need k >= 0 and d >= 1")
     balls = ball_masks(G, d, "in")
@@ -266,35 +277,50 @@ def d_dominating_set(G, k, d=1):
         if _implied(w, targets, balls):
             targets &= ~(1 << w)
 
-    # each distinct nonempty trace on the targets, with the smallest
-    # vertex that has it, in order of that vertex
-    traces = {}
-    for v, ball in enumerate(ball_masks(G, d)):
-        tr = ball & targets
-        if tr and tr not in traces:
-            traces[tr] = v
-    holders = [[] for _ in range(G.n)]
-    for tr, v in traces.items():
-        for w in mask_bits(tr):
-            holders[w].append((tr, v))
-    hits = [len(h) for h in holders]
+    # the trace of each vertex on the targets, and firsts, the mask of
+    # the smallest vertex with each distinct nonempty trace: the traces
+    # that hold target w are those of the firsts in w's in-ball
+    trace = ball_masks(G, d)
+    firsts, seen = 0, set()
+    for v, ball in enumerate(trace):
+        tr = trace[v] = ball & targets
+        if tr and tr not in seen:
+            seen.add(tr)
+            firsts |= 1 << v
+    # the targets by how many traces hold them, fewest first
+    by_hits = {}
+    for w in mask_bits(targets):
+        hits = (balls[w] & firsts).bit_count()
+        by_hits[hits] = by_hits.get(hits, 0) | 1 << w
+    classes = [by_hits[hits] for hits in sorted(by_hits)]
 
     def cover(uncovered, budget, chosen):
         if not uncovered:
-            return list(chosen)
+            return chosen
         if budget == 0:
             return None
-        pivot = min(mask_bits(uncovered), key=hits.__getitem__)
-        for tr, v in holders[pivot]:
-            got = cover(uncovered & ~tr, budget - 1, chosen + [v])
-            if got is not None:
-                return got
+        for pivot in classes:
+            pivot &= uncovered
+            if pivot:
+                break
+        holders = balls[(pivot & -pivot).bit_length() - 1] & firsts
+        while holders:
+            low = holders & -holders
+            rest = uncovered & ~trace[low.bit_length() - 1]
+            if budget == 1:
+                if not rest:
+                    return chosen | low
+            else:
+                got = cover(rest, budget - 1, chosen | low)
+                if got is not None:
+                    return got
+            holders ^= low
         return None
 
-    got = cover(targets, k, [])
+    got = cover(targets, k, 0)
     if got is None:
         return SolveOutcome(False)
-    D = tuple(sorted(got))
+    D = tuple(mask_bits(got))
     if len(D) > k or vertex_set_problem("dominating", G, D, d):
         raise RuntimeError("internal: reduced cover is no dominating set of at most k vertices")
     return SolveOutcome(True, D)

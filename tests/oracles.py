@@ -38,6 +38,9 @@ Random test instances, which decide no verdict, come from the library's
 `ladder` builds the path router's exponential case, and `apex_grid` the
 solvers' fixed-k family. `irrelevant_vertex_by_scan` is the irrelevant
 target rule by a scan of every pair of targets.
+`first_subset_by_recursion` and `d_dominating_set_by_holder_lists` are
+the solvers' subset search and ds cover before each settled its last
+choice with one scan and ds read its holders off masks.
 `controlled_bipartite_violations` lists the control structure's
 broken invariants, and `_delete_vertex` is the vertex deletion that
 `butterfly_minor_by_contraction` recurses on. The last section
@@ -53,13 +56,15 @@ from collections import deque
 from fractions import Fraction
 
 from crownminor.digraph import (
-    BudgetExhausted, Digraph, GraphError, adjacency_masks, bfs_dist, mask_bits, reach_mask,
+    BudgetExhausted, Digraph, GraphError, adjacency_masks, ball_masks, bfs_dist, mask_bits,
+    reach_mask,
 )
 from crownminor.generators import oriented_grid, random_dag, random_digraph  # noqa: F401
 from crownminor.graphio import GraphFormatError
 from crownminor.minors import butterfly_contract, legal_butterfly_contractions
 from crownminor.quasiwide import ControlledBipartite, _max_clique, uniform_level_threshold
 from crownminor.rng import _GAMMA, _MASK, SplitMix64, _mix
+from crownminor.solvers import SolveOutcome, _implied
 
 
 def enum_paths(G, src, max_len=None, reverse=False):
@@ -1075,6 +1080,85 @@ def oracle_steiner(G, terminals):
                 if seen == T:
                     return size
     return None
+
+
+def first_subset_by_recursion(cand, sizes, clash, cover, want, accept):
+    """`solvers._first_subset` before its last open place was one scan:
+    every candidate for that place makes a recursive call, which tests
+    the cover and calls accept."""
+    top = cand.bit_length()
+    suffix = [0] * (top + 1)
+    most = [0] * (top + 1)
+    for v in range(top - 1, -1, -1):
+        suffix[v], most[v] = suffix[v + 1], most[v + 1]
+        if cand >> v & 1:
+            mine = cover[v] & want
+            suffix[v] |= mine
+            most[v] = max(most[v], mine.bit_count())
+
+    def rec(cand, need, covered, picked):
+        left = want & ~covered
+        if need == 0:
+            return None if left else accept(picked)
+        missing = left.bit_count()
+        while cand.bit_count() >= need:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            if left & ~suffix[v] or need * most[v] < missing:
+                return None
+            got = rec((cand ^ low) & ~clash[v], need - 1, covered | cover[v], picked | low)
+            if got is not None:
+                return got
+            cand ^= low
+        return None
+
+    for size in sizes:
+        got = rec(cand, size, 0, 0)
+        if got is not None:
+            return got
+    return None
+
+
+def d_dominating_set_by_holder_lists(G, k, d=1):
+    """`solvers.d_dominating_set` before it read holders off masks: a
+    dict of the distinct traces, a list of (trace, first dominator)
+    pairs per target, the pivot by min over the open targets, and one
+    recursive call per choice, the last one too."""
+    if k < 0 or d < 1:
+        raise GraphError("need k >= 0 and d >= 1")
+    balls = ball_masks(G, d, "in")
+    targets = (1 << G.n) - 1
+    for w in G.vertices():
+        if _implied(w, targets, balls):
+            targets &= ~(1 << w)
+
+    traces = {}
+    for v, ball in enumerate(ball_masks(G, d)):
+        tr = ball & targets
+        if tr and tr not in traces:
+            traces[tr] = v
+    holders = [[] for _ in range(G.n)]
+    for tr, v in traces.items():
+        for w in mask_bits(tr):
+            holders[w].append((tr, v))
+    hits = [len(h) for h in holders]
+
+    def cover(uncovered, budget, chosen):
+        if not uncovered:
+            return list(chosen)
+        if budget == 0:
+            return None
+        pivot = min(mask_bits(uncovered), key=hits.__getitem__)
+        for tr, v in holders[pivot]:
+            got = cover(uncovered & ~tr, budget - 1, chosen + [v])
+            if got is not None:
+                return got
+        return None
+
+    got = cover(targets, k, [])
+    if got is None:
+        return SolveOutcome(False)
+    return SolveOutcome(True, tuple(sorted(got)))
 
 
 def undirected_minor_check(H, G):

@@ -6,7 +6,8 @@ per-vertex ones they replaced, the backtracking matcher against
 networkx's DiGraphMatcher, the model verifier, the general minor checker
 and the disjoint-path router against the brute-force oracles, the
 bitmask searches of compute_scattered and the solvers against the
-set-based searches they replaced, and grad against the exhaustive family
+set-based searches they replaced, the solvers' last-choice scans
+against the recursion they replaced, and grad against the exhaustive family
 sweep and subset enumeration, and the O(k) sampler against the
 full-copy one it replaced, and the digraph adjacency, graph text and
 controlled-bipartite lists and labels, which sort each list once,
@@ -48,6 +49,7 @@ from crownminor.solvers import (
     DominationInstance,
     _first_subset,
     brute_force_solve,
+    d_dominating_set,
     dominating_outbranching,
     independent_dominating_set,
     independent_set,
@@ -77,10 +79,12 @@ from oracles import (
     brute_disjoint_paths,
     common_ancestor_scatter,
     controlled_bipartite_by_table,
+    d_dominating_set_by_holder_lists,
     densest_subgraph_by_subsets,
     digraph_isomorphic,
     enum_paths,
     exhaustive_grad,
+    first_subset_by_recursion,
     full_copy_sample,
     in_out_by_scan,
     injective_maps_by_pairs,
@@ -681,6 +685,69 @@ def test_first_subset_is_the_first_accepted_cover_in_combinations_order(data):
             expected = combo
             break
     assert _first_subset(cand, sizes, clash, cover, want, accept) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_first_subset_scan_makes_the_accept_calls_of_the_recursion(data):
+    # the last open place by one scan against the former search, one
+    # recursive call per candidate: the same accept calls in the same
+    # order, and the same answer, with accept rejecting some covers
+    n = data.draw(st.integers(0, 14))
+    cand = data.draw(st.integers(0, (1 << n) - 1))
+    low = data.draw(st.integers(0, 4))
+    sizes = range(low, data.draw(st.integers(low, max(low, min(n, 6)) + 1)))
+    clash = [0] * n
+    for u, w in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+                          if n else st.just([])):
+        if u != w:
+            clash[u] |= 1 << w
+            clash[w] |= 1 << u
+    mask = st.integers(0, (1 << n) - 1)
+    thin = data.draw(st.integers(1, 3))
+    cover = []
+    for _ in range(n):
+        m = (1 << n) - 1
+        for _ in range(thin):
+            m &= data.draw(mask)
+        cover.append(m)
+    want = data.draw(mask)
+    mod, rejected = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3))
+
+    def logged(log):
+        def accept(picked):
+            log.append(picked)
+            return None if picked % mod == rejected else picked
+        return accept
+
+    got_log, want_log = [], []
+    got = _first_subset(cand, sizes, clash, cover, want, logged(got_log))
+    assert got == first_subset_by_recursion(cand, sizes, clash, cover, want, logged(want_log))
+    assert got_log == want_log
+
+
+def test_d_dominating_set_matches_the_holder_lists():
+    # holders read off masks and a scan for the last choice against the
+    # former per-target holder lists: the same verdict and witness on
+    # random digraphs, oriented grids and directed paths, d 1-3, at
+    # every k from 0 to one past the optimum
+    rng = random.Random(43)
+    hosts = [random_digraph(rng, rng.randint(0, 32), rng.uniform(0.02, 0.35))
+             for _ in range(120)]
+    hosts += [oriented_grid(side, side, seed=side) for side in (3, 4, 5)]
+    hosts += [Digraph(n, [(i, i + 1) for i in range(n - 1)]) for n in (1, 7, 20)]
+    deep = 0
+    for G in hosts:
+        for d in (1, 2, 3):
+            k, optimum = 0, None
+            while optimum is None or k <= optimum + 1:
+                want = d_dominating_set_by_holder_lists(G, k, d)
+                assert tuple(d_dominating_set(G, k, d)) == tuple(want), (G, k, d)
+                if want.feasible and optimum is None:
+                    optimum = k
+                k += 1
+            deep += optimum >= 4
+    assert deep > 100
 
 
 @SMALL

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -832,3 +833,49 @@ def test_steiner_table_runs_no_bfs_of_its_own(monkeypatch):
             found += 1
             assert calls[0] <= 1, terminals
     assert found == 15 and missed == 3
+
+
+def count_solver_frames(name, run):
+    """run(), and the number of calls it made to functions named name in
+    solvers.py, counted by a profile hook on every call."""
+    calls = [0]
+    here = solvers.__file__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == name and frame.f_code.co_filename == here:
+            calls[0] += 1
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        got = run()
+    finally:
+        sys.setprofile(before)
+    return got, calls[0]
+
+
+def test_dob_settles_the_last_member_without_a_call_per_candidate():
+    """Work guard: the subset search tries each candidate for the last
+    open place in one scan. A recursive call per candidate makes 4,281
+    rec frames on this host, the solve workload's 16-vertex random
+    digraph (p 0.15) whose optimum is 7."""
+    G = Digraph(16, [(0, 5), (0, 9), (0, 15), (1, 3), (1, 9), (1, 10), (2, 1), (2, 3), (2, 4),
+                     (3, 4), (3, 15), (4, 5), (5, 7), (5, 10), (6, 7), (7, 6), (7, 12), (8, 12),
+                     (8, 13), (9, 2), (9, 3), (9, 6), (9, 14), (10, 1), (10, 2), (10, 3),
+                     (11, 3), (11, 4), (11, 7), (12, 6), (12, 9), (12, 10), (12, 15), (13, 2),
+                     (13, 4), (13, 8), (13, 12), (14, 11), (14, 15), (15, 13), (15, 14)])
+    got, calls = count_solver_frames("rec", lambda: dominating_outbranching(G, 7))
+    assert got.feasible and len(got.witness[0]) == 7
+    assert not dominating_outbranching(G, 6).feasible
+    assert calls <= 2_000
+
+
+def test_ds_settles_the_last_choice_without_a_call_per_holder():
+    """Work guard: the cover tries each holder for its last choice in
+    one scan. On the 36-vertex directed path each open target has two
+    holders at most and 18 vertices are needed, so at k = 16 the search
+    is a binary tree: a recursive call per last choice makes 2^16 =
+    65,536 cover calls here."""
+    got, calls = count_solver_frames("cover", lambda: d_dominating_set(dipath(36), 16))
+    assert not got.feasible
+    assert calls <= 32_768
